@@ -21,6 +21,7 @@ from . import meltingcrystal as mc
 from . import partitions as pt
 from . import phasemodel as pm
 from . import sixvertex as sv
+from .errors import IdentityError
 from .exactcore import parse_rat, rat_str
 from .suites import SUITES, generic_beta, generic_rationals, run_suite
 
@@ -555,6 +556,10 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.fn(args, out, rng)
+    except IdentityError as exc:
+        # a self-check ran and its two routes disagreed: a failed verification
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,10 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import lattice
 from .errors import IdentityError, ParameterError, PoleError
 from .exactcore import LaurentPoly, Matrix, embed_pair, rational_sqrt
 from .grothendieck import groth_det
-from .partitions import complement, partition_from_positions, positions_from_partition
+from .partitions import complement, partition_from_positions
 
 State = Mapping[int, Fraction]
 
@@ -82,11 +83,8 @@ def check_ybe(u: Fraction, v: Fraction, w: Fraction) -> bool:
 
 def check_rll(u: Fraction, v: Fraction, beta: Fraction) -> bool:
     """Intertwining relation R(L x L) = (L x L)R on aux x aux x site."""
-    dims = (2, 2, 2)
-    l_a = embed_pair(l_matrix(u, beta), 0, 2, dims)
-    l_b = embed_pair(l_matrix(v, beta), 1, 2, dims)
-    r_ab = embed_pair(r_matrix(u, v), 0, 1, dims)
-    return r_ab @ l_a @ l_b == l_b @ l_a @ r_ab
+    lhs, rhs = lattice.rll_sides(l_matrix(u, beta), l_matrix(v, beta), r_matrix(u, v))
+    return lhs == rhs
 
 
 def _scalar_weights(u: Fraction, beta: Fraction):
@@ -118,38 +116,7 @@ def _transitions(a: int, occ: int, w):
     return ((1, 1, w_both),)
 
 
-def monodromy_element(
-    num_sites: int, state: State, a_in: int, a_out: int, w
-) -> dict[int, object]:
-    """Apply one auxiliary-space entry of the monodromy matrix to a state.
-
-    The weight tuple w fixes the coefficient ring (rational or Laurent).
-    """
-    out: dict[int, object] = {}
-    for mask, amp in state.items():
-        if amp == 0:
-            continue
-        frontier = {(a_in, 0): amp}
-        for site in range(num_sites):
-            occ = (mask >> site) & 1
-            nxt: dict[tuple[int, int], object] = {}
-            for (a, built), c in frontier.items():
-                for a2, occ2, wt in _transitions(a, occ, w):
-                    key = (a2, built | (occ2 << site))
-                    v = c * wt
-                    if key in nxt:
-                        nxt[key] = nxt[key] + v
-                    else:
-                        nxt[key] = v
-            frontier = nxt
-        for (a, built), c in frontier.items():
-            if a != a_out:
-                continue
-            if built in out:
-                out[built] = out[built] + c
-            else:
-                out[built] = c
-    return {m: c for m, c in out.items() if not c == 0}
+_MODEL = lattice.Model(_transitions, lattice.BITMASK)
 
 
 def vacuum_state(num_sites: int) -> dict[int, Fraction]:
@@ -185,12 +152,12 @@ def sector_masks(num_sites: int, num_particles: int) -> list[int]:
 
 def apply_b(num_sites: int, u: Fraction, beta: Fraction, state: State) -> dict[int, Fraction]:
     """B(u) acting on a weighted state: adds one particle."""
-    return monodromy_element(num_sites, state, 1, 0, _scalar_weights(u, beta))
+    return lattice.path_sum(_MODEL, num_sites, state, 1, 0, _scalar_weights(u, beta))
 
 
 def apply_c(num_sites: int, u: Fraction, beta: Fraction, state: State) -> dict[int, Fraction]:
     """C(u) acting on a weighted state: removes one particle."""
-    return monodromy_element(num_sites, state, 0, 1, _scalar_weights(u, beta))
+    return lattice.path_sum(_MODEL, num_sites, state, 0, 1, _scalar_weights(u, beta))
 
 
 def spectral_map(u: Fraction, beta: Fraction) -> Fraction:
@@ -210,9 +177,7 @@ def wavefunction_lattice(
         raise ParameterError("need exactly one spectral parameter per particle")
     if x and x[-1] > num_sites:
         raise ParameterError("position beyond the last site")
-    state: dict[int, Fraction] = vacuum_state(num_sites)
-    for u in reversed(us):
-        state = apply_b(num_sites, u, beta, state)
+    state = lattice.chain(apply_b, num_sites, us, beta, 0)
     return state.get(mask_from_positions(x), Fraction(0))
 
 
@@ -227,6 +192,12 @@ def wavefunction_closed(
     lam = partition_from_positions(x)
     if lam and lam[0] > num_sites - n:
         raise ParameterError("positions do not fit the chain")
+    return _closed_form(num_sites, lam, us, beta)
+
+
+def _closed_form(num_sites: int, lam, us: Sequence[Fraction], beta: Fraction) -> Fraction:
+    """(-1/beta)^(N(N-1)/2) prod u^(M-1) times the determinant polynomial at z(u)."""
+    n = len(us)
     zs = [spectral_map(u, beta) for u in us]
     pref = (-1 / beta) ** (n * (n - 1) // 2)
     for u in us:
@@ -238,13 +209,7 @@ def wavefunction(
     num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
     """Self-checking amplitude: lattice route asserted against the closed form."""
-    lattice = wavefunction_lattice(num_sites, x, us, beta)
-    closed = wavefunction_closed(num_sites, x, us, beta)
-    if lattice != closed:
-        raise IdentityError(
-            f"lattice amplitude {lattice} != closed form {closed} at x={tuple(x)}"
-        )
-    return lattice
+    return lattice.checked(wavefunction_lattice, wavefunction_closed, num_sites, x, us, beta)
 
 
 def dual_wavefunction_lattice(
@@ -253,9 +218,7 @@ def dual_wavefunction_lattice(
     """<empty row| C(u_1)...C(u_N) |x> by repeated operator application."""
     if len(x) != len(us):
         raise ParameterError("need exactly one spectral parameter per particle")
-    state: dict[int, Fraction] = {mask_from_positions(x): Fraction(1)}
-    for u in reversed(us):
-        state = apply_c(num_sites, u, beta, state)
+    state = lattice.chain(apply_c, num_sites, us, beta, mask_from_positions(x))
     return state.get(0, Fraction(0))
 
 
@@ -264,26 +227,16 @@ def dual_wavefunction_closed(
 ) -> Fraction:
     """Closed form of the dual amplitude, via the box-complement partition."""
     beta = _check_beta(beta)
-    n = len(us)
     lam = partition_from_positions(x)
-    lam_c = complement(lam, num_sites - n)
-    zs = [spectral_map(u, beta) for u in us]
-    pref = (-1 / beta) ** (n * (n - 1) // 2)
-    for u in us:
-        pref *= Fraction(u) ** (num_sites - 1)
-    return pref * groth_det(lam_c, zs, beta)
+    return _closed_form(num_sites, complement(lam, num_sites - len(us)), us, beta)
 
 
 def dual_wavefunction(
     num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
-    lattice = dual_wavefunction_lattice(num_sites, x, us, beta)
-    closed = dual_wavefunction_closed(num_sites, x, us, beta)
-    if lattice != closed:
-        raise IdentityError(
-            f"dual lattice amplitude {lattice} != closed form {closed} at x={tuple(x)}"
-        )
-    return lattice
+    return lattice.checked(
+        dual_wavefunction_lattice, dual_wavefunction_closed, num_sites, x, us, beta
+    )
 
 
 def skew_matrix_element(
@@ -309,20 +262,7 @@ def transfer_matrix(
 ) -> tuple[list[int], Matrix]:
     """t(u) = A(u) + D(u) on one particle-number sector, over Laurent polynomials."""
     basis = sector_masks(num_sites, num_particles)
-    index = {m: i for i, m in enumerate(basis)}
-    w = _laurent_weights(beta)
-    zero = LaurentPoly({})
-    columns = []
-    for mask in basis:
-        start = {mask: LaurentPoly.const(1)}
-        image = monodromy_element(num_sites, start, 0, 0, w)
-        for m, c in monodromy_element(num_sites, start, 1, 1, w).items():
-            image[m] = image[m] + c if m in image else c
-        col = [zero] * len(basis)
-        for m, c in image.items():
-            col[index[m]] = c
-        columns.append(col)
-    return basis, Matrix(list(zip(*columns)))
+    return basis, lattice.transfer_matrix(_MODEL, num_sites, basis, _laurent_weights(beta))
 
 
 def hamiltonian_direct(num_sites: int, beta: Fraction) -> Matrix:

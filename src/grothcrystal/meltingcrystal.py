@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import IdentityError, OutOfBoxError, ParameterError, PoleError
 from .exactcore import (
@@ -202,6 +201,22 @@ def z_box_series_limit(beta: Fraction, order: int) -> TruncatedSeries:
 
 # -- entropy numerics ---------------------------------------------------------
 
+_MAX_TERMS = 100000
+
+
+def _sum_terms(term, tol: float) -> float:
+    """term(1) + term(2) + ..., stopped after the first n > 1 with
+    |term(n)| < tol; raises when that has not happened by n = _MAX_TERMS."""
+    total = 0.0
+    for n in range(1, _MAX_TERMS + 1):
+        t = term(n)
+        total += t
+        if abs(t) < tol and n > 1:
+            return total
+    raise ParameterError(
+        f"series not converged after {_MAX_TERMS} terms; q is too close to 1"
+    )
+
 
 def log_z_numeric(beta: float, q: float, tol: float = 1e-16) -> float:
     """log of the unboxed partition function at numeric q in (0, 1)."""
@@ -209,18 +224,12 @@ def log_z_numeric(beta: float, q: float, tol: float = 1e-16) -> float:
         raise ParameterError("need 0 < q < 1")
     if beta < -1.0:
         raise ParameterError("beta < -1 leaves the physical range")
-    total = 0.0
-    n = 1
-    while True:
+
+    def term(n: int) -> float:
         qn = q**n
-        term = (n - 1) * math.log1p(beta * qn) - n * math.log1p(-qn)
-        total += term
-        if abs(term) < tol and n > 1:
-            break
-        n += 1
-        if n > 100000:
-            break
-    return total
+        return (n - 1) * math.log1p(beta * qn) - n * math.log1p(-qn)
+
+    return _sum_terms(term, tol)
 
 
 def entropy(mu: float, temperature: float, beta: float, term_tol: float = 1e-14) -> float:
@@ -234,22 +243,16 @@ def entropy(mu: float, temperature: float, beta: float, term_tol: float = 1e-14)
     if beta < -1.0:
         raise ParameterError("beta < -1 leaves the physical range")
     q = math.exp(-mu / temperature)
-    total = 0.0
-    n = 1
-    while True:
+
+    def term(n: int) -> float:
         qinv = q**-n
         energy_part = (mu * n / temperature) * (
             beta * (n - 1) / (beta + qinv) + n / (qinv - 1.0)
         )
         log_part = (n - 1) * math.log1p(beta * q**n) - n * math.log1p(-(q**n))
-        term = energy_part + log_part
-        total += term
-        if abs(term) < term_tol and n > 1:
-            break
-        n += 1
-        if n > 100000:
-            break
-    return total
+        return energy_part + log_part
+
+    return _sum_terms(term, term_tol)
 
 
 def internal_energy_fd(mu: float, temperature: float, beta: float) -> float:

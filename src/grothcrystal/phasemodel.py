@@ -4,24 +4,25 @@ States are occupation tuples (n_0, ..., n_{M-1}).  The site operator acts on
 (aux, Fock) as [[1/v - beta*v*P0, raise], [lower, v]] with P0 the projector on
 an empty site, and the monodromy matrix multiplies site 0 first.  Its upper
 right auxiliary entry adds one boson to the chain; the lower left removes one.
-The same path-sum code runs over exact rationals, Laurent polynomials, or
-floats, which is how the Bethe-root numerics reuse it.
+This module supplies the site transition table and the occupation-tuple
+states; the row path sums themselves run in `lattice`, over exact rationals,
+Laurent polynomials, or floats, which is how the Bethe-root numerics reuse
+them.
 """
 
 from __future__ import annotations
 
 from cmath import exp, pi
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
+from . import lattice
 from .errors import IdentityError, ParameterError, PoleError
 from .exactcore import LaurentPoly, Matrix, rat_str
+from .fivevertex import r_matrix
 from .grothendieck import groth_det
-from .partitions import (
-    complement,
-    occupation_from_partition,
-    partition_from_occupation,
-)
+from .partitions import complement, partition_from_occupation
 
 State = Mapping[tuple[int, ...], Fraction]
 
@@ -63,15 +64,9 @@ def check_rll_phase(u: Fraction, v: Fraction, beta: Fraction, cap: int) -> bool:
     occupation is below the truncation cap (those columns are exact)."""
     if cap < 1:
         raise ParameterError("need cap >= 1")
-    from .exactcore import embed_pair
-    from .fivevertex import r_matrix
-
-    dims = (2, 2, cap + 1)
-    l_a = embed_pair(l_matrix_phase(u, beta, cap), 0, 2, dims)
-    l_b = embed_pair(l_matrix_phase(v, beta, cap), 1, 2, dims)
-    r_ab = embed_pair(r_matrix(u, v), 0, 1, dims)
-    lhs = r_ab @ l_a @ l_b
-    rhs = l_b @ l_a @ r_ab
+    lhs, rhs = lattice.rll_sides(
+        l_matrix_phase(u, beta, cap), l_matrix_phase(v, beta, cap), r_matrix(u, v)
+    )
     total = 4 * (cap + 1)
     for col in range(total):
         if col % (cap + 1) == cap:
@@ -109,35 +104,7 @@ def _transitions_phase(a: int, n: int, w):
     return [(0, n + 1, one), (1, n, w_v)]  # deposit, or pass through
 
 
-def monodromy_element_phase(
-    num_sites: int, state: State, a_in: int, a_out: int, w
-) -> dict[tuple[int, ...], object]:
-    """Apply one auxiliary-space entry of the phase-model monodromy matrix."""
-    out: dict[tuple[int, ...], object] = {}
-    for occ, amp in state.items():
-        if amp == 0:
-            continue
-        frontier: dict[tuple[int, tuple[int, ...]], object] = {(a_in, ()): amp}
-        for site in range(num_sites):
-            n_in = occ[site]
-            nxt: dict[tuple[int, tuple[int, ...]], object] = {}
-            for (a, built), c in frontier.items():
-                for a2, n_out, wt in _transitions_phase(a, n_in, w):
-                    key = (a2, built + (n_out,))
-                    v = c * wt
-                    if key in nxt:
-                        nxt[key] = nxt[key] + v
-                    else:
-                        nxt[key] = v
-            frontier = nxt
-        for (a, built), c in frontier.items():
-            if a != a_out:
-                continue
-            if built in out:
-                out[built] = out[built] + c
-            else:
-                out[built] = c
-    return {occ: c for occ, c in out.items() if not c == 0}
+_MODEL = lattice.Model(_transitions_phase, lattice.TUPLE)
 
 
 def vacuum_occupation(num_sites: int) -> tuple[int, ...]:
@@ -161,18 +128,16 @@ def apply_b_phase(
     num_sites: int, v: Fraction, beta: Fraction, state: State
 ) -> dict[tuple[int, ...], Fraction]:
     """Particle-adding monodromy entry acting on a weighted state."""
-    return monodromy_element_phase(
-        num_sites, state, 1, 0, _scalar_weights_phase(Fraction(v), Fraction(beta))
-    )
+    w = _scalar_weights_phase(Fraction(v), Fraction(beta))
+    return lattice.path_sum(_MODEL, num_sites, state, 1, 0, w)
 
 
 def apply_c_phase(
     num_sites: int, v: Fraction, beta: Fraction, state: State
 ) -> dict[tuple[int, ...], Fraction]:
     """Particle-removing monodromy entry acting on a weighted state."""
-    return monodromy_element_phase(
-        num_sites, state, 0, 1, _scalar_weights_phase(Fraction(v), Fraction(beta))
-    )
+    w = _scalar_weights_phase(Fraction(v), Fraction(beta))
+    return lattice.path_sum(_MODEL, num_sites, state, 0, 1, w)
 
 
 def skew_element_phase(
@@ -213,9 +178,7 @@ def wavefunction_phase_lattice(
         raise ParameterError("occupation must cover every site")
     if sum(occ) != len(vs):
         raise ParameterError("need exactly one spectral parameter per boson")
-    state: dict[tuple[int, ...], Fraction] = {vacuum_occupation(num_sites): Fraction(1)}
-    for v in reversed(vs):
-        state = apply_b_phase(num_sites, v, beta, state)
+    state = lattice.chain(apply_b_phase, num_sites, vs, beta, vacuum_occupation(num_sites))
     return state.get(occ, Fraction(0))
 
 
@@ -229,7 +192,11 @@ def wavefunction_phase_closed(
         raise ParameterError("occupation must cover every site")
     if sum(occ) != len(vs):
         raise ParameterError("need exactly one spectral parameter per boson")
-    lam = partition_from_occupation(occ)
+    return _closed_form(num_sites, partition_from_occupation(occ), vs, beta)
+
+
+def _closed_form(num_sites: int, lam, vs: Sequence[Fraction], beta: Fraction) -> Fraction:
+    """prod (1/v - beta*v)^(M-1) times the determinant polynomial at z(v)."""
     zs = [spectral_map_phase(v, beta) for v in vs]
     pref = Fraction(1)
     for v in vs:
@@ -242,13 +209,9 @@ def wavefunction_phase(
     num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
     """Self-checking amplitude: lattice route asserted against the closed form."""
-    lattice = wavefunction_phase_lattice(num_sites, occ, vs, beta)
-    closed = wavefunction_phase_closed(num_sites, occ, vs, beta)
-    if lattice != closed:
-        raise IdentityError(
-            f"lattice amplitude {lattice} != closed form {closed} at occ={tuple(occ)}"
-        )
-    return lattice
+    return lattice.checked(
+        wavefunction_phase_lattice, wavefunction_phase_closed, num_sites, occ, vs, beta
+    )
 
 
 def dual_wavefunction_phase_lattice(
@@ -258,9 +221,7 @@ def dual_wavefunction_phase_lattice(
     occ = tuple(occ)
     if sum(occ) != len(vs):
         raise ParameterError("need exactly one spectral parameter per boson")
-    state: dict[tuple[int, ...], Fraction] = {occ: Fraction(1)}
-    for v in reversed(vs):
-        state = apply_c_phase(num_sites, v, beta, state)
+    state = lattice.chain(apply_c_phase, num_sites, vs, beta, occ)
     return state.get(vacuum_occupation(num_sites), Fraction(0))
 
 
@@ -271,25 +232,20 @@ def dual_wavefunction_phase_closed(
     occ = tuple(occ)
     beta = Fraction(beta)
     lam = partition_from_occupation(occ)
-    lam_c = complement(lam, num_sites - 1)
-    zs = [spectral_map_phase(v, beta) for v in vs]
-    pref = Fraction(1)
-    for v in vs:
-        v = Fraction(v)
-        pref *= (1 / v - beta * v) ** (num_sites - 1)
-    return pref * groth_det(lam_c, zs, beta)
+    return _closed_form(num_sites, complement(lam, num_sites - 1), vs, beta)
 
 
 def dual_wavefunction_phase(
     num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
-    lattice = dual_wavefunction_phase_lattice(num_sites, occ, vs, beta)
-    closed = dual_wavefunction_phase_closed(num_sites, occ, vs, beta)
-    if lattice != closed:
-        raise IdentityError(
-            f"dual lattice amplitude {lattice} != closed form {closed} at occ={tuple(occ)}"
-        )
-    return lattice
+    return lattice.checked(
+        dual_wavefunction_phase_lattice,
+        dual_wavefunction_phase_closed,
+        num_sites,
+        occ,
+        vs,
+        beta,
+    )
 
 
 def scalar_product(
@@ -368,8 +324,6 @@ def summation_wavefunctions(
     v2 = [v * v for v in vs]
     if len(set(v2)) != n:
         raise PoleError("squared parameters must be pairwise distinct")
-    import math
-
     e = num_sites + n - 1
     rows = []
     for j in range(1, n):
@@ -381,7 +335,7 @@ def summation_wavefunctions(
                 raise PoleError("1 - beta*v^2 vanishes")
             acc = Fraction(0)
             for m in range(j):
-                acc += (-1) ** m * math.comb(e, m) * w ** (1 - m + j - n)
+                acc += (-1) ** m * comb(e, m) * w ** (1 - m + j - n)
             row.append(mb * acc)
         rows.append(row)
     last = []
@@ -391,7 +345,7 @@ def summation_wavefunctions(
             raise PoleError("1 - beta*v^2 vanishes")
         acc = Fraction(0)
         for m in range(max(n - 1, 1), e + 1):
-            acc += (-1) ** m * math.comb(e, m) * w ** (1 - m)
+            acc += (-1) ** m * comb(e, m) * w ** (1 - m)
         last.append(-acc)
     rows.append(last)
     pref = Fraction(1)
@@ -422,20 +376,8 @@ def transfer_matrix_phase(
 ) -> tuple[list[tuple[int, ...]], Matrix]:
     """tau(v) = A(v) + D(v) on one particle-number sector, over Laurent polynomials."""
     basis = sector_basis(num_sites, num_particles)
-    index = {occ: i for i, occ in enumerate(basis)}
     w = _laurent_weights_phase(beta)
-    zero = LaurentPoly({})
-    columns = []
-    for occ in basis:
-        start = {occ: LaurentPoly.const(1)}
-        image = monodromy_element_phase(num_sites, start, 0, 0, w)
-        for m, c in monodromy_element_phase(num_sites, start, 1, 1, w).items():
-            image[m] = image[m] + c if m in image else c
-        col = [zero] * len(basis)
-        for m, c in image.items():
-            col[index[m]] = c
-        columns.append(col)
-    return basis, Matrix(list(zip(*columns)))
+    return basis, lattice.transfer_matrix(_MODEL, num_sites, basis, w)
 
 
 def hamiltonian_phase_direct(num_sites: int, num_particles: int, beta: Fraction) -> Matrix:
@@ -524,7 +466,8 @@ def bethe_verify_n1(num_sites: int, beta: Fraction, us=(0.9, 1.7, 2.3)) -> dict:
         for u in us:
             if abs(u * u - v2) < 1e-6 or abs(w * u * u - 1.0) < 1e-9:
                 raise ParameterError("probe point too close to a pole")
-            tau_val = _tau_numeric(m, u, beta_f)
+            w_u = _scalar_weights_phase(u, beta_f)
+            tau_val = lattice.transfer_matrix(_MODEL, m, basis, w_u).data
             tpsi = [
                 sum(tau_val[r][c] * psi_vec[c] for c in range(m))
                 for r in range(m)
@@ -565,19 +508,3 @@ def _c(z) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
 
-
-def _tau_numeric(num_sites: int, v: float, beta: float):
-    """tau(v) on the one-particle sector with float weights."""
-    basis = sector_basis(num_sites, 1)
-    index = {occ: i for i, occ in enumerate(basis)}
-    w = _scalar_weights_phase(v, beta)
-    dim = len(basis)
-    mat = [[0.0] * dim for _ in range(dim)]
-    for col, occ in enumerate(basis):
-        start = {occ: 1.0}
-        image = monodromy_element_phase(num_sites, start, 0, 0, w)
-        for mkey, c in monodromy_element_phase(num_sites, start, 1, 1, w).items():
-            image[mkey] = image.get(mkey, 0.0) + c
-        for mkey, c in image.items():
-            mat[index[mkey]][col] = c
-    return mat

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, PoleError
-from .exactcore import Matrix, embed_pair
+from .exactcore import Matrix
+from .lattice import rll_sides
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,5 @@ def r_six(u: Fraction, v: Fraction, t: Fraction) -> Matrix:
 
 def check_rll_six(u: Fraction, v: Fraction, p: SixVertexParams) -> bool:
     """Intertwining relation R(t)(L x L) = (L x L)R(t) on aux x aux x site."""
-    dims = (2, 2, 2)
-    l_a = embed_pair(l_six(u, p), 0, 2, dims)
-    l_b = embed_pair(l_six(v, p), 1, 2, dims)
-    r_ab = embed_pair(r_six(u, v, p.t), 0, 1, dims)
-    return r_ab @ l_a @ l_b == l_b @ l_a @ r_ab
+    lhs, rhs = rll_sides(l_six(u, p), l_six(v, p), r_six(u, v, p.t))
+    return lhs == rhs

@@ -19,13 +19,14 @@ from typing import Callable, Iterator
 from . import (
     fivevertex as fv,
     grothendieck as gr,
+    lattice,
     meltingcrystal as mc,
     partitions as pt,
     phasemodel as pm,
     sixvertex as sv,
 )
 from .errors import ParameterError
-from .exactcore import Matrix, TruncatedSeries, rat_str
+from .exactcore import TruncatedSeries, rat_str
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _BETA_PALETTE = (
@@ -94,6 +95,31 @@ def _res(name: str, ok: bool, **detail) -> CaseResult:
 
 def _pick(scale: str, small, full):
     return small if scale == "small" else full
+
+
+def _b_commute(apply_b, chains, u: Fraction, v: Fraction, beta: Fraction) -> bool:
+    """B(u)B(v) = B(v)B(u) on each (num_sites, basis state) in `chains`."""
+    for m, s in chains:
+        start = {s: Fraction(1)}
+        ab = apply_b(m, u, beta, apply_b(m, v, beta, start))
+        ba = apply_b(m, v, beta, apply_b(m, u, beta, start))
+        if ab != ba:
+            return False
+    return True
+
+
+def _transfer_commute(transfer_matrix, m: int, sectors, beta: Fraction) -> bool:
+    """The symbolic transfer matrix commutes with its values at 2m+1 rational
+    points, on each particle-number sector."""
+    for n in sectors:
+        _, t_sym = transfer_matrix(m, n, beta)
+        for i in range(2 * m + 1):
+            v0 = Fraction(2) + Fraction(i, 2 * m + 2)
+            t_num = t_sym.map(lambda p: p.evaluate(v0))
+            comm = t_sym @ t_num - t_num @ t_sym
+            if any(not x == 0 for row in comm.data for x in row):
+                return False
+    return True
 
 
 # -- symmetric polynomial identities ------------------------------------------
@@ -216,9 +242,7 @@ def _suite_fv(scale: str, rng: random.Random) -> Iterator[CaseResult]:
         for m in range(2, m_max + 1):
             for n in range(0, min(m, n_max) + 1):
                 us = generic_rationals(rng, n)
-                state = fv.vacuum_state(m)
-                for u in reversed(us):
-                    state = fv.apply_b(m, u, beta, state)
+                state = lattice.chain(fv.apply_b, m, us, beta, 0)
                 ok = True
                 dual_ok = True
                 for x in combinations(range(1, m + 1), n):
@@ -264,27 +288,13 @@ def _suite_fv(scale: str, rng: random.Random) -> Iterator[CaseResult]:
     m_max = _pick(scale, 4, 6)
     beta = generic_beta(rng, nonzero=True)
     u, v = generic_rationals(rng, 2)
-    ok = True
-    for m in range(2, m_max + 1):
-        for mask in range(1 << m):
-            start = {mask: Fraction(1)}
-            ab = fv.apply_b(m, u, beta, fv.apply_b(m, v, beta, start))
-            ba = fv.apply_b(m, v, beta, fv.apply_b(m, u, beta, start))
-            if ab != ba:
-                ok = False
+    chains = [(m, mask) for m in range(2, m_max + 1) for mask in range(1 << m)]
+    ok = _b_commute(fv.apply_b, chains, u, v, beta)
     yield _res("fv.b-commute", ok, beta=rat_str(beta))
 
     m_tr = _pick(scale, 3, 4)
     beta = generic_beta(rng, nonzero=True)
-    ok = True
-    for n in range(m_tr + 1):
-        basis, t_sym = fv.transfer_matrix(m_tr, n, beta)
-        for i in range(2 * m_tr + 1):
-            v0 = Fraction(2) + Fraction(i, 2 * m_tr + 2)
-            t_num = t_sym.map(lambda p: p.evaluate(v0))
-            comm = t_sym @ t_num - t_num @ t_sym
-            if any(not x == 0 for row in comm.data for x in row):
-                ok = False
+    ok = _transfer_commute(fv.transfer_matrix, m_tr, range(m_tr + 1), beta)
     yield _res("fv.transfer-commute", ok, beta=rat_str(beta))
 
     betas = _pick(scale, (Fraction(-1),), (Fraction(-1), Fraction(-4), Fraction(-1, 4)))
@@ -335,9 +345,7 @@ def _suite_pm(scale: str, rng: random.Random) -> Iterator[CaseResult]:
         for m in range(2, m_max + 1):
             for n in range(0, n_max + 1):
                 vs = generic_rationals(rng, n)
-                state = {pm.vacuum_occupation(m): Fraction(1)}
-                for v in reversed(vs):
-                    state = pm.apply_b_phase(m, v, beta, state)
+                state = lattice.chain(pm.apply_b_phase, m, vs, beta, pm.vacuum_occupation(m))
                 ok = True
                 dual_ok = True
                 for occ in pm.sector_basis(m, n):
@@ -416,28 +424,13 @@ def _suite_pm(scale: str, rng: random.Random) -> Iterator[CaseResult]:
 
     beta = generic_beta(rng)
     u, v = generic_rationals(rng, 2)
-    ok = True
-    for m in (2, 3):
-        for n in (0, 1, 2):
-            for occ in pm.sector_basis(m, n):
-                start = {occ: Fraction(1)}
-                ab = pm.apply_b_phase(m, u, beta, pm.apply_b_phase(m, v, beta, start))
-                ba = pm.apply_b_phase(m, v, beta, pm.apply_b_phase(m, u, beta, start))
-                if ab != ba:
-                    ok = False
+    chains = [(m, occ) for m in (2, 3) for n in (0, 1, 2) for occ in pm.sector_basis(m, n)]
+    ok = _b_commute(pm.apply_b_phase, chains, u, v, beta)
     yield _res("pm.b-commute", ok, beta=rat_str(beta))
 
     m_tr = _pick(scale, 3, 4)
     beta = generic_beta(rng)
-    ok = True
-    for n in range(0, 3):
-        basis, tau = pm.transfer_matrix_phase(m_tr, n, beta)
-        for i in range(2 * m_tr + 1):
-            v0 = Fraction(2) + Fraction(i, 2 * m_tr + 2)
-            tau_num = tau.map(lambda p: p.evaluate(v0))
-            comm = tau @ tau_num - tau_num @ tau
-            if any(not x == 0 for row in comm.data for x in row):
-                ok = False
+    ok = _transfer_commute(pm.transfer_matrix_phase, m_tr, range(3), beta)
     yield _res("pm.transfer-commute", ok, beta=rat_str(beta))
 
     ms = _pick(scale, (2, 3), (2, 3, 4))

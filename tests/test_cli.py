@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from grothcrystal import fivevertex
 from grothcrystal.cli import main
 
 
@@ -229,3 +230,15 @@ def test_cli_reports_errors_on_stderr(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["groth"])
+
+
+def test_failed_self_check_exits_1(capsys, monkeypatch):
+    # a lattice/closed-form mismatch is a failed verification, not bad input
+    monkeypatch.setattr(fivevertex, "wavefunction_closed", lambda *args: 0)
+    code, out, err = run_cli(
+        capsys, "fv", "wavefunction", "--sites", "5", "--x", "1,3", "--u", "2,3",
+        "--beta", "-1"
+    )
+    assert code == 1
+    assert out == ""
+    assert "wavefunction_lattice = 1260" in err

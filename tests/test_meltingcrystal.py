@@ -152,3 +152,11 @@ def test_entropy_domain_errors():
 def test_box_series_rejects_bad_arguments():
     with pytest.raises(ParameterError):
         z_box_det(1, 1, F(1), F(0))  # q = 1 is outside the numeric domain
+
+
+def test_entropy_sums_raise_instead_of_truncating():
+    # q = exp(-1e-6): q^n is still about 0.9 at the term cap
+    with pytest.raises(ParameterError):
+        entropy(1.0, 1e6, 0.0)
+    with pytest.raises(ParameterError):
+        log_z_numeric(0.0, math.exp(-1e-6))
