@@ -48,7 +48,56 @@ def gen_binomial(e: int, m: int) -> Fraction:
     return Fraction(num, math.factorial(m))
 
 
-class LaurentPoly:
+class _Ring:
+    """Subtraction, division and integer powers, written once on top of a
+    subclass's `_lift`, `+`, unary `-`, `*` and `inverse()`.
+
+    Division is by a unit of the ring (a nonzero scalar lifts to one); a
+    negative power goes through `inverse()`.  Each subclass binds `__pow__`
+    itself, so the method stays an attribute of its own class.
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        lifted = self._lift(other)
+        if lifted is None:
+            return NotImplemented
+        return self + (-lifted)
+
+    def __rsub__(self, other):
+        lifted = self._lift(other)
+        if lifted is None:
+            return NotImplemented
+        return lifted + (-self)
+
+    def __truediv__(self, other):
+        lifted = self._lift(other)
+        if lifted is None:
+            return NotImplemented
+        return self * lifted.inverse()
+
+    def __rtruediv__(self, other):
+        lifted = self._lift(other)
+        if lifted is None:
+            return NotImplemented
+        return lifted * self.inverse()
+
+    def __pow__(self, n: int):
+        """Square-and-multiply."""
+        base = self if n >= 0 else self.inverse()
+        n = abs(n)
+        out = self._lift(1)
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+
+class LaurentPoly(_Ring):
     """Sparse Laurent polynomial in one variable over the rationals."""
 
     __slots__ = ("coeffs",)
@@ -83,6 +132,9 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def coeff(self, exp: int) -> Fraction:
         return self.coeffs.get(exp, _ZERO)
@@ -120,18 +172,6 @@ class LaurentPoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "LaurentPoly":
-        lifted = self._lift(other)
-        if lifted is None:
-            return NotImplemented
-        return self + (-lifted)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        lifted = self._lift(other)
-        if lifted is None:
-            return NotImplemented
-        return lifted + (-self)
-
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             c0 = Fraction(other)
@@ -153,17 +193,14 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            # only monomials are units of the Laurent ring
-            if len(self.coeffs) != 1:
-                raise ValueError("negative power of a non-monomial Laurent polynomial")
-            ((e, c),) = self.coeffs.items()
-            return LaurentPoly.monomial(c ** n, e * n)
-        out = LaurentPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+    def inverse(self) -> "LaurentPoly":
+        # only monomials are units of the Laurent ring
+        if len(self.coeffs) != 1:
+            raise ValueError("a non-monomial Laurent polynomial has no inverse")
+        ((e, c),) = self.coeffs.items()
+        return LaurentPoly._raw({-e: 1 / c})
+
+    __pow__ = _Ring.__pow__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by u^k."""
@@ -197,7 +234,7 @@ class LaurentPoly:
         return f"LaurentPoly({terms})"
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Ring):
     """Power series in q truncated (inclusively) at a fixed order.
 
     Arithmetic is closed at the common order; mixing orders is an error rather
@@ -234,6 +271,9 @@ class TruncatedSeries:
 
     def coeff(self, n: int) -> Fraction:
         return self.coeffs[n]
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -283,18 +323,6 @@ class TruncatedSeries:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "TruncatedSeries":
-        lifted = self._lift(other)
-        if lifted is None:
-            return NotImplemented
-        return self + (-lifted)
-
-    def __rsub__(self, other) -> "TruncatedSeries":
-        lifted = self._lift(other)
-        if lifted is None:
-            return NotImplemented
-        return lifted + (-self)
-
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             c0 = Fraction(other)
@@ -330,21 +358,22 @@ class TruncatedSeries:
             out[n] = -acc / c0
         return TruncatedSeries(out)
 
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        out = TruncatedSeries.one(self.order)
-        for _ in range(n):
-            out = out * base
-        return out
+    __pow__ = _Ring.__pow__
 
     def to_strings(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
+
+
+def vandermonde(xs: Sequence) -> object:
+    """prod_{j<k} (x_j - x_k); the reversed list gives prod_{j<k} (x_k - x_j)."""
+    out = _ONE
+    for j, x in enumerate(xs):
+        for y in xs[j + 1 :]:
+            out = out * (x - y)
+    return out
 
 
 def series_product(factors: Iterable[TruncatedSeries], order: int) -> TruncatedSeries:
@@ -394,7 +423,8 @@ def _int_det_bareiss(m: list[list[int]]) -> int:
 
 
 class Matrix:
-    """Dense matrix over an exact ring (Fraction or LaurentPoly entries)."""
+    """Dense matrix over a commutative ring (Fraction, LaurentPoly, series or
+    float entries)."""
 
     __slots__ = ("data",)
 
@@ -452,11 +482,15 @@ class Matrix:
         ot = tuple(zip(*other.data))  # columns of other
         out = []
         for row in self.data:
+            rest = [(k, a) for k, a in enumerate(row) if k and a]
             new_row = []
             for col in ot:
+                # the first product fixes the entry type; zero products add nothing
                 acc = row[0] * col[0]
-                for a, b in zip(row[1:], col[1:]):
-                    acc = acc + a * b
+                for k, a in rest:
+                    b = col[k]
+                    if b:
+                        acc = acc + a * b
                 new_row.append(acc)
             out.append(new_row)
         return Matrix(out)
@@ -467,16 +501,16 @@ class Matrix:
     def map(self, fn) -> "Matrix":
         return Matrix([[fn(x) for x in row] for row in self.data])
 
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.data)))
-
-    def det(self) -> Fraction:
-        """Exact determinant via fraction-free elimination on a cleared matrix."""
+    def det(self):
+        """Exact determinant over any commutative ring: fraction-free elimination
+        on a cleared matrix for rational entries, `det_ring` otherwise."""
         n = self.rows
         if n != self.cols:
             raise ValueError("determinant needs a square matrix")
         if n == 0:
             return _ONE
+        if not all(isinstance(x, (int, Fraction)) for row in self.data for x in row):
+            return det_ring(self.data)
         scale = 1
         cleared = []
         for row in self.data:

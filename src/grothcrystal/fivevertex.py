@@ -35,18 +35,13 @@ def _check_beta(beta: Fraction) -> Fraction:
 
 def l_matrix(u: Fraction, beta: Fraction) -> Matrix:
     """Site operator on (aux, site), basis |00>, |01>, |10>, |11>."""
-    u = Fraction(u)
-    beta = _check_beta(beta)
-    if u == 0:
-        raise PoleError("u = 0 is a pole of the site weights")
+    w_empty, w_pass, w_both, one = _scalar_weights(Fraction(u), beta)
     zero = Fraction(0)
-    w_pass = -u / beta - 1 / u
-    w_both = -u / beta
     return Matrix(
         [
-            [u, zero, zero, zero],
-            [zero, zero, Fraction(1), zero],
-            [zero, Fraction(1), w_pass, zero],
+            [w_empty, zero, zero, zero],
+            [zero, zero, one, zero],
+            [zero, one, w_pass, zero],
             [zero, zero, zero, w_both],
         ]
     )
@@ -87,22 +82,12 @@ def check_rll(u: Fraction, v: Fraction, beta: Fraction) -> bool:
     return lhs == rhs
 
 
-def _scalar_weights(u: Fraction, beta: Fraction):
-    u = Fraction(u)
+def _scalar_weights(u, beta: Fraction):
+    """The weight tuple at u, a Fraction, a float or LaurentPoly.var()."""
     beta = _check_beta(beta)
     if u == 0:
         raise PoleError("u = 0 is a pole of the site weights")
-    return (u, -u / beta - 1 / u, -u / beta, Fraction(1))
-
-
-def _laurent_weights(beta: Fraction):
-    beta = _check_beta(beta)
-    return (
-        LaurentPoly.var(),
-        LaurentPoly({1: -1 / beta, -1: Fraction(-1)}),
-        LaurentPoly({1: -1 / beta}),
-        LaurentPoly.const(1),
-    )
+    return (u, -u / beta - 1 / u, -u / beta, u**0)
 
 
 def _transitions(a: int, occ: int, w):
@@ -152,12 +137,12 @@ def sector_masks(num_sites: int, num_particles: int) -> list[int]:
 
 def apply_b(num_sites: int, u: Fraction, beta: Fraction, state: State) -> dict[int, Fraction]:
     """B(u) acting on a weighted state: adds one particle."""
-    return lattice.path_sum(_MODEL, num_sites, state, 1, 0, _scalar_weights(u, beta))
+    return lattice.path_sum(_MODEL, num_sites, state, 1, 0, _scalar_weights(Fraction(u), beta))
 
 
 def apply_c(num_sites: int, u: Fraction, beta: Fraction, state: State) -> dict[int, Fraction]:
     """C(u) acting on a weighted state: removes one particle."""
-    return lattice.path_sum(_MODEL, num_sites, state, 0, 1, _scalar_weights(u, beta))
+    return lattice.path_sum(_MODEL, num_sites, state, 0, 1, _scalar_weights(Fraction(u), beta))
 
 
 def spectral_map(u: Fraction, beta: Fraction) -> Fraction:
@@ -262,7 +247,8 @@ def transfer_matrix(
 ) -> tuple[list[int], Matrix]:
     """t(u) = A(u) + D(u) on one particle-number sector, over Laurent polynomials."""
     basis = sector_masks(num_sites, num_particles)
-    return basis, lattice.transfer_matrix(_MODEL, num_sites, basis, _laurent_weights(beta))
+    w = _scalar_weights(LaurentPoly.var(), beta)
+    return basis, lattice.transfer_matrix(_MODEL, num_sites, basis, w)
 
 
 def hamiltonian_direct(num_sites: int, beta: Fraction) -> Matrix:

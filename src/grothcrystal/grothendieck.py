@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegeneratePointError, ParameterError, PoleError
-from .exactcore import Matrix
+from .exactcore import Matrix, vandermonde
 from .partitions import (
     check_partition,
     complement,
@@ -47,11 +47,7 @@ def groth_det(lam: Sequence[int], zs: Sequence[Fraction], beta: Fraction) -> Fra
         rows.append(
             [z ** (lam[k] + n - 1 - k) * w**k for k in range(n)]
         )
-    den = Fraction(1)
-    for j in range(n):
-        for k in range(j + 1, n):
-            den *= zs[j] - zs[k]
-    return Matrix(rows).det() / den
+    return Matrix(rows).det() / vandermonde(zs)
 
 
 def schur_det(lam: Sequence[int], zs: Sequence[Fraction]) -> Fraction:
@@ -65,11 +61,7 @@ def schur_det(lam: Sequence[int], zs: Sequence[Fraction]) -> Fraction:
         return Fraction(1)
     _require_distinct(zs, "variables")
     num = Matrix([[z ** (lam[k] + n - 1 - k) for k in range(n)] for z in zs]).det()
-    den = Fraction(1)
-    for j in range(n):
-        for k in range(j + 1, n):
-            den *= zs[j] - zs[k]
-    return num / den
+    return num / vandermonde(zs)
 
 
 def skew_single(
@@ -179,10 +171,7 @@ def cauchy_rhs(
             bw = (1 + beta * w) ** (n - 1)
             row.append((z**e * bw - w**e * bz) / (z - w))
         rows.append(row)
-    pref = Fraction(1)
-    for j in range(n):
-        for k in range(j + 1, n):
-            pref *= (zs[j] - zs[k]) * (ws[k] - ws[j])
+    pref = vandermonde(zs) * vandermonde(ws[::-1])
     return Matrix(rows).det() / pref
 
 
@@ -227,8 +216,4 @@ def summation_rhs(width: int, zs: Sequence[Fraction], beta: Fraction) -> Fractio
             acc += (-1) ** m * math.comb(e, m) * w ** (m - 1)
         last.append(-acc)
     rows.append(last)
-    pref = Fraction(1)
-    for j in range(n):
-        for k in range(j + 1, n):
-            pref *= zs[k] - zs[j]
-    return Matrix(rows).det() / pref
+    return Matrix(rows).det() / vandermonde(zs[::-1])

@@ -17,12 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import IdentityError, OutOfBoxError, ParameterError, PoleError
-from .exactcore import (
-    Matrix,
-    TruncatedSeries,
-    binomial_qn_series,
-    det_ring,
-)
+from .exactcore import Matrix, TruncatedSeries, binomial_qn_series
 from .partitions import (
     PlanePartition,
     check_plane_partition,
@@ -58,25 +53,11 @@ def weight_phi(pi: PlanePartition, q, beta, n_slices: int) -> object:
                 denom = one + beta * qj
                 if denom == 0:
                     raise PoleError(f"1 + beta*q^{j} vanishes")
-                val = val * _ring_inv(denom)
+                val = val / denom
             if part(down, k) != part(down_prev, k):
-                # (1 + beta*q^(1-j)) written with nonnegative powers of q;
                 # a vanishing factor is a zero weight, not a pole
-                if j == 1:
-                    val = val * (one + beta * one)
-                else:
-                    val = val * (q ** (j - 1) + beta * one) * _ring_inv(q ** (j - 1))
+                val = val * (one + beta * q ** (1 - j))
     return val
-
-
-def _ring_inv(x):
-    if isinstance(x, TruncatedSeries):
-        return x.inverse()
-    return 1 / x
-
-
-def _ring_div(a, b):
-    return a * _ring_inv(b)
 
 
 def z_box_bruteforce(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
@@ -91,42 +72,41 @@ def z_box_bruteforce(n: int, height: int, q: Fraction, beta: Fraction) -> Fracti
     return total
 
 
+def _det_shift(n: int) -> int:
+    """The power of q in front of `_z_box_det_core`; never positive."""
+    return n * (n - 1) // 2 - 2 * sum(j * (n - j) for j in range(1, n))
+
+
 def _z_box_det_core(n: int, height: int, q, beta):
     """Shared determinant evaluation.
 
-    Returns (shift, value) with the full answer q**shift * value; `value` only
+    The full answer is q**_det_shift(n) times the returned value, which only
     uses nonnegative powers of q and inverses of units, so it is valid for
     both rational and series q.
     """
     one = q**0
+    bases = {j: one + beta * q**j for j in range(1, n + 1)}
+    for j, base in bases.items():
+        if base == 0:
+            raise PoleError(f"1 + beta*q^{j} vanishes")
     ent = []
     for j in range(1, n + 1):
         row = []
+        den_power = bases[j] ** (1 - n)
         for k in range(1, n + 1):
             e = (j + k - 1) * (height + n) + (1 - k) * (n - 1)
             if e < 0:
                 raise ArithmeticError("exponent bookkeeping failed")
             ratio_num = (q ** (k - 1) + beta * one) ** (n - 1)
-            ratio_den = (one + beta * q**j) ** (n - 1)
-            if ratio_den == 0:
-                raise PoleError(f"1 + beta*q^{j} vanishes")
-            num = one - q**e * _ring_div(ratio_num, ratio_den)
+            num = one - q**e * ratio_num * den_power
             den = one - q ** (j + k - 1)
             if den == 0:
                 raise PoleError("1 - q^m vanishes")
-            row.append(_ring_div(num, den))
+            row.append(num / den)
         ent.append(row)
-    if n == 0:
-        return 0, one
-    if isinstance(q, TruncatedSeries):
-        det = det_ring(ent)
-    else:
-        det = Matrix(ent).det()
+    det = Matrix(ent).det()
     pref = one
-    for j in range(1, n + 1):
-        base = one + beta * q**j
-        if base == 0:
-            raise PoleError(f"1 + beta*q^{j} vanishes")
+    for j, base in bases.items():
         pref = pref * base ** (j - 1)
     inv_part = one
     for j in range(1, n + 1):
@@ -135,8 +115,7 @@ def _z_box_det_core(n: int, height: int, q, beta):
             if factor == 0:
                 raise PoleError("1 - q^m vanishes")
             inv_part = inv_part * factor**2
-    shift = n * (n - 1) // 2 - 2 * sum(j * (n - j) for j in range(1, n))
-    return shift, pref * _ring_inv(inv_part) * det
+    return pref / inv_part * det
 
 
 def z_box_det(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
@@ -145,22 +124,15 @@ def z_box_det(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
     beta = Fraction(beta)
     if q == 0 or q == 1 or q == -1:
         raise ParameterError("q must avoid 0 and +-1")
-    shift, value = _z_box_det_core(n, height, q, beta)
-    return q**shift * value
+    return q ** _det_shift(n) * _z_box_det_core(n, height, q, beta)
 
 
 def z_box_det_series(n: int, height: int, beta: Fraction, order: int) -> TruncatedSeries:
     """The same determinant as a q-series through the requested order."""
     beta = Fraction(beta)
-    neg = 2 * sum(j * (n - j) for j in range(1, n)) - n * (n - 1) // 2
-    work_order = order + max(neg, 0)
-    q = TruncatedSeries.indeterminate(work_order)
-    shift, value = _z_box_det_core(n, height, q, beta)
-    if shift >= 0:
-        shifted = value * q**shift
-    else:
-        shifted = value.shift_down(-shift)
-    return shifted.truncate(order)
+    neg = -_det_shift(n)
+    q = TruncatedSeries.indeterminate(order + neg)
+    return _z_box_det_core(n, height, q, beta).shift_down(neg).truncate(order)
 
 
 def z_box_beta0(n_rows: int, n_cols: int, height: int, q) -> object:
@@ -173,7 +145,7 @@ def z_box_beta0(n_rows: int, n_cols: int, height: int, q) -> object:
             den = one - q ** (j + k - 1)
             if den == 0:
                 raise PoleError("1 - q^m vanishes")
-            total = total * _ring_div(num, den)
+            total = total * (num / den)
     return total
 
 
@@ -202,6 +174,8 @@ def z_box_series_limit(beta: Fraction, order: int) -> TruncatedSeries:
 # -- entropy numerics ---------------------------------------------------------
 
 _MAX_TERMS = 100000
+_LOG_Z_TOL = 1e-16
+_ENTROPY_TOL = 1e-14
 
 
 def _sum_terms(term, tol: float) -> float:
@@ -218,7 +192,7 @@ def _sum_terms(term, tol: float) -> float:
     )
 
 
-def log_z_numeric(beta: float, q: float, tol: float = 1e-16) -> float:
+def log_z_numeric(beta: float, q: float) -> float:
     """log of the unboxed partition function at numeric q in (0, 1)."""
     if not 0.0 < q < 1.0:
         raise ParameterError("need 0 < q < 1")
@@ -229,13 +203,13 @@ def log_z_numeric(beta: float, q: float, tol: float = 1e-16) -> float:
         qn = q**n
         return (n - 1) * math.log1p(beta * qn) - n * math.log1p(-qn)
 
-    return _sum_terms(term, tol)
+    return _sum_terms(term, _LOG_Z_TOL)
 
 
-def entropy(mu: float, temperature: float, beta: float, term_tol: float = 1e-14) -> float:
+def entropy(mu: float, temperature: float, beta: float) -> float:
     """Entropy of the deformed crystal at chemical potential mu and temperature.
 
-    Summed until the terms fall below term_tol; beta must be >= -1 for the
+    Summed until the terms fall below _ENTROPY_TOL; beta must be >= -1 for the
     logarithms to stay real.
     """
     if temperature <= 0 or mu <= 0:
@@ -252,7 +226,7 @@ def entropy(mu: float, temperature: float, beta: float, term_tol: float = 1e-14)
         log_part = (n - 1) * math.log1p(beta * q**n) - n * math.log1p(-(q**n))
         return energy_part + log_part
 
-    return _sum_terms(term, term_tol)
+    return _sum_terms(term, _ENTROPY_TOL)
 
 
 def internal_energy_fd(mu: float, temperature: float, beta: float) -> float:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import lattice
 from .errors import IdentityError, ParameterError, PoleError
-from .exactcore import LaurentPoly, Matrix, rat_str
+from .exactcore import LaurentPoly, Matrix, rat_str, vandermonde
 from .fivevertex import r_matrix
 from .grothendieck import groth_det
 from .partitions import complement, partition_from_occupation
@@ -78,20 +78,10 @@ def check_rll_phase(u: Fraction, v: Fraction, beta: Fraction, cap: int) -> bool:
 
 
 def _scalar_weights_phase(v, beta):
+    """The weight tuple at v, a Fraction, a float or LaurentPoly.var()."""
     if v == 0:
         raise PoleError("v = 0 is a pole of the site weights")
-    inv = 1 / v if isinstance(v, Fraction) else 1.0 / v
-    return (inv - beta * v, inv, v, v**0)
-
-
-def _laurent_weights_phase(beta: Fraction):
-    beta = Fraction(beta)
-    return (
-        LaurentPoly({-1: Fraction(1), 1: -beta}),
-        LaurentPoly({-1: Fraction(1)}),
-        LaurentPoly.var(),
-        LaurentPoly.const(1),
-    )
+    return (1 / v - beta * v, 1 / v, v, v**0)
 
 
 def _transitions_phase(a: int, n: int, w):
@@ -282,10 +272,7 @@ def scalar_product(
             den = v / u - u / v
             row.append((bu * v**e - bv * u**e) / den)
         rows.append(row)
-    pref = Fraction(1)
-    for j in range(n):
-        for k in range(j + 1, n):
-            pref *= (v2[j] - v2[k]) * (u2[k] - u2[j])
+    pref = vandermonde(v2) * vandermonde(u2[::-1])
     return Matrix(rows).det() / pref
 
 
@@ -354,10 +341,7 @@ def summation_wavefunctions(
         if norm == 0:
             raise PoleError("1/v - beta*v vanishes")
         pref *= v ** (n - 1) * norm ** (num_sites + n - 2)
-    for j in range(n):
-        for k in range(j + 1, n):
-            pref /= v2[k] - v2[j]
-    return pref * Matrix(rows).det()
+    return pref / vandermonde(v2[::-1]) * Matrix(rows).det()
 
 
 def summation_wavefunctions_bruteforce(
@@ -376,7 +360,7 @@ def transfer_matrix_phase(
 ) -> tuple[list[tuple[int, ...]], Matrix]:
     """tau(v) = A(v) + D(v) on one particle-number sector, over Laurent polynomials."""
     basis = sector_basis(num_sites, num_particles)
-    w = _laurent_weights_phase(beta)
+    w = _scalar_weights_phase(LaurentPoly.var(), Fraction(beta))
     return basis, lattice.transfer_matrix(_MODEL, num_sites, basis, w)
 
 
@@ -419,7 +403,10 @@ def hamiltonian_phase(num_sites: int, num_particles: int, beta: Fraction) -> Mat
 # -- Bethe equations in the one-particle sector -------------------------------
 
 
-def bethe_verify_n1(num_sites: int, beta: Fraction, us=(0.9, 1.7, 2.3)) -> dict:
+_BETHE_PROBES = (0.9, 1.7, 2.3)
+
+
+def bethe_verify_n1(num_sites: int, beta: Fraction) -> dict:
     """Construct and check all one-particle Bethe roots v^2 = 1/(beta + omega).
 
     omega runs over the M-th roots of unity; roots colliding with the
@@ -463,7 +450,7 @@ def bethe_verify_n1(num_sites: int, beta: Fraction, us=(0.9, 1.7, 2.3)) -> dict:
         h_res = max(abs(a - energy * b) for a, b in zip(hpsi, psi_vec))
         bae_res = abs((w - beta_f) ** m - 1.0)
         tau_res = []
-        for u in us:
+        for u in _BETHE_PROBES:
             if abs(u * u - v2) < 1e-6 or abs(w * u * u - 1.0) < 1e-9:
                 raise ParameterError("probe point too close to a pole")
             w_u = _scalar_weights_phase(u, beta_f)

@@ -1,0 +1,162 @@
+"""Ring arithmetic written once for LaurentPoly and TruncatedSeries (division
+by units, square-and-multiply powers), determinants over any ring, and the
+zero-skipping matrix product against an explicit triple sum."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grothcrystal.exactcore import (
+    LaurentPoly,
+    Matrix,
+    TruncatedSeries,
+    det_ring,
+    vandermonde,
+)
+
+ORDER = 5
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+rats = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+nonzero_rats = rats.filter(bool)
+laurents = st.dictionaries(st.integers(-3, 3), rats, max_size=4).map(LaurentPoly)
+monomials = st.builds(LaurentPoly.monomial, nonzero_rats, st.integers(-3, 3))
+series = st.lists(rats, min_size=ORDER + 1, max_size=ORDER + 1).map(TruncatedSeries)
+unit_series = st.builds(
+    lambda c0, s: s + c0, nonzero_rats, series.map(lambda s: s - s.coeff(0))
+)
+# (element, unit of the same ring); a nonzero scalar counts as a unit
+ring_pairs = st.one_of(
+    st.tuples(laurents, st.one_of(monomials, nonzero_rats)),
+    st.tuples(series, st.one_of(unit_series, nonzero_rats)),
+)
+units = st.one_of(monomials, unit_series)
+
+
+def one_like(x):
+    return x**0
+
+
+@SETTINGS
+@given(ring_pairs)
+def test_division_by_a_unit_undoes_multiplication(pair):
+    a, b = pair
+    assert (a / b) * b == a
+    assert (a * b) / b == a
+
+
+@SETTINGS
+@given(st.one_of(laurents, series), units, st.integers(-4, 9))
+def test_power_is_the_repeated_product(a, u, k):
+    base = a if k >= 0 else u
+    factor = base if k >= 0 else base.inverse()
+    want = one_like(base)
+    for _ in range(abs(k)):
+        want = want * factor
+    assert base**k == want
+
+
+@SETTINGS
+@given(units)
+def test_reciprocal_is_the_inverse(a):
+    assert 1 / a == a.inverse()
+    assert a * a.inverse() == 1
+
+
+@pytest.mark.parametrize(
+    "p",
+    [LaurentPoly(), LaurentPoly({0: 1, 1: 1}), LaurentPoly({-1: 2, 3: F(1, 2)})],
+)
+def test_non_monomial_laurent_is_not_a_unit(p):
+    u = LaurentPoly.var()
+    with pytest.raises(ValueError):
+        p.inverse()
+    with pytest.raises(ValueError):
+        p**-1
+    with pytest.raises(ValueError):
+        u / p
+    with pytest.raises(ValueError):
+        1 / p
+
+
+def test_series_without_constant_term_is_not_a_unit():
+    q = TruncatedSeries.indeterminate(ORDER)
+    with pytest.raises(ValueError):
+        1 / q
+    with pytest.raises(ValueError):
+        q**-2
+
+
+def square(entries):
+    return st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@SETTINGS
+@given(st.one_of(square(laurents), square(series)))
+def test_matrix_det_over_any_ring_matches_det_ring(rows):
+    det = Matrix(rows).det()
+    assert det == det_ring(rows)
+    # and it commutes with a ring map to the rationals: u -> 3/2, or q -> 0
+    if isinstance(det, LaurentPoly):
+        at = Matrix(rows).map(lambda p: p.evaluate(F(3, 2)))
+        assert det.evaluate(F(3, 2)) == at.det()
+    else:
+        assert det.coeff(0) == Matrix(rows).map(lambda s: s.coeff(0)).det()
+
+
+sparse_rats = st.one_of(st.just(F(0)), st.just(F(0)), rats)
+
+
+@st.composite
+def sparse_pairs(draw):
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    a = [[draw(sparse_rats) for _ in range(k)] for _ in range(r)]
+    b = [[draw(sparse_rats) for _ in range(c)] for _ in range(k)]
+    if draw(st.booleans()):
+        for row in a:
+            row[0] = F(0)
+    return a, b
+
+
+def triple_sum(a, b):
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(len(b))), F(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@SETTINGS
+@given(sparse_pairs())
+def test_matmul_skipping_zeros_matches_triple_sum(pair):
+    a, b = pair
+    assert (Matrix(a) @ Matrix(b)).data == Matrix(triple_sum(a, b)).data
+
+
+def test_matmul_keeps_the_entry_type_when_every_product_vanishes():
+    u = LaurentPoly.var()
+    zero_col = Matrix([[F(0), F(2)], [F(0), F(-1)]])
+    upper = Matrix([[F(0), F(0)], [F(0), F(3)]])
+    assert (zero_col @ upper).data == ((0, 6), (0, -3))
+    laurent = zero_col.map(lambda x: x * u)
+    got = laurent @ upper
+    assert all(isinstance(x, LaurentPoly) for row in got.data for x in row)
+    assert got.data == ((0, 6 * u), (0, -3 * u))
+    floats = (zero_col.map(float) @ upper.map(float)).data
+    assert floats == ((0.0, 6.0), (0.0, -3.0))
+    assert all(isinstance(x, float) for row in floats for x in row)
+
+
+def test_vandermonde_and_its_reversal():
+    xs = [F(2), F(-1, 3), F(5), F(1, 2)]
+    want = F(1)
+    for j in range(len(xs)):
+        for k in range(j + 1, len(xs)):
+            want *= xs[j] - xs[k]
+    assert vandermonde(xs) == want
+    assert vandermonde(xs[::-1]) == want  # six factors change sign
+    assert vandermonde(xs[:3][::-1]) == -vandermonde(xs[:3])
+    assert vandermonde([]) == 1

@@ -23,6 +23,9 @@ DRAW_STREAM = {
     ("sv6", "full"): (26, "c3cc3daccecade5a1de7c78b98b07d4562b366e0611ec262b50532d4cd12ee52"),
 }
 
+# sha256 of the stdout of `--json --seed 1 verify all --scale small`
+VERIFY_SMALL_SEED1 = "65513ba76eb08ce49f20b78933797560939266428d326ed2682251434b1d6111"
+
 
 def _raise_zero_division(*args, **kwargs):
     raise ZeroDivisionError("injected")
@@ -90,3 +93,10 @@ def test_tag_filter_runs_no_other_check(monkeypatch):
     rep = run_suite("mc", "full", 1, tags="mc.entropy")
     assert rep.cases == 4
     assert rep.failures == []
+
+
+def test_verify_all_small_stdout_is_pinned(capsys):
+    code = main(["--json", "--seed", "1", "verify", "all", "--scale", "small"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SMALL_SEED1
