@@ -3,9 +3,10 @@
 Scalars are `fractions.Fraction` throughout; floating point enters only in the
 Bethe-root and entropy numerics, which live elsewhere.  A Laurent polynomial is
 stored sparsely as {exponent: coefficient} with no zero coefficients kept; a
-truncated series stores the coefficients of q^0..q^D and discards everything
-above its fixed order.  Rationals serialize as canonical "p/q" strings and
-series as lists of such strings.
+truncated series keeps integer numerators of q^0..q^D over one common
+denominator, multiplies them by Kronecker substitution into one big integer,
+and discards everything above its fixed order.  Rationals serialize as
+canonical "p/q" strings and series as lists of such strings.
 """
 
 from __future__ import annotations
@@ -87,14 +88,14 @@ class _Ring:
         """Square-and-multiply."""
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        out = self._lift(1)
+        out = None
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return self._lift(1) if out is None else out
 
 
 class LaurentPoly(_Ring):
@@ -234,14 +235,43 @@ class LaurentPoly(_Ring):
         return f"LaurentPoly({terms})"
 
 
-class TruncatedSeries(_Ring):
-    """Power series in q truncated (inclusively) at a fixed order.
+def _low_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The low len(a) coefficients of the product of two integer polynomials
+    of that length, by Kronecker substitution (Harvey, arXiv:0712.4046): each
+    factor becomes one integer at q = 2^w, w wide enough for any coefficient
+    of the product and its sign, and one big-integer product does the rest.
+    Adding half a slot to each low slot stops the borrows between them, and
+    flipping the top bits back leaves each slot in two's complement."""
+    n = len(a)
+    bound = max(map(abs, a)) * max(map(abs, b)) * n
+    if not bound:
+        return (0,) * n
+    wb = bound.bit_length() // 8 + 1  # bytes per slot: |c| < 2^(w - 1)
+    w = 8 * wb
+    ones = int.from_bytes((b"\x01" + bytes(wb - 1)) * n, "little")
 
-    Arithmetic is closed at the common order; mixing orders is an error rather
-    than a silent truncation.
+    def pack(xs):
+        u = int.from_bytes(b"".join(x.to_bytes(wb, "little", signed=True) for x in xs), "little")
+        return u - (((u >> (w - 1)) & ones) << w)  # a negative slot borrows one
+
+    pa = pack(a)
+    bias = ones << (w - 1)
+    low = ((pa * (pa if a is b else pack(b)) + bias) & ((1 << (w * n)) - 1)) ^ bias
+    low = low.to_bytes(wb * n, "little")
+    return tuple(
+        [int.from_bytes(low[k : k + wb], "little", signed=True) for k in range(0, wb * n, wb)]
+    )
+
+
+class TruncatedSeries(_Ring):
+    """Power series in q truncated (inclusively) at a fixed order, stored as
+    the integer numerators `nums` of q^0..q^D over one positive denominator
+    `den` in lowest terms; `coeffs`, the `Fraction` coefficients, is built on
+    first use.  Arithmetic is closed at the common order; mixing orders is an
+    error rather than a silent truncation.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
         co = [Fraction(c) for c in coeffs]
@@ -251,11 +281,31 @@ class TruncatedSeries(_Ring):
             co = co[: order + 1] + [_ZERO] * (order + 1 - len(co))
         if not co:
             raise ValueError("a series needs at least its constant coefficient")
-        self.coeffs = tuple(co)
+        # over the lcm of reduced denominators the numerators share no factor
+        self.den = math.lcm(*(c.denominator for c in co))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in co)
+        self._coeffs = None
+
+    @classmethod
+    def _raw(cls, nums: tuple[int, ...], den: int) -> "TruncatedSeries":
+        # trusted constructor: integer numerators over den > 0; only reduces
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+            den //= g
+        obj = object.__new__(cls)
+        obj.nums, obj.den, obj._coeffs = nums, den, None
+        return obj
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(x, self.den) for x in self.nums)
+        return self._coeffs
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -270,15 +320,17 @@ class TruncatedSeries(_Ring):
         return cls([0, 1], order)
 
     def coeff(self, n: int) -> Fraction:
-        return self.coeffs[n]
+        return Fraction(self.nums[n], self.den)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs, order)
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        return TruncatedSeries._raw(self.nums[: order + 1], self.den)
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by q^k; the k lowest coefficients must vanish."""
@@ -286,9 +338,9 @@ class TruncatedSeries(_Ring):
             return self
         if k < 0 or k > self.order:
             raise ValueError("bad shift")
-        if any(self.coeffs[:k]):
+        if any(self.nums[:k]):
             raise ValueError("series is not divisible by q^%d" % k)
-        return TruncatedSeries(self.coeffs[k:])
+        return TruncatedSeries._raw(self.nums[k:], self.den)
 
     def _check(self, other: "TruncatedSeries"):
         if self.order != other.order:
@@ -299,64 +351,61 @@ class TruncatedSeries(_Ring):
             self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([other], self.order)
+            c = Fraction(other)
+            return TruncatedSeries._raw((c.numerator,) + (0,) * self.order, c.denominator)
         return None
 
     def __eq__(self, other) -> bool:
         lifted = self._lift(other)
         if lifted is None:
             return NotImplemented
-        return self.coeffs == lifted.coeffs
+        return self.den == lifted.den and self.nums == lifted.nums
 
     __hash__ = None
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries._raw(tuple(-x for x in self.nums), self.den)
 
     def __add__(self, other) -> "TruncatedSeries":
         lifted = self._lift(other)
         if lifted is None:
             return NotImplemented
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, lifted.coeffs)]
+        g = math.gcd(self.den, lifted.den)
+        s, t = lifted.den // g, self.den // g
+        return TruncatedSeries._raw(
+            tuple(a * s + b * t for a, b in zip(self.nums, lifted.nums)), self.den * s
         )
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
-            return TruncatedSeries([c * c0 for c in self.coeffs])
+            c = Fraction(other)
+            return TruncatedSeries._raw(
+                tuple(x * c.numerator for x in self.nums), self.den * c.denominator
+            )
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check(other)
-        d = self.order
-        out = [_ZERO] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(d + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
+        return TruncatedSeries._raw(_low_product(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
-        c0 = self.coeffs[0]
+        """den / N for the numerators N.  c0^(D+1) / N has the integer
+        coefficients U_0 = c0^D, U_n = -(sum_k N_k U_(n-k)) / c0, each
+        division exact."""
+        nums = self.nums
+        c0 = nums[0]
         if not c0:
             raise ValueError("series with zero constant term has no inverse")
-        d = self.order
-        out = [_ZERO] * (d + 1)
-        out[0] = 1 / c0
-        for n in range(1, d + 1):
-            acc = _ZERO
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    acc += self.coeffs[k] * out[n - k]
-            out[n] = -acc / c0
-        return TruncatedSeries(out)
+        terms = [(k, x) for k, x in enumerate(nums) if k and x]
+        out = [c0**self.order]
+        for n in range(1, len(nums)):
+            out.append(-sum(x * out[n - k] for k, x in terms if k <= n) // c0)
+        lead = c0 * out[0]  # c0^(D+1)
+        scale = self.den if lead > 0 else -self.den
+        return TruncatedSeries._raw(tuple(x * scale for x in out), abs(lead))
 
     __pow__ = _Ring.__pow__
 

@@ -89,33 +89,30 @@ def _z_box_det_core(n: int, height: int, q, beta):
     for j, base in bases.items():
         if base == 0:
             raise PoleError(f"1 + beta*q^{j} vanishes")
-    ent = []
-    for j in range(1, n + 1):
-        row = []
-        den_power = bases[j] ** (1 - n)
-        for k in range(1, n + 1):
-            e = (j + k - 1) * (height + n) + (1 - k) * (n - 1)
-            if e < 0:
-                raise ArithmeticError("exponent bookkeeping failed")
-            ratio_num = (q ** (k - 1) + beta * one) ** (n - 1)
-            num = one - q**e * ratio_num * den_power
-            den = one - q ** (j + k - 1)
-            if den == 0:
-                raise PoleError("1 - q^m vanishes")
-            row.append(num / den)
-        ent.append(row)
-    det = Matrix(ent).det()
+    span = range(1, n + 1)
+    if any((j + k - 1) * (height + n) + (1 - k) * (n - 1) < 0 for j in span for k in span):
+        raise ArithmeticError("exponent bookkeeping failed")
+    # 1/(1 - q^m) for every m = j + k - 1 the entries and the prefactor use
+    inv_den = {}
+    for m in range(1, 2 * n):
+        den = one - q**m
+        if den == 0:
+            raise PoleError("1 - q^m vanishes")
+        inv_den[m] = den**-1
+    # entry (j, k) is (1 - q^e (q^(k-1) + beta)^(n-1) / base_j^(n-1)) / (1 - q^(j+k-1)),
+    # and e = (j+k-1)(height+n) + (1-k)(n-1) = j(height+n) + (k-1)(height+1)
+    rows = {j: q ** (j * (height + n)) * bases[j] ** (1 - n) for j in span}
+    cols = {k: q ** ((k - 1) * (height + 1)) * (q ** (k - 1) + beta * one) ** (n - 1) for k in span}
+    det = Matrix(
+        [[(one - rows[j] * cols[k]) * inv_den[j + k - 1] for k in span] for j in span]
+    ).det()
     pref = one
     for j, base in bases.items():
         pref = pref * base ** (j - 1)
-    inv_part = one
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            factor = one - q ** (k - j)
-            if factor == 0:
-                raise PoleError("1 - q^m vanishes")
-            inv_part = inv_part * factor**2
-    return pref / inv_part * det
+    # over prod_{j<k} (1 - q^(k-j))^2, where m = k - j occurs n - m times
+    for m in range(1, n):
+        pref = pref * inv_den[m] ** (2 * (n - m))
+    return pref * det
 
 
 def z_box_det(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from grothcrystal.errors import ParameterError
-from grothcrystal.exactcore import TruncatedSeries
+from grothcrystal.exactcore import Matrix, TruncatedSeries
 from grothcrystal.meltingcrystal import (
+    _z_box_det_core,
     entropy,
     entropy_consistency,
     internal_energy_fd,
@@ -160,3 +161,48 @@ def test_entropy_sums_raise_instead_of_truncating():
         entropy(1.0, 1e6, 0.0)
     with pytest.raises(ParameterError):
         log_z_numeric(0.0, math.exp(-1e-6))
+
+
+def test_box_series_n8_meets_the_unboxed_product():
+    # the largest box where the determinant and product routes are compared
+    beta = F(-2, 3)
+    assert z_box_det_series(8, 8, beta, 8) == z_infinite(beta, 8)
+
+
+def _det_core_entrywise(n, height, q, beta):
+    # the determinant formula term by term: every entry builds its own powers
+    # and its own 1/(1 - q^m), and the prefactor divides by the product
+    one = q**0
+    ent = [
+        [
+            (
+                one
+                - q ** ((j + k - 1) * (height + n) + (1 - k) * (n - 1))
+                * (q ** (k - 1) + beta * one) ** (n - 1)
+                / (one + beta * q**j) ** (n - 1)
+            )
+            / (one - q ** (j + k - 1))
+            for k in range(1, n + 1)
+        ]
+        for j in range(1, n + 1)
+    ]
+    pref = one
+    for j in range(1, n + 1):
+        pref = pref * (one + beta * q**j) ** (j - 1)
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            pref = pref / (one - q ** (k - j)) ** 2
+    return pref * Matrix(ent).det()
+
+
+def test_det_core_shares_powers_and_inverses_exactly():
+    for n, height in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        for beta in (F(0), F(-1, 2), F(5, 3)):
+            for q in (F(1, 3), F(-2, 5)):
+                assert _z_box_det_core(n, height, q, beta) == _det_core_entrywise(
+                    n, height, q, beta
+                )
+            qs = TruncatedSeries.indeterminate(12)
+            assert _z_box_det_core(n, height, qs, beta) == _det_core_entrywise(
+                n, height, qs, beta
+            )
