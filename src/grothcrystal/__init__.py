@@ -12,6 +12,7 @@ from .errors import (
     OutOfBoxError,
     ParameterError,
     PoleError,
+    PrecisionError,
 )
 from .exactcore import LaurentPoly, Matrix, TruncatedSeries, parse_rat, rat_str
 from .grothendieck import (
@@ -35,6 +36,7 @@ __all__ = [
     "OutOfBoxError",
     "ParameterError",
     "PoleError",
+    "PrecisionError",
     "LaurentPoly",
     "Matrix",
     "TruncatedSeries",

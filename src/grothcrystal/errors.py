@@ -19,3 +19,7 @@ class OutOfBoxError(ValueError):
 
 class IdentityError(ArithmeticError):
     """Two exact routes to the same quantity disagreed."""
+
+
+class PrecisionError(ArithmeticError):
+    """A truncated-series computation ran out of working precision."""

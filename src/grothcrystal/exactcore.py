@@ -15,6 +15,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import PrecisionError
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -325,6 +327,11 @@ class TruncatedSeries(_Ring):
     def __bool__(self) -> bool:
         return any(self.nums)
 
+    def valuation(self) -> int:
+        """Exponent of the lowest nonzero coefficient; order + 1 for a series
+        that vanishes through its order."""
+        return next((k for k, x in enumerate(self.nums) if x), len(self.nums))
+
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
@@ -626,6 +633,62 @@ def det_ring(rows: Sequence[Sequence]) -> object:
                     nxt[key] = term
         states = nxt
     return states[(1 << n) - 1]
+
+
+def qadic_det(rows: Sequence[Sequence[TruncatedSeries]], order: int) -> tuple[int, TruncatedSeries]:
+    """Determinant of a square matrix of series known through q^order, by
+    Gaussian elimination over Q[[q]] with full pivoting on q-adic valuation
+    (precision tracking as in Caruso, Roe and Vaccon, "Tracking p-adic
+    precision", 2014).
+
+    Returns (v, unit) with det = q^v * unit and a nonzero constant term in
+    unit.  Each step takes an entry q^v_k * u_k of least valuation in the
+    trailing block as pivot.  Every entry of that block is divisible by
+    q^v_k, so the row factors and their products are formed at order - v_k
+    and shifted back up: no update loses absolute precision.  So v is the sum
+    of the v_k exactly, and unit = +-prod u_k is known through relative order
+    order - max v_k, the order it is returned at.  A trailing block that
+    vanishes through q^order raises `PrecisionError`; no truncated or zero
+    series is returned.
+    """
+    n = len(rows)
+    a = [list(row) for row in rows]
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    if any(x.order != order for row in a for x in row):
+        raise ValueError("series orders differ")
+    vals = [[x.valuation() for x in row] for row in a]
+    sign = 1
+    pivots = []
+    for k in range(n):
+        v, i, j = min((vals[i][j], i, j) for i in range(k, n) for j in range(k, n))
+        if v > order:
+            raise PrecisionError(f"a {n - k}x{n - k} block of the matrix vanishes through q^{order}")
+        if i != k:
+            a[i], a[k], vals[i], vals[k], sign = a[k], a[i], vals[k], vals[i], -sign
+        if j != k:
+            for row in a[k:] + vals[k:]:
+                row[j], row[k] = row[k], row[j]
+            sign = -sign
+        unit = a[k][k].shift_down(v)
+        inv = unit.inverse()
+        tail = [(j, x.shift_down(v)) for j, x in enumerate(a[k][k + 1 :], k + 1) if vals[k][j] <= order]
+        pad = (0,) * v
+        for i in range(k + 1, n):
+            if vals[i][k] > order:
+                continue
+            factor = a[i][k].shift_down(v) * inv
+            row = a[i]
+            for j, x in tail:
+                prod = factor * x
+                row[j] = row[j] - TruncatedSeries._raw(pad + prod.nums, prod.den)
+                vals[i][j] = row[j].valuation()
+        pivots.append((v, unit))
+    top = max((v for v, _ in pivots), default=0)
+    out = TruncatedSeries.one(order - top) * sign
+    for _, unit in pivots:
+        out = out * unit.truncate(order - top)
+    return sum(v for v, _ in pivots), out
 
 
 def embed_pair(op: Matrix, pos1: int, pos2: int, dims: Sequence[int]) -> Matrix:

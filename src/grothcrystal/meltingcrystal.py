@@ -4,8 +4,12 @@ The weight of a plane partition depends on where consecutive diagonal slices
 agree, with one deformation parameter beta on top of the box-count variable q.
 Everything here is evaluated two ways: brute-force sums over enumerated
 configurations against closed determinant or product formulas, in numeric
-(rational q) or series mode.  The same formula code runs in both modes; only
-the final division by a power of q needs a mode-specific step.
+(rational q) or series mode.  The same code builds the determinant's entries
+and prefactor in both modes.  The modes differ in the determinant and in the
+final division by a power of q: numeric mode takes `Matrix.det` and
+multiplies by that power, while series mode eliminates over Q[[q]] with
+pivots of least valuation (`qadic_det`), whose valuation is exactly the power
+the division removes.
 
 Entropy numerics are the one floating-point corner, matching the Bethe-root
 treatment elsewhere.
@@ -16,16 +20,55 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import IdentityError, OutOfBoxError, ParameterError, PoleError
-from .exactcore import Matrix, TruncatedSeries, binomial_qn_series
-from .partitions import (
-    PlanePartition,
-    check_plane_partition,
-    diagonal_slice,
-    part,
-    pp_size,
-    enumerate_boxed,
-)
+from .errors import IdentityError, OutOfBoxError, ParameterError, PoleError, PrecisionError
+from .exactcore import Matrix, TruncatedSeries, binomial_qn_series, qadic_det
+from .partitions import PlanePartition, check_plane_partition, enumerate_boxed, pp_size
+
+
+def _phi_factors(n: int, q, beta):
+    """The j-only factors of the weight in an n x n base, as power tables:
+    up[j][c] = (1 + beta*q^j)^-c (None where 1 + beta*q^j vanishes) and
+    down[j][c] = (1 + beta*q^(1-j))^c, for c = 0..n-j."""
+    one = q**0
+    up, down = {}, {}
+    for j in range(1, n):
+        den = one + beta * q**j
+        up[j] = None if den == 0 else _powers(den**-1, n - j)
+        down[j] = _powers(one + beta * q ** (1 - j), n - j)
+    return one, up, down
+
+
+def _powers(x, top: int) -> list:
+    out = [x**0]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
+
+
+def _phi(pi: PlanePartition, n: int, factors):
+    """The weight of a plane partition that fits the n x n base.
+
+    Part k of diagonal slice m is the entry (k - min(m, 0), k + max(m, 0))
+    (1-based) of the zero-padded n x n entry grid.  For j = 1..n-1 and
+    k = 1..n-j, slice j agreeing with slice j-1 one part further along divides
+    by 1 + beta*q^j, and slice -j differing from slice 1-j at part k
+    multiplies by 1 + beta*q^(1-j); both compare a grid entry with the one
+    below it.
+    """
+    one, up, down = factors
+    grid = [list(row) + [0] * (n - len(row)) for row in pi] + [[0] * n] * (n - len(pi))
+    val = one
+    for j in range(1, n):
+        c_up = sum(grid[k][k + j] == grid[k + 1][k + j] for k in range(n - j))
+        c_down = sum(grid[k + j][k] != grid[k + j - 1][k] for k in range(n - j))
+        if c_up:
+            if up[j] is None:
+                raise PoleError(f"1 + beta*q^{j} vanishes")
+            val = val * up[j][c_up]
+        if c_down:
+            # a vanishing factor is a zero weight, not a pole
+            val = val * down[j][c_down]
+    return val
 
 
 def weight_phi(pi: PlanePartition, q, beta, n_slices: int) -> object:
@@ -39,25 +82,7 @@ def weight_phi(pi: PlanePartition, q, beta, n_slices: int) -> object:
     n = n_slices
     if len(pi) > n or (pi and len(pi[0]) > n):
         raise OutOfBoxError("plane partition leaves the n x n base")
-    one = q**0
-    val = one
-    slices = {m: diagonal_slice(pi, m) for m in range(-n, n + 1)}
-    for j in range(1, n + 1):
-        up = slices[j]
-        up_prev = slices[j - 1]
-        down = slices[-j]
-        down_prev = slices[1 - j]
-        qj = q**j
-        for k in range(1, n - j + 1):
-            if part(up, k) == part(up_prev, k + 1):
-                denom = one + beta * qj
-                if denom == 0:
-                    raise PoleError(f"1 + beta*q^{j} vanishes")
-                val = val / denom
-            if part(down, k) != part(down_prev, k):
-                # a vanishing factor is a zero weight, not a pole
-                val = val * (one + beta * q ** (1 - j))
-    return val
+    return _phi(pi, n, _phi_factors(n, q, beta))
 
 
 def z_box_bruteforce(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
@@ -66,9 +91,11 @@ def z_box_bruteforce(n: int, height: int, q: Fraction, beta: Fraction) -> Fracti
     beta = Fraction(beta)
     if not 0 < q < 1:
         raise ParameterError("need 0 < q < 1 in numeric mode")
+    factors = _phi_factors(n, q, beta)
+    q_size = _powers(q, n * n * max(height, 0))
     total = Fraction(0)
     for pi in enumerate_boxed(n, n, height):
-        total += weight_phi(pi, q, beta, n) * q ** pp_size(pi)
+        total += _phi(pi, n, factors) * q_size[pp_size(pi)]
     return total
 
 
@@ -77,12 +104,12 @@ def _det_shift(n: int) -> int:
     return n * (n - 1) // 2 - 2 * sum(j * (n - j) for j in range(1, n))
 
 
-def _z_box_det_core(n: int, height: int, q, beta):
-    """Shared determinant evaluation.
+def _z_box_det_parts(n: int, height: int, q, beta):
+    """The determinant formula as (entries, prefactor).
 
-    The full answer is q**_det_shift(n) times the returned value, which only
-    uses nonnegative powers of q and inverses of units, so it is valid for
-    both rational and series q.
+    The full answer is q**_det_shift(n) * prefactor * det(entries).  Both
+    parts only use nonnegative powers of q and inverses of units, so they are
+    valid for both rational and series q, and the prefactor is a unit.
     """
     one = q**0
     bases = {j: one + beta * q**j for j in range(1, n + 1)}
@@ -103,16 +130,21 @@ def _z_box_det_core(n: int, height: int, q, beta):
     # and e = (j+k-1)(height+n) + (1-k)(n-1) = j(height+n) + (k-1)(height+1)
     rows = {j: q ** (j * (height + n)) * bases[j] ** (1 - n) for j in span}
     cols = {k: q ** ((k - 1) * (height + 1)) * (q ** (k - 1) + beta * one) ** (n - 1) for k in span}
-    det = Matrix(
-        [[(one - rows[j] * cols[k]) * inv_den[j + k - 1] for k in span] for j in span]
-    ).det()
+    entries = [[(one - rows[j] * cols[k]) * inv_den[j + k - 1] for k in span] for j in span]
     pref = one
     for j, base in bases.items():
         pref = pref * base ** (j - 1)
     # over prod_{j<k} (1 - q^(k-j))^2, where m = k - j occurs n - m times
     for m in range(1, n):
         pref = pref * inv_den[m] ** (2 * (n - m))
-    return pref * det
+    return entries, pref
+
+
+def _z_box_det_core(n: int, height: int, q, beta):
+    """prefactor * det(entries): the full answer is q**_det_shift(n) times
+    this, for rational or series q."""
+    entries, pref = _z_box_det_parts(n, height, q, beta)
+    return pref * Matrix(entries).det()
 
 
 def z_box_det(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
@@ -125,11 +157,30 @@ def z_box_det(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
 
 
 def z_box_det_series(n: int, height: int, beta: Fraction, order: int) -> TruncatedSeries:
-    """The same determinant as a q-series through the requested order."""
+    """The same determinant as a q-series through the requested order.
+
+    The determinant is taken by valuation-pivoted elimination (`qadic_det`),
+    and its valuation must be -_det_shift(n), the power of q in front.  Its
+    pivots have valuations 0, 1, 4, ..., (n-1)^2, so the working order
+    order + (n-1)^2 leaves the unit known through q^order.  Should the pivots
+    taken leave less, working order order - _det_shift(n) suffices, since no
+    pivot valuation exceeds their sum.
+    """
     beta = Fraction(beta)
-    neg = -_det_shift(n)
-    q = TruncatedSeries.indeterminate(order + neg)
-    return _z_box_det_core(n, height, q, beta).shift_down(neg).truncate(order)
+    if height == -1 and n > 0:
+        # row j times 1 + beta*q^j is then a polynomial of degree n - 2 in
+        # q^(k-1), so the rows span at most n - 1 dimensions: the determinant
+        # vanishes identically, which no finite working order can show
+        return TruncatedSeries.zero(order)
+    shift = -_det_shift(n)
+    for work in (order + (n - 1) ** 2, order + shift):
+        entries, pref = _z_box_det_parts(n, height, TruncatedSeries.indeterminate(work), beta)
+        val, unit = qadic_det(entries, work)
+        if val != shift:
+            raise ArithmeticError("exponent bookkeeping failed")
+        if unit.order >= order:
+            return (pref.truncate(unit.order) * unit).truncate(order)
+    raise PrecisionError(f"the determinant is not known through q^{order}")
 
 
 def z_box_beta0(n_rows: int, n_cols: int, height: int, q) -> object:

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from grothcrystal.errors import ParameterError
-from grothcrystal.exactcore import Matrix, TruncatedSeries
+from grothcrystal import meltingcrystal
+from grothcrystal.errors import OutOfBoxError, ParameterError, PoleError, PrecisionError
+from grothcrystal.exactcore import Matrix, TruncatedSeries, qadic_det
 from grothcrystal.meltingcrystal import (
+    _det_shift,
     _z_box_det_core,
     entropy,
     entropy_consistency,
@@ -20,10 +22,14 @@ from grothcrystal.meltingcrystal import (
     z_infinite,
 )
 from grothcrystal.partitions import (
+    check_plane_partition,
     count_boxed,
+    diagonal_slice,
     enumerate_boxed,
+    part,
     partitions_of_size,
     plane_partitions_of_size,
+    pp_size,
 )
 
 
@@ -206,3 +212,130 @@ def test_det_core_shares_powers_and_inverses_exactly():
             assert _z_box_det_core(n, height, qs, beta) == _det_core_entrywise(
                 n, height, qs, beta
             )
+
+
+def test_box_series_n9_n10_meet_the_unboxed_product():
+    # beyond the reach of the subset-expansion determinant in tier-1 time
+    assert z_box_det_series(9, 9, F(-2, 3), 9) == z_infinite(F(-2, 3), 9)
+    assert z_box_det_series(10, 10, F(3, 2), 10) == z_infinite(F(3, 2), 10)
+
+
+def _det_series_by_subset_expansion(n, height, beta, order):
+    # the route the q-adic determinant replaced: the whole determinant by
+    # det_ring at working order order - _det_shift(n), then divided by q^shift
+    shift = -_det_shift(n)
+    q = TruncatedSeries.indeterminate(order + shift)
+    return _z_box_det_core(n, height, q, beta).shift_down(shift).truncate(order)
+
+
+def test_series_det_matches_the_subset_expansion_route():
+    for n in range(1, 6):
+        for height in (0, 1, 3, 6):
+            for beta in (F(0), F(-1), F(1, 2), F(-2, 3), F(3, 2)):
+                for order in (n, 2 * n + 3):
+                    assert z_box_det_series(n, height, beta, order) == _det_series_by_subset_expansion(
+                        n, height, beta, order
+                    )
+
+
+def test_series_det_never_returns_a_shorter_series():
+    for n in range(0, 7):
+        for height in (-1, 0, 3):
+            for beta in (F(-1), F(-2, 3)):
+                for order in (0, 1, n, 2 * n + 3):
+                    assert z_box_det_series(n, height, beta, order).order == order
+
+
+def test_series_det_retries_when_the_pivots_leave_too_little(monkeypatch):
+    want = z_box_det_series(4, 3, F(-2, 3), 6)
+    works = []
+
+    def short_first(rows, order):
+        v, unit = qadic_det(rows, order)
+        works.append(order)
+        # the first attempt reports one coefficient less than it needs
+        return v, unit.truncate(unit.order - 1) if len(works) == 1 else unit
+
+    monkeypatch.setattr(meltingcrystal, "qadic_det", short_first)
+    assert z_box_det_series(4, 3, F(-2, 3), 6) == want
+    assert works == [6 + 9, 6 - _det_shift(4)]
+
+
+def test_series_det_raises_when_still_short(monkeypatch):
+    def always_short(rows, order):
+        v, unit = qadic_det(rows, order)
+        return v, unit.truncate(0)
+
+    monkeypatch.setattr(meltingcrystal, "qadic_det", always_short)
+    with pytest.raises(PrecisionError, match=r"not known through q\^4"):
+        z_box_det_series(3, 2, F(1, 2), 4)
+
+
+def test_series_det_checks_the_pivot_valuations(monkeypatch):
+    def off_by_one(rows, order):
+        v, unit = qadic_det(rows, order)
+        return v + 1, unit
+
+    monkeypatch.setattr(meltingcrystal, "qadic_det", off_by_one)
+    with pytest.raises(ArithmeticError, match="^exponent bookkeeping failed$"):
+        z_box_det_series(3, 2, F(1, 2), 4)
+
+
+def _weight_phi_reference(pi, q, beta, n):
+    # the weight as first written: every call checks the plane partition and
+    # rebuilds its slices and the factors that depend on j only
+    pi = check_plane_partition(pi)
+    if len(pi) > n or (pi and len(pi[0]) > n):
+        raise OutOfBoxError("plane partition leaves the n x n base")
+    one = q**0
+    val = one
+    slices = {m: diagonal_slice(pi, m) for m in range(-n, n + 1)}
+    for j in range(1, n + 1):
+        up, up_prev, down, down_prev = slices[j], slices[j - 1], slices[-j], slices[1 - j]
+        for k in range(1, n - j + 1):
+            if part(up, k) == part(up_prev, k + 1):
+                denom = one + beta * q**j
+                if denom == 0:
+                    raise PoleError(f"1 + beta*q^{j} vanishes")
+                val = val / denom
+            if part(down, k) != part(down_prev, k):
+                val = val * (one + beta * q ** (1 - j))
+    return val
+
+
+def _bruteforce_reference(n, height, q, beta):
+    total = F(0)
+    for pi in enumerate_boxed(n, n, height):
+        total += _weight_phi_reference(pi, q, beta, n) * q ** pp_size(pi)
+    return total
+
+
+def test_bruteforce_matches_the_weight_by_weight_sum():
+    for n, height in ((1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)):
+        for q in (F(1, 2), F(2, 5)):
+            for beta in (F(0), F(-1), F(1, 2), F(3, 2)):
+                assert z_box_bruteforce(n, height, q, beta) == _bruteforce_reference(n, height, q, beta)
+
+
+def test_weight_phi_matches_the_reference_per_configuration():
+    for n_slices in (3, 4):
+        for pi in enumerate_boxed(3, 3, 2):
+            for beta in (F(-1), F(3, 2)):
+                assert weight_phi(pi, F(2, 5), beta, n_slices) == _weight_phi_reference(
+                    pi, F(2, 5), beta, n_slices
+                )
+
+
+def test_bruteforce_poles_and_box_errors_keep_their_messages():
+    # 1 + beta*q vanishes at q = 1/2, beta = -2; 1 + beta*q^2 at beta = -4
+    for n, beta, j in ((2, F(-2), 1), (3, F(-2), 1), (3, F(-4), 2)):
+        for route in (z_box_bruteforce, _bruteforce_reference):
+            with pytest.raises(PoleError, match=rf"^1 \+ beta\*q\^{j} vanishes$"):
+                route(n, 1, F(1, 2), beta)
+    # a base too narrow to use the vanishing factor has no pole
+    for n, beta in ((1, F(-2)), (2, F(-4))):
+        assert z_box_bruteforce(n, 2, F(1, 2), beta) == _bruteforce_reference(n, 2, F(1, 2), beta)
+    with pytest.raises(OutOfBoxError, match="^plane partition leaves the n x n base$"):
+        weight_phi(((1, 1, 1),), F(1, 2), F(1), 2)
+    with pytest.raises(ParameterError, match="^row increases"):
+        weight_phi(((1, 2),), F(1, 2), F(1), 2)
