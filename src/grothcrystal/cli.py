@@ -354,7 +354,8 @@ def _run_suites(names, scale, seed, tag, as_json, out: Output) -> int:
             )
             for f in rep.failures:
                 out.line(f"  FAIL {f['case']}")
-        print(f"# suite {name}: {rep.wall_time:.2f}s", file=sys.stderr)
+        procs = f"{rep.processes} process" + ("es" if rep.processes > 1 else "")
+        print(f"# suite {name}: {rep.wall_time:.2f}s, {procs}", file=sys.stderr)
         bad += len(rep.failures)
     return 0 if bad == 0 else 1
 

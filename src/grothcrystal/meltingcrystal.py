@@ -111,14 +111,15 @@ def _z_box_det_parts(n: int, height: int, q, beta):
     parts only use nonnegative powers of q and inverses of units, so they are
     valid for both rational and series q, and the prefactor is a unit.
     """
+    # from height -1 up every exponent e below is nonnegative
+    if height < -1:
+        raise ParameterError("box dimensions must be nonnegative")
     one = q**0
     bases = {j: one + beta * q**j for j in range(1, n + 1)}
     for j, base in bases.items():
         if base == 0:
             raise PoleError(f"1 + beta*q^{j} vanishes")
     span = range(1, n + 1)
-    if any((j + k - 1) * (height + n) + (1 - k) * (n - 1) < 0 for j in span for k in span):
-        raise ArithmeticError("exponent bookkeeping failed")
     # 1/(1 - q^m) for every m = j + k - 1 the entries and the prefactor use
     inv_den = {}
     for m in range(1, 2 * n):

@@ -227,6 +227,14 @@ def test_cli_reports_errors_on_stderr(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("mode", [("--q", "1/2"), ("--series", "4")])
+def test_zbox_height_below_minus_one_is_bad_input(capsys, mode):
+    code, out, err = run_cli(capsys, "mc", "zbox", "--n", "2", "--height", "-2", *mode)
+    assert code == 2
+    assert out == ""
+    assert "error: box dimensions must be nonnegative" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["groth"])

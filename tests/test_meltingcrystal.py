@@ -246,6 +246,15 @@ def test_series_det_never_returns_a_shorter_series():
                     assert z_box_det_series(n, height, beta, order).order == order
 
 
+def test_heights_below_minus_one_are_rejected():
+    for n in range(0, 4):
+        for height in (-2, -3, -7):
+            with pytest.raises(ParameterError, match="box dimensions must be nonnegative"):
+                z_box_det(n, height, F(1, 2), F(-1, 2))
+            with pytest.raises(ParameterError, match="box dimensions must be nonnegative"):
+                z_box_det_series(n, height, F(-1, 2), 4)
+
+
 def test_series_det_retries_when_the_pivots_leave_too_little(monkeypatch):
     want = z_box_det_series(4, 3, F(-2, 3), 6)
     works = []

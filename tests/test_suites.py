@@ -1,9 +1,16 @@
 import hashlib
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from grothcrystal import meltingcrystal
+import grothcrystal
+from grothcrystal import grothendieck, meltingcrystal, suites
 from grothcrystal.cli import main
 from grothcrystal.errors import ParameterError
 from grothcrystal.suites import SUITES, run_suite
@@ -100,3 +107,139 @@ def test_verify_all_small_stdout_is_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SMALL_SEED1
+
+
+# -- cases shared out over forked processes -------------------------------------
+
+
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: count)
+
+
+def _reports(monkeypatch, queries):
+    """{process count: [to_json() of each query]} for 1, 2 and 3 processes."""
+    out = {}
+    for procs in (1, 2, 3):
+        _use_cpus(monkeypatch, procs)
+        out[procs] = [run_suite(*query).to_json() for query in queries]
+    return out
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_process_count_does_not_change_the_report(monkeypatch, seed):
+    queries = [(name, "small", seed) for name in SUITES] + [("pm", "small", seed, "pm.scalar")]
+    reports = _reports(monkeypatch, queries)
+    assert reports[1] == reports[2] == reports[3]
+    assert reports[1][-1]["cases"] == 8
+    _assert_no_child_left()
+
+
+def test_failures_keep_case_order_across_processes(monkeypatch):
+    # forked workers inherit the patches: raising and false checks, in every share
+    monkeypatch.setattr(meltingcrystal, "z_box_det", _raise_zero_division)
+    monkeypatch.setattr(grothendieck, "cauchy_rhs", lambda *args: 0)
+    reports = _reports(monkeypatch, [("mc", "small", 1), ("groth", "small", 2)])
+    assert reports[1] == reports[2] == reports[3]
+    mc_rep, groth_rep = reports[1]
+    zbox = [c.name for c in SUITES["mc"]("small", random.Random("mc:1")) if ".zbox." in c.name]
+    assert [f["case"] for f in mc_rep["failures"]] == zbox
+    cauchy = [f for f in groth_rep["failures"] if f["case"].startswith("groth.cauchy.")]
+    assert len(cauchy) == 12 and all("beta" in f and "error" not in f for f in cauchy)
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _exit_0_silently():
+    os._exit(0)
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "die, error",
+    [
+        (_exit_3, "WorkerError: worker exited with status 3"),
+        (_kill_self, f"WorkerError: worker killed by signal {int(signal.SIGKILL)}"),
+        (_exit_0_silently, "WorkerError: undecodable worker result (EOFError)"),
+    ],
+)
+def test_dead_worker_fails_its_share(monkeypatch, die, error):
+    test_process = os.getpid()
+    real = meltingcrystal.z_box_det
+
+    def z_box_det(*args):
+        if os.getpid() != test_process:
+            die()
+        return real(*args)
+
+    monkeypatch.setattr(meltingcrystal, "z_box_det", z_box_det)
+    _use_cpus(monkeypatch, 2)
+    names = [case.name for case in SUITES["mc"]("small", random.Random("mc:1"))]
+    rep = run_suite("mc", "small", 1)
+    _assert_no_child_left()
+    # the worker ran the odd cases and died on its first z_box_det case
+    assert rep.cases == len(names) == 25
+    assert [f["case"] for f in rep.failures] == names[1::2]
+    assert all(f["error"] == error for f in rep.failures)
+    assert rep.processes == 2
+
+
+def test_interrupted_run_leaves_no_worker(monkeypatch):
+    test_process = os.getpid()
+
+    def z_box_det(*args):
+        if os.getpid() == test_process:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(meltingcrystal, "z_box_det", z_box_det)
+    _use_cpus(monkeypatch, 3)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("mc", "small", 1)
+    _assert_no_child_left()
+    assert time.perf_counter() - start < 30
+
+
+def test_stderr_names_the_process_count(monkeypatch, capsys):
+    for cpus, want in ((1, "1 process"), (2, "2 processes")):
+        _use_cpus(monkeypatch, cpus)
+        assert main(["verify", "sv6"]) == 0
+        line = capsys.readouterr().err.splitlines()[0]
+        assert line.startswith("# suite sv6: ") and line.endswith(f"s, {want}")
+    # never more processes than matched cases
+    _use_cpus(monkeypatch, 8)
+    assert run_suite("groth", "small", 1, tags="groth.addition").processes == 1
+    assert run_suite("groth", "small", 1, tags="no such case").processes == 1
+
+
+def _cli_subprocess(*args):
+    # without PYTHONUNBUFFERED, piped stdout is block-buffered, as by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(grothcrystal.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, check=True, timeout=120
+    )
+
+
+def test_piped_stdout_is_not_flushed_by_workers():
+    # a worker that flushed the stdout buffer it inherited would print
+    # earlier suites' lines twice
+    proc = _cli_subprocess(
+        "-m", "grothcrystal.cli", "--json", "--seed", "1", "verify", "all", "--scale", "small"
+    )
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_SMALL_SEED1
+
+
+def test_cli_import_loads_neither_multiprocessing_nor_pickle():
+    code = "import sys, grothcrystal.cli; print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))"
+    assert _cli_subprocess("-c", code).stdout.decode().strip() == "[]"
