@@ -3,7 +3,13 @@
 All results go to stdout as JSON lines (or CSV for the entropy table), with
 rationals rendered as "p/q" strings; given the same seed the bytes are
 identical run to run.  Timing and progress go to stderr only.  The process
-exits 0 exactly when every requested check passed.
+exits 0 exactly when every requested check passed, 1 when a check failed and
+2 on bad input; stdout is written only once the command has finished, so bad
+input leaves it empty.
+
+Every subcommand is one row of `COMMANDS`: its group, name, help, argument
+specs and handler.  A handler takes the parsed arguments and a list that
+collects the stdout lines, and returns the exit code.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import fivevertex as fv
 from . import grothendieck as gr
@@ -21,343 +28,182 @@ from . import meltingcrystal as mc
 from . import partitions as pt
 from . import phasemodel as pm
 from . import sixvertex as sv
-from .errors import IdentityError
+from .errors import IdentityError, ParameterError
 from .exactcore import parse_rat, rat_str
 from .suites import SUITES, generic_beta, generic_rationals, run_suite
 
 
-class Output:
-    """Collects stdout lines so --out can write an identical copy."""
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-
-    def emit(self, obj: dict) -> None:
-        self.line(json.dumps(obj))
-
-    def line(self, text: str) -> None:
-        print(text)
-        self.lines.append(text)
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.lines) + ("\n" if self.lines else ""))
+def _list_of(conv):
+    return lambda text: [conv(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+_ints, _rats, _floats = _list_of(int), _list_of(parse_rat), _list_of(float)
+
+# how a handler converts the raw flag value of each input it echoes
+_CONVERT = {
+    "lam": _ints, "mu": _ints, "x": _ints, "occ": _ints,
+    "z": _rats, "u": _rats, "v": _rats, "beta": parse_rat,
+}
 
 
-def _rats(text: str) -> list[Fraction]:
-    return [parse_rat(tok) for tok in text.split(",") if tok.strip() != ""]
+def _fields(*keys):
+    """args -> {key: converted value}, converted in the order given."""
+    return lambda args: {k: _CONVERT.get(k, lambda v: v)(getattr(args, k)) for k in keys}
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _show(value):
+    if isinstance(value, list):
+        return [_show(x) for x in value]
+    return rat_str(value) if isinstance(value, Fraction) else value
 
 
-def _rat_strs(values) -> list[str]:
-    return [rat_str(v) for v in values]
+def _emit(out: list, record: dict) -> None:
+    out.append(json.dumps(record))
 
 
-# -- symmetric polynomial commands --------------------------------------------
+# -- handlers shared by several commands ---------------------------------------
 
 
-def _cmd_groth_eval(args, out: Output, rng: random.Random) -> int:
-    lam = _ints(args.lam)
-    zs = _rats(args.z)
-    beta = parse_rat(args.beta)
-    if len(lam) < len(zs):
-        lam = lam + [0] * (len(zs) - len(lam))
-    value = gr.groth_det(lam, zs, beta)
-    out.emit(
-        {
-            "lam": lam,
-            "z": _rat_strs(zs),
-            "beta": rat_str(beta),
-            "value": rat_str(value),
-        }
-    )
-    return 0
+def _evaluate(inputs, fn, brute=None):
+    """Echo the inputs, then fn(*inputs) as "value"; with `brute`, also the
+    brute-force value and whether the two agree."""
+
+    def run(args, out):
+        vals = inputs(args)
+        record = {k: _show(v) for k, v in vals.items()}
+        value = fn(*vals.values())
+        record["value"] = rat_str(value)
+        agree = True
+        if brute is not None:
+            other = brute(*vals.values())
+            agree = value == other
+            record.update(bruteforce=rat_str(other), agree=agree)
+        _emit(out, record)
+        return 0 if agree else 1
+
+    return run
 
 
-def _cmd_groth_skew(args, out: Output, rng: random.Random) -> int:
-    mu = _ints(args.mu)
-    lam = _ints(args.lam)
-    zs = _rats(args.z)
-    beta = parse_rat(args.beta)
-    value = gr.skew_multi(mu, lam, zs, beta)
-    out.emit(
-        {
-            "mu": mu,
-            "lam": lam,
-            "z": _rat_strs(zs),
-            "beta": rat_str(beta),
-            "value": rat_str(value),
-        }
-    )
-    return 0
+def _at_points(draw, lhs, rhs):
+    """lhs == rhs at --points seeded points (beta, z[, w]), one record each."""
+
+    def run(args, out):
+        rng = random.Random(f"cli:{args.seed}")
+        bad = 0
+        for point in range(args.points):
+            beta, *pts = draw(rng, args.n)
+            left, right = lhs(args.width, *pts, beta), rhs(args.width, *pts, beta)
+            record = {"point": point, "n": args.n, "width": args.width, "beta": rat_str(beta)}
+            record.update(zip(("z", "w"), map(_show, pts)))
+            record.update(lhs=rat_str(left), rhs=rat_str(right), agree=left == right)
+            bad += left != right
+            _emit(out, record)
+        return 0 if bad == 0 else 1
+
+    return run
 
 
-def _cmd_groth_cauchy(args, out: Output, rng: random.Random) -> int:
-    bad = 0
-    for d in range(args.points):
-        beta = generic_beta(rng)
-        zs = generic_rationals(rng, args.n)
-        ws = generic_rationals(rng, args.n, start=args.n)
-        lhs = gr.cauchy_lhs(args.width, zs, ws, beta)
-        rhs = gr.cauchy_rhs(args.width, zs, ws, beta)
-        agree = lhs == rhs
-        bad += 0 if agree else 1
-        out.emit(
-            {
-                "point": d,
-                "n": args.n,
-                "width": args.width,
-                "beta": rat_str(beta),
-                "z": _rat_strs(zs),
-                "w": _rat_strs(ws),
-                "lhs": rat_str(lhs),
-                "rhs": rat_str(rhs),
-                "agree": agree,
-            }
-        )
-    return 0 if bad == 0 else 1
-
-
-def _cmd_groth_sum(args, out: Output, rng: random.Random) -> int:
-    bad = 0
-    for d in range(args.points):
-        beta = generic_beta(rng, nonzero=True)
-        zs = generic_rationals(rng, args.n)
-        lhs = gr.summation_lhs(args.width, zs, beta)
-        rhs = gr.summation_rhs(args.width, zs, beta)
-        agree = lhs == rhs
-        bad += 0 if agree else 1
-        out.emit(
-            {
-                "point": d,
-                "n": args.n,
-                "width": args.width,
-                "beta": rat_str(beta),
-                "z": _rat_strs(zs),
-                "lhs": rat_str(lhs),
-                "rhs": rat_str(rhs),
-                "agree": agree,
-            }
-        )
-    return 0 if bad == 0 else 1
-
-
-# -- five-vertex commands -----------------------------------------------------
-
-
-def _cmd_fv_wavefunction(args, out: Output, rng: random.Random) -> int:
-    x = _ints(args.x)
-    us = _rats(args.u)
-    beta = parse_rat(args.beta)
-    fn = fv.dual_wavefunction if args.dual else fv.wavefunction
-    value = fn(args.sites, x, us, beta)
-    out.emit(
-        {
-            "sites": args.sites,
-            "x": x,
-            "u": _rat_strs(us),
-            "beta": rat_str(beta),
-            "dual": bool(args.dual),
-            "value": rat_str(value),
-        }
-    )
-    return 0
-
-
-# -- phase model commands -----------------------------------------------------
-
-
-def _cmd_pm_wavefunction(args, out: Output, rng: random.Random) -> int:
-    occ = _ints(args.occ)
-    vs = _rats(args.v)
-    beta = parse_rat(args.beta)
-    fn = pm.dual_wavefunction_phase if args.dual else pm.wavefunction_phase
-    value = fn(args.sites, occ, vs, beta)
-    out.emit(
-        {
-            "sites": args.sites,
-            "occ": occ,
-            "v": _rat_strs(vs),
-            "beta": rat_str(beta),
-            "dual": bool(args.dual),
-            "value": rat_str(value),
-        }
-    )
-    return 0
-
-
-def _cmd_pm_scalar(args, out: Output, rng: random.Random) -> int:
-    us = _rats(args.u)
-    vs = _rats(args.v)
-    beta = parse_rat(args.beta)
-    det = pm.scalar_product(args.sites, us, vs, beta)
-    brute = pm.scalar_product_bruteforce(args.sites, us, vs, beta)
-    agree = det == brute
-    out.emit(
-        {
-            "sites": args.sites,
-            "u": _rat_strs(us),
-            "v": _rat_strs(vs),
-            "beta": rat_str(beta),
-            "value": rat_str(det),
-            "bruteforce": rat_str(brute),
-            "agree": agree,
-        }
-    )
-    return 0 if agree else 1
-
-
-def _cmd_pm_sum(args, out: Output, rng: random.Random) -> int:
-    vs = _rats(args.v)
-    beta = parse_rat(args.beta)
-    det = pm.summation_wavefunctions(args.sites, vs, beta)
-    brute = pm.summation_wavefunctions_bruteforce(args.sites, vs, beta)
-    agree = det == brute
-    out.emit(
-        {
-            "sites": args.sites,
-            "v": _rat_strs(vs),
-            "beta": rat_str(beta),
-            "value": rat_str(det),
-            "bruteforce": rat_str(brute),
-            "agree": agree,
-        }
-    )
-    return 0 if agree else 1
-
-
-def _cmd_pm_bethe(args, out: Output, rng: random.Random) -> int:
-    beta = parse_rat(args.beta)
-    report = pm.bethe_verify_n1(args.sites, beta)
-    out.emit(report)
-    return 0 if report["max_residual"] < args.tol else 1
-
-
-# -- melting crystal commands -------------------------------------------------
-
-
-def _cmd_mc_zbox(args, out: Output, rng: random.Random) -> int:
-    beta = parse_rat(args.beta)
-    if args.series is not None:
-        series = mc.z_box_det_series(args.n, args.height, beta, args.series)
-        out.emit(
-            {
-                "n": args.n,
-                "height": args.height,
-                "beta": rat_str(beta),
-                "order": args.series,
-                "coeffs": series.to_strings(),
-            }
-        )
-        return 0
-    if args.q is None:
-        print("error: zbox needs either --q or --series", file=sys.stderr)
-        return 2
-    q = parse_rat(args.q)
-    det = mc.z_box_det(args.n, args.height, q, beta)
-    record = {
-        "n": args.n,
-        "height": args.height,
-        "q": rat_str(q),
-        "beta": rat_str(beta),
-        "value": rat_str(det),
-    }
-    agree = True
-    if pt.count_boxed(args.n, args.n, args.height) <= 200000:
-        brute = mc.z_box_bruteforce(args.n, args.height, q, beta)
-        agree = det == brute
-        record["bruteforce"] = rat_str(brute)
-        record["agree"] = agree
-    out.emit(record)
-    return 0 if agree else 1
-
-
-def _cmd_mc_macmahon(args, out: Output, rng: random.Random) -> int:
-    beta = parse_rat(args.beta)
-    series = mc.z_infinite(beta, args.order)
-    out.emit(
-        {"beta": rat_str(beta), "order": args.order, "coeffs": series.to_strings()}
-    )
-    return 0
-
-
-def _cmd_mc_entropy(args, out: Output, rng: random.Random) -> int:
-    temps = _floats(args.temps)
-    betas = _floats(args.betas)
-    if args.json:
-        for beta in betas:
-            for temp in temps:
-                s = mc.entropy(args.mu, temp, beta)
-                out.emit({"T": temp, "beta": beta, "S": s})
-    else:
-        out.line("T,beta,S")
-        for beta in betas:
-            for temp in temps:
-                s = mc.entropy(args.mu, temp, beta)
-                out.line(f"{temp:.6g},{beta:.6g},{s:.12g}")
-    return 0
-
-
-# -- six-vertex commands ------------------------------------------------------
-
-
-def _cmd_sv6_verify(args, out: Output, rng: random.Random) -> int:
-    if args.params is None:
-        rep = run_suite("sv6", args.scale, args.seed)
-        out.emit(rep.to_json())
-        return 0 if rep.ok else 1
-    raw = json.loads(args.params)
-    p = sv.SixVertexParams(
-        parse_rat(raw["a1"]),
-        parse_rat(raw["a2"]),
-        parse_rat(raw["a3"]),
-        parse_rat(raw["a4"]),
-        parse_rat(raw["a5"]),
-        parse_rat(raw["a6"]),
-        parse_rat(raw["t"]),
-    )
-    ok = True
-    for _ in range(args.points):
-        u, v = generic_rationals(rng, 2)
-        if not sv.check_rll_six(u, v, p):
-            ok = False
-    out.emit(
-        {
-            "params": {k: rat_str(getattr(p, k)) for k in ("a1", "a2", "a3", "a4", "a5", "a6", "t")},
-            "points": args.points,
-            "rll": ok,
-        }
-    )
-    return 0 if ok else 1
-
-
-# -- suite runner -------------------------------------------------------------
-
-
-def _run_suites(names, scale, seed, tag, as_json, out: Output) -> int:
+def _suites(names, tag, args, out) -> int:
+    """Run whole suites (tag None) or the cases a filter keeps; a filter that
+    keeps no case is bad input."""
     bad = 0
     for name in names:
-        rep = run_suite(name, scale, seed, tags=tag)
-        if as_json:
-            out.emit(rep.to_json())
+        rep = run_suite(name, args.scale, args.seed, tags=tag)
+        if tag is not None and rep.cases == 0:
+            raise ParameterError(f"no case of suite {name} matches {tag!r}")
+        if args.json:
+            _emit(out, rep.to_json())
         else:
-            out.line(
-                f"suite {name} [{scale}]: {rep.cases} cases, "
-                f"{len(rep.failures)} failures"
-            )
-            for f in rep.failures:
-                out.line(f"  FAIL {f['case']}")
+            out.append(f"suite {name} [{args.scale}]: {rep.cases} cases, {len(rep.failures)} failures")
+            out.extend(f"  FAIL {f['case']}" for f in rep.failures)
         procs = f"{rep.processes} process" + ("es" if rep.processes > 1 else "")
         print(f"# suite {name}: {rep.wall_time:.2f}s, {procs}", file=sys.stderr)
         bad += len(rep.failures)
     return 0 if bad == 0 else 1
+
+
+# -- commands of their own shape -----------------------------------------------
+
+
+def _eval_inputs(args) -> dict:
+    """--lam padded with zero parts to one part per variable."""
+    vals = _fields("lam", "z", "beta")(args)
+    vals["lam"] += [0] * (len(vals["z"]) - len(vals["lam"]))
+    return vals
+
+
+def _either(plain, dual):
+    """fn(..., dual) -> dual(...) or plain(...)."""
+    return lambda *vals: (dual if vals[-1] else plain)(*vals[:-1])
+
+
+def _bethe(args, out) -> int:
+    report = pm.bethe_verify_n1(args.sites, parse_rat(args.beta))
+    _emit(out, report)
+    return 0 if report["max_residual"] < args.tol else 1
+
+
+def _zbox(args, out) -> int:
+    beta = parse_rat(args.beta)
+    if args.q is None and args.series is None:
+        raise ParameterError("zbox needs either --q or --series")
+    if args.q is not None and args.series is not None:
+        raise ParameterError("zbox takes --q or --series, not both")
+    head = {"n": args.n, "height": args.height}
+    if args.series is not None:
+        series = mc.z_box_det_series(args.n, args.height, beta, args.series)
+        _emit(out, {**head, "beta": rat_str(beta), "order": args.series, "coeffs": series.to_strings()})
+        return 0
+    q = parse_rat(args.q)
+    det = mc.z_box_det(args.n, args.height, q, beta)
+    record = {**head, "q": rat_str(q), "beta": rat_str(beta), "value": rat_str(det)}
+    agree = True
+    if pt.count_boxed(args.n, args.n, args.height) <= 200000:
+        brute = mc.z_box_bruteforce(args.n, args.height, q, beta)
+        agree = det == brute
+        record.update(bruteforce=rat_str(brute), agree=agree)
+    _emit(out, record)
+    return 0 if agree else 1
+
+
+def _macmahon(args, out) -> int:
+    beta = parse_rat(args.beta)
+    series = mc.z_infinite(beta, args.order)
+    _emit(out, {"beta": rat_str(beta), "order": args.order, "coeffs": series.to_strings()})
+    return 0
+
+
+def _entropy(args, out) -> int:
+    temps, betas = _floats(args.temps), _floats(args.betas)
+    rows = [(t, b, mc.entropy(args.mu, t, b)) for b in betas for t in temps]
+    if args.json:
+        for t, b, s in rows:
+            _emit(out, {"T": t, "beta": b, "S": s})
+    else:
+        out.append("T,beta,S")
+        out.extend(f"{t:.6g},{b:.6g},{s:.12g}" for t, b, s in rows)
+    return 0
+
+
+_SV6_KEYS = ("a1", "a2", "a3", "a4", "a5", "a6", "t")
+
+
+def _sv6(args, out) -> int:
+    if args.params is None:
+        rep = run_suite("sv6", args.scale, args.seed)
+        _emit(out, rep.to_json())
+        return 0 if rep.ok else 1
+    raw = json.loads(args.params)
+    if not isinstance(raw, dict):
+        raise ParameterError(f"--params must be a JSON object, not {type(raw).__name__}")
+    for key in _SV6_KEYS:
+        if not isinstance(raw.get(key), (str, int, float)):
+            raise ParameterError(f"--params needs a string or number for {key!r}")
+    p = sv.SixVertexParams(*(parse_rat(raw[k]) for k in _SV6_KEYS))
+    rng = random.Random(f"cli:{args.seed}")
+    ok = all(sv.check_rll_six(*generic_rationals(rng, 2), p) for _ in range(args.points))
+    _emit(out, {"params": {k: rat_str(getattr(p, k)) for k in _SV6_KEYS}, "points": args.points, "rll": ok})
+    return 0 if ok else 1
 
 
 # accepted filter tokens that do not occur literally in case names
@@ -368,32 +214,117 @@ _FILTER_ALIASES = {
 }
 
 
-def _cmd_model_verify(suite_name):
-    def run(args, out: Output, rng: random.Random) -> int:
-        tag = None if args.suite in (None, "all") else args.suite
-        if tag is not None:
-            tag = _FILTER_ALIASES.get(tag, tag)
-        return _run_suites([suite_name], args.scale, args.seed, tag, args.json, out)
+def _model_verify(name):
+    def run(args, out):
+        tag = None if args.suite == "all" else _FILTER_ALIASES.get(args.suite, args.suite)
+        return _suites([name], tag, args, out)
 
     return run
 
 
-def _cmd_verify(args, out: Output, rng: random.Random) -> int:
-    names = list(SUITES) if args.name == "all" else [args.name]
-    for n in names:
-        if n not in SUITES:
-            print(f"error: unknown suite {n!r}", file=sys.stderr)
-            return 2
-    return _run_suites(names, args.scale, args.seed, None, args.json, out)
+def _verify(args, out) -> int:
+    return _suites(list(SUITES) if args.name == "all" else [args.name], None, args, out)
 
 
-# -- parser -------------------------------------------------------------------
+# -- the command table ---------------------------------------------------------
 
 
-def _add_scale(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--scale", choices=("small", "full"), default="small", help="case volume"
-    )
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+# argument specs shared by several commands; keywords given at a use override
+SITES = partial(_arg, "--sites", "--M", type=int, required=True)
+BETA = partial(_arg, "--beta")
+U = partial(_arg, "--u", "--u-list", required=True)
+V = partial(_arg, "--v", "--v-list", required=True)
+N = partial(_arg, "--n", type=int, required=True)
+WIDTH = partial(_arg, "--width", type=int, required=True)
+POINTS = partial(_arg, "--points", type=int, default=3)
+SCALE = partial(_arg, "--scale", choices=("small", "full"), default="small", help="case volume")
+DUAL = partial(_arg, "--dual", action="store_true")
+SUITE = partial(_arg, "--suite", default="all")
+
+GROUPS = {
+    "groth": "symmetric polynomial evaluations",
+    "fv": "five-vertex model",
+    "pm": "phase model",
+    "mc": "melting crystal",
+    "sv6": "six-weight generalization",
+}
+
+# (group or None for a top-level command, name, help, argument specs, handler)
+COMMANDS = [
+    ("groth", "eval", "evaluate a polynomial at rational points",
+     [_arg("--lam", required=True, help="partition, e.g. 2,1"),
+      _arg("--z", required=True, help="variables, e.g. 1,2,3"), BETA(default="0")],
+     _evaluate(_eval_inputs, gr.groth_det)),
+    ("groth", "skew", "skew polynomial via interlacing chains",
+     [_arg("--mu", required=True, help="outer partition"),
+      _arg("--lam", required=True, help="inner partition (may be empty: '')"),
+      _arg("--z", required=True), BETA(default="0")],
+     _evaluate(_fields("mu", "lam", "z", "beta"), gr.skew_multi)),
+    ("groth", "verify-cauchy", "pairing identity at drawn points",
+     [N(help="number of variables"), WIDTH(help="box width"), POINTS()],
+     _at_points(lambda rng, n: (generic_beta(rng), generic_rationals(rng, n),
+                                generic_rationals(rng, n, start=n)),
+                gr.cauchy_lhs, gr.cauchy_rhs)),
+    ("groth", "verify-sum", "box summation identity at drawn points",
+     [N(), WIDTH(), POINTS()],
+     _at_points(lambda rng, n: (generic_beta(rng, nonzero=True), generic_rationals(rng, n)),
+                gr.summation_lhs, gr.summation_rhs)),
+    ("fv", "wavefunction", "lattice amplitude, self-checked",
+     [SITES(), _arg("--x", required=True, help="1-based particle positions, e.g. 1,3"),
+      U(help="spectral parameters"), BETA(required=True), DUAL()],
+     _evaluate(_fields("sites", "x", "u", "beta", "dual"),
+               _either(fv.wavefunction, fv.dual_wavefunction))),
+    ("fv", "verify", "run five-vertex checks",
+     [SUITE(help="all, or a filter such as ybe, rll, thm22, skew, ham, commute"), SCALE()],
+     _model_verify("fv")),
+    ("pm", "wavefunction", "lattice amplitude, self-checked",
+     [SITES(), _arg("--occ", required=True, help="occupation numbers per site"), V(),
+      BETA(required=True), DUAL()],
+     _evaluate(_fields("sites", "occ", "v", "beta", "dual"),
+               _either(pm.wavefunction_phase, pm.dual_wavefunction_phase))),
+    ("pm", "scalar", "scalar product: determinant vs expansion",
+     [SITES(), U(), V(), BETA(required=True)],
+     _evaluate(_fields("sites", "u", "v", "beta"), pm.scalar_product,
+               pm.scalar_product_bruteforce)),
+    ("pm", "sum", "weighted wavefunction sum: det vs expansion",
+     [SITES(), V(), BETA(required=True)],
+     _evaluate(_fields("sites", "v", "beta"), pm.summation_wavefunctions,
+               pm.summation_wavefunctions_bruteforce)),
+    ("pm", "bethe", "one-particle spectrum checks",
+     [SITES(), BETA(required=True), _arg("--tol", type=float, default=1e-10)],
+     _bethe),
+    ("pm", "verify", "run phase model checks",
+     [SUITE(help="all, or a filter such as rll, thm52, lemma53, scalar, sum, ham, "
+                 "commute, bethe"), SCALE()],
+     _model_verify("pm")),
+    ("mc", "zbox", "boxed partition function",
+     [_arg("--n", "--N", type=int, required=True, help="square base side"),
+      _arg("--height", "--L", type=int, required=True),
+      _arg("--q", help="rational q (numeric mode)"), BETA(default="0"),
+      _arg("--series", type=int, metavar="ORDER", help="emit q-series to this order")],
+     _zbox),
+    ("mc", "macmahon", "unbounded crystal series",
+     [BETA(default="0"), _arg("--order", type=int, default=10)],
+     _macmahon),
+    ("mc", "entropy", "entropy table (CSV: T,beta,S)",
+     [_arg("--mu", type=float, default=1.0, help="chemical potential"),
+      _arg("--temps", "--T", required=True, help="temperatures, e.g. 0.2,0.6,1.0"),
+      _arg("--betas", "--beta-list", required=True, help="deformation values, e.g. -1,0,1")],
+     _entropy),
+    ("sv6", "verify", "exchange relation checks",
+     [_arg("--params", help='JSON like {"a1":"1","a2":"1","a3":"2","a4":"1","a5":"-1/2",'
+                            '"a6":"-1/2","t":"1/2"}; omitted: run the built-in suite'),
+      POINTS(), SCALE()],
+     _sv6),
+    (None, "verify", "run verification suites",
+     [_arg("name", nargs="?", default="all",
+           help="all (default) or one of: " + ", ".join(SUITES)), SCALE()],
+     _verify),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,153 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", metavar="FILE", help="also write stdout to FILE")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    groth = sub.add_parser("groth", help="symmetric polynomial evaluations")
-    gsub = groth.add_subparsers(dest="subcommand", required=True)
-
-    p = gsub.add_parser("eval", help="evaluate a polynomial at rational points")
-    p.add_argument("--lam", required=True, help="partition, e.g. 2,1")
-    p.add_argument("--z", required=True, help="variables, e.g. 1,2,3")
-    p.add_argument("--beta", default="0")
-    p.set_defaults(fn=_cmd_groth_eval)
-
-    p = gsub.add_parser("skew", help="skew polynomial via interlacing chains")
-    p.add_argument("--mu", required=True, help="outer partition")
-    p.add_argument("--lam", required=True, help="inner partition (may be empty: '')")
-    p.add_argument("--z", required=True)
-    p.add_argument("--beta", default="0")
-    p.set_defaults(fn=_cmd_groth_skew)
-
-    p = gsub.add_parser("verify-cauchy", help="pairing identity at drawn points")
-    p.add_argument("--n", type=int, required=True, help="number of variables")
-    p.add_argument("--width", type=int, required=True, help="box width")
-    p.add_argument("--points", type=int, default=3)
-    p.set_defaults(fn=_cmd_groth_cauchy)
-
-    p = gsub.add_parser("verify-sum", help="box summation identity at drawn points")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--points", type=int, default=3)
-    p.set_defaults(fn=_cmd_groth_sum)
-
-    fvp = sub.add_parser("fv", help="five-vertex model")
-    fsub = fvp.add_subparsers(dest="subcommand", required=True)
-
-    p = fsub.add_parser("wavefunction", help="lattice amplitude, self-checked")
-    p.add_argument("--sites", "--M", type=int, required=True)
-    p.add_argument("--x", required=True, help="1-based particle positions, e.g. 1,3")
-    p.add_argument("--u", "--u-list", required=True, help="spectral parameters")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--dual", action="store_true")
-    p.set_defaults(fn=_cmd_fv_wavefunction)
-
-    p = fsub.add_parser("verify", help="run five-vertex checks")
-    p.add_argument(
-        "--suite",
-        default="all",
-        help="all, or a filter such as ybe, rll, thm22, skew, ham, commute",
-    )
-    _add_scale(p)
-    p.set_defaults(fn=_cmd_model_verify("fv"))
-
-    pmp = sub.add_parser("pm", help="phase model")
-    psub = pmp.add_subparsers(dest="subcommand", required=True)
-
-    p = psub.add_parser("wavefunction", help="lattice amplitude, self-checked")
-    p.add_argument("--sites", "--M", type=int, required=True)
-    p.add_argument("--occ", required=True, help="occupation numbers per site")
-    p.add_argument("--v", "--v-list", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--dual", action="store_true")
-    p.set_defaults(fn=_cmd_pm_wavefunction)
-
-    p = psub.add_parser("scalar", help="scalar product: determinant vs expansion")
-    p.add_argument("--sites", "--M", type=int, required=True)
-    p.add_argument("--u", "--u-list", required=True)
-    p.add_argument("--v", "--v-list", required=True)
-    p.add_argument("--beta", required=True)
-    p.set_defaults(fn=_cmd_pm_scalar)
-
-    p = psub.add_parser("sum", help="weighted wavefunction sum: det vs expansion")
-    p.add_argument("--sites", "--M", type=int, required=True)
-    p.add_argument("--v", "--v-list", required=True)
-    p.add_argument("--beta", required=True)
-    p.set_defaults(fn=_cmd_pm_sum)
-
-    p = psub.add_parser("bethe", help="one-particle spectrum checks")
-    p.add_argument("--sites", "--M", type=int, required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(fn=_cmd_pm_bethe)
-
-    p = psub.add_parser("verify", help="run phase model checks")
-    p.add_argument(
-        "--suite",
-        default="all",
-        help="all, or a filter such as rll, thm52, lemma53, scalar, sum, ham, "
-        "commute, bethe",
-    )
-    _add_scale(p)
-    p.set_defaults(fn=_cmd_model_verify("pm"))
-
-    mcp = sub.add_parser("mc", help="melting crystal")
-    msub = mcp.add_subparsers(dest="subcommand", required=True)
-
-    p = msub.add_parser("zbox", help="boxed partition function")
-    p.add_argument("--n", "--N", type=int, required=True, help="square base side")
-    p.add_argument("--height", "--L", type=int, required=True)
-    p.add_argument("--q", help="rational q (numeric mode)")
-    p.add_argument("--beta", default="0")
-    p.add_argument(
-        "--series", type=int, metavar="ORDER", help="emit q-series to this order"
-    )
-    p.set_defaults(fn=_cmd_mc_zbox)
-
-    p = msub.add_parser("macmahon", help="unbounded crystal series")
-    p.add_argument("--beta", default="0")
-    p.add_argument("--order", type=int, default=10)
-    p.set_defaults(fn=_cmd_mc_macmahon)
-
-    p = msub.add_parser("entropy", help="entropy table (CSV: T,beta,S)")
-    p.add_argument("--mu", type=float, default=1.0, help="chemical potential")
-    p.add_argument("--temps", "--T", required=True, help="temperatures, e.g. 0.2,0.6,1.0")
-    p.add_argument("--betas", "--beta-list", required=True, help="deformation values, e.g. -1,0,1")
-    p.set_defaults(fn=_cmd_mc_entropy)
-
-    svp = sub.add_parser("sv6", help="six-weight generalization")
-    ssub = svp.add_subparsers(dest="subcommand", required=True)
-
-    p = ssub.add_parser("verify", help="exchange relation checks")
-    p.add_argument(
-        "--params",
-        help='JSON like {"a1":"1","a2":"1","a3":"2","a4":"1","a5":"-1/2",'
-        '"a6":"-1/2","t":"1/2"}; omitted: run the built-in suite',
-    )
-    p.add_argument("--points", type=int, default=3)
-    _add_scale(p)
-    p.set_defaults(fn=_cmd_sv6_verify)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument(
-        "name",
-        nargs="?",
-        default="all",
-        help="all (default) or one of: " + ", ".join(SUITES),
-    )
-    _add_scale(p)
-    p.set_defaults(fn=_cmd_verify)
-
+    groups = {
+        g: sub.add_parser(g, help=text).add_subparsers(dest="subcommand", required=True)
+        for g, text in GROUPS.items()
+    }
+    for group, name, text, specs, run in COMMANDS:
+        p = groups.get(group, sub).add_parser(name, help=text)
+        for flags, kw in specs:
+            p.add_argument(*flags, **kw)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = Output()
-    rng = random.Random(f"cli:{args.seed}")
+    args = build_parser().parse_args(argv)
+    out: list[str] = []
     t0 = time.perf_counter()
     try:
-        code = args.fn(args, out, rng)
+        code = args.run(args, out)
     except IdentityError as exc:
         # a self-check ran and its two routes disagreed: a failed verification
         print(f"error: {exc}", file=sys.stderr)
@@ -562,8 +364,11 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = "".join(line + "\n" for line in out)
+    sys.stdout.write(text)
     if args.out:
-        out.save(args.out)
+        with open(args.out, "w") as fh:
+            fh.write(text)
     print(f"# elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code
 

@@ -133,9 +133,6 @@ class LaurentPoly(_Ring):
     def var(cls) -> "LaurentPoly":
         return cls({1: _ONE})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -221,12 +218,6 @@ class LaurentPoly(_Ring):
         for e, c in self.coeffs.items():
             total += c * a**e
         return total
-
-    def degrees(self) -> tuple[int, int]:
-        """(lowest, highest) exponent; raises on the zero polynomial."""
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return min(self.coeffs), max(self.coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -432,13 +423,6 @@ def vandermonde(xs: Sequence) -> object:
     return out
 
 
-def series_product(factors: Iterable[TruncatedSeries], order: int) -> TruncatedSeries:
-    out = TruncatedSeries.one(order)
-    for f in factors:
-        out = out * f
-    return out
-
-
 def binomial_qn_series(c, n: int, e: int, order: int) -> TruncatedSeries:
     """The expansion of (1 + c*q^n)^e, e of either sign, n >= 1."""
     if n < 1:
@@ -557,16 +541,17 @@ class Matrix:
     def map(self, fn) -> "Matrix":
         return Matrix([[fn(x) for x in row] for row in self.data])
 
-    def det(self):
-        """Exact determinant over any commutative ring: fraction-free elimination
-        on a cleared matrix for rational entries, `det_ring` otherwise."""
+    def det(self) -> Fraction:
+        """Exact determinant of a rational matrix: fraction-free (Bareiss)
+        elimination on the matrix with each row cleared of denominators.
+        Series matrices go through `qadic_det`."""
         n = self.rows
         if n != self.cols:
             raise ValueError("determinant needs a square matrix")
+        if not all(isinstance(x, (int, Fraction)) for row in self.data for x in row):
+            raise TypeError("Matrix.det takes rational entries only")
         if n == 0:
             return _ONE
-        if not all(isinstance(x, (int, Fraction)) for row in self.data for x in row):
-            return det_ring(self.data)
         scale = 1
         cleared = []
         for row in self.data:
@@ -603,36 +588,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def det_ring(rows: Sequence[Sequence]) -> object:
-    """Division-free determinant for entries in any commutative ring.
-
-    Dynamic programming over column subsets, so usable well beyond the n <= 3
-    range where cofactor expansion stays cheap.
-    """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    states = {1 << c: rows[0][c] for c in range(n)}
-    for i in range(1, n):
-        nxt: dict[int, object] = {}
-        row = rows[i]
-        for mask, val in states.items():
-            for c in range(n):
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                term = val * row[c]
-                if bin(mask >> (c + 1)).count("1") & 1:
-                    term = -term
-                key = mask | bit
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
-                else:
-                    nxt[key] = term
-        states = nxt
-    return states[(1 << n) - 1]
 
 
 def qadic_det(rows: Sequence[Sequence[TruncatedSeries]], order: int) -> tuple[int, TruncatedSeries]:

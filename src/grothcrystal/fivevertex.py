@@ -104,10 +104,6 @@ def _transitions(a: int, occ: int, w):
 _MODEL = lattice.Model(_transitions, lattice.BITMASK)
 
 
-def vacuum_state(num_sites: int) -> dict[int, Fraction]:
-    return {0: Fraction(1)}
-
-
 def mask_from_positions(x: Sequence[int]) -> int:
     mask = 0
     for pos in x:
@@ -116,17 +112,6 @@ def mask_from_positions(x: Sequence[int]) -> int:
             raise ParameterError(f"bad positions {x}")
         mask |= bit
     return mask
-
-
-def positions_from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    pos = 1
-    while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
-    return tuple(out)
 
 
 def sector_masks(num_sites: int, num_particles: int) -> list[int]:

@@ -100,7 +100,7 @@ def z_box_bruteforce(n: int, height: int, q: Fraction, beta: Fraction) -> Fracti
 
 
 def _det_shift(n: int) -> int:
-    """The power of q in front of `_z_box_det_core`; never positive."""
+    """The power of q in front of the determinant formula; never positive."""
     return n * (n - 1) // 2 - 2 * sum(j * (n - j) for j in range(1, n))
 
 
@@ -141,20 +141,14 @@ def _z_box_det_parts(n: int, height: int, q, beta):
     return entries, pref
 
 
-def _z_box_det_core(n: int, height: int, q, beta):
-    """prefactor * det(entries): the full answer is q**_det_shift(n) times
-    this, for rational or series q."""
-    entries, pref = _z_box_det_parts(n, height, q, beta)
-    return pref * Matrix(entries).det()
-
-
 def z_box_det(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
     """Closed determinant form of the boxed partition function, rational q."""
     q = Fraction(q)
     beta = Fraction(beta)
     if q == 0 or q == 1 or q == -1:
         raise ParameterError("q must avoid 0 and +-1")
-    return q ** _det_shift(n) * _z_box_det_core(n, height, q, beta)
+    entries, pref = _z_box_det_parts(n, height, q, beta)
+    return q ** _det_shift(n) * pref * Matrix(entries).det()
 
 
 def z_box_det_series(n: int, height: int, beta: Fraction, order: int) -> TruncatedSeries:

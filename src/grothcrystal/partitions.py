@@ -93,19 +93,6 @@ def interlacing_below(mu: Sequence[int]) -> Iterator[Partition]:
     yield from rec(0, [])
 
 
-def positions_from_partition(lam: Sequence[int], chain_length: int) -> tuple[int, ...]:
-    """1-based particle positions x_j = lam_{N-j+1} + j on sites 1..chain_length."""
-    lam = check_partition(lam)
-    n = len(lam)
-    if n > chain_length:
-        raise OutOfBoxError("more parts than sites")
-    if lam and lam[0] > chain_length - n:
-        raise OutOfBoxError(
-            f"largest part {lam[0]} exceeds {chain_length}-{n} box"
-        )
-    return tuple(lam[n - j] + j for j in range(1, n + 1))
-
-
 def partition_from_positions(x: Sequence[int]) -> Partition:
     x = tuple(int(v) for v in x)
     for a, b in zip(x, x[1:]):
@@ -131,17 +118,6 @@ def complement(lam: Sequence[int], width: int) -> Partition:
     if lam and lam[0] > width:
         raise OutOfBoxError(f"partition does not fit in width {width}")
     return tuple(width - p for p in reversed(lam))
-
-
-def occupation_from_partition(lam: Sequence[int], num_sites: int) -> tuple[int, ...]:
-    """Occupation numbers n_k = multiplicity of k in lam, k = 0..num_sites-1."""
-    lam = check_partition(lam)
-    if lam and lam[0] >= num_sites:
-        raise OutOfBoxError(f"part {lam[0]} needs a site >= {num_sites}")
-    occ = [0] * num_sites
-    for p in lam:
-        occ[p] += 1
-    return tuple(occ)
 
 
 def partition_from_occupation(occ: Sequence[int]) -> Partition:

@@ -130,24 +130,6 @@ def apply_c_phase(
     return lattice.path_sum(_MODEL, num_sites, state, 0, 1, w)
 
 
-def skew_element_phase(
-    num_sites: int,
-    m: Sequence[int],
-    n: Sequence[int],
-    v: Fraction,
-    beta: Fraction,
-) -> Fraction:
-    """(1/v - beta*v)^(1-M) <m|B(v)|n>: the single-variable skew polynomial."""
-    v = Fraction(v)
-    beta = Fraction(beta)
-    norm = 1 / v - beta * v
-    if norm == 0:
-        raise PoleError("1/v - beta*v vanishes; the normalization has a pole")
-    image = apply_b_phase(num_sites, v, beta, {tuple(n): Fraction(1)})
-    amp = image.get(tuple(m), Fraction(0))
-    return norm ** (1 - num_sites) * amp
-
-
 def spectral_map_phase(v: Fraction, beta: Fraction) -> Fraction:
     """The variable z = 1/(1/v^2 - beta) induced by a spectral parameter."""
     v = Fraction(v)

@@ -4,6 +4,7 @@ import pytest
 
 from grothcrystal import fivevertex
 from grothcrystal.cli import main
+from grothcrystal.suites import run_suite
 
 
 def run_cli(capsys, *argv):
@@ -250,3 +251,28 @@ def test_failed_self_check_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "wavefunction_lattice = 1260" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sv6", "verify", "--params", '{"a1":"1"}'), "for 'a2'"),
+        (("sv6", "verify", "--params", "[1]"), "must be a JSON object, not list"),
+        (("mc", "zbox", "--n", "2", "--height", "1", "--q", "1/2", "--series", "3"), "not both"),
+        (("mc", "entropy", "--temps", "0.5", "--betas=-2"), "beta < -1"),
+    ],
+)
+def test_bad_input_exits_2_with_empty_stdout(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err.splitlines()[0]
+
+
+def test_filter_that_keeps_no_case_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, "fv", "verify", "--suite", "nonsense")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: no case of suite fv matches 'nonsense'"]
+    # the library keeps reporting an empty selection as zero cases
+    assert run_suite("fv", "small", 1, tags="nonsense").cases == 0

@@ -15,13 +15,11 @@ from grothcrystal.fivevertex import (
     hamiltonian_direct,
     l_matrix,
     mask_from_positions,
-    positions_from_mask,
     r_matrix,
     sector_masks,
     skew_matrix_element,
     spectral_map,
     transfer_matrix,
-    vacuum_state,
     wavefunction,
     wavefunction_closed,
     wavefunction_lattice,
@@ -55,10 +53,7 @@ def monodromy_blocks(num_sites, u, beta):
 
 def chain_index(mask, num_sites):
     # mask keeps site 1 in the low bit; the embedding keeps site 1 most significant
-    idx = 0
-    for site in positions_from_mask(mask):
-        idx += 1 << (num_sites - site)
-    return idx
+    return sum(1 << (num_sites - site) for site in range(1, num_sites + 1) if mask >> (site - 1) & 1)
 
 
 def test_monodromy_matches_embedded_product():
@@ -80,7 +75,7 @@ def test_monodromy_matches_embedded_product():
 
 def test_b_and_c_frozen_values():
     u, beta = F(2), F(1)
-    out = apply_b(2, u, beta, vacuum_state(2))
+    out = apply_b(2, u, beta, {0: F(1)})
     assert out == {
         mask_from_positions((1,)): u,
         mask_from_positions((2,)): -u / beta - 1 / u,
@@ -91,7 +86,6 @@ def test_b_and_c_frozen_values():
 
 def test_mask_helpers():
     assert mask_from_positions((1, 3)) == 0b101
-    assert positions_from_mask(0b101) == (1, 3)
     assert sector_masks(3, 2) == [0b011, 0b101, 0b110]
 
 
@@ -131,7 +125,7 @@ def test_dual_wavefunction_closed_form():
 
 def test_wavefunction_supports_only_its_sector():
     beta = F(1)
-    state = apply_b(3, F(2), beta, vacuum_state(3))
+    state = apply_b(3, F(2), beta, {0: F(1)})
     assert set(state) <= set(sector_masks(3, 1))
 
 

@@ -13,18 +13,27 @@ from grothcrystal.partitions import (
     enumerate_boxed,
     interlaces,
     interlacing_below,
-    occupation_from_partition,
     part,
     partition_from_occupation,
     partition_from_positions,
     partitions_in_box,
     partitions_of_size,
     plane_partitions_of_size,
-    positions_from_partition,
     pp_entry,
     pp_size,
     reversed_positions,
 )
+
+
+def positions(lam):
+    """1-based positions x_j = lam_(N-j+1) + j: the inverse of partition_from_positions."""
+    n = len(lam)
+    return tuple(lam[n - j] + j for j in range(1, n + 1))
+
+
+def occupation(lam, num_sites):
+    """n_k = multiplicity of k in lam: the inverse of partition_from_occupation."""
+    return tuple(lam.count(k) for k in range(num_sites))
 
 
 def test_check_partition():
@@ -43,20 +52,11 @@ def test_part_is_one_based_and_padded():
     assert part(lam, 99) == 0
 
 
-def test_positions_from_partition():
-    assert positions_from_partition((4, 3, 1, 1), 8) == (2, 3, 6, 8)
-    assert positions_from_partition((), 5) == ()
-    with pytest.raises(OutOfBoxError):
-        positions_from_partition((5,), 4)
-    with pytest.raises(OutOfBoxError):
-        positions_from_partition((1, 1, 1), 2)
-
-
 def test_positions_roundtrip():
     for m in range(1, 7):
         for n in range(m + 1):
             for lam in partitions_in_box(m - n, n):
-                x = positions_from_partition(lam, m)
+                x = positions(lam)
                 assert partition_from_positions(x) == lam
 
 
@@ -65,7 +65,7 @@ def test_reversed_positions_is_complement():
     m = 7
     for n in range(m + 1):
         for lam in partitions_in_box(m - n, n):
-            x = positions_from_partition(lam, m)
+            x = positions(lam)
             rot = partition_from_positions(reversed_positions(x, m))
             assert rot == complement(lam, m - n)
 
@@ -81,11 +81,9 @@ def test_complement():
 
 def test_occupation_encoding():
     lam = (6, 5, 5, 5, 2, 2, 0)
-    occ = occupation_from_partition(lam, 8)
+    occ = occupation(lam, 8)
     assert occ == (1, 0, 2, 0, 0, 3, 1, 0)
     assert partition_from_occupation(occ) == lam
-    with pytest.raises(OutOfBoxError):
-        occupation_from_partition((4,), 4)
 
 
 def test_interlaces_examples():
@@ -111,11 +109,11 @@ def test_admissible_matches_interlacing():
     for m in range(2, 6):
         for n in range(0, 3):
             uppers = [
-                occupation_from_partition(mu, m)
+                occupation(mu, m)
                 for mu in partitions_in_box(m - 1, n + 1)
             ]
             lowers = [
-                occupation_from_partition(lam, m)
+                occupation(lam, m)
                 for lam in partitions_in_box(m - 1, n)
             ]
             for up in uppers:

@@ -22,7 +22,6 @@ from grothcrystal.phasemodel import (
     scalar_product,
     scalar_product_bruteforce,
     sector_basis,
-    skew_element_phase,
     spectral_map_phase,
     summation_wavefunctions,
     summation_wavefunctions_bruteforce,
@@ -111,12 +110,15 @@ def test_wavefunction_closed_form():
 def test_skew_element_is_single_variable_skew():
     m, beta, v = 4, F(1, 2), F(3)
     z = spectral_map_phase(v, beta)
+    norm = 1 / v - beta * v
     for n in (0, 1, 2):
         for lower in sector_basis(m, n):
+            image = apply_b_phase(m, v, beta, {lower: F(1)})
             for upper in sector_basis(m, n + 1):
                 lam = partition_from_occupation(lower)
                 mu = partition_from_occupation(upper)
-                got = skew_element_phase(m, upper, lower, v, beta)
+                # (1/v - beta*v)^(1-M) <upper|B(v)|lower>
+                got = norm ** (1 - m) * image.get(upper, F(0))
                 assert got == skew_single(mu, lam, z, beta)
 
 

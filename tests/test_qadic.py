@@ -1,17 +1,19 @@
-"""The q-adic determinant against the division-free `det_ring`, which stays
-the reference: random series matrices with non-unit entries and mixed
-valuations, sign flips under row and column swaps, known valuations from a
-triangular factorization, exact precision on hand-built cases, and the error
-raised when a block vanishes at working precision."""
+"""The q-adic determinant against the division-free `det_ring` of
+tests/oracles.py, which stays the reference: random series matrices with
+non-unit entries and mixed valuations, sign flips under row and column swaps,
+known valuations from a triangular factorization, exact precision on
+hand-built cases, and the error raised when a block vanishes at working
+precision."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import det_ring
 
 from grothcrystal.errors import PrecisionError
-from grothcrystal.exactcore import TruncatedSeries, det_ring, qadic_det
+from grothcrystal.exactcore import TruncatedSeries, qadic_det
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
