@@ -209,24 +209,6 @@ def dual_wavefunction(
     )
 
 
-def skew_matrix_element(
-    num_sites: int,
-    y: Sequence[int],
-    x: Sequence[int],
-    u: Fraction,
-    beta: Fraction,
-) -> Fraction:
-    """(-beta)^N u^(1-M) <y|B(u)|x>: the single-variable skew polynomial."""
-    beta = _check_beta(beta)
-    u = Fraction(u)
-    n = len(x)
-    if len(y) != n + 1:
-        raise ParameterError("y must hold exactly one more particle than x")
-    image = apply_b(num_sites, u, beta, {mask_from_positions(x): Fraction(1)})
-    amp = image.get(mask_from_positions(y), Fraction(0))
-    return (-beta) ** n * u ** (1 - num_sites) * amp
-
-
 def transfer_matrix(
     num_sites: int, num_particles: int, beta: Fraction
 ) -> tuple[list[int], Matrix]:

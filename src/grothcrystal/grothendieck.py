@@ -2,7 +2,7 @@
 
 G_lam(z; beta) is computed three independent ways: a ratio of determinants, a
 sum over interlacing chains of single-variable skew factors, and (at beta = 0)
-the classical bialternant.  The module also evaluates the closed determinant
+the Jacobi-Trudi determinant.  The module also evaluates the closed determinant
 sides of the dual-pairing and weighted-summation identities so callers can
 cross-check them against brute-force sums over a box.
 """
@@ -51,7 +51,8 @@ def groth_det(lam: Sequence[int], zs: Sequence[Fraction], beta: Fraction) -> Fra
 
 
 def schur_det(lam: Sequence[int], zs: Sequence[Fraction]) -> Fraction:
-    """Classical bialternant; an independent beta = 0 reference."""
+    """The Jacobi-Trudi determinant det(h_(lam_i - i + j)); an independent
+    beta = 0 reference."""
     lam = check_partition(lam)
     zs = [Fraction(z) for z in zs]
     n = len(zs)
@@ -60,8 +61,13 @@ def schur_det(lam: Sequence[int], zs: Sequence[Fraction]) -> Fraction:
     if n == 0:
         return Fraction(1)
     _require_distinct(zs, "variables")
-    num = Matrix([[z ** (lam[k] + n - 1 - k) for k in range(n)] for z in zs]).det()
-    return num / vandermonde(zs)
+    # complete homogeneous h_k, one variable at a time: h_k += z h_(k-1)
+    h = [Fraction(1)] + [Fraction(0)] * (lam[0] + n - 1)
+    for z in zs:
+        for k in range(1, len(h)):
+            h[k] += z * h[k - 1]
+    rows = [[h[p] if p >= 0 else 0 for p in range(lam[i] - i, lam[i] - i + n)] for i in range(n)]
+    return Matrix(rows).det()
 
 
 def skew_single(
@@ -88,22 +94,6 @@ def skew_single(
     return val
 
 
-def groth_chain(lam: Sequence[int], zs: Sequence[Fraction], beta: Fraction) -> Fraction:
-    """G_lam as a sum over interlacing chains down to the empty partition."""
-    lam = check_partition(lam)
-    zs = [Fraction(z) for z in zs]
-    if len(lam) != len(zs):
-        raise ParameterError("need exactly one part (possibly zero) per variable")
-    if not zs:
-        return Fraction(1)
-    total = Fraction(0)
-    for kappa in interlacing_below(lam):
-        s = skew_single(lam, kappa, zs[-1], beta)
-        if s:
-            total += s * groth_chain(kappa, zs[:-1], beta)
-    return total
-
-
 def skew_multi(
     lam: Sequence[int],
     nu: Sequence[int],
@@ -124,6 +114,12 @@ def skew_multi(
         if s:
             total += s * skew_multi(kappa, nu, zs[1:], beta)
     return total
+
+
+def groth_chain(lam: Sequence[int], zs: Sequence[Fraction], beta: Fraction) -> Fraction:
+    """G_lam as a sum over interlacing chains down to the empty partition: the
+    skew polynomial from lam down to (), with the last variable taken first."""
+    return skew_multi(lam, (), zs[::-1], beta)
 
 
 def cauchy_lhs(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import IdentityError, OutOfBoxError, ParameterError, PoleError, PrecisionError
+from .errors import OutOfBoxError, ParameterError, PoleError, PrecisionError
 from .exactcore import Matrix, TruncatedSeries, binomial_qn_series, qadic_det
 from .partitions import PlanePartition, check_plane_partition, enumerate_boxed, pp_size
 
@@ -200,18 +200,6 @@ def z_infinite(beta: Fraction, order: int) -> TruncatedSeries:
         out = out * binomial_qn_series(beta, n, n - 1, order)
         out = out * binomial_qn_series(-1, n, -n, order)
     return out
-
-
-def z_box_series_limit(beta: Fraction, order: int) -> TruncatedSeries:
-    """Boxed determinant series at box size order+1, asserted to have
-    stabilized to the unboxed product through the requested order."""
-    boxed = z_box_det_series(order + 1, order + 1, beta, order)
-    free = z_infinite(beta, order)
-    if boxed != free:
-        raise IdentityError(
-            "boxed series has not stabilized to the unboxed product"
-        )
-    return boxed
 
 
 # -- entropy numerics ---------------------------------------------------------

@@ -27,35 +27,21 @@ from .partitions import complement, partition_from_occupation
 State = Mapping[tuple[int, ...], Fraction]
 
 
-def fock_matrices(cap: int) -> tuple[Matrix, Matrix, Matrix]:
-    """(lower, raise, empty-projector) on the Fock space truncated at cap."""
-    dim = cap + 1
-    lower = [[Fraction(0)] * dim for _ in range(dim)]
-    raise_ = [[Fraction(0)] * dim for _ in range(dim)]
-    proj = [[Fraction(0)] * dim for _ in range(dim)]
-    for n in range(1, dim):
-        lower[n - 1][n] = Fraction(1)
-    for n in range(dim - 1):
-        raise_[n + 1][n] = Fraction(1)
-    proj[0][0] = Fraction(1)
-    return Matrix(lower), Matrix(raise_), Matrix(proj)
-
-
 def l_matrix_phase(v: Fraction, beta: Fraction, cap: int) -> Matrix:
-    """Site operator on (aux, Fock<=cap), dimension 2*(cap+1)."""
+    """Site operator on (aux, Fock<=cap), dimension 2*(cap+1): the blocks
+    [[1/v - beta*v*P0, raise], [lower, v]], row and column aux*(cap+1) + n."""
     v = Fraction(v)
     beta = Fraction(beta)
     if v == 0:
         raise PoleError("v = 0 is a pole of the site weights")
-    lower, raise_, proj = fock_matrices(cap)
     dim = cap + 1
-    top_left = Matrix.identity(dim).scale(1 / v) - proj.scale(beta * v)
-    bottom_right = Matrix.identity(dim).scale(v)
-    rows = []
-    for i in range(dim):
-        rows.append(list(top_left.data[i]) + list(raise_.data[i]))
-    for i in range(dim):
-        rows.append(list(lower.data[i]) + list(bottom_right.data[i]))
+    rows = [[Fraction(0)] * (2 * dim) for _ in range(2 * dim)]
+    for n in range(dim):
+        rows[n][n] = 1 / v - beta * v if n == 0 else 1 / v
+        rows[dim + n][dim + n] = v
+        if n < cap:
+            rows[n + 1][dim + n] = Fraction(1)  # raise: |n> -> |n+1>
+            rows[dim + n][n + 1] = Fraction(1)  # lower: |n+1> -> |n>
     return Matrix(rows)
 
 
@@ -293,36 +279,30 @@ def summation_wavefunctions(
     v2 = [v * v for v in vs]
     if len(set(v2)) != n:
         raise PoleError("squared parameters must be pairwise distinct")
+    ws = [1 - beta * a for a in v2]
+    if 0 in ws:
+        raise PoleError("1 - beta*v^2 vanishes")
     e = num_sites + n - 1
     rows = []
     for j in range(1, n):
         mb = (-beta) ** (j - n)
         row = []
-        for v in vs:
-            w = 1 - beta * v * v
-            if w == 0:
-                raise PoleError("1 - beta*v^2 vanishes")
+        for w in ws:
             acc = Fraction(0)
             for m in range(j):
                 acc += (-1) ** m * comb(e, m) * w ** (1 - m + j - n)
             row.append(mb * acc)
         rows.append(row)
     last = []
-    for v in vs:
-        w = 1 - beta * v * v
-        if w == 0:
-            raise PoleError("1 - beta*v^2 vanishes")
+    for w in ws:
         acc = Fraction(0)
         for m in range(max(n - 1, 1), e + 1):
             acc += (-1) ** m * comb(e, m) * w ** (1 - m)
         last.append(-acc)
     rows.append(last)
     pref = Fraction(1)
-    for v in vs:
-        norm = 1 / v - beta * v
-        if norm == 0:
-            raise PoleError("1/v - beta*v vanishes")
-        pref *= v ** (n - 1) * norm ** (num_sites + n - 2)
+    for v, w in zip(vs, ws):
+        pref *= v ** (n - 1) * (w / v) ** (num_sites + n - 2)  # w / v = 1/v - beta*v
     return pref / vandermonde(v2[::-1]) * Matrix(rows).det()
 
 
@@ -400,14 +380,8 @@ def bethe_verify_n1(num_sites: int, beta: Fraction) -> dict:
     beta = Fraction(beta)
     beta_f = float(beta)
     basis = sector_basis(m, 1)
-    index = {occ: i for i, occ in enumerate(basis)}
     h_exact = hamiltonian_phase_direct(m, 1, beta)
     h = [[float(h_exact.entry(r, c)) for c in range(m)] for r in range(m)]
-
-    def site_state(j: int) -> tuple[int, ...]:
-        occ = [0] * m
-        occ[j] = 1
-        return tuple(occ)
 
     roots = []
     for k in range(m):
@@ -422,9 +396,7 @@ def bethe_verify_n1(num_sites: int, beta: Fraction) -> dict:
         v2 = 1.0 / w
         z = 1.0 / omega
         energy = -beta_f * m + w
-        psi_vec = [0.0 + 0.0j] * m
-        for j in range(m):
-            psi_vec[index[site_state(j)]] = z**j
+        psi_vec = [z ** occ.index(1) for occ in basis]
         hpsi = [
             sum(h[r][c] * psi_vec[c] for c in range(m) if h[r][c])
             for r in range(m)
@@ -456,7 +428,7 @@ def bethe_verify_n1(num_sites: int, beta: Fraction) -> dict:
             }
         )
     checked = [r for r in roots if not r["skipped"]]
-    report = {
+    return {
         "chain_length": m,
         "beta": rat_str(beta),
         "roots": roots,
@@ -470,7 +442,6 @@ def bethe_verify_n1(num_sites: int, beta: Fraction) -> dict:
             default=0.0,
         ),
     }
-    return report
 
 
 def _c(z) -> list[float]:

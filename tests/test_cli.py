@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from grothcrystal import fivevertex
+from grothcrystal import fivevertex, sixvertex
 from grothcrystal.cli import main
 from grothcrystal.suites import run_suite
 
@@ -155,6 +155,26 @@ def test_verify_single_suite_json(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["suite"] == "sv6" and rec["failures"] == []
+
+
+@pytest.mark.parametrize("scale", ["small", "full"])
+def test_sv6_verify_is_the_json_suite_run(capsys, scale):
+    # without --params, `sv6 verify` is `--json verify sv6` by another name
+    code, out, err = run_cli(capsys, "--seed", "5", "sv6", "verify", "--scale", scale)
+    other = run_cli(capsys, "--json", "--seed", "5", "verify", "sv6", "--scale", scale)
+    assert (code, out) == other[:2]
+    assert code == 0 and json.loads(out)["scale"] == scale
+    assert err.splitlines()[0].startswith("# suite sv6: ")
+
+
+def test_failing_sv6_check_exits_1_on_both_paths(capsys, monkeypatch):
+    monkeypatch.setattr(sixvertex, "check_rll_six", lambda *args: False)
+    runs = [run_cli(capsys, *argv) for argv in (("sv6", "verify"), ("--json", "verify", "sv6"))]
+    assert runs[0][:2] == runs[1][:2]
+    code, out, _ = runs[0]
+    assert code == 1
+    failed = [f["case"] for f in json.loads(out)["failures"]]
+    assert len(failed) == 6 and all(name.startswith("sv6.rll") for name in failed)
 
 
 def test_model_verify_with_filter(capsys):

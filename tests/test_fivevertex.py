@@ -17,7 +17,6 @@ from grothcrystal.fivevertex import (
     mask_from_positions,
     r_matrix,
     sector_masks,
-    skew_matrix_element,
     spectral_map,
     transfer_matrix,
     wavefunction,
@@ -135,9 +134,11 @@ def test_skew_matrix_element_is_single_variable_skew():
     for n in (0, 1, 2):
         for x in combinations(range(1, m + 1), n):
             lam = partition_from_positions(x)
+            image = apply_b(m, u, beta, {mask_from_positions(x): F(1)})
             for y in combinations(range(1, m + 1), n + 1):
                 mu = partition_from_positions(y)
-                got = skew_matrix_element(m, y, x, u, beta)
+                # (-beta)^N u^(1-M) <y|B(u)|x>
+                got = (-beta) ** n * u ** (1 - m) * image.get(mask_from_positions(y), F(0))
                 assert got == skew_single(mu, lam, z, beta)
 
 

@@ -120,6 +120,8 @@ def test_symmetry_under_variable_swap():
 def test_degenerate_point_rejected():
     with pytest.raises(DegeneratePointError):
         groth_det((1, 0), (F(2), F(2)), F(1))
+    with pytest.raises(DegeneratePointError):
+        schur_det((1, 0), (F(2), F(2)))
 
 
 def test_skew_single_values():

@@ -86,6 +86,19 @@ def test_rll_with_truncated_spaces():
             assert check_rll_phase(u, v, beta, cap)
 
 
+def test_l_matrix_phase_entries():
+    # rows and columns aux*(cap+1) + n: [[1/v - beta*v*P0, raise], [lower, v]]
+    third, d = F(1, 3), F(-7, 6)  # 1/v and 1/v - beta*v at v = 3, beta = 1/2
+    assert [list(row) for row in l_matrix_phase(F(3), F(1, 2), 2).data] == [
+        [d, 0, 0, 0, 0, 0],
+        [0, third, 0, 1, 0, 0],
+        [0, 0, third, 0, 1, 0],
+        [0, 1, 0, 3, 0, 0],
+        [0, 0, 1, 0, 3, 0],
+        [0, 0, 0, 0, 0, 3],
+    ]
+
+
 def test_sector_basis_dimensions():
     for m in (2, 3, 4):
         for n in (0, 1, 2, 3):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import grothcrystal
-from grothcrystal import grothendieck, meltingcrystal, suites
+from grothcrystal import fivevertex, grothendieck, meltingcrystal, phasemodel, suites
 from grothcrystal.cli import main
 from grothcrystal.errors import ParameterError
 from grothcrystal.suites import SUITES, run_suite
@@ -77,6 +77,74 @@ def test_draw_stream_is_pinned(scale):
         text = "\n".join(names) + "\n" + repr(rng.getstate())
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert (len(names), digest) == DRAW_STREAM[name, scale], name
+
+
+# (suite, scale, case, (lower, upper) pairs the shared skew helper yields to it)
+SKEW_CASES = [
+    ("fv", "small", "fv.skew.M5", 155),
+    ("fv", "small", "fv.skew-rotation.M5", 155),
+    ("fv", "full", "fv.skew.M6", 396),
+    ("fv", "full", "fv.skew-rotation.M6", 396),
+    ("pm", "small", "pm.skew-element.M4", 244),
+    ("pm", "small", "pm.skew-support.M4", 244),
+    ("pm", "full", "pm.skew-element.M5", 3055),
+    ("pm", "full", "pm.skew-support.M5", 3055),
+]
+
+
+@pytest.mark.parametrize("suite, scale, case, count", SKEW_CASES)
+def test_skew_cases_visit_every_pair(monkeypatch, suite, scale, case, count):
+    seen = []
+    real = suites._skew_pairs
+
+    def counting(*args):
+        pairs = real(*args)
+
+        def counted():
+            for item in pairs():
+                seen.append(item[1:3])
+                yield item
+
+        return counted
+
+    monkeypatch.setattr(suites, "_skew_pairs", counting)
+    rep = run_suite(suite, scale, 1, tags=case)  # one case: it runs in this process
+    assert rep.cases == 1 and rep.ok
+    assert len(seen) == len(set(seen)) == count
+
+
+def _double(image, key):
+    image[key] *= 2
+
+
+def _drop(image, key):
+    del image[key]
+
+
+@pytest.mark.parametrize("alter", [_double, _drop])
+@pytest.mark.parametrize("suite, scale, case, count", SKEW_CASES[:2] + SKEW_CASES[4:6])
+def test_skew_cases_fail_on_a_wrong_amplitude(monkeypatch, alter, suite, scale, case, count):
+    """B's image of the empty state loses or doubles its first amplitude; the
+    support check reads only whether an amplitude vanishes, so a doubled one
+    passes it."""
+    module, name, vacuum = {
+        "fv": (fivevertex, "apply_b", lambda m: 0),
+        "pm": (phasemodel, "apply_b_phase", lambda m: (0,) * m),
+    }[suite]
+    real = getattr(module, name)
+
+    def apply_b(m, p, beta, state):
+        image = real(m, p, beta, state)
+        if set(state) == {vacuum(m)}:
+            alter(image, min(image))
+        return image
+
+    monkeypatch.setattr(module, name, apply_b)
+    rep = run_suite(suite, scale, 1, tags=case)
+    blind = case.startswith("pm.skew-support") and alter is _double
+    assert rep.cases == 1
+    assert [f["case"] for f in rep.failures] == ([] if blind else [case])
+    assert not any("error" in f for f in rep.failures)  # a false verdict, not a crash
 
 
 def test_raising_check_is_a_failure_record(monkeypatch, capsys):
