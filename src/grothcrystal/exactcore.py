@@ -4,8 +4,8 @@ Scalars are `fractions.Fraction` throughout; floating point enters only in the
 Bethe-root and entropy numerics, which live elsewhere.  A Laurent polynomial is
 stored sparsely as {exponent: coefficient} with no zero coefficients kept; a
 truncated series keeps integer numerators of q^0..q^D over one common
-denominator, multiplies them by Kronecker substitution into one big integer,
-and discards everything above its fixed order.  Rationals serialize as
+denominator, multiplies them by a schoolbook convolution that skips zero
+terms, and discards everything above its fixed order.  Rationals serialize as
 canonical "p/q" strings and series as lists of such strings.
 """
 
@@ -41,14 +41,6 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     if pn * pn == x.numerator and pd * pd == x.denominator:
         return Fraction(pn, pd)
     return None
-
-
-def gen_binomial(e: int, m: int) -> Fraction:
-    """Binomial coefficient C(e, m) for an integer e of either sign."""
-    num = 1
-    for i in range(m):
-        num *= e - i
-    return Fraction(num, math.factorial(m))
 
 
 class _Ring:
@@ -230,30 +222,18 @@ class LaurentPoly(_Ring):
 
 def _low_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The low len(a) coefficients of the product of two integer polynomials
-    of that length, by Kronecker substitution (Harvey, arXiv:0712.4046): each
-    factor becomes one integer at q = 2^w, w wide enough for any coefficient
-    of the product and its sign, and one big-integer product does the rest.
-    Adding half a slot to each low slot stops the borrows between them, and
-    flipping the top bits back leaves each slot in two's complement."""
+    of that length: a schoolbook convolution over their nonzero terms."""
     n = len(a)
-    bound = max(map(abs, a)) * max(map(abs, b)) * n
-    if not bound:
-        return (0,) * n
-    wb = bound.bit_length() // 8 + 1  # bytes per slot: |c| < 2^(w - 1)
-    w = 8 * wb
-    ones = int.from_bytes((b"\x01" + bytes(wb - 1)) * n, "little")
-
-    def pack(xs):
-        u = int.from_bytes(b"".join(x.to_bytes(wb, "little", signed=True) for x in xs), "little")
-        return u - (((u >> (w - 1)) & ones) << w)  # a negative slot borrows one
-
-    pa = pack(a)
-    bias = ones << (w - 1)
-    low = ((pa * (pa if a is b else pack(b)) + bias) & ((1 << (w * n)) - 1)) ^ bias
-    low = low.to_bytes(wb * n, "little")
-    return tuple(
-        [int.from_bytes(low[k : k + wb], "little", signed=True) for k in range(0, wb * n, wb)]
-    )
+    out = [0] * n
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                k = i + j
+                if k >= n:
+                    break
+                out[k] += x * y
+    return tuple(out)
 
 
 class TruncatedSeries(_Ring):
@@ -421,19 +401,6 @@ def vandermonde(xs: Sequence) -> object:
         for y in xs[j + 1 :]:
             out = out * (x - y)
     return out
-
-
-def binomial_qn_series(c, n: int, e: int, order: int) -> TruncatedSeries:
-    """The expansion of (1 + c*q^n)^e, e of either sign, n >= 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    c = Fraction(c)
-    out = [_ZERO] * (order + 1)
-    m = 0
-    while m * n <= order:
-        out[m * n] = gen_binomial(e, m) * c**m
-        m += 1
-    return TruncatedSeries(out)
 
 
 def _int_det_bareiss(m: list[list[int]]) -> int:

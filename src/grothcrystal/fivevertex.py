@@ -107,10 +107,9 @@ _MODEL = lattice.Model(_transitions, lattice.BITMASK)
 def mask_from_positions(x: Sequence[int]) -> int:
     mask = 0
     for pos in x:
-        bit = 1 << (pos - 1)
-        if pos < 1 or mask & bit:
+        if pos < 1 or mask & (1 << (pos - 1)):
             raise ParameterError(f"bad positions {x}")
-        mask |= bit
+        mask |= 1 << (pos - 1)
     return mask
 
 

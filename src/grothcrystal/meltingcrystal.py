@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import OutOfBoxError, ParameterError, PoleError, PrecisionError
-from .exactcore import Matrix, TruncatedSeries, binomial_qn_series, qadic_det
+from .exactcore import Matrix, TruncatedSeries, qadic_det
 from .partitions import PlanePartition, check_plane_partition, enumerate_boxed, pp_size
 
 
@@ -112,7 +112,7 @@ def _z_box_det_parts(n: int, height: int, q, beta):
     valid for both rational and series q, and the prefactor is a unit.
     """
     # from height -1 up every exponent e below is nonnegative
-    if height < -1:
+    if n < 0 or height < -1:
         raise ParameterError("box dimensions must be nonnegative")
     one = q**0
     bases = {j: one + beta * q**j for j in range(1, n + 1)}
@@ -193,12 +193,14 @@ def z_box_beta0(n_rows: int, n_cols: int, height: int, q) -> object:
 
 
 def z_infinite(beta: Fraction, order: int) -> TruncatedSeries:
-    """Unboxed partition function as a q-series through the given order."""
+    """Unboxed partition function as a q-series through the given order:
+    prod_n (1 + beta*q^n)^(n-1) / (1 - q^n)^n."""
     beta = Fraction(beta)
+    q = TruncatedSeries.indeterminate(order)
     out = TruncatedSeries.one(order)
     for n in range(1, order + 1):
-        out = out * binomial_qn_series(beta, n, n - 1, order)
-        out = out * binomial_qn_series(-1, n, -n, order)
+        qn = q**n
+        out = out * (1 + beta * qn) ** (n - 1) / (1 - qn) ** n
     return out
 
 

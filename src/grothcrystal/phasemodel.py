@@ -89,6 +89,9 @@ def vacuum_occupation(num_sites: int) -> tuple[int, ...]:
 
 def sector_basis(num_sites: int, num_particles: int) -> list[tuple[int, ...]]:
     """Occupation tuples with the given total, in lexicographic order."""
+    if num_sites < 1:
+        raise ParameterError("need at least one site")
+
     def gen(sites: int, left: int):
         if sites == 1:
             yield (left,)

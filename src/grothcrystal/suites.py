@@ -284,15 +284,13 @@ def _fv_norm(m: int, u: Fraction, beta: Fraction, n: int) -> Fraction:
 
 
 def _skew_rotation(pairs, m: int, u: Fraction, beta: Fraction) -> bool:
-    """<y|B(u)|x> equals <x reversed|C(u)|y reversed>."""
+    """<y|B(u)|x> equals <x reversed|C(u)|y reversed>; one cached C image per y."""
 
     def rotated(x):
         return fv.mask_from_positions(pt.reversed_positions(x, m))
 
-    return all(
-        fv.apply_c(m, u, beta, {rotated(y): Fraction(1)}).get(rotated(x), Fraction(0)) == amp
-        for _, x, y, amp in pairs()
-    )
+    image = cache(lambda y: fv.apply_c(m, u, beta, {rotated(y): Fraction(1)}))
+    return all(image(y).get(rotated(x), Fraction(0)) == amp for _, x, y, amp in pairs())
 
 
 def _tasep_structure(m: int) -> bool:

@@ -1,6 +1,10 @@
 """Reference implementations that tests compare the program against."""
 
+import math
+from fractions import Fraction
 from typing import Sequence
+
+from grothcrystal.exactcore import TruncatedSeries
 
 
 def det_ring(rows: Sequence[Sequence]) -> object:
@@ -31,3 +35,25 @@ def det_ring(rows: Sequence[Sequence]) -> object:
                     nxt[key] = term
         states = nxt
     return states[(1 << n) - 1]
+
+
+def gen_binomial(e: int, m: int) -> Fraction:
+    """Binomial coefficient C(e, m) for an integer e of either sign."""
+    num = 1
+    for i in range(m):
+        num *= e - i
+    return Fraction(num, math.factorial(m))
+
+
+def binomial_qn_series(c, n: int, e: int, order: int) -> TruncatedSeries:
+    """The expansion of (1 + c*q^n)^e, e of either sign, n >= 1, written out
+    coefficient by coefficient."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    c = Fraction(c)
+    out = [Fraction(0)] * (order + 1)
+    m = 0
+    while m * n <= order:
+        out[m * n] = gen_binomial(e, m) * c**m
+        m += 1
+    return TruncatedSeries(out)

@@ -280,6 +280,11 @@ def test_failed_self_check_exits_1(capsys, monkeypatch):
         (("sv6", "verify", "--params", "[1]"), "must be a JSON object, not list"),
         (("mc", "zbox", "--n", "2", "--height", "1", "--q", "1/2", "--series", "3"), "not both"),
         (("mc", "entropy", "--temps", "0.5", "--betas=-2"), "beta < -1"),
+        (("pm", "bethe", "--sites", "0", "--beta", "1"), "need at least one site"),
+        (("pm", "scalar", "--sites", "0", "--u", "1", "--v", "2", "--beta", "1"), "need at least one site"),
+        (("pm", "sum", "--sites", "-2", "--v", "2", "--beta", "1"), "need at least one site"),
+        (("fv", "wavefunction", "--sites", "3", "--x", "0", "--u", "2", "--beta", "1"), "bad positions [0]"),
+        (("mc", "zbox", "--n", "-2", "--height", "2", "--series", "2", "--beta", "1/2"), "box dimensions"),
     ],
 )
 def test_bad_input_exits_2_with_empty_stdout(capsys, argv, message):

@@ -3,14 +3,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from oracles import binomial_qn_series, gen_binomial
 
 from grothcrystal.exactcore import (
     LaurentPoly,
     Matrix,
     TruncatedSeries,
-    binomial_qn_series,
     embed_pair,
-    gen_binomial,
     parse_rat,
     rat_str,
     rational_sqrt,

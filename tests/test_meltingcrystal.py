@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from oracles import det_ring
+from oracles import binomial_qn_series, det_ring
 
 from grothcrystal import meltingcrystal
 from grothcrystal.errors import OutOfBoxError, ParameterError, PoleError, PrecisionError
@@ -90,6 +90,18 @@ def test_unbounded_series_counts():
     ze = z_infinite(F(-1), 7)
     p = [sum(1 for _ in partitions_of_size(k)) for k in range(8)]
     assert list(ze.coeffs) == p == [1, 1, 2, 3, 5, 7, 11, 15]
+
+
+def test_unbounded_series_matches_the_binomial_expansions():
+    # the ring-operator product against each factor written out by its
+    # generalized binomial coefficients
+    for beta in (F(0), F(-1), F(-2, 3), F(1, 2), F(2)):
+        for order in (0, 1, 7, 20):
+            want = TruncatedSeries.one(order)
+            for n in range(1, order + 1):
+                want = want * binomial_qn_series(beta, n, n - 1, order)
+                want = want * binomial_qn_series(-1, n, -n, order)
+            assert z_infinite(beta, order) == want
 
 
 def test_unbounded_series_positivity():
@@ -250,6 +262,15 @@ def test_heights_below_minus_one_are_rejected():
                 z_box_det(n, height, F(1, 2), F(-1, 2))
             with pytest.raises(ParameterError, match="box dimensions must be nonnegative"):
                 z_box_det_series(n, height, F(-1, 2), 4)
+
+
+def test_negative_base_sides_are_rejected():
+    for n in (-1, -2, -5):
+        for height in (-1, 0, 2):
+            with pytest.raises(ParameterError, match="box dimensions must be nonnegative"):
+                z_box_det(n, height, F(1, 2), F(1, 2))
+            with pytest.raises(ParameterError, match="box dimensions must be nonnegative"):
+                z_box_det_series(n, height, F(1, 2), 2)
 
 
 def test_series_det_retries_when_the_pivots_leave_too_little(monkeypatch):

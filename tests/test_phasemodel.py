@@ -106,6 +106,9 @@ def test_sector_basis_dimensions():
             assert len(basis) == comb(m + n - 1, n)
             assert all(sum(occ) == n and len(occ) == m for occ in basis)
     assert vacuum_occupation(3) == (0, 0, 0)
+    for m in (0, -2):
+        with pytest.raises(ParameterError, match="^need at least one site$"):
+            sector_basis(m, 1)
 
 
 def test_wavefunction_closed_form():

@@ -113,6 +113,25 @@ def test_skew_cases_visit_every_pair(monkeypatch, suite, scale, case, count):
     assert len(seen) == len(set(seen)) == count
 
 
+@pytest.mark.parametrize(
+    "scale, case, states", [("small", "fv.skew-rotation.M5", 25), ("full", "fv.skew-rotation.M6", 41)]
+)
+def test_skew_rotation_applies_c_once_per_upper_state(monkeypatch, scale, case, states):
+    # one call per upper state of 1..3 particles: C(5,1) + C(5,2) + C(5,3) = 25
+    # and C(6,1) + C(6,2) + C(6,3) = 41, not one per (lower, upper) pair
+    calls = []
+    real = fivevertex.apply_c
+
+    def counting(m, u, beta, state):
+        calls.append(tuple(state))
+        return real(m, u, beta, state)
+
+    monkeypatch.setattr(fivevertex, "apply_c", counting)
+    rep = run_suite("fv", scale, 1, tags=case)  # one case: it runs in this process
+    assert rep.cases == 1 and rep.ok
+    assert len(calls) == len(set(calls)) == states
+
+
 def _double(image, key):
     image[key] *= 2
 
