@@ -52,7 +52,7 @@ def groth_det(lam: Sequence[int], zs: Sequence[Fraction], beta: Fraction) -> Fra
 
 def schur_det(lam: Sequence[int], zs: Sequence[Fraction]) -> Fraction:
     """The Jacobi-Trudi determinant det(h_(lam_i - i + j)); an independent
-    beta = 0 reference."""
+    beta = 0 reference, defined at repeated variables too."""
     lam = check_partition(lam)
     zs = [Fraction(z) for z in zs]
     n = len(zs)
@@ -60,7 +60,6 @@ def schur_det(lam: Sequence[int], zs: Sequence[Fraction]) -> Fraction:
         raise ParameterError("need exactly one part (possibly zero) per variable")
     if n == 0:
         return Fraction(1)
-    _require_distinct(zs, "variables")
     # complete homogeneous h_k, one variable at a time: h_k += z h_(k-1)
     h = [Fraction(1)] + [Fraction(0)] * (lam[0] + n - 1)
     for z in zs:

@@ -161,6 +161,8 @@ def z_box_det_series(n: int, height: int, beta: Fraction, order: int) -> Truncat
     taken leave less, working order order - _det_shift(n) suffices, since no
     pivot valuation exceeds their sum.
     """
+    if order < 0:
+        raise ParameterError("order must be nonnegative")
     beta = Fraction(beta)
     if height == -1 and n > 0:
         # row j times 1 + beta*q^j is then a polynomial of degree n - 2 in

@@ -8,20 +8,24 @@ This module supplies the site transition table and the occupation-tuple
 states; the row path sums themselves run in `lattice`, over exact rationals,
 Laurent polynomials, or floats, which is how the Bethe-root numerics reuse
 them.
+
+Each closed form is prod_v (1/v - beta*v)^(M-1) times a Grothendieck one at
+z(v) = 1/(1/v^2 - beta): G_lam for the wavefunctions, `cauchy_rhs` for the
+scalar product, `summation_rhs` for the weighted sum.  Sector sums of the
+wavefunctions thus check those identities at the phase model's points.
 """
 
 from __future__ import annotations
 
 from cmath import exp, pi
 from fractions import Fraction
-from math import comb
 from typing import Mapping, Sequence
 
 from . import lattice
 from .errors import IdentityError, ParameterError, PoleError
-from .exactcore import LaurentPoly, Matrix, rat_str, vandermonde
+from .exactcore import LaurentPoly, Matrix, rat_str
 from .fivevertex import r_matrix
-from .grothendieck import groth_det
+from .grothendieck import cauchy_rhs, groth_det, summation_rhs
 from .partitions import complement, partition_from_occupation
 
 State = Mapping[tuple[int, ...], Fraction]
@@ -156,13 +160,20 @@ def wavefunction_phase_closed(
     return _closed_form(num_sites, partition_from_occupation(occ), vs, beta)
 
 
+def _prefactor_and_zs(num_sites: int, vs: Sequence[Fraction], beta: Fraction) -> tuple:
+    """(prod (1/v - beta*v)^(M-1), [z(v)]) for a Fraction beta."""
+    if num_sites < 1:
+        raise ParameterError("need at least one site")
+    zs = [spectral_map_phase(v, beta) for v in vs]  # rejects v = 0 first
+    pref = Fraction(1)
+    for v in map(Fraction, vs):
+        pref *= (1 / v - beta * v) ** (num_sites - 1)
+    return pref, zs
+
+
 def _closed_form(num_sites: int, lam, vs: Sequence[Fraction], beta: Fraction) -> Fraction:
     """prod (1/v - beta*v)^(M-1) times the determinant polynomial at z(v)."""
-    zs = [spectral_map_phase(v, beta) for v in vs]
-    pref = Fraction(1)
-    for v in vs:
-        v = Fraction(v)
-        pref *= (1 / v - beta * v) ** (num_sites - 1)
+    pref, zs = _prefactor_and_zs(num_sites, vs, beta)
     return pref * groth_det(lam, zs, beta)
 
 
@@ -215,36 +226,23 @@ def scalar_product(
     vs: Sequence[Fraction],
     beta: Fraction,
 ) -> Fraction:
-    """Determinant form of <off-shell state(u)|off-shell state(v)>."""
+    """<off-shell state(u)|off-shell state(v)>: both prefactors times the
+    Grothendieck Cauchy closed form at z(v), z(u)."""
     us = [Fraction(u) for u in us]
     vs = [Fraction(v) for v in vs]
     beta = Fraction(beta)
     n = len(us)
     if len(vs) != n:
         raise ParameterError("need equally many parameters on both sides")
-    if n == 0:
-        return Fraction(1)
-    u2 = [u * u for u in us]
-    v2 = [v * v for v in vs]
-    if len(set(u2)) != n or len(set(v2)) != n:
+    u2 = {u * u for u in us}
+    v2 = {v * v for v in vs}
+    if len(u2) != n or len(v2) != n:
         raise PoleError("squared parameters must be pairwise distinct")
-    for a in v2:
-        if a in u2:
-            raise PoleError("u and v squares must avoid each other")
-    e = num_sites + 2 * (n - 1)
-    rows = []
-    for j in range(n):
-        v = vs[j]
-        bv = (1 / v - beta * v) ** num_sites
-        row = []
-        for k in range(n):
-            u = us[k]
-            bu = (1 / u - beta * u) ** num_sites
-            den = v / u - u / v
-            row.append((bu * v**e - bv * u**e) / den)
-        rows.append(row)
-    pref = vandermonde(v2) * vandermonde(u2[::-1])
-    return Matrix(rows).det() / pref
+    if u2 & v2:
+        raise PoleError("u and v squares must avoid each other")
+    pref_u, zus = _prefactor_and_zs(num_sites, us, beta)
+    pref_v, zvs = _prefactor_and_zs(num_sites, vs, beta)
+    return pref_u * pref_v * cauchy_rhs(num_sites - 1, zvs, zus, beta)
 
 
 def scalar_product_bruteforce(
@@ -268,45 +266,22 @@ def scalar_product_bruteforce(
 def summation_wavefunctions(
     num_sites: int, vs: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
-    """Determinant form of the (-beta)-weighted sum of the wavefunction over a
-    particle-number sector; beta must be nonzero."""
+    """The (-beta)-weighted sum of the wavefunction over a particle-number
+    sector: the prefactor times the Grothendieck summation closed form at z(v);
+    beta must be nonzero."""
     vs = [Fraction(v) for v in vs]
     beta = Fraction(beta)
     if beta == 0:
         raise ParameterError(
             "the closed summation needs beta != 0; sum directly in the beta = 0 limit"
         )
-    n = len(vs)
-    if n == 0:
-        return Fraction(1)
-    v2 = [v * v for v in vs]
-    if len(set(v2)) != n:
+    v2 = {v * v for v in vs}
+    if len(v2) != len(vs):
         raise PoleError("squared parameters must be pairwise distinct")
-    ws = [1 - beta * a for a in v2]
-    if 0 in ws:
+    if 1 / beta in v2:
         raise PoleError("1 - beta*v^2 vanishes")
-    e = num_sites + n - 1
-    rows = []
-    for j in range(1, n):
-        mb = (-beta) ** (j - n)
-        row = []
-        for w in ws:
-            acc = Fraction(0)
-            for m in range(j):
-                acc += (-1) ** m * comb(e, m) * w ** (1 - m + j - n)
-            row.append(mb * acc)
-        rows.append(row)
-    last = []
-    for w in ws:
-        acc = Fraction(0)
-        for m in range(max(n - 1, 1), e + 1):
-            acc += (-1) ** m * comb(e, m) * w ** (1 - m)
-        last.append(-acc)
-    rows.append(last)
-    pref = Fraction(1)
-    for v, w in zip(vs, ws):
-        pref *= v ** (n - 1) * (w / v) ** (num_sites + n - 2)  # w / v = 1/v - beta*v
-    return pref / vandermonde(v2[::-1]) * Matrix(rows).det()
+    pref, zs = _prefactor_and_zs(num_sites, vs, beta)
+    return pref * summation_rhs(num_sites - 1, zs, beta)
 
 
 def summation_wavefunctions_bruteforce(

@@ -57,6 +57,11 @@ ROWS = [
     (('mc', 'entropy', '--temps', '0.5', '--betas=-2'), 2, EMPTY, 'error: beta < -1 leaves the physical range'),
     # bugfix, a filter that keeps no case: "0 cases, 0 failures" and exit 0
     (('fv', 'verify', '--suite', 'nonsense'), 2, EMPTY, "error: no case of suite fv matches 'nonsense'"),
+    # bugfix, a zero spectral parameter: the message was "error: Fraction(1, 0)"
+    (('pm', 'sum', '--sites', '1', '--v', '0', '--beta', '1'), 2, EMPTY, 'error: v = 0 is a pole of the spectral map'),
+    (('pm', 'scalar', '--sites', '2', '--u', '0', '--v', '3', '--beta', '1'), 2, EMPTY, 'error: v = 0 is a pole of the spectral map'),
+    # bugfix, a negative series order: the message named a vanishing 1x1 block
+    (('mc', 'zbox', '--n', '2', '--height', '2', '--series', '-1'), 2, EMPTY, 'error: order must be nonnegative'),
     # help screens
     (('--help',), 0, '01724010b4a973265038333d68fe0ff7e23061811cbece13f6b6bdca39119c12', None),
     (('groth', '--help'), 0, '46d07669b5254ac517db3816691bae52760bf6e9cf39f7d5544c0fba1ce60a9a', None),

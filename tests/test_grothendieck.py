@@ -120,8 +120,11 @@ def test_symmetry_under_variable_swap():
 def test_degenerate_point_rejected():
     with pytest.raises(DegeneratePointError):
         groth_det((1, 0), (F(2), F(2)), F(1))
-    with pytest.raises(DegeneratePointError):
-        schur_det((1, 0), (F(2), F(2)))
+    # Jacobi-Trudi needs no distinct variables
+    assert schur_det((1, 0), (F(2), F(2))) == 4
+    xs = (F(1), F(1), F(2))
+    for lam in partitions_in_box(2, 3):
+        assert schur_det(lam, xs) == ssyt_sum(lam, xs)
 
 
 def test_skew_single_values():

@@ -152,24 +152,40 @@ def test_scalar_product_frozen_and_bruteforce():
     # one particle on two sites: u*(1/v - b*v) + v*(1/u - b*u)
     assert scalar_product(2, (F(2),), (F(3),), F(1)) == F(-59, 6)
     for beta in (F(0), F(1), F(-1)):
-        for m in (2, 3):
-            us = (F(2), F(5))
-            vs = (F(3), F(7))
-            det = scalar_product(m, us, vs, beta)
-            assert det == scalar_product_bruteforce(m, us, vs, beta)
+        for m in (1, 2, 3, 4, 5):
+            for n in (0, 1, 2, 3):
+                us = (F(2), F(5), F(11, 3))[:n]
+                vs = (F(3), F(7), F(13, 2))[:n]
+                det = scalar_product(m, us, vs, beta)
+                assert det == scalar_product_bruteforce(m, us, vs, beta)
     with pytest.raises(PoleError):
         scalar_product(2, (F(2), F(-2)), (F(3), F(5)), F(1))
+    # beta*u^2 = 1 is a pole of z(u), where the wavefunctions raise too
+    for route in (scalar_product, scalar_product_bruteforce):
+        with pytest.raises(PoleError):
+            route(2, (F(2),), (F(3),), F(1, 4))
 
 
 def test_summation_frozen_and_bruteforce():
     assert summation_wavefunctions(2, (F(2),), F(-1)) == F(9, 2)
     for beta in (F(1), F(-1), F(1, 2)):
-        for m in (2, 3):
-            vs = (F(2), F(3))
-            det = summation_wavefunctions(m, vs, beta)
-            assert det == summation_wavefunctions_bruteforce(m, vs, beta)
+        for m in (1, 2, 3, 4, 5):
+            for n in (0, 1, 2, 3):
+                vs = (F(2), F(3), F(7, 2))[:n]
+                det = summation_wavefunctions(m, vs, beta)
+                assert det == summation_wavefunctions_bruteforce(m, vs, beta)
     with pytest.raises(ParameterError):
         summation_wavefunctions(2, (F(2),), F(0))
+
+
+def test_closed_forms_need_a_site():
+    for m in (0, -2):
+        with pytest.raises(ParameterError, match="^need at least one site$"):
+            scalar_product(m, (F(2),), (F(3),), F(1))
+        with pytest.raises(ParameterError, match="^need at least one site$"):
+            summation_wavefunctions(m, (F(2),), F(1))
+    with pytest.raises(PoleError, match="^v = 0 is a pole of the spectral map$"):
+        summation_wavefunctions(1, (F(0),), F(1))
 
 
 def test_b_operators_commute():
