@@ -138,6 +138,8 @@ def _either(plain, dual):
 
 
 def _bethe(args, out) -> int:
+    if not 0 < args.tol < float("inf"):  # also refuses nan
+        raise ParameterError("--tol must be a positive finite number")
     report = pm.bethe_verify_n1(args.sites, parse_rat(args.beta))
     _emit(out, report)
     return 0 if report["max_residual"] < args.tol else 1

@@ -467,14 +467,6 @@ class Matrix:
 
     __hash__ = None
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         return Matrix(
             [

@@ -138,29 +138,31 @@ def spectral_map(u: Fraction, beta: Fraction) -> Fraction:
     return -1 / beta - u**-2
 
 
-def wavefunction_lattice(
-    num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """<x| B(u_1)...B(u_N) |empty row> by repeated operator application."""
+def _configuration(num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction):
+    """The domain of all four amplitude routes: beta != 0, one spectral
+    parameter per particle, and distinct increasing 1-based positions on the
+    chain.  Returns the row state and the partition of the positions."""
+    _check_beta(beta)
     if len(x) != len(us):
         raise ParameterError("need exactly one spectral parameter per particle")
     if x and x[-1] > num_sites:
         raise ParameterError("position beyond the last site")
-    state = lattice.chain(apply_b, num_sites, us, beta, 0)
-    return state.get(mask_from_positions(x), Fraction(0))
+    return mask_from_positions(x), partition_from_positions(x)
+
+
+def wavefunction_lattice(
+    num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
+) -> Fraction:
+    """<x| B(u_1)...B(u_N) |empty row> by repeated operator application."""
+    mask, _ = _configuration(num_sites, x, us, beta)
+    return lattice.chain(apply_b, num_sites, us, beta, 0).get(mask, Fraction(0))
 
 
 def wavefunction_closed(
     num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
     """The same amplitude in closed form, through the determinant polynomial."""
-    if len(x) != len(us):
-        raise ParameterError("need exactly one spectral parameter per particle")
-    beta = _check_beta(beta)
-    n = len(us)
-    lam = partition_from_positions(x)
-    if lam and lam[0] > num_sites - n:
-        raise ParameterError("positions do not fit the chain")
+    _, lam = _configuration(num_sites, x, us, beta)
     return _closed_form(num_sites, lam, us, beta)
 
 
@@ -168,7 +170,7 @@ def _closed_form(num_sites: int, lam, us: Sequence[Fraction], beta: Fraction) ->
     """(-1/beta)^(N(N-1)/2) prod u^(M-1) times the determinant polynomial at z(u)."""
     n = len(us)
     zs = [spectral_map(u, beta) for u in us]
-    pref = (-1 / beta) ** (n * (n - 1) // 2)
+    pref = (-1 / Fraction(beta)) ** (n * (n - 1) // 2)
     for u in us:
         pref *= Fraction(u) ** (num_sites - 1)
     return pref * groth_det(lam, zs, beta)
@@ -185,18 +187,15 @@ def dual_wavefunction_lattice(
     num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
     """<empty row| C(u_1)...C(u_N) |x> by repeated operator application."""
-    if len(x) != len(us):
-        raise ParameterError("need exactly one spectral parameter per particle")
-    state = lattice.chain(apply_c, num_sites, us, beta, mask_from_positions(x))
-    return state.get(0, Fraction(0))
+    mask, _ = _configuration(num_sites, x, us, beta)
+    return lattice.chain(apply_c, num_sites, us, beta, mask).get(0, Fraction(0))
 
 
 def dual_wavefunction_closed(
     num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
     """Closed form of the dual amplitude, via the box-complement partition."""
-    beta = _check_beta(beta)
-    lam = partition_from_positions(x)
+    _, lam = _configuration(num_sites, x, us, beta)
     return _closed_form(num_sites, complement(lam, num_sites - len(us)), us, beta)
 
 

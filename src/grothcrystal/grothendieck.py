@@ -38,8 +38,6 @@ def groth_det(lam: Sequence[int], zs: Sequence[Fraction], beta: Fraction) -> Fra
     n = len(zs)
     if len(lam) != n:
         raise ParameterError("need exactly one part (possibly zero) per variable")
-    if n == 0:
-        return Fraction(1)
     _require_distinct(zs, "variables")
     rows = []
     for z in zs:
@@ -150,8 +148,6 @@ def cauchy_rhs(
     n = len(zs)
     if len(ws) != n:
         raise ParameterError("need as many w variables as z variables")
-    if n == 0:
-        return Fraction(1)
     _require_distinct(zs, "z variables")
     _require_distinct(ws, "w variables")
     for z in zs:

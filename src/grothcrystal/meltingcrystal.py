@@ -89,8 +89,8 @@ def z_box_bruteforce(n: int, height: int, q: Fraction, beta: Fraction) -> Fracti
     """Sum of weight * q^size over all plane partitions in the n x n x height box."""
     q = Fraction(q)
     beta = Fraction(beta)
-    if not 0 < q < 1:
-        raise ParameterError("need 0 < q < 1 in numeric mode")
+    if q == 0:
+        raise ParameterError("q must be nonzero")
     factors = _phi_factors(n, q, beta)
     q_size = _powers(q, n * n * max(height, 0))
     total = Fraction(0)
@@ -115,11 +115,15 @@ def _z_box_det_parts(n: int, height: int, q, beta):
     if n < 0 or height < -1:
         raise ParameterError("box dimensions must be nonnegative")
     one = q**0
-    bases = {j: one + beta * q**j for j in range(1, n + 1)}
-    for j, base in bases.items():
-        if base == 0:
-            raise PoleError(f"1 + beta*q^{j} vanishes")
     span = range(1, n + 1)
+    # entry (j, k) is (b^(j-1) - q^e (q^(k-1) + beta)^(n-1) b^(j-n)) / (1 - q^(j+k-1))
+    # with b = 1 + beta*q^j and e = (j+k-1)(height+n) + (1-k)(n-1) = j(height+n) + (k-1)(height+1)
+    rows = {}
+    for j in span:
+        base = one + beta * q**j
+        if base == 0 and j < n:  # as in the weight, 1 + beta*q^n is never inverted
+            raise PoleError(f"1 + beta*q^{j} vanishes")
+        rows[j] = (base ** (j - 1), q ** (j * (height + n)) * base ** (j - n))
     # 1/(1 - q^m) for every m = j + k - 1 the entries and the prefactor use
     inv_den = {}
     for m in range(1, 2 * n):
@@ -127,15 +131,10 @@ def _z_box_det_parts(n: int, height: int, q, beta):
         if den == 0:
             raise PoleError("1 - q^m vanishes")
         inv_den[m] = den**-1
-    # entry (j, k) is (1 - q^e (q^(k-1) + beta)^(n-1) / base_j^(n-1)) / (1 - q^(j+k-1)),
-    # and e = (j+k-1)(height+n) + (1-k)(n-1) = j(height+n) + (k-1)(height+1)
-    rows = {j: q ** (j * (height + n)) * bases[j] ** (1 - n) for j in span}
     cols = {k: q ** ((k - 1) * (height + 1)) * (q ** (k - 1) + beta * one) ** (n - 1) for k in span}
-    entries = [[(one - rows[j] * cols[k]) * inv_den[j + k - 1] for k in span] for j in span]
-    pref = one
-    for j, base in bases.items():
-        pref = pref * base ** (j - 1)
+    entries = [[(a - b * cols[k]) * inv_den[j + k - 1] for k in span] for j, (a, b) in rows.items()]
     # over prod_{j<k} (1 - q^(k-j))^2, where m = k - j occurs n - m times
+    pref = one
     for m in range(1, n):
         pref = pref * inv_den[m] ** (2 * (n - m))
     return entries, pref
@@ -229,6 +228,8 @@ def _sum_terms(term, tol: float) -> float:
 
 def log_z_numeric(beta: float, q: float) -> float:
     """log of the unboxed partition function at numeric q in (0, 1)."""
+    if not (math.isfinite(beta) and math.isfinite(q)):
+        raise ParameterError("need finite beta and q")
     if not 0.0 < q < 1.0:
         raise ParameterError("need 0 < q < 1")
     if beta < -1.0:
@@ -247,6 +248,8 @@ def entropy(mu: float, temperature: float, beta: float) -> float:
     Summed until the terms fall below _ENTROPY_TOL; beta must be >= -1 for the
     logarithms to stay real.
     """
+    if not all(map(math.isfinite, (mu, temperature, beta))):
+        raise ParameterError("need finite mu, temperature and beta")
     if temperature <= 0 or mu <= 0:
         raise ParameterError("need positive temperature and chemical potential")
     if beta < -1.0:

@@ -134,15 +134,25 @@ def spectral_map_phase(v: Fraction, beta: Fraction) -> Fraction:
     return 1 / den
 
 
-def wavefunction_phase_lattice(
-    num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """<occ| B(v_1)...B(v_N) |empty chain> by repeated operator application."""
+def _configuration(num_sites: int, occ: Sequence[int], vs: Sequence[Fraction]) -> tuple:
+    """The domain of all four amplitude routes: at least one site, one
+    nonnegative occupation per site and one spectral parameter per boson.
+    Returns the occupation tuple and its partition."""
+    if num_sites < 1:
+        raise ParameterError("need at least one site")
     occ = tuple(occ)
     if len(occ) != num_sites:
         raise ParameterError("occupation must cover every site")
     if sum(occ) != len(vs):
         raise ParameterError("need exactly one spectral parameter per boson")
+    return occ, partition_from_occupation(occ)
+
+
+def wavefunction_phase_lattice(
+    num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
+) -> Fraction:
+    """<occ| B(v_1)...B(v_N) |empty chain> by repeated operator application."""
+    occ, _ = _configuration(num_sites, occ, vs)
     state = lattice.chain(apply_b_phase, num_sites, vs, beta, vacuum_occupation(num_sites))
     return state.get(occ, Fraction(0))
 
@@ -151,13 +161,8 @@ def wavefunction_phase_closed(
     num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
     """The same amplitude through the determinant polynomial."""
-    occ = tuple(occ)
-    beta = Fraction(beta)
-    if len(occ) != num_sites:
-        raise ParameterError("occupation must cover every site")
-    if sum(occ) != len(vs):
-        raise ParameterError("need exactly one spectral parameter per boson")
-    return _closed_form(num_sites, partition_from_occupation(occ), vs, beta)
+    _, lam = _configuration(num_sites, occ, vs)
+    return _closed_form(num_sites, lam, vs, beta)
 
 
 def _prefactor_and_zs(num_sites: int, vs: Sequence[Fraction], beta: Fraction) -> tuple:
@@ -173,7 +178,7 @@ def _prefactor_and_zs(num_sites: int, vs: Sequence[Fraction], beta: Fraction) ->
 
 def _closed_form(num_sites: int, lam, vs: Sequence[Fraction], beta: Fraction) -> Fraction:
     """prod (1/v - beta*v)^(M-1) times the determinant polynomial at z(v)."""
-    pref, zs = _prefactor_and_zs(num_sites, vs, beta)
+    pref, zs = _prefactor_and_zs(num_sites, vs, Fraction(beta))
     return pref * groth_det(lam, zs, beta)
 
 
@@ -190,9 +195,7 @@ def dual_wavefunction_phase_lattice(
     num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
     """<empty chain| C(v_1)...C(v_N) |occ> by repeated operator application."""
-    occ = tuple(occ)
-    if sum(occ) != len(vs):
-        raise ParameterError("need exactly one spectral parameter per boson")
+    occ, _ = _configuration(num_sites, occ, vs)
     state = lattice.chain(apply_c_phase, num_sites, vs, beta, occ)
     return state.get(vacuum_occupation(num_sites), Fraction(0))
 
@@ -201,9 +204,7 @@ def dual_wavefunction_phase_closed(
     num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
     """Closed form of the dual amplitude, via the box-complement partition."""
-    occ = tuple(occ)
-    beta = Fraction(beta)
-    lam = partition_from_occupation(occ)
+    _, lam = _configuration(num_sites, occ, vs)
     return _closed_form(num_sites, complement(lam, num_sites - 1), vs, beta)
 
 

@@ -285,6 +285,16 @@ def test_failed_self_check_exits_1(capsys, monkeypatch):
         (("pm", "sum", "--sites", "-2", "--v", "2", "--beta", "1"), "need at least one site"),
         (("fv", "wavefunction", "--sites", "3", "--x", "0", "--u", "2", "--beta", "1"), "bad positions [0]"),
         (("mc", "zbox", "--n", "-2", "--height", "2", "--series", "2", "--beta", "1/2"), "box dimensions"),
+        (("mc", "entropy", "--mu", "nan", "--temps", "1", "--betas", "0"), "need finite"),
+        (("mc", "entropy", "--temps", "inf", "--betas", "0"), "need finite"),
+        (("mc", "entropy", "--temps", "1", "--betas", "nan"), "need finite"),
+        (("pm", "bethe", "--sites", "3", "--beta", "-1", "--tol", "nan"), "--tol must be a positive finite"),
+        (("pm", "bethe", "--sites", "3", "--beta", "-1", "--tol", "0"), "--tol must be a positive finite"),
+        (("pm", "bethe", "--sites", "3", "--beta", "-1", "--tol=-1"), "--tol must be a positive finite"),
+        (("pm", "bethe", "--sites", "3", "--beta", "-1", "--tol", "inf"), "--tol must be a positive finite"),
+        (("pm", "wavefunction", "--sites", "2", "--occ", "2", "--v", "2,3", "--beta", "1", "--dual"), "cover every site"),
+        (("pm", "wavefunction", "--sites", "2", "--occ", "2,0,0", "--v", "2,3", "--beta", "1", "--dual"), "cover every site"),
+        (("fv", "wavefunction", "--sites", "3", "--x", "4", "--u", "2", "--beta", "-1", "--dual"), "beyond the last site"),
     ],
 )
 def test_bad_input_exits_2_with_empty_stdout(capsys, argv, message):

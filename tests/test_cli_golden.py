@@ -62,6 +62,20 @@ ROWS = [
     (('pm', 'scalar', '--sites', '2', '--u', '0', '--v', '3', '--beta', '1'), 2, EMPTY, 'error: v = 0 is a pole of the spectral map'),
     # bugfix, a negative series order: the message named a vanishing 1x1 block
     (('mc', 'zbox', '--n', '2', '--height', '2', '--series', '-1'), 2, EMPTY, 'error: order must be nonnegative'),
+    # bugfix, a dual amplitude on a configuration off the chain: an IndexError
+    # traceback and exit 1, or a message about a partition's width
+    (('pm', 'wavefunction', '--sites', '2', '--occ', '2', '--v', '2,3', '--beta', '1', '--dual'), 2, EMPTY, 'error: occupation must cover every site'),
+    (('fv', 'wavefunction', '--sites', '3', '--x', '4', '--u', '2', '--beta', '-1', '--dual'), 2, EMPTY, 'error: position beyond the last site'),
+    # bugfix, a vanishing 1 + beta*q^n: the determinant raised where the weight has no pole
+    (('mc', 'zbox', '--n', '2', '--height', '2', '--q', '1/2', '--beta', '-4'), 0, 'c252db3f2301ba5d06b1554446e1204a2903e2f14a0e60cecf2a9f83e3dd4443', None),
+    # bugfix, q > 1: the brute force refused a finite sum with "need 0 < q < 1 in numeric mode"
+    (('mc', 'zbox', '--n', '2', '--height', '1', '--q', '3/2', '--beta', '1'), 0, 'dc57bb995e0735565345f622644a7c3809084f05dee8f054387920cdc3efbb0c', None),
+    # bugfix, non-finite floats: messages about convergence, range or division by zero
+    (('mc', 'entropy', '--mu', 'nan', '--temps', '1', '--betas', '0'), 2, EMPTY, 'error: need finite mu, temperature and beta'),
+    (('mc', 'entropy', '--temps', 'inf', '--betas', '0'), 2, EMPTY, 'error: need finite mu, temperature and beta'),
+    (('mc', 'entropy', '--temps', '1', '--betas', 'nan'), 2, EMPTY, 'error: need finite mu, temperature and beta'),
+    # bugfix, --tol nan: the report was printed and the exit code was 1
+    (('pm', 'bethe', '--sites', '3', '--beta', '-1', '--tol', 'nan'), 2, EMPTY, 'error: --tol must be a positive finite number'),
     # help screens
     (('--help',), 0, '01724010b4a973265038333d68fe0ff7e23061811cbece13f6b6bdca39119c12', None),
     (('groth', '--help'), 0, '46d07669b5254ac517db3816691bae52760bf6e9cf39f7d5544c0fba1ce60a9a', None),

@@ -1,8 +1,12 @@
 """The shared row path-sum engine on its float ring, which only the Bethe
 numerics use: it must agree with the exact Laurent transfer matrices.  The
-one weight function per model serves all three rings."""
+one weight function per model serves all three rings.  The four amplitude
+routes of each model accept and refuse the same inputs."""
 
 from fractions import Fraction as F
+from itertools import product
+
+import pytest
 
 from grothcrystal import fivevertex as fv
 from grothcrystal import lattice
@@ -60,3 +64,50 @@ def test_weight_tuples_keep_the_ring_of_their_argument():
         floats = build(float(v), float(beta))
         assert all(type(x) is float for x in floats)
         assert all(abs(a - float(b)) < 1e-15 for a, b in zip(floats, exact))
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+FV_ROUTES = (
+    fv.wavefunction_lattice, fv.wavefunction_closed,
+    fv.dual_wavefunction_lattice, fv.dual_wavefunction_closed,
+)
+PM_ROUTES = (
+    pm.wavefunction_phase_lattice, pm.wavefunction_phase_closed,
+    pm.dual_wavefunction_phase_lattice, pm.dual_wavefunction_phase_closed,
+)
+
+
+@pytest.mark.parametrize(
+    "routes, lengths, entries",
+    [
+        # positions: one per parameter give or take one, on and off the chain
+        (FV_ROUTES, lambda m, n: range(max(n - 1, 0), n + 2), lambda m: range(-1, m + 2)),
+        # occupations: one per site give or take one, negative ones included
+        (PM_ROUTES, lambda m, n: range(max(m - 1, 0), m + 2), lambda m: range(-1, 3)),
+    ],
+    ids=["fv", "pm"],
+)
+def test_four_amplitude_routes_share_one_domain(routes, lengths, entries):
+    # at each input either all four routes raise the same exception type, or
+    # lattice equals closed for the amplitude and for its dual
+    computed = refused = 0
+    for m in range(5):
+        for beta in (F(0), F(-1), F(1, 2)):
+            for n in range(3):
+                ps = (F(2), F(3), F(5, 2))[:n]
+                for size in lengths(m, n):
+                    for config in product(entries(m), repeat=size):
+                        got = [_outcome(route, m, config, ps, beta) for route in routes]
+                        if any(isinstance(g, type) for g in got):
+                            assert len(set(got)) == 1, (m, beta, config, ps, got)
+                            refused += 1
+                        else:
+                            assert got[0] == got[1] and got[2] == got[3], (m, beta, config, ps, got)
+                            computed += 1
+    assert computed and refused

@@ -7,6 +7,7 @@ from oracles import binomial_qn_series, det_ring
 from grothcrystal import meltingcrystal
 from grothcrystal.errors import OutOfBoxError, ParameterError, PoleError, PrecisionError
 from grothcrystal.exactcore import TruncatedSeries, qadic_det
+from grothcrystal.grothendieck import cauchy_rhs
 from grothcrystal.meltingcrystal import (
     _det_shift,
     _z_box_det_parts,
@@ -169,6 +170,16 @@ def test_entropy_domain_errors():
         entropy(-1.0, 1.0, 0.0)
 
 
+def test_entropy_and_log_z_need_finite_arguments():
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 1.0, 0.0), (1.0, bad, 0.0), (1.0, 1.0, bad)):
+            with pytest.raises(ParameterError, match="^need finite mu, temperature and beta$"):
+                entropy(*args)
+        for args in ((bad, 0.5), (0.0, bad)):
+            with pytest.raises(ParameterError, match="^need finite beta and q$"):
+                log_z_numeric(*args)
+
+
 def test_box_series_rejects_bad_arguments():
     with pytest.raises(ParameterError):
         z_box_det(1, 1, F(1), F(0))  # q = 1 is outside the numeric domain
@@ -190,15 +201,16 @@ def test_box_series_n8_meets_the_unboxed_product():
 
 def _det_parts_entrywise(n, height, q, beta):
     # the determinant formula term by term: every entry builds its own powers
-    # and its own 1/(1 - q^m), and the prefactor divides by the product
+    # and its own 1/(1 - q^m), row j carries (1 + beta*q^j)^(j-1), and the
+    # prefactor divides by the product
     one = q**0
     ent = [
         [
             (
-                one
+                (one + beta * q**j) ** (j - 1)
                 - q ** ((j + k - 1) * (height + n) + (1 - k) * (n - 1))
                 * (q ** (k - 1) + beta * one) ** (n - 1)
-                / (one + beta * q**j) ** (n - 1)
+                * (one + beta * q**j) ** (j - n)
             )
             / (one - q ** (j + k - 1))
             for k in range(1, n + 1)
@@ -206,8 +218,6 @@ def _det_parts_entrywise(n, height, q, beta):
         for j in range(1, n + 1)
     ]
     pref = one
-    for j in range(1, n + 1):
-        pref = pref * (one + beta * q**j) ** (j - 1)
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             pref = pref / (one - q ** (k - j)) ** 2
@@ -253,6 +263,52 @@ def test_series_det_never_returns_a_shorter_series():
             for beta in (F(-1), F(-2, 3)):
                 for order in (0, 1, n, 2 * n + 3):
                     assert z_box_det_series(n, height, beta, order).order == order
+
+
+def test_box_determinant_has_only_the_weight_poles():
+    # 1 + beta*q^n vanishes at these points, a factor the weight never uses
+    for n, height, beta in ((2, 2, F(-4)), (3, 1, F(-8))):
+        q = F(1, 2)
+        assert z_box_det(n, height, q, beta) == z_box_bruteforce(n, height, q, beta)
+    assert z_box_det(2, 2, F(1, 2), F(-4)) == F(-35, 256)
+
+
+def test_bruteforce_takes_q_outside_the_unit_interval():
+    # a finite sum needs q invertible only; a vanishing 1 + beta*q^j with
+    # j < n is a pole of both routes (q = 2, beta = -1/2)
+    for q in (F(2), F(3, 2), F(-1, 2), F(-3)):
+        for n in range(1, 4):
+            for height in range(4):
+                for beta in (F(0), F(-1), F(1, 2), F(-1, 2), F(3, 2)):
+                    try:
+                        brute = z_box_bruteforce(n, height, q, beta)
+                    except PoleError:
+                        with pytest.raises(PoleError):
+                            z_box_det(n, height, q, beta)
+                        continue
+                    assert brute == z_box_det(n, height, q, beta)
+    with pytest.raises(ParameterError, match="^q must be nonzero$"):
+        z_box_bruteforce(1, 1, F(0), F(1))
+
+
+def test_box_determinant_is_the_cauchy_determinant_at_q_powers():
+    # Z_box = q^(h n(n-1)/2) prod_{j<n} (1 + beta*q^j)^(j-n) cauchy_rhs(h, zs, ws)
+    # with zs = (q, ..., q^n) and ws = (q^(1-n), ..., 1)
+    for q in (F(1, 3), F(3, 2), F(-1, 2)):
+        for beta in (F(0), F(-1), F(1, 2), F(-2, 3), F(3, 2), F(2)):
+            for n in range(6):
+                bases = [1 + beta * q**j for j in range(1, n)]
+                for height in range(6):
+                    if 0 in bases:
+                        with pytest.raises(PoleError):
+                            z_box_det(n, height, q, beta)
+                        continue
+                    want = q ** (height * n * (n - 1) // 2)
+                    for j, base in enumerate(bases, 1):
+                        want *= base ** (j - n)
+                    zs = [q**j for j in range(1, n + 1)]
+                    ws = [q ** (1 - k) for k in range(n, 0, -1)]
+                    assert z_box_det(n, height, q, beta) == want * cauchy_rhs(height, zs, ws, beta)
 
 
 def test_heights_below_minus_one_are_rejected():
