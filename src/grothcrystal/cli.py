@@ -84,10 +84,17 @@ def _evaluate(inputs, fn, brute=None):
     return run
 
 
+def _require_nonnegative(args, *flags):
+    for flag in flags:
+        if getattr(args, flag) < 0:
+            raise ParameterError(f"--{flag} must be nonnegative")
+
+
 def _at_points(draw, lhs, rhs):
     """lhs == rhs at --points seeded points (beta, z[, w]), one record each."""
 
     def run(args, out):
+        _require_nonnegative(args, "n", "points")
         rng = random.Random(f"cli:{args.seed}")
         bad = 0
         for point in range(args.points):
@@ -200,6 +207,7 @@ def _sv6(args, out) -> int:
     for key in _SV6_KEYS:
         if not isinstance(raw.get(key), (str, int, float)):
             raise ParameterError(f"--params needs a string or number for {key!r}")
+    _require_nonnegative(args, "points")
     p = sv.SixVertexParams(*(parse_rat(raw[k]) for k in _SV6_KEYS))
     rng = random.Random(f"cli:{args.seed}")
     ok = all(sv.check_rll_six(*generic_rationals(rng, 2), p) for _ in range(args.points))

@@ -30,6 +30,11 @@ def _require_distinct(values: Sequence[Fraction], label: str):
         raise DegeneratePointError(f"{label} must be pairwise distinct")
 
 
+def _require_width(width: int):
+    if width < 0:
+        raise ParameterError("box width must be nonnegative")
+
+
 def groth_det(lam: Sequence[int], zs: Sequence[Fraction], beta: Fraction) -> Fraction:
     """G_lam via the N x N determinant ratio."""
     lam = check_partition(lam)
@@ -126,6 +131,7 @@ def cauchy_lhs(
     beta: Fraction,
 ) -> Fraction:
     """Brute-force sum of G_lam(z) G_{lam complement}(w) over the box."""
+    _require_width(width)
     n = len(zs)
     if len(ws) != n:
         raise ParameterError("need as many w variables as z variables")
@@ -142,6 +148,7 @@ def cauchy_rhs(
     beta: Fraction,
 ) -> Fraction:
     """Closed determinant side of the dual-pairing identity."""
+    _require_width(width)
     zs = [Fraction(z) for z in zs]
     ws = [Fraction(w) for w in ws]
     beta = Fraction(beta)
@@ -168,6 +175,7 @@ def cauchy_rhs(
 
 def summation_lhs(width: int, zs: Sequence[Fraction], beta: Fraction) -> Fraction:
     """Brute-force sum of (-beta)^|lam| G_lam(z) over the box."""
+    _require_width(width)
     beta = Fraction(beta)
     total = Fraction(0)
     for lam in partitions_in_box(width, len(zs)):
@@ -177,6 +185,7 @@ def summation_lhs(width: int, zs: Sequence[Fraction], beta: Fraction) -> Fractio
 
 def summation_rhs(width: int, zs: Sequence[Fraction], beta: Fraction) -> Fraction:
     """Closed determinant side of the weighted box summation; beta must be nonzero."""
+    _require_width(width)
     zs = [Fraction(z) for z in zs]
     beta = Fraction(beta)
     if beta == 0:

@@ -11,8 +11,8 @@ them.
 
 Each closed form is prod_v (1/v - beta*v)^(M-1) times a Grothendieck one at
 z(v) = 1/(1/v^2 - beta): G_lam for the wavefunctions, `cauchy_rhs` for the
-scalar product, `summation_rhs` for the weighted sum.  Sector sums of the
-wavefunctions thus check those identities at the phase model's points.
+scalar product, `summation_rhs` for the weighted sum.  The brute forces of the
+last two are operator products on the lattice and reach no closed form.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ _MODEL = lattice.Model(_transitions_phase, lattice.TUPLE)
 
 
 def vacuum_occupation(num_sites: int) -> tuple[int, ...]:
+    if num_sites < 1:
+        raise ParameterError("need at least one site")
     return (0,) * num_sites
 
 
@@ -212,12 +214,7 @@ def dual_wavefunction_phase(
     num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
     return lattice.checked(
-        dual_wavefunction_phase_lattice,
-        dual_wavefunction_phase_closed,
-        num_sites,
-        occ,
-        vs,
-        beta,
+        dual_wavefunction_phase_lattice, dual_wavefunction_phase_closed, num_sites, occ, vs, beta
     )
 
 
@@ -252,16 +249,14 @@ def scalar_product_bruteforce(
     vs: Sequence[Fraction],
     beta: Fraction,
 ) -> Fraction:
-    """The same pairing as an explicit sum over the particle-number sector."""
-    n = len(us)
-    if len(vs) != n:
+    """The same pairing on the lattice: one B chain from the empty chain, then C(u_N) first."""
+    if len(vs) != len(us):
         raise ParameterError("need equally many parameters on both sides")
-    total = Fraction(0)
-    for occ in sector_basis(num_sites, n):
-        left = dual_wavefunction_phase_closed(num_sites, occ, us, beta)
-        right = wavefunction_phase_closed(num_sites, occ, vs, beta)
-        total += left * right
-    return total
+    vacuum = vacuum_occupation(num_sites)
+    state = lattice.chain(apply_b_phase, num_sites, vs, beta, vacuum)
+    for u in reversed(us):
+        state = apply_c_phase(num_sites, u, beta, state)
+    return state.get(vacuum, Fraction(0))
 
 
 def summation_wavefunctions(
@@ -288,12 +283,13 @@ def summation_wavefunctions(
 def summation_wavefunctions_bruteforce(
     num_sites: int, vs: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
+    """The same sum over the states of one B chain from the empty chain."""
     beta = Fraction(beta)
-    total = Fraction(0)
-    for occ in sector_basis(num_sites, len(vs)):
-        weight = (-beta) ** sum(k * occ[k] for k in range(num_sites))
-        total += weight * wavefunction_phase_closed(num_sites, occ, vs, beta)
-    return total
+    state = lattice.chain(apply_b_phase, num_sites, vs, beta, vacuum_occupation(num_sites))
+    return sum(
+        ((-beta) ** sum(k * n for k, n in enumerate(occ)) * amp for occ, amp in state.items()),
+        Fraction(0),
+    )
 
 
 def transfer_matrix_phase(

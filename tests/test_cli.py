@@ -295,6 +295,13 @@ def test_failed_self_check_exits_1(capsys, monkeypatch):
         (("pm", "wavefunction", "--sites", "2", "--occ", "2", "--v", "2,3", "--beta", "1", "--dual"), "cover every site"),
         (("pm", "wavefunction", "--sites", "2", "--occ", "2,0,0", "--v", "2,3", "--beta", "1", "--dual"), "cover every site"),
         (("fv", "wavefunction", "--sites", "3", "--x", "4", "--u", "2", "--beta", "-1", "--dual"), "beyond the last site"),
+        (("groth", "verify-cauchy", "--n", "1", "--width", "-3", "--points", "1"), "box width must be nonnegative"),
+        (("groth", "verify-cauchy", "--n", "1", "--width", "-1", "--points", "1"), "box width must be nonnegative"),
+        (("groth", "verify-sum", "--n", "2", "--width", "-3"), "box width must be nonnegative"),
+        (("groth", "verify-sum", "--n", "-1", "--width", "2"), "--n must be nonnegative"),
+        (("groth", "verify-cauchy", "--n", "-1", "--width", "2"), "--n must be nonnegative"),
+        (("groth", "verify-cauchy", "--n", "2", "--width", "2", "--points", "-2"), "--points must be nonnegative"),
+        (("sv6", "verify", "--params", '{"a1":"1","a2":"1","a3":"2","a4":"1","a5":"-1/2","a6":"-1/2","t":"1/2"}', "--points", "-1"), "--points must be nonnegative"),
     ],
 )
 def test_bad_input_exits_2_with_empty_stdout(capsys, argv, message):

@@ -76,6 +76,15 @@ ROWS = [
     (('mc', 'entropy', '--temps', '1', '--betas', 'nan'), 2, EMPTY, 'error: need finite mu, temperature and beta'),
     # bugfix, --tol nan: the report was printed and the exit code was 1
     (('pm', 'bethe', '--sites', '3', '--beta', '-1', '--tol', 'nan'), 2, EMPTY, 'error: --tol must be a positive finite number'),
+    # bugfix, a negative box width, variable count or point count: exit 1 with
+    # lhs 0/1 against a finite rhs, agreement at width -1, a message from
+    # math.comb, or exit 0 with no point checked
+    (('groth', 'verify-cauchy', '--n', '1', '--width', '-3', '--points', '1'), 2, EMPTY, 'error: box width must be nonnegative'),
+    (('groth', 'verify-cauchy', '--n', '1', '--width', '-1', '--points', '1'), 2, EMPTY, 'error: box width must be nonnegative'),
+    (('groth', 'verify-sum', '--n', '2', '--width', '-3'), 2, EMPTY, 'error: box width must be nonnegative'),
+    (('groth', 'verify-sum', '--n', '-1', '--width', '2'), 2, EMPTY, 'error: --n must be nonnegative'),
+    (('groth', 'verify-cauchy', '--n', '2', '--width', '2', '--points', '-2'), 2, EMPTY, 'error: --points must be nonnegative'),
+    (('sv6', 'verify', '--params', '{"a1":"1","a2":"1","a3":"2","a4":"1","a5":"-1/2","a6":"-1/2","t":"1/2"}', '--points', '-1'), 2, EMPTY, 'error: --points must be nonnegative'),
     # help screens
     (('--help',), 0, '01724010b4a973265038333d68fe0ff7e23061811cbece13f6b6bdca39119c12', None),
     (('groth', '--help'), 0, '46d07669b5254ac517db3816691bae52760bf6e9cf39f7d5544c0fba1ce60a9a', None),

@@ -201,3 +201,16 @@ def test_summation_small_and_hand_values():
 def test_summation_requires_nonzero_beta():
     with pytest.raises(ParameterError):
         summation_rhs(1, (F(2),), F(0))
+
+
+@pytest.mark.parametrize("width", [-1, -3])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_box_sides_need_a_nonnegative_width(n, width):
+    # a negative width used to give lhs 0 against a finite rhs, agreement at
+    # width -1, or a message from math.comb
+    zs, ws = (F(2), F(3))[:n], (F(5), F(7))[:n]
+    for side, args in [
+        (cauchy_lhs, (zs, ws)), (cauchy_rhs, (zs, ws)), (summation_lhs, (zs,)), (summation_rhs, (zs,)),
+    ]:
+        with pytest.raises(ParameterError, match="^box width must be nonnegative$"):
+            side(width, *args, F(1, 2))

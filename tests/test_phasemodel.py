@@ -16,6 +16,7 @@ from grothcrystal.phasemodel import (
     bethe_verify_n1,
     check_rll_phase,
     dual_wavefunction_phase,
+    dual_wavefunction_phase_lattice,
     hamiltonian_phase,
     hamiltonian_phase_direct,
     l_matrix_phase,
@@ -160,10 +161,46 @@ def test_scalar_product_frozen_and_bruteforce():
                 assert det == scalar_product_bruteforce(m, us, vs, beta)
     with pytest.raises(PoleError):
         scalar_product(2, (F(2), F(-2)), (F(3), F(5)), F(1))
-    # beta*u^2 = 1 is a pole of z(u), where the wavefunctions raise too
-    for route in (scalar_product, scalar_product_bruteforce):
+    # beta*u^2 = 1 is a pole of z(u), where the closed form raises; the
+    # lattice pairing is the formula above at (2, 3, 1/4)
+    with pytest.raises(PoleError):
+        scalar_product(2, (F(2),), (F(3),), F(1, 4))
+    assert scalar_product_bruteforce(2, (F(2),), (F(3),), F(1, 4)) == F(-5, 6)
+
+
+def test_lattice_pairing_is_the_sum_of_amplitude_products():
+    """One B chain closed by C operators equals the sector sum of dual times
+    forward lattice amplitudes, also where beta*u^2 = 1 or beta*v^2 = 1 (u or
+    v = 2 at beta = 1/4) and the closed form raises."""
+    points = [
+        ((), ()),
+        ((F(2),), (F(3),)),
+        ((F(3),), (F(2),)),
+        ((F(2), F(5)), (F(3), F(7, 2))),
+        ((F(5), F(3)), (F(2), F(7))),
+    ]
+    for beta in (F(0), F(-1), F(1, 2), F(1, 4)):
+        for m in (1, 2, 3, 4):
+            for us, vs in points:
+                want = sum(
+                    dual_wavefunction_phase_lattice(m, occ, us, beta)
+                    * wavefunction_phase_lattice(m, occ, vs, beta)
+                    for occ in sector_basis(m, len(us))
+                )
+                assert scalar_product_bruteforce(m, us, vs, beta) == want
+    for us, vs in points[1:]:
         with pytest.raises(PoleError):
-            route(2, (F(2),), (F(3),), F(1, 4))
+            scalar_product(2, us, vs, F(1, 4))
+
+
+def test_bruteforces_keep_their_domain():
+    for m in (0, -2):
+        with pytest.raises(ParameterError, match="^need at least one site$"):
+            scalar_product_bruteforce(m, (F(2),), (F(3),), F(1))
+        with pytest.raises(ParameterError, match="^need at least one site$"):
+            summation_wavefunctions_bruteforce(m, (F(2),), F(1))
+    with pytest.raises(ParameterError, match="^need equally many parameters on both sides$"):
+        scalar_product_bruteforce(2, (F(2),), (F(3), F(5)), F(1))
 
 
 def test_summation_frozen_and_bruteforce():

@@ -166,6 +166,38 @@ def test_skew_cases_fail_on_a_wrong_amplitude(monkeypatch, alter, suite, scale, 
     assert not any("error" in f for f in rep.failures)  # a false verdict, not a crash
 
 
+def _doubled(real):
+    return lambda *args: {s: 2 * c for s, c in real(*args).items()}
+
+
+@pytest.mark.parametrize("operator, tag", [("apply_c_phase", "pm.scalar"), ("apply_b_phase", "pm.sum")])
+def test_pairing_cases_read_the_lattice(monkeypatch, operator, tag):
+    """pm.scalar and pm.sum compare closed forms with lattice operator
+    products, so an operator that doubles every amplitude fails every case
+    that reads one; pm.sum.beta0-rejected reads none."""
+    monkeypatch.setattr(phasemodel, operator, _doubled(getattr(phasemodel, operator)))
+    names = [case.name for case in SUITES["pm"]("small", random.Random("pm:1")) if tag in case.name]
+    reading = [name for name in names if name.startswith(f"{tag}.M")]
+    rep = run_suite("pm", "small", 1, tags=tag)
+    assert rep.cases == len(names) and len(reading) == 8
+    assert [f["case"] for f in rep.failures] == reading
+    assert not any("error" in f for f in rep.failures)  # a false verdict, not a crash
+
+
+def test_symmetry_cases_read_the_chain_sum(monkeypatch):
+    """groth.symmetry evaluates its permuted side as a chain sum, so a chain
+    sum that weights the k-th variable by k + 1 fails every case."""
+    real = grothendieck.groth_chain
+
+    def ordered(lam, zs, beta):
+        return real(lam, [z * (k + 1) for k, z in enumerate(zs)], beta)
+
+    monkeypatch.setattr(grothendieck, "groth_chain", ordered)
+    rep = run_suite("groth", "small", 1, tags="groth.symmetry")
+    assert rep.cases == 2
+    assert [f["case"] for f in rep.failures] == ["groth.symmetry.0", "groth.symmetry.1"]
+
+
 def test_raising_check_is_a_failure_record(monkeypatch, capsys):
     cases = run_suite("mc", "small", 1).cases
     names = [case.name for case in SUITES["mc"]("small", random.Random("mc:1"))]
