@@ -17,12 +17,17 @@ treatment elsewhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from .errors import OutOfBoxError, ParameterError, PoleError, PrecisionError
 from .exactcore import Matrix, TruncatedSeries, qadic_det
 from .partitions import PlanePartition, check_plane_partition, enumerate_boxed, pp_size
+
+
+# a plane partition's class, the pairs (c_up[j], c_down[j]) of `_agreements`
+_Class = tuple[tuple[int, int], ...]
 
 
 def _phi_factors(n: int, q, beta):
@@ -45,22 +50,32 @@ def _powers(x, top: int) -> list:
     return out
 
 
-def _phi(pi: PlanePartition, n: int, factors):
-    """The weight of a plane partition that fits the n x n base.
+def _agreements(pi: PlanePartition, n: int) -> _Class:
+    """The class of a plane partition that fits the n x n base: the pair
+    (c_up[j], c_down[j]) for j = 1..n-1, on which its weight depends.
 
     Part k of diagonal slice m is the entry (k - min(m, 0), k + max(m, 0))
-    (1-based) of the zero-padded n x n entry grid.  For j = 1..n-1 and
-    k = 1..n-j, slice j agreeing with slice j-1 one part further along divides
-    by 1 + beta*q^j, and slice -j differing from slice 1-j at part k
-    multiplies by 1 + beta*q^(1-j); both compare a grid entry with the one
-    below it.
+    (1-based) of the zero-padded n x n entry grid.  For k = 1..n-j, c_up[j]
+    counts where slice j agrees with slice j-1 one part further along, and
+    c_down[j] where slice -j differs from slice 1-j at part k; both compare
+    a grid entry with the one below it.
     """
-    one, up, down = factors
     grid = [list(row) + [0] * (n - len(row)) for row in pi] + [[0] * n] * (n - len(pi))
+    return tuple(
+        (
+            sum(grid[k][k + j] == grid[k + 1][k + j] for k in range(n - j)),
+            sum(grid[k + j][k] != grid[k + j - 1][k] for k in range(n - j)),
+        )
+        for j in range(1, n)
+    )
+
+
+def _phi(cls: _Class, factors):
+    """The weight of a class: each c_up[j] divides by 1 + beta*q^j and each
+    c_down[j] multiplies by 1 + beta*q^(1-j)."""
+    one, up, down = factors
     val = one
-    for j in range(1, n):
-        c_up = sum(grid[k][k + j] == grid[k + 1][k + j] for k in range(n - j))
-        c_down = sum(grid[k + j][k] != grid[k + j - 1][k] for k in range(n - j))
+    for j, (c_up, c_down) in enumerate(cls, 1):
         if c_up:
             if up[j] is None:
                 raise PoleError(f"1 + beta*q^{j} vanishes")
@@ -82,21 +97,44 @@ def weight_phi(pi: PlanePartition, q, beta, n_slices: int) -> object:
     n = n_slices
     if len(pi) > n or (pi and len(pi[0]) > n):
         raise OutOfBoxError("plane partition leaves the n x n base")
-    return _phi(pi, n, _phi_factors(n, q, beta))
+    return _phi(_agreements(pi, n), _phi_factors(n, q, beta))
+
+
+@functools.lru_cache(maxsize=32)
+def _box_classes(n: int, height: int) -> tuple[tuple[_Class, tuple[int, ...]], ...]:
+    """Every plane partition in the n x n x height box, once, grouped by class:
+    (class, counts) pairs, counts[s] being the number of size s for
+    s = 0..n*n*height, with the classes in the order they first appear."""
+    table: dict = {}
+    for pi in enumerate_boxed(n, n, height):
+        cls = _agreements(pi, n)
+        if cls not in table:
+            table[cls] = [0] * (n * n * height + 1)
+        table[cls][pp_size(pi)] += 1
+    return tuple((cls, tuple(counts)) for cls, counts in table.items())
 
 
 def z_box_bruteforce(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
-    """Sum of weight * q^size over all plane partitions in the n x n x height box."""
+    """Sum of weight * q^size over all plane partitions in the n x n x height box.
+
+    The box is enumerated once per process and summed per weight class.  A
+    vanishing 1 + beta*q^j raises at the first class, in enumeration order,
+    that uses it.
+    """
     q = Fraction(q)
     beta = Fraction(beta)
     if q == 0:
         raise ParameterError("q must be nonzero")
     factors = _phi_factors(n, q, beta)
-    q_size = _powers(q, n * n * max(height, 0))
-    total = Fraction(0)
-    for pi in enumerate_boxed(n, n, height):
-        total += _phi(pi, n, factors) * q_size[pp_size(pi)]
-    return total
+    classes = _box_classes(n, height)
+    top = n * n * height
+    a, b = q.numerator, q.denominator
+    # q^s = a^s b^(top-s) / b^top, so a class's size sum is one integer over b^top
+    mono = [a**s * b ** (top - s) for s in range(top + 1)]
+    total = sum(
+        _phi(cls, factors) * sum(c * m for c, m in zip(counts, mono)) for cls, counts in classes
+    )
+    return total / b**top
 
 
 def _det_shift(n: int) -> int:

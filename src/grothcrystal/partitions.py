@@ -285,6 +285,8 @@ def count_boxed(n_rows: int, n_cols: int, height: int) -> int:
     """Number of plane partitions in the box, via the classical product."""
     from fractions import Fraction
 
+    if n_rows < 0 or n_cols < 0 or height < 0:
+        raise ParameterError("box dimensions must be nonnegative")
     total = Fraction(1)
     for j in range(1, n_rows + 1):
         for k in range(1, n_cols + 1):

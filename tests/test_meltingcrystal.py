@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -422,3 +423,66 @@ def test_bruteforce_poles_and_box_errors_keep_their_messages():
         weight_phi(((1, 1, 1),), F(1, 2), F(1), 2)
     with pytest.raises(ParameterError, match="^row increases"):
         weight_phi(((1, 2),), F(1, 2), F(1), 2)
+
+
+def test_bruteforce_enumerates_each_box_once(monkeypatch):
+    dims = []
+
+    def counting(*args):
+        dims.append(args)
+        return enumerate_boxed(*args)
+
+    monkeypatch.setattr(meltingcrystal, "enumerate_boxed", counting)
+    meltingcrystal._box_classes.cache_clear()
+    try:
+        # the (q, beta) points of the full mc suite's 3 x 3 x 3 cases
+        for q in (F(1, 2), F(1, 3), F(2, 5)):
+            for beta in (F(0), F(-1), F(1), F(1, 2)):
+                assert z_box_bruteforce(3, 3, q, beta) == z_box_det(3, 3, q, beta)
+    finally:
+        meltingcrystal._box_classes.cache_clear()
+    assert dims == [(3, 3, 3)]
+
+
+def test_box_class_table_is_the_box():
+    # every class's counts by size add up to the box count, and summed over
+    # the classes they are the coefficients of the undeformed product
+    for n in range(4):
+        for height in range(4):
+            classes = meltingcrystal._box_classes(n, height)
+            assert sum(sum(counts) for _, counts in classes) == count_boxed(n, n, height)
+            by_size = [sum(column) for column in zip(*(counts for _, counts in classes))]
+            order = n * n * height
+            want = z_box_beta0(n, n, height, TruncatedSeries.indeterminate(order))
+            assert by_size == list(want.coeffs)
+
+
+def test_bruteforce_matches_the_weight_by_weight_sum_outside_the_unit_interval():
+    # poles included: 1 + beta*q vanishes at q = 3/2, beta = -2/3, and
+    # 1 + beta*q^2 at q = -1/2, beta = -4
+    for n, height in ((1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)):
+        for q in (F(3, 2), F(-1, 2), F(-3)):
+            for beta in (F(0), F(-1), F(1, 2), F(-2, 3), F(-4)):
+                try:
+                    want = _bruteforce_reference(n, height, q, beta)
+                except PoleError as exc:
+                    with pytest.raises(PoleError, match=f"^{re.escape(str(exc))}$"):
+                        z_box_bruteforce(n, height, q, beta)
+                    continue
+                assert z_box_bruteforce(n, height, q, beta) == want
+
+
+def test_bruteforce_meets_the_determinant_at_4x4_boxes():
+    # 1764 and 24696 plane partitions; 1 + beta*q vanishes at q = 3/2, beta = -2/3
+    poles = 0
+    for height in (2, 3):
+        for q in (F(1, 3), F(3, 2), F(-1, 2)):
+            for beta in (F(0), F(-1), F(1, 2), F(-2, 3)):
+                if any(1 + beta * q**j == 0 for j in range(1, 4)):
+                    poles += 1
+                    for route in (z_box_bruteforce, z_box_det):
+                        with pytest.raises(PoleError, match=r"^1 \+ beta\*q\^1 vanishes$"):
+                            route(4, height, q, beta)
+                    continue
+                assert z_box_bruteforce(4, height, q, beta) == z_box_det(4, height, q, beta)
+    assert poles == 2

@@ -197,3 +197,18 @@ def test_boxed_counts():
 def test_plane_partitions_of_size_counts():
     counts = [sum(1 for _ in plane_partitions_of_size(n)) for n in range(6)]
     assert counts == [1, 1, 3, 6, 13, 24]
+
+
+def test_count_boxed_counts_only_boxes_that_exist():
+    # a negative dimension is refused by both, with the same message
+    for rows in range(-2, 4):
+        for cols in range(-2, 4):
+            for height in range(-2, 4):
+                try:
+                    count = count_boxed(rows, cols, height)
+                except ParameterError as exc:
+                    assert str(exc) == "box dimensions must be nonnegative"
+                    with pytest.raises(ParameterError, match=f"^{exc}$"):
+                        list(enumerate_boxed(rows, cols, height))
+                    continue
+                assert count == sum(1 for _ in enumerate_boxed(rows, cols, height))
