@@ -11,6 +11,7 @@ canonical "p/q" strings and series as lists of such strings.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -616,31 +617,12 @@ def embed_pair(op: Matrix, pos1: int, pos2: int, dims: Sequence[int]) -> Matrix:
     d1, d2 = dims[pos1], dims[pos2]
     if op.rows != d1 * d2 or op.cols != d1 * d2:
         raise ValueError("operator size does not match the chosen factors")
-    total = 1
-    for d in dims:
-        total *= d
-
-    def digits(idx: int) -> list[int]:
-        out = [0] * len(dims)
-        for k in range(len(dims) - 1, -1, -1):
-            out[k] = idx % dims[k]
-            idx //= dims[k]
-        return out
-
-    out_rows = []
-    for r in range(total):
-        dr = digits(r)
-        row = []
-        for c in range(total):
-            dc = digits(c)
-            same = all(
-                dr[k] == dc[k] for k in range(len(dims)) if k not in (pos1, pos2)
-            )
-            if same:
-                row.append(
-                    op.entry(dr[pos1] * d2 + dr[pos2], dc[pos1] * d2 + dc[pos2])
-                )
-            else:
-                row.append(_ZERO)
-        out_rows.append(row)
-    return Matrix(out_rows)
+    keep = [k for k in range(len(dims)) if k not in (pos1, pos2)]
+    # each product-space index as (its digits outside pos1 and pos2, its index into op)
+    split = [
+        (tuple(ds[k] for k in keep), ds[pos1] * d2 + ds[pos2])
+        for ds in itertools.product(*map(range, dims))
+    ]
+    return Matrix(
+        [[op.entry(r, c) if out_r == out_c else _ZERO for out_c, c in split] for out_r, r in split]
+    )

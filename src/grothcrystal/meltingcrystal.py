@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import OutOfBoxError, ParameterError, PoleError, PrecisionError
 from .exactcore import Matrix, TruncatedSeries, qadic_det
-from .partitions import PlanePartition, check_plane_partition, enumerate_boxed, pp_size
+from .partitions import PlanePartition, check_box, check_plane_partition, enumerate_boxed, pp_size
 
 
 # a plane partition's class, the pairs (c_up[j], c_down[j]) of `_agreements`
@@ -149,9 +149,7 @@ def _z_box_det_parts(n: int, height: int, q, beta):
     parts only use nonnegative powers of q and inverses of units, so they are
     valid for both rational and series q, and the prefactor is a unit.
     """
-    # from height -1 up every exponent e below is nonnegative
-    if n < 0 or height < -1:
-        raise ParameterError("box dimensions must be nonnegative")
+    check_box(n, n, height)
     one = q**0
     span = range(1, n + 1)
     # entry (j, k) is (b^(j-1) - q^e (q^(k-1) + beta)^(n-1) b^(j-n)) / (1 - q^(j+k-1))
@@ -162,13 +160,9 @@ def _z_box_det_parts(n: int, height: int, q, beta):
         if base == 0 and j < n:  # as in the weight, 1 + beta*q^n is never inverted
             raise PoleError(f"1 + beta*q^{j} vanishes")
         rows[j] = (base ** (j - 1), q ** (j * (height + n)) * base ** (j - n))
-    # 1/(1 - q^m) for every m = j + k - 1 the entries and the prefactor use
-    inv_den = {}
-    for m in range(1, 2 * n):
-        den = one - q**m
-        if den == 0:
-            raise PoleError("1 - q^m vanishes")
-        inv_den[m] = den**-1
+    # 1/(1 - q^m) for every m = j + k - 1 the entries and the prefactor use;
+    # a unit, as rational q avoids +-1 and a series 1 - q^m has constant term 1
+    inv_den = {m: (one - q**m) ** -1 for m in range(1, 2 * n)}
     cols = {k: q ** ((k - 1) * (height + 1)) * (q ** (k - 1) + beta * one) ** (n - 1) for k in span}
     entries = [[(a - b * cols[k]) * inv_den[j + k - 1] for k in span] for j, (a, b) in rows.items()]
     # over prod_{j<k} (1 - q^(k-j))^2, where m = k - j occurs n - m times
@@ -201,11 +195,6 @@ def z_box_det_series(n: int, height: int, beta: Fraction, order: int) -> Truncat
     if order < 0:
         raise ParameterError("order must be nonnegative")
     beta = Fraction(beta)
-    if height == -1 and n > 0:
-        # row j times 1 + beta*q^j is then a polynomial of degree n - 2 in
-        # q^(k-1), so the rows span at most n - 1 dimensions: the determinant
-        # vanishes identically, which no finite working order can show
-        return TruncatedSeries.zero(order)
     shift = -_det_shift(n)
     for work in (order + (n - 1) ** 2, order + shift):
         entries, pref = _z_box_det_parts(n, height, TruncatedSeries.indeterminate(work), beta)
@@ -219,6 +208,7 @@ def z_box_det_series(n: int, height: int, beta: Fraction, order: int) -> Truncat
 
 def z_box_beta0(n_rows: int, n_cols: int, height: int, q) -> object:
     """Undeformed boxed partition function: the classical triple product."""
+    check_box(n_rows, n_cols, height)
     one = q**0
     total = one
     for j in range(1, n_rows + 1):

@@ -10,6 +10,7 @@ rows and down columns.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Sequence
 
 from .errors import OutOfBoxError, ParameterError
@@ -75,22 +76,12 @@ def interlaces(mu: Sequence[int], lam: Sequence[int]) -> bool:
 
 
 def interlacing_below(mu: Sequence[int]) -> Iterator[Partition]:
-    """All lam with len(lam) = len(mu) - 1 and mu interlacing lam."""
+    """All lam with len(lam) = len(mu) - 1 and mu interlacing lam, in ascending
+    lexicographic order: part j of lam ranges over [mu_(j+1), mu_j] on its own."""
     mu = check_partition(mu)
     if not mu:
         raise ParameterError("empty partition has nothing below")
-
-    def rec(j: int, acc: list[int]) -> Iterator[Partition]:
-        if j == len(mu) - 1:
-            yield tuple(acc)
-            return
-        hi = mu[j] if j == 0 else min(mu[j], acc[-1])
-        for v in range(mu[j + 1], hi + 1):
-            acc.append(v)
-            yield from rec(j + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    return itertools.product(*(range(low, high + 1) for high, low in zip(mu, mu[1:])))
 
 
 def partition_from_positions(x: Sequence[int]) -> Partition:
@@ -130,7 +121,7 @@ def partition_from_occupation(occ: Sequence[int]) -> Partition:
 
 
 def admissible(m: Sequence[int], n: Sequence[int]) -> bool:
-    """Whether the tail sums of m exceed those of n by 0 or 1 at every site.
+    """Whether the partitions of the occupations m and n interlace.
 
     m and n are occupation configurations on the same sites with sum(m) equal
     to sum(n) + 1.
@@ -139,14 +130,7 @@ def admissible(m: Sequence[int], n: Sequence[int]) -> bool:
         raise ParameterError("configurations live on different chains")
     if sum(m) != sum(n) + 1:
         raise ParameterError("particle numbers must differ by exactly one")
-    tail_m = 0
-    tail_n = 0
-    for k in range(len(m) - 1, -1, -1):
-        tail_m += m[k]
-        tail_n += n[k]
-        if not 0 <= tail_m - tail_n <= 1:
-            return False
-    return True
+    return interlaces(partition_from_occupation(m), partition_from_occupation(n))
 
 
 # -- plane partitions ---------------------------------------------------------
@@ -255,11 +239,16 @@ def assemble_from_slices(
     return pi
 
 
+def check_box(n_rows: int, n_cols: int, height: int) -> None:
+    """Raise unless the n_rows x n_cols x height box exists."""
+    if min(n_rows, n_cols, height) < 0:
+        raise ParameterError("box dimensions must be nonnegative")
+
+
 def enumerate_boxed(n_rows: int, n_cols: int, height: int) -> Iterator[PlanePartition]:
     """Every plane partition inside the n_rows x n_cols x height box, in
     ascending lexicographic order of the row-major entry grid."""
-    if n_rows < 0 or n_cols < 0 or height < 0:
-        raise ParameterError("box dimensions must be nonnegative")
+    check_box(n_rows, n_cols, height)
     grid = [[0] * n_cols for _ in range(n_rows)]
     total = n_rows * n_cols
 
@@ -285,8 +274,7 @@ def count_boxed(n_rows: int, n_cols: int, height: int) -> int:
     """Number of plane partitions in the box, via the classical product."""
     from fractions import Fraction
 
-    if n_rows < 0 or n_cols < 0 or height < 0:
-        raise ParameterError("box dimensions must be nonnegative")
+    check_box(n_rows, n_cols, height)
     total = Fraction(1)
     for j in range(1, n_rows + 1):
         for k in range(1, n_cols + 1):

@@ -452,8 +452,10 @@ def _zbox(n: int, height: int, q: Fraction, beta: Fraction) -> bool:
 
 
 def _phi_beta0(box: int) -> bool:
-    boxed = pt.enumerate_boxed(box, box, box)
-    return all(mc.weight_phi(pi, Fraction(1, 2), Fraction(0), box) == 1 for pi in boxed)
+    """Every plane partition in the box has weight 1 at beta = 0; the weight
+    depends only on the class, so each class is weighed once."""
+    factors = mc._phi_factors(box, Fraction(1, 2), Fraction(0))
+    return all(mc._phi(cls, factors) == 1 for cls, _ in mc._box_classes(box, box))
 
 
 def _counts() -> bool:

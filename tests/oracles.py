@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from grothcrystal.exactcore import TruncatedSeries
+from grothcrystal.errors import ParameterError
+from grothcrystal.exactcore import Matrix, TruncatedSeries
+from grothcrystal.partitions import check_partition
 
 
 def det_ring(rows: Sequence[Sequence]) -> object:
@@ -57,3 +59,71 @@ def binomial_qn_series(c, n: int, e: int, order: int) -> TruncatedSeries:
         out[m * n] = gen_binomial(e, m) * c**m
         m += 1
     return TruncatedSeries(out)
+
+
+def interlacing_below(mu: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All lam with len(lam) = len(mu) - 1 and mu interlacing lam, chosen part
+    by part, each capped by mu_j and by the part chosen before."""
+    mu = check_partition(mu)
+    if not mu:
+        raise ParameterError("empty partition has nothing below")
+
+    def rec(j: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        if j == len(mu) - 1:
+            yield tuple(acc)
+            return
+        hi = mu[j] if j == 0 else min(mu[j], acc[-1])
+        for v in range(mu[j + 1], hi + 1):
+            acc.append(v)
+            yield from rec(j + 1, acc)
+            acc.pop()
+
+    yield from rec(0, [])
+
+
+def admissible(m: Sequence[int], n: Sequence[int]) -> bool:
+    """Whether the tail sums of m exceed those of n by 0 or 1 at every site."""
+    if len(m) != len(n):
+        raise ParameterError("configurations live on different chains")
+    if sum(m) != sum(n) + 1:
+        raise ParameterError("particle numbers must differ by exactly one")
+    tail_m = 0
+    tail_n = 0
+    for k in range(len(m) - 1, -1, -1):
+        tail_m += m[k]
+        tail_n += n[k]
+        if not 0 <= tail_m - tail_n <= 1:
+            return False
+    return True
+
+
+def embed_pair(op: Matrix, pos1: int, pos2: int, dims: Sequence[int]) -> Matrix:
+    """Embed an operator on tensor factors pos1 < pos2 into the full product,
+    entry by entry over big-endian digit expansions of both indices."""
+    if not 0 <= pos1 < pos2 < len(dims):
+        raise ValueError("bad positions")
+    d1, d2 = dims[pos1], dims[pos2]
+    if op.rows != d1 * d2 or op.cols != d1 * d2:
+        raise ValueError("operator size does not match the chosen factors")
+    total = math.prod(dims)
+
+    def digits(idx: int) -> list[int]:
+        out = [0] * len(dims)
+        for k in range(len(dims) - 1, -1, -1):
+            out[k] = idx % dims[k]
+            idx //= dims[k]
+        return out
+
+    out_rows = []
+    for r in range(total):
+        dr = digits(r)
+        row = []
+        for c in range(total):
+            dc = digits(c)
+            same = all(dr[k] == dc[k] for k in range(len(dims)) if k not in (pos1, pos2))
+            if same:
+                row.append(op.entry(dr[pos1] * d2 + dr[pos2], dc[pos1] * d2 + dc[pos2]))
+            else:
+                row.append(Fraction(0))
+        out_rows.append(row)
+    return Matrix(out_rows)

@@ -109,6 +109,9 @@ ROWS = [
     (('sv6', '--help'), 0, '497a1c7de41d5a42f631e61005f3ee4069055808448e12b70a15385f0209893d', None),
     (('sv6', 'verify', '--help'), 0, '906fe1f12ed57e1fe0b5386bd248bb33f1365da4a054cef19b6b806c4d799ff9', None),
     (('verify', '--help'), 0, '5f9543dd02bcda9eb8521a91811b51b90c5373e276dd3e1fa0dcddd15ae3a859', None),
+    # bugfix, height -1: --series printed four zero coefficients, exit 0
+    (('mc', 'zbox', '--n', '2', '--height', '-1', '--series', '3'), 2, EMPTY, 'error: box dimensions must be nonnegative'),
+    (('mc', 'zbox', '--n', '2', '--height', '-1', '--q', '1/2'), 2, EMPTY, 'error: box dimensions must be nonnegative'),
 ]
 
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import oracles
 from oracles import binomial_qn_series, gen_binomial
 
 from grothcrystal.exactcore import (
@@ -181,3 +182,15 @@ def test_embed_pair_identity_and_swap():
     assert big.entry(2, 1) == 1 and big.entry(1, 2) == 1
     assert big.entry(0, 0) == 1 and big.entry(3, 3) == 1
     assert big.entry(1, 1) == 0
+
+
+def test_embed_pair_matches_the_digit_loop_reference():
+    rng = random.Random(5)
+    for dims in ((2, 2, 2), (2, 2, 5), (3, 2, 4)):
+        for pos1 in range(len(dims)):
+            for pos2 in range(pos1 + 1, len(dims)):
+                size = dims[pos1] * dims[pos2]
+                op = Matrix(
+                    [[F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(size)] for _ in range(size)]
+                )
+                assert embed_pair(op, pos1, pos2, dims) == oracles.embed_pair(op, pos1, pos2, dims)

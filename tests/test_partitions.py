@@ -1,3 +1,4 @@
+import oracles
 import pytest
 
 from grothcrystal.errors import OutOfBoxError, ParameterError
@@ -23,6 +24,7 @@ from grothcrystal.partitions import (
     pp_size,
     reversed_positions,
 )
+from grothcrystal.phasemodel import sector_basis
 
 
 def positions(lam):
@@ -128,6 +130,23 @@ def test_admissible_rejects_bad_particle_numbers():
         admissible((1, 0), (1, 0))
     with pytest.raises(ParameterError):
         admissible((1, 0), (1, 0, 0))
+
+
+def test_interlacing_below_yields_the_reference_sequence():
+    # the same partitions in the same order as the part-by-part recursion
+    for length in range(1, 5):
+        for mu in partitions_in_box(4, length):
+            assert list(interlacing_below(mu)) == list(oracles.interlacing_below(mu))
+    with pytest.raises(ParameterError, match="empty partition has nothing below"):
+        interlacing_below(())
+
+
+def test_admissible_matches_the_tail_sum_reference():
+    for m in range(1, 5):
+        for n in range(0, 4):
+            for up in sector_basis(m, n + 1):
+                for lo in sector_basis(m, n):
+                    assert admissible(up, lo) == oracles.admissible(up, lo)
 
 
 def test_partitions_in_box_inventory():
