@@ -35,16 +35,7 @@ def _check_beta(beta: Fraction) -> Fraction:
 
 def l_matrix(u: Fraction, beta: Fraction) -> Matrix:
     """Site operator on (aux, site), basis |00>, |01>, |10>, |11>."""
-    w_empty, w_pass, w_both, one = _scalar_weights(Fraction(u), beta)
-    zero = Fraction(0)
-    return Matrix(
-        [
-            [w_empty, zero, zero, zero],
-            [zero, zero, one, zero],
-            [zero, one, w_pass, zero],
-            [zero, zero, zero, w_both],
-        ]
-    )
+    return lattice.site_operator(_scalar_weights(Fraction(u), beta), 2)
 
 
 def r_matrix(u: Fraction, v: Fraction) -> Matrix:
@@ -83,25 +74,11 @@ def check_rll(u: Fraction, v: Fraction, beta: Fraction) -> bool:
 
 
 def _scalar_weights(u, beta: Fraction):
-    """The weight tuple at u, a Fraction, a float or LaurentPoly.var()."""
+    """The six vertex weights at u, a Fraction, a float or LaurentPoly.var()."""
     beta = _check_beta(beta)
     if u == 0:
         raise PoleError("u = 0 is a pole of the site weights")
-    return (u, -u / beta - 1 / u, -u / beta, u**0)
-
-
-def _transitions(a: int, occ: int, w):
-    w_empty, w_pass, w_both, one = w
-    if a == 0:
-        if occ == 0:
-            return ((0, 0, w_empty),)
-        return ((1, 0, one),)  # aux picks the particle up
-    if occ == 0:
-        return ((0, 1, one), (1, 0, w_pass))  # deposit, or pass through
-    return ((1, 1, w_both),)
-
-
-_MODEL = lattice.Model(_transitions, lattice.BITMASK)
+    return (u, 0 * u, -u / beta - 1 / u, -u / beta, u**0, u**0)
 
 
 def mask_from_positions(x: Sequence[int]) -> int:
@@ -121,12 +98,12 @@ def sector_masks(num_sites: int, num_particles: int) -> list[int]:
 
 def apply_b(num_sites: int, u: Fraction, beta: Fraction, state: State) -> dict[int, Fraction]:
     """B(u) acting on a weighted state: adds one particle."""
-    return lattice.path_sum(_MODEL, num_sites, state, 1, 0, _scalar_weights(Fraction(u), beta))
+    return lattice.path_sum(lattice.BITMASK, num_sites, state, 1, 0, _scalar_weights(Fraction(u), beta))
 
 
 def apply_c(num_sites: int, u: Fraction, beta: Fraction, state: State) -> dict[int, Fraction]:
     """C(u) acting on a weighted state: removes one particle."""
-    return lattice.path_sum(_MODEL, num_sites, state, 0, 1, _scalar_weights(Fraction(u), beta))
+    return lattice.path_sum(lattice.BITMASK, num_sites, state, 0, 1, _scalar_weights(Fraction(u), beta))
 
 
 def spectral_map(u: Fraction, beta: Fraction) -> Fraction:
@@ -213,7 +190,7 @@ def transfer_matrix(
     """t(u) = A(u) + D(u) on one particle-number sector, over Laurent polynomials."""
     basis = sector_masks(num_sites, num_particles)
     w = _scalar_weights(LaurentPoly.var(), beta)
-    return basis, lattice.transfer_matrix(_MODEL, num_sites, basis, w)
+    return basis, lattice.transfer_matrix(lattice.BITMASK, num_sites, basis, w)
 
 
 def hamiltonian_direct(num_sites: int, beta: Fraction) -> Matrix:
@@ -221,7 +198,8 @@ def hamiltonian_direct(num_sites: int, beta: Fraction) -> Matrix:
 
     H = sum_j { -(1/beta) sigma_j^+ sigma_{j+1}^- + (sigma_j^z sigma_{j+1}^z - 1)/4 }
     with periodic wrap, where sigma^+ annihilates and sigma^- creates, so the
-    hop moves a particle from site j to site j+1.
+    hop moves a particle from site j to site j+1.  On one site the wrap bond
+    joins site 0 to itself and its hop is -(1/beta) times the empty projector.
     """
     beta = _check_beta(beta)
     dim = 1 << num_sites
@@ -235,7 +213,7 @@ def hamiltonian_direct(num_sites: int, beta: Fraction) -> Matrix:
             bk = (s >> k) & 1
             if bj != bk:
                 diag -= Fraction(1, 2)
-            if bj == 1 and bk == 0:
+            if bk == 0 and (bj == 1 or j == k):
                 t = s ^ (1 << j) ^ (1 << k)
                 h[t][s] += hop
         h[s][s] += diag

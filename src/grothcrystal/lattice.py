@@ -1,13 +1,16 @@
-"""Row-to-row path sums shared by the five-vertex and phase models.
+"""Row-to-row path sums shared by the five-vertex, phase and six-vertex models.
 
-A model is a site transition table plus a codec for chain states.  The table
-`transitions(a, n, w)` lists the vertices at one site as (aux_out, n_out,
-weight), given the incoming auxiliary state a and site occupation n.  The
-weight tuple w fixes the coefficient ring (Fraction, LaurentPoly or float)
-and ends with that ring's one.  The codec says how a chain state is stored:
-a bitmask for the five-vertex model, an occupation tuple for the phase model.
-Everything else here (transfer matrices, operator chains, self-checks and
-the intertwining relation) is written once on top of the path sum.
+All three share one vertex layout.  At a site holding n particles the
+auxiliary line, empty (0) or carrying one particle (1), either stays empty,
+picks a particle up, deposits its particle or passes through carrying it.  A
+model is a six-weight tuple w = (stay_empty, stay_occupied, pass_empty,
+pass_occupied, deposit, pickup) over a coefficient ring (Fraction,
+LaurentPoly or float); a zero weight is an absent vertex.  `vertices` lists
+the moves, `site_operator` lays them out as a matrix, and `path_sum` chains
+them along a row.  A codec says how a chain state is stored: a bitmask for
+the five-vertex model, an occupation tuple for the phase model.  Everything
+else here (transfer matrices, operator chains, self-checks and the
+intertwining relation) is written once on top of these.
 """
 
 from __future__ import annotations
@@ -15,42 +18,69 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import IdentityError
+from .errors import IdentityError, ParameterError
 from .exactcore import Matrix, embed_pair
+
+
+def _bits(mask: int, num_sites: int) -> list[int]:
+    if mask < 0 or mask >> num_sites:
+        raise ParameterError("the state does not fit the chain")
+    return [(mask >> site) & 1 for site in range(num_sites)]
+
+
+def _counts(occ: tuple, num_sites: int) -> tuple:
+    if len(occ) != num_sites or any(n < 0 for n in occ):
+        raise ParameterError("the state does not fit the chain")
+    return occ
 
 
 class Codec(NamedTuple):
     """A chain state is `empty` plus one `piece(site, n)` per site, site 0
-    first; `occupations(state, num_sites)` reads the sites back."""
+    first; `occupations(state, num_sites)` reads the sites back and refuses a
+    state that does not fit the chain.  A site holds at most `capacity`
+    particles (None: unbounded)."""
 
     empty: object
     occupations: Callable
     piece: Callable
+    capacity: int | None
 
 
-BITMASK = Codec(
-    0,
-    lambda mask, num_sites: [(mask >> site) & 1 for site in range(num_sites)],
-    lambda site, n: n << site,
-)
-TUPLE = Codec(
-    (),
-    lambda occ, num_sites: [occ[site] for site in range(num_sites)],
-    lambda site, n: (n,),
-)
+BITMASK = Codec(0, _bits, lambda site, n: n << site, 1)
+TUPLE = Codec((), _counts, lambda site, n: (n,), None)
 
 
-class Model(NamedTuple):
-    """A site transition table and the codec of the states it acts on."""
+def vertices(a: int, n: int, w, capacity: int | None) -> list:
+    """The moves (aux_out, n_out, weight) at a site holding n particles, for
+    incoming auxiliary state a: stay before pickup, deposit before pass."""
+    stay_empty, stay_occupied, pass_empty, pass_occupied, deposit, pickup = w
+    if a == 0:
+        moves = [(0, n, stay_occupied if n else stay_empty)]
+        if n:
+            moves.append((1, n - 1, pickup))
+    else:
+        moves = [(0, n + 1, deposit)] if capacity is None or n < capacity else []
+        moves.append((1, n, pass_occupied if n else pass_empty))
+    return [move for move in moves if move[2]]
 
-    transitions: Callable
-    codec: Codec
+
+def site_operator(w, levels: int) -> Matrix:
+    """The vertices as a matrix on (aux, site occupation < levels), row and
+    column aux*levels + n; moves past the truncation are dropped."""
+    if levels < 1:
+        raise ParameterError("need levels >= 1")
+    rows = [[w[0] * 0] * (2 * levels) for _ in range(2 * levels)]
+    for a in (0, 1):
+        for n in range(levels):
+            for a2, n2, wt in vertices(a, n, w, levels - 1):
+                rows[a2 * levels + n2][a * levels + n] = wt
+    return Matrix(rows)
 
 
-def path_sum(model: Model, num_sites: int, state, a_in: int, a_out: int, w) -> dict:
+def path_sum(codec: Codec, num_sites: int, state, a_in: int, a_out: int, w) -> dict:
     """Apply one auxiliary-space entry of the monodromy matrix to a weighted
     state: every path of the auxiliary line from a_in to a_out, site 0 first."""
-    transitions, (empty, occupations, piece) = model
+    empty, occupations, piece, capacity = codec
     out: dict = {}
     table: dict = {}  # (site, occupation) -> moves for aux 0 and aux 1
     for src, amp in state.items():
@@ -61,7 +91,7 @@ def path_sum(model: Model, num_sites: int, state, a_in: int, a_out: int, w) -> d
             moves = table.get((site, n))
             if moves is None:
                 moves = table[site, n] = [
-                    [(a2, piece(site, n2), wt) for a2, n2, wt in transitions(a, n, w)]
+                    [(a2, piece(site, n2), wt) for a2, n2, wt in vertices(a, n, w, capacity)]
                     for a in (0, 1)
                 ]
             nxt: dict = {}
@@ -84,14 +114,14 @@ def path_sum(model: Model, num_sites: int, state, a_in: int, a_out: int, w) -> d
     return {s: c for s, c in out.items() if not c == 0}
 
 
-def transfer_matrix(model: Model, num_sites: int, basis: list, w) -> Matrix:
+def transfer_matrix(codec: Codec, num_sites: int, basis: list, w) -> Matrix:
     """A + D on the span of `basis`, over the ring of the weights w."""
     index = {s: i for i, s in enumerate(basis)}
-    one = w[-1]
+    one = w[0] ** 0
     rows = [[one * 0] * len(basis) for _ in basis]
     for col, s in enumerate(basis):
         for a in (0, 1):  # A, then D
-            for t, c in path_sum(model, num_sites, {s: one}, a, a, w).items():
+            for t, c in path_sum(codec, num_sites, {s: one}, a, a, w).items():
                 rows[index[t]][col] += c
     return Matrix(rows)
 

@@ -4,10 +4,10 @@ States are occupation tuples (n_0, ..., n_{M-1}).  The site operator acts on
 (aux, Fock) as [[1/v - beta*v*P0, raise], [lower, v]] with P0 the projector on
 an empty site, and the monodromy matrix multiplies site 0 first.  Its upper
 right auxiliary entry adds one boson to the chain; the lower left removes one.
-This module supplies the site transition table and the occupation-tuple
-states; the row path sums themselves run in `lattice`, over exact rationals,
-Laurent polynomials, or floats, which is how the Bethe-root numerics reuse
-them.
+This module supplies the six vertex weights and the occupation-tuple states;
+the site operator and the row path sums are built from them in `lattice`, over
+exact rationals, Laurent polynomials, or floats, which is how the Bethe-root
+numerics reuse them.
 
 Each closed form is prod_v (1/v - beta*v)^(M-1) times a Grothendieck one at
 z(v) = 1/(1/v^2 - beta): G_lam for the wavefunctions, `cauchy_rhs` for the
@@ -34,19 +34,7 @@ State = Mapping[tuple[int, ...], Fraction]
 def l_matrix_phase(v: Fraction, beta: Fraction, cap: int) -> Matrix:
     """Site operator on (aux, Fock<=cap), dimension 2*(cap+1): the blocks
     [[1/v - beta*v*P0, raise], [lower, v]], row and column aux*(cap+1) + n."""
-    v = Fraction(v)
-    beta = Fraction(beta)
-    if v == 0:
-        raise PoleError("v = 0 is a pole of the site weights")
-    dim = cap + 1
-    rows = [[Fraction(0)] * (2 * dim) for _ in range(2 * dim)]
-    for n in range(dim):
-        rows[n][n] = 1 / v - beta * v if n == 0 else 1 / v
-        rows[dim + n][dim + n] = v
-        if n < cap:
-            rows[n + 1][dim + n] = Fraction(1)  # raise: |n> -> |n+1>
-            rows[dim + n][n + 1] = Fraction(1)  # lower: |n+1> -> |n>
-    return Matrix(rows)
+    return lattice.site_operator(_scalar_weights_phase(Fraction(v), Fraction(beta)), cap + 1)
 
 
 def check_rll_phase(u: Fraction, v: Fraction, beta: Fraction, cap: int) -> bool:
@@ -68,23 +56,10 @@ def check_rll_phase(u: Fraction, v: Fraction, beta: Fraction, cap: int) -> bool:
 
 
 def _scalar_weights_phase(v, beta):
-    """The weight tuple at v, a Fraction, a float or LaurentPoly.var()."""
+    """The six vertex weights at v, a Fraction, a float or LaurentPoly.var()."""
     if v == 0:
         raise PoleError("v = 0 is a pole of the site weights")
-    return (1 / v - beta * v, 1 / v, v, v**0)
-
-
-def _transitions_phase(a: int, n: int, w):
-    d_empty, d_occupied, w_v, one = w
-    if a == 0:
-        moves = [(0, n, d_empty if n == 0 else d_occupied)]
-        if n >= 1:
-            moves.append((1, n - 1, one))  # aux picks one boson up
-        return moves
-    return [(0, n + 1, one), (1, n, w_v)]  # deposit, or pass through
-
-
-_MODEL = lattice.Model(_transitions_phase, lattice.TUPLE)
+    return (1 / v - beta * v, 1 / v, v, v, v**0, v**0)
 
 
 def vacuum_occupation(num_sites: int) -> tuple[int, ...]:
@@ -114,7 +89,7 @@ def apply_b_phase(
 ) -> dict[tuple[int, ...], Fraction]:
     """Particle-adding monodromy entry acting on a weighted state."""
     w = _scalar_weights_phase(Fraction(v), Fraction(beta))
-    return lattice.path_sum(_MODEL, num_sites, state, 1, 0, w)
+    return lattice.path_sum(lattice.TUPLE, num_sites, state, 1, 0, w)
 
 
 def apply_c_phase(
@@ -122,7 +97,7 @@ def apply_c_phase(
 ) -> dict[tuple[int, ...], Fraction]:
     """Particle-removing monodromy entry acting on a weighted state."""
     w = _scalar_weights_phase(Fraction(v), Fraction(beta))
-    return lattice.path_sum(_MODEL, num_sites, state, 0, 1, w)
+    return lattice.path_sum(lattice.TUPLE, num_sites, state, 0, 1, w)
 
 
 def spectral_map_phase(v: Fraction, beta: Fraction) -> Fraction:
@@ -298,7 +273,7 @@ def transfer_matrix_phase(
     """tau(v) = A(v) + D(v) on one particle-number sector, over Laurent polynomials."""
     basis = sector_basis(num_sites, num_particles)
     w = _scalar_weights_phase(LaurentPoly.var(), Fraction(beta))
-    return basis, lattice.transfer_matrix(_MODEL, num_sites, basis, w)
+    return basis, lattice.transfer_matrix(lattice.TUPLE, num_sites, basis, w)
 
 
 def hamiltonian_phase_direct(num_sites: int, num_particles: int, beta: Fraction) -> Matrix:
@@ -383,7 +358,7 @@ def bethe_verify_n1(num_sites: int, beta: Fraction) -> dict:
             if abs(u * u - v2) < 1e-6 or abs(w * u * u - 1.0) < 1e-9:
                 raise ParameterError("probe point too close to a pole")
             w_u = _scalar_weights_phase(u, beta_f)
-            tau_val = lattice.transfer_matrix(_MODEL, m, basis, w_u).data
+            tau_val = lattice.transfer_matrix(lattice.TUPLE, m, basis, w_u).data
             tpsi = [
                 sum(tau_val[r][c] * psi_vec[c] for c in range(m))
                 for r in range(m)

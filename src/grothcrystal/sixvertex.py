@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ParameterError, PoleError
 from .exactcore import Matrix
-from .lattice import rll_sides
+from .lattice import rll_sides, site_operator
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,16 @@ def l_six(u: Fraction, p: SixVertexParams) -> Matrix:
     u = Fraction(u)
     if u == 0:
         raise PoleError("u = 0 is a pole of the site weights")
-    zero = Fraction(0)
     ui = 1 / u
-    one_t = 1 - p.t
-    return Matrix(
-        [
-            [p.a3 * u + p.a4 * ui, zero, zero, zero],
-            [zero, p.a3 * p.t * u + p.a4 * ui, one_t * p.a1, zero],
-            [zero, one_t * p.a2, p.a5 * u + p.a6 * ui, zero],
-            [zero, zero, zero, p.a5 * u + p.a6 * p.t * ui],
-        ]
+    w = (
+        p.a3 * u + p.a4 * ui,
+        p.a3 * p.t * u + p.a4 * ui,
+        p.a5 * u + p.a6 * ui,
+        p.a5 * u + p.a6 * p.t * ui,
+        (1 - p.t) * p.a1,
+        (1 - p.t) * p.a2,
     )
+    return site_operator(w, 2)
 
 
 def r_six(u: Fraction, v: Fraction, t: Fraction) -> Matrix:

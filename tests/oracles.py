@@ -127,3 +127,52 @@ def embed_pair(op: Matrix, pos1: int, pos2: int, dims: Sequence[int]) -> Matrix:
                 row.append(Fraction(0))
         out_rows.append(row)
     return Matrix(out_rows)
+
+
+def l_matrix(u, beta) -> Matrix:
+    """Five-vertex site operator on (aux, site), basis |00>, |01>, |10>, |11>,
+    written out entry by entry."""
+    u = Fraction(u)
+    beta = Fraction(beta)
+    zero = Fraction(0)
+    one = Fraction(1)
+    return Matrix(
+        [
+            [u, zero, zero, zero],
+            [zero, zero, one, zero],
+            [zero, one, -u / beta - 1 / u, zero],
+            [zero, zero, zero, -u / beta],
+        ]
+    )
+
+
+def l_matrix_phase(v, beta, cap: int) -> Matrix:
+    """Phase-model site operator on (aux, Fock<=cap): the blocks
+    [[1/v - beta*v*P0, raise], [lower, v]], row and column aux*(cap+1) + n."""
+    v = Fraction(v)
+    beta = Fraction(beta)
+    dim = cap + 1
+    rows = [[Fraction(0)] * (2 * dim) for _ in range(2 * dim)]
+    for n in range(dim):
+        rows[n][n] = 1 / v - beta * v if n == 0 else 1 / v
+        rows[dim + n][dim + n] = v
+        if n < cap:
+            rows[n + 1][dim + n] = Fraction(1)  # raise: |n> -> |n+1>
+            rows[dim + n][n + 1] = Fraction(1)  # lower: |n+1> -> |n>
+    return Matrix(rows)
+
+
+def l_six(u, p) -> Matrix:
+    """Six-vertex site operator on (aux, site), basis |00>, |01>, |10>, |11>."""
+    u = Fraction(u)
+    zero = Fraction(0)
+    ui = 1 / u
+    one_t = 1 - p.t
+    return Matrix(
+        [
+            [p.a3 * u + p.a4 * ui, zero, zero, zero],
+            [zero, p.a3 * p.t * u + p.a4 * ui, one_t * p.a1, zero],
+            [zero, one_t * p.a2, p.a5 * u + p.a6 * ui, zero],
+            [zero, zero, zero, p.a5 * u + p.a6 * p.t * ui],
+        ]
+    )

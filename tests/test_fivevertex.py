@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+import oracles
 
 from grothcrystal.errors import ParameterError, PoleError
 from grothcrystal.exactcore import Matrix, embed_pair
@@ -36,7 +37,7 @@ def monodromy_blocks(num_sites, u, beta):
     dims = [2] * (num_sites + 1)  # aux first, then site 1..M (big-endian)
     total = Matrix.identity(2 ** (num_sites + 1))
     for j in range(1, num_sites + 1):
-        total = embed_pair(l_matrix(u, beta), 0, j, dims) @ total
+        total = embed_pair(oracles.l_matrix(u, beta), 0, j, dims) @ total
     half = 2 ** num_sites
     blocks = {}
     for a_out in (0, 1):
@@ -184,6 +185,14 @@ def test_hamiltonian_extraction_matches_direct():
     for beta in (F(-1), F(-4), F(-1, 4)):
         h = hamiltonian(4, beta)
         assert h == hamiltonian_direct(4, beta)
+
+
+def test_one_site_hamiltonian_keeps_the_wrap_bond():
+    # on one site the wrap bond joins site 0 to itself: its hop is -(1/beta) P_empty
+    for beta in (F(-1), F(-4), F(-1, 4)):
+        assert hamiltonian(1, beta) == Matrix([[-1 / beta, F(0)], [F(0), F(0)]])
+        for m in (0, 2, 3):
+            assert hamiltonian(m, beta) == hamiltonian_direct(m, beta)
 
 
 def test_hamiltonian_needs_rational_square_root():

@@ -1,17 +1,24 @@
-"""The shared row path-sum engine on its float ring, which only the Bethe
-numerics use: it must agree with the exact Laurent transfer matrices.  The
-one weight function per model serves all three rings.  The four amplitude
-routes of each model accept and refuse the same inputs."""
+"""The shared vertex table and row path-sum engine.  The site operators it
+builds equal the ones written out by hand in the oracles, and its path sums
+equal products of embedded site operators.  On its float ring, which only
+the Bethe numerics use, it agrees with the exact Laurent transfer matrices.
+The one weight function per model serves all three rings.  The four
+amplitude routes of each model accept and refuse the same inputs."""
 
+import random
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+import oracles
 
 from grothcrystal import fivevertex as fv
 from grothcrystal import lattice
 from grothcrystal import phasemodel as pm
-from grothcrystal.exactcore import LaurentPoly
+from grothcrystal import sixvertex as sv
+from grothcrystal.errors import ParameterError, PoleError
+from grothcrystal.exactcore import LaurentPoly, Matrix, embed_pair
+from grothcrystal.suites import _BETA_PALETTE
 
 
 def assert_close(got, exact, v):
@@ -29,27 +36,31 @@ def test_float_transfer_matrix_matches_exact_one_particle_sector():
         for m in (2, 3, 4, 5):
             basis, exact = fv.transfer_matrix(m, 1, beta)
             w = tuple(float(x) for x in fv._scalar_weights(v, beta))
-            assert_close(lattice.transfer_matrix(fv._MODEL, m, basis, w), exact, v)
+            assert_close(lattice.transfer_matrix(lattice.BITMASK, m, basis, w), exact, v)
 
             basis, exact = pm.transfer_matrix_phase(m, 1, beta)
             w = pm._scalar_weights_phase(float(v), float(beta))
-            assert_close(lattice.transfer_matrix(pm._MODEL, m, basis, w), exact, v)
+            assert_close(lattice.transfer_matrix(lattice.TUPLE, m, basis, w), exact, v)
 
 
 def test_weight_tuples_at_the_laurent_variable():
     u = LaurentPoly.var()
     for beta in (F(-1, 2), F(1, 3), F(2)):
-        # the Laurent weight tuples each model once spelled out by hand
+        # (stay_empty, stay_occupied, pass_empty, pass_occupied, deposit, pickup)
         assert fv._scalar_weights(u, beta) == (
             LaurentPoly.var(),
+            LaurentPoly(),
             LaurentPoly({1: -1 / beta, -1: F(-1)}),
             LaurentPoly({1: -1 / beta}),
+            LaurentPoly.const(1),
             LaurentPoly.const(1),
         )
         assert pm._scalar_weights_phase(u, beta) == (
             LaurentPoly({-1: F(1), 1: -beta}),
             LaurentPoly({-1: F(1)}),
             LaurentPoly.var(),
+            LaurentPoly.var(),
+            LaurentPoly.const(1),
             LaurentPoly.const(1),
         )
 
@@ -64,6 +75,123 @@ def test_weight_tuples_keep_the_ring_of_their_argument():
         floats = build(float(v), float(beta))
         assert all(type(x) is float for x in floats)
         assert all(abs(a - float(b)) < 1e-15 for a, b in zip(floats, exact))
+
+
+SPECTRAL = (F(2), F(3), F(7, 5), F(-1, 2))
+
+
+def test_site_operators_equal_the_hand_written_ones():
+    for u in SPECTRAL:
+        for beta in _BETA_PALETTE:
+            assert fv.l_matrix(u, beta) == oracles.l_matrix(u, beta)
+        # 1/4 and 4 put beta*v^2 = 1 at v = 2 and v = -1/2
+        for beta in _BETA_PALETTE + (F(0), F(1, 4), F(4)):
+            for cap in range(5):
+                assert pm.l_matrix_phase(u, beta, cap) == oracles.l_matrix_phase(u, beta, cap)
+        params = [sv.five_vertex_params(beta) for beta in _BETA_PALETTE]
+        params += [sv.intertwiner_params(t) for t in (F(0), F(1, 3), F(1, 2), F(1))]
+        params.append(sv.SixVertexParams(1, 1, 2, 1, F(-1, 2), F(-1, 2), F(1, 2)))
+        params.append(sv.SixVertexParams(2, 3, 1, 1, -3, -6, F(1, 2)))  # deposit != pickup
+        for p in params:
+            assert sv.l_six(u, p) == oracles.l_six(u, p)
+
+
+def test_site_operators_refuse_an_empty_site_space_and_a_zero_parameter():
+    with pytest.raises(ParameterError, match="^need levels >= 1$"):
+        pm.l_matrix_phase(F(3), F(1, 2), -1)
+    with pytest.raises(ParameterError, match="^need levels >= 1$"):
+        lattice.site_operator((F(2),) * 6, 0)
+    for build in (
+        lambda: fv.l_matrix(F(0), F(1)),
+        lambda: pm.l_matrix_phase(F(0), F(1), 2),
+        lambda: sv.l_six(F(0), sv.intertwiner_params(F(1, 2))),
+    ):
+        with pytest.raises(PoleError):
+            build()
+
+
+def _embedded_blocks(w, levels: int, num_sites: int) -> dict:
+    """The monodromy matrix as a product of embedded site operators, site 0
+    acting first and most significant, split into its aux blocks."""
+    dims = [2] + [levels] * num_sites
+    op = lattice.site_operator(w, levels)
+    total = Matrix.identity(2 * levels**num_sites)
+    for j in range(num_sites):
+        total = embed_pair(op, 0, j + 1, dims) @ total
+    half = levels**num_sites
+    return {
+        (a_out, a_in): [
+            [total.entry(a_out * half + r, a_in * half + c) for c in range(half)]
+            for r in range(half)
+        ]
+        for a_out in (0, 1)
+        for a_in in (0, 1)
+    }
+
+
+@pytest.mark.parametrize(
+    "codec, levels, num_sites, states",
+    [
+        (lattice.BITMASK, 2, 3, list(range(8))),
+        # at most two particles, so a cap of 3 never truncates a path
+        (lattice.TUPLE, 4, 2, [occ for occ in product(range(3), repeat=2) if sum(occ) <= 2]),
+    ],
+    ids=["bitmask", "tuple"],
+)
+def test_path_sums_are_products_of_the_site_operator(codec, levels, num_sites, states):
+    # six distinct weights, none of them 0 or 1, so deposit and pickup cannot
+    # stand in for each other or for the ring's one
+    rng = random.Random(16)
+    w: list = []
+    while len(w) < 6:
+        x = F(rng.randint(-9, 9), rng.randint(1, 9))
+        if x not in (0, 1) and x not in w:
+            w.append(x)
+    w = tuple(w)
+    blocks = _embedded_blocks(w, levels, num_sites)
+
+    def index(state):
+        idx = 0
+        for n in codec.occupations(state, num_sites):
+            idx = idx * levels + n
+        return idx
+
+    if codec is lattice.BITMASK:
+        all_states = list(range(levels**num_sites))
+    else:
+        all_states = list(product(range(levels), repeat=num_sites))
+    for s in states:
+        for a_in, a_out in ((1, 0), (0, 1)):  # B, then C
+            got = lattice.path_sum(codec, num_sites, {s: F(1)}, a_in, a_out, w)
+            block = blocks[a_out, a_in]
+            want = {t: block[index(t)][index(s)] for t in all_states}
+            assert got == {t: c for t, c in want.items() if c}
+    for n in range(3):
+        basis = [s for s in states if sum(codec.occupations(s, num_sites)) == n]
+        got = lattice.transfer_matrix(codec, num_sites, basis, w)
+        want = [
+            [blocks[0, 0][index(r)][index(c)] + blocks[1, 1][index(r)][index(c)] for c in basis]
+            for r in basis
+        ]
+        assert got == Matrix(want)
+
+
+@pytest.mark.parametrize(
+    "codec, off_chain",
+    [(lattice.BITMASK, (4, 7, -1)), (lattice.TUPLE, ((0,), (0, 0, 5), (0, -1)))],
+    ids=["bitmask", "tuple"],
+)
+def test_path_sums_refuse_states_off_the_chain(codec, off_chain):
+    # a mask past the last site or negative; a tuple too short, too long or negative
+    w = fv._scalar_weights(F(2), F(1))
+    for state in off_chain:
+        for a_in, a_out in product((0, 1), repeat=2):
+            with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
+                lattice.path_sum(codec, 2, {state: F(1)}, a_in, a_out, w)
+    with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
+        fv.apply_b(2, F(2), F(1), {4: F(1)})
+    with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
+        pm.apply_c_phase(2, F(2), F(1), {(0, -1): F(1)})
 
 
 def _outcome(route, *args):

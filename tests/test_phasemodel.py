@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+import oracles
 
 from grothcrystal.errors import ParameterError, PoleError
 from grothcrystal.exactcore import Matrix, embed_pair
@@ -40,7 +41,7 @@ def monodromy_blocks_fock(num_sites, v, beta, cap):
     dims = [2] + [cap + 1] * num_sites
     total = Matrix.identity(2 * (cap + 1) ** num_sites)
     for j in range(num_sites):
-        total = embed_pair(l_matrix_phase(v, beta, cap), 0, j + 1, dims) @ total
+        total = embed_pair(oracles.l_matrix_phase(v, beta, cap), 0, j + 1, dims) @ total
     half = (cap + 1) ** num_sites
     return {
         (a_out, a_in): Matrix(
