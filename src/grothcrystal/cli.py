@@ -30,7 +30,7 @@ from . import phasemodel as pm
 from . import sixvertex as sv
 from .errors import IdentityError, ParameterError
 from .exactcore import parse_rat, rat_str
-from .suites import SUITES, generic_beta, generic_rationals, run_suite
+from .suites import SUITES, generic_beta, generic_rationals, run_suites
 
 
 def _list_of(conv):
@@ -111,11 +111,10 @@ def _at_points(draw, lhs, rhs):
 
 
 def _suites(names, tag, args, out) -> int:
-    """Run whole suites (tag None) or the cases a filter keeps; a filter that
-    keeps no case is bad input."""
+    """Run whole suites (tag None) or the cases a filter keeps, all in one
+    `run_suites` call; a filter that keeps no case is bad input."""
     bad = 0
-    for name in names:
-        rep = run_suite(name, args.scale, args.seed, tags=tag)
+    for name, rep in zip(names, run_suites(names, args.scale, args.seed, tags=tag)):
         if tag is not None and rep.cases == 0:
             raise ParameterError(f"no case of suite {name} matches {tag!r}")
         if args.json:

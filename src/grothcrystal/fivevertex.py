@@ -91,6 +91,8 @@ def mask_from_positions(x: Sequence[int]) -> int:
 
 
 def sector_masks(num_sites: int, num_particles: int) -> list[int]:
+    if num_particles < 0:
+        raise ParameterError("need a nonnegative particle number")
     return [
         m for m in range(1 << num_sites) if bin(m).count("1") == num_particles
     ]

@@ -80,9 +80,14 @@ def site_operator(w, levels: int) -> Matrix:
 def path_sum(codec: Codec, num_sites: int, state, a_in: int, a_out: int, w) -> dict:
     """Apply one auxiliary-space entry of the monodromy matrix to a weighted
     state: every path of the auxiliary line from a_in to a_out, site 0 first."""
+    return _path_sum(codec, num_sites, state, a_in, a_out, w, {})
+
+
+def _path_sum(codec: Codec, num_sites: int, state, a_in: int, a_out: int, w, table: dict) -> dict:
+    """`path_sum`, reading and filling `table`: (site, occupation) -> the
+    moves for aux 0 and aux 1, which depend only on the codec and w."""
     empty, occupations, piece, capacity = codec
     out: dict = {}
-    table: dict = {}  # (site, occupation) -> moves for aux 0 and aux 1
     for src, amp in state.items():
         if amp == 0:
             continue
@@ -119,9 +124,10 @@ def transfer_matrix(codec: Codec, num_sites: int, basis: list, w) -> Matrix:
     index = {s: i for i, s in enumerate(basis)}
     one = w[0] ** 0
     rows = [[one * 0] * len(basis) for _ in basis]
+    table: dict = {}  # one move table for every column
     for col, s in enumerate(basis):
         for a in (0, 1):  # A, then D
-            for t, c in path_sum(codec, num_sites, {s: one}, a, a, w).items():
+            for t, c in _path_sum(codec, num_sites, {s: one}, a, a, w, table).items():
                 rows[index[t]][col] += c
     return Matrix(rows)
 

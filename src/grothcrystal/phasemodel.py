@@ -72,6 +72,8 @@ def sector_basis(num_sites: int, num_particles: int) -> list[tuple[int, ...]]:
     """Occupation tuples with the given total, in lexicographic order."""
     if num_sites < 1:
         raise ParameterError("need at least one site")
+    if num_particles < 0:
+        raise ParameterError("need a nonnegative particle number")
 
     def gen(sites: int, left: int):
         if sites == 1:

@@ -7,19 +7,18 @@ primes plus a seeded proper fraction, so distinctness and pole avoidance hold
 deterministically for a given seed.
 
 A suite generates `Case` records and makes every random draw as it goes; the
-computation waits in each case's `check`, which `run_suite` calls only for the
-cases its filter keeps, so the draws never depend on the filter.  The kept
-cases are independent, so `run_suite` shares them out over the usable CPUs in
-forked processes and merges the results back in case order.
+computation waits in each case's `check`, which `run_suites` calls only for
+the cases its filter keeps, so the draws never depend on the filter.  The kept
+cases are independent, so `run_suites` puts those of every suite it runs in
+one `workqueue`, which the calling process and a forked worker per further
+usable CPU pull from until it is empty, and splits the results back per
+suite in case order.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import signal
-import time
-from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -34,6 +33,7 @@ from . import (
     partitions as pt,
     phasemodel as pm,
     sixvertex as sv,
+    workqueue,
 )
 from .errors import ParameterError
 from .exactcore import TruncatedSeries, rat_str
@@ -86,8 +86,8 @@ class SuiteReport:
     seed: int
     cases: int
     failures: list[dict]
-    wall_time: float = 0.0
-    processes: int = 1  # the most processes one of its suites ran in
+    wall_time: float = 0.0  # the summed time of its checks, over every process
+    processes: int = 1  # the processes of the run its cases were queued in
 
     @property
     def ok(self) -> bool:
@@ -634,30 +634,61 @@ SUITES: dict[str, Callable[[str, random.Random], Iterator[Case]]] = {
 }
 
 
+def run_suites(
+    names: list[str], scale: str = "small", seed: int = 1, tags: str | None = None
+) -> list[SuiteReport]:
+    """Run the named suites, one report each, in order; `tags` restricts cases
+    by name substring, and only matching cases run their check.  A check that
+    raises becomes a failure record whose "error" names the exception; the
+    other cases still run.  The matched cases of all the suites wait in one
+    queue that as many processes as there are usable CPUs, or cases if fewer,
+    pull from; the reports do not depend on that number.  A report's
+    wall_time is the summed time of its suite's checks."""
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ParameterError(f"unknown suite {unknown[0]!r}")
+    if scale not in ("small", "full"):
+        raise ParameterError("scale must be 'small' or 'full'")
+    matched = []  # each suite's cases, made with all their draws, that the filter keeps
+    for name in names:
+        cases = SUITES[name](scale, random.Random(f"{name}:{seed}"))
+        matched.append([case for case in cases if tags is None or tags in case.name])
+    queue = [case for cases in matched for case in cases]
+    procs = max(1, min(_usable_cpus(), len(queue)))
+    results = iter(
+        workqueue.run(
+            len(queue),
+            procs,
+            lambda i: _record(queue[i]),
+            lambda i, why: _failure(queue[i], f"WorkerError: {why}"),
+        )
+    )
+    reports = []
+    for name, cases in zip(names, matched):
+        mine = [next(results) for _ in cases]
+        failures = [record for record, _ in mine if record is not None]
+        seconds = sum(secs for _, secs in mine)
+        reports.append(SuiteReport(name, scale, seed, len(cases), failures, seconds, procs))
+    return reports
+
+
 def run_suite(
     name: str, scale: str = "small", seed: int = 1, tags: str | None = None
 ) -> SuiteReport:
-    """Run one suite (or "all"); `tags` restricts cases by name substring, and
-    only matching cases run their check.  A check that raises becomes a failure
-    record whose "error" names the exception; the rest of the suite still runs.
-    Each suite's matched cases run in as many processes as there are usable
-    CPUs, or cases if fewer; the report does not depend on that number."""
-    if name != "all" and name not in SUITES:
-        raise ParameterError(f"unknown suite {name!r}")
-    if scale not in ("small", "full"):
-        raise ParameterError("scale must be 'small' or 'full'")
-    start = time.perf_counter()
-    cases = 0
-    failures = []
-    processes = 1
-    for sub in SUITES if name == "all" else (name,):
-        rng = random.Random(f"{sub}:{seed}")
-        matched = [case for case in SUITES[sub](scale, rng) if tags is None or tags in case.name]
-        procs = max(1, min(_usable_cpus(), len(matched)))
-        cases += len(matched)
-        failures += [rec for rec in _run_cases(matched, procs) if rec is not None]
-        processes = max(processes, procs)
-    return SuiteReport(name, scale, seed, cases, failures, time.perf_counter() - start, processes)
+    """`run_suites` of one suite, or of every suite merged into one report for
+    "all"."""
+    if name != "all":
+        return run_suites([name], scale, seed, tags)[0]
+    reports = run_suites(list(SUITES), scale, seed, tags)
+    return SuiteReport(
+        name,
+        scale,
+        seed,
+        sum(rep.cases for rep in reports),
+        [f for rep in reports for f in rep.failures],
+        sum(rep.wall_time for rep in reports),
+        reports[0].processes,
+    )
 
 
 def _record(case: Case) -> dict | None:
@@ -680,82 +711,6 @@ def _usable_cpus() -> int:
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def _run_cases(cases: list[Case], procs: int) -> list[dict | None]:
-    """`_record` of every case, in case order.  Case i runs in process i mod
-    procs: this process runs share 0 and forks a worker for each other share.
-    A worker that dies or sends no readable result fails each of its cases."""
-    records: list[dict | None] = [None] * len(cases)
-    shares = [cases[k::procs] for k in range(procs)]
-    workers = []  # (share, pid, read end of its pipe) of each worker not yet reaped
-    try:
-        for k in range(1, procs):
-            workers.append((k, *_fork(shares[k])))
-        records[::procs] = [_record(case) for case in shares[0]]
-        while workers:
-            k, pid, fd = workers[0]
-            got = _collect(pid, fd, len(shares[k]))
-            del workers[0]
-            if isinstance(got, str):
-                got = [_failure(case, f"WorkerError: {got}") for case in shares[k]]
-            records[k::procs] = got
-    finally:
-        for _, pid, fd in workers:  # left only when this process raised
-            with suppress(OSError):
-                os.kill(pid, signal.SIGKILL)
-            with suppress(OSError):
-                os.close(fd)
-            with suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-    return records
-
-
-def _fork(share: list[Case]) -> tuple[int, int]:
-    """Fork a worker that pickles `_record` of each case in `share` into a
-    pipe; return its pid and the pipe's read end.  The worker never returns
-    to the caller and leaves through `os._exit`, so it flushes no stdio
-    buffer it inherited."""
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump([_record(case) for case in share], pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _collect(pid: int, fd: int, count: int) -> list[dict | None] | str:
-    """Read a worker's records and reap it; a string says why it gave none."""
-    import pickle
-
-    with open(fd, "rb") as pipe:
-        data = pipe.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code < 0:
-        return f"worker killed by signal {-code}"
-    if code:
-        return f"worker exited with status {code}"
-    try:
-        records = pickle.loads(data)
-    except Exception as exc:
-        return f"undecodable worker result ({type(exc).__name__})"
-    if not isinstance(records, list) or len(records) != count:
-        return "short worker result"
-    return records
 
 
 def _stringify(detail: dict) -> dict:

@@ -87,6 +87,9 @@ def test_b_and_c_frozen_values():
 def test_mask_helpers():
     assert mask_from_positions((1, 3)) == 0b101
     assert sector_masks(3, 2) == [0b011, 0b101, 0b110]
+    for build in (lambda: sector_masks(3, -1), lambda: transfer_matrix(3, -1, F(1))):
+        with pytest.raises(ParameterError, match="^need a nonnegative particle number$"):
+            build()
     for x in ((0,), (2, 0), (-3,), (2, 2)):
         with pytest.raises(ParameterError, match=r"^bad positions "):
             mask_from_positions(x)

@@ -194,6 +194,29 @@ def test_path_sums_refuse_states_off_the_chain(codec, off_chain):
         pm.apply_c_phase(2, F(2), F(1), {(0, -1): F(1)})
 
 
+@pytest.mark.parametrize("var", [F(7, 5), LaurentPoly.var()], ids=["fraction", "laurent"])
+def test_transfer_matrices_are_their_per_column_path_sums(var):
+    """One move table serves every column of a transfer matrix; the matrix is
+    still A + D read off one path sum per column and aux state."""
+    for beta in (F(-1, 2), F(2)):
+        models = [
+            (lattice.BITMASK, fv._scalar_weights(var, beta), fv.sector_masks, lambda m: m),
+            (lattice.TUPLE, pm._scalar_weights_phase(var, beta), pm.sector_basis, lambda m: 3),
+        ]
+        for codec, w, sector, n_max in models:
+            one = w[0] ** 0
+            zero = one * 0
+            for m in range(1, 6):
+                for n in range(n_max(m) + 1):
+                    basis = sector(m, n)
+                    columns = [
+                        [lattice.path_sum(codec, m, {s: one}, a, a, w) for a in (0, 1)]
+                        for s in basis
+                    ]
+                    want = [[a.get(r, zero) + d.get(r, zero) for a, d in columns] for r in basis]
+                    assert lattice.transfer_matrix(codec, m, basis, w) == Matrix(want)
+
+
 def _outcome(route, *args):
     try:
         return route(*args)

@@ -111,6 +111,14 @@ def test_sector_basis_dimensions():
     for m in (0, -2):
         with pytest.raises(ParameterError, match="^need at least one site$"):
             sector_basis(m, 1)
+    for build in (
+        lambda: sector_basis(1, -1),
+        lambda: sector_basis(3, -1),
+        lambda: transfer_matrix_phase(1, -1, F(1)),
+        lambda: hamiltonian_phase(1, -1, F(1)),
+    ):
+        with pytest.raises(ParameterError, match="^need a nonnegative particle number$"):
+            build()
 
 
 def test_wavefunction_closed_form():

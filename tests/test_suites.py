@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import grothcrystal
-from grothcrystal import fivevertex, grothendieck, meltingcrystal, phasemodel, suites
+from grothcrystal import fivevertex, grothendieck, meltingcrystal, phasemodel, suites, workqueue
 from grothcrystal.cli import main
 from grothcrystal.errors import ParameterError
-from grothcrystal.suites import SUITES, run_suite
+from grothcrystal.suites import SUITES, run_suite, run_suites
 
 # (suite, scale) -> (case count, sha256 of the case names one per line, then
 # repr(rng.getstate()) once the generator is exhausted), at seed 1
@@ -255,6 +255,13 @@ def test_process_count_does_not_change_the_report(monkeypatch, seed):
     reports = _reports(monkeypatch, queries)
     assert reports[1] == reports[2] == reports[3]
     assert reports[1][-1]["cases"] == 8
+    # one queue for every suite gives each suite's own report, whole and filtered
+    for procs in (1, 2, 3):
+        _use_cpus(monkeypatch, procs)
+        for tags in (None, "rll"):
+            together = [rep.to_json() for rep in run_suites(list(SUITES), "small", seed, tags)]
+            assert together == [run_suite(name, "small", seed, tags).to_json() for name in SUITES]
+        assert [rep["suite"] for rep in together if rep["cases"]] == ["fv", "pm", "sv6"]
     _assert_no_child_left()
 
 
@@ -283,6 +290,34 @@ def _kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _die_in_workers(monkeypatch, tmp_path, deaths, die):
+    """z_box_det kills each worker that reaches it, after writing the name of
+    the case it was running to a marker file; in the test process it first
+    waits (up to 30 s) until `deaths` workers have written one, so each of
+    them dies on the first case it takes, whatever the timing.  Returns the
+    names of the suite's cases."""
+    test_process = os.getpid()
+    real = meltingcrystal.z_box_det
+
+    def z_box_det(n, height, q, beta):
+        if os.getpid() != test_process:
+            marker = tmp_path / f"died-{os.getpid()}"
+            marker.write_text(f"mc.zbox.N{n}.L{height}.q={q}.beta={beta}")
+            die()
+        deadline = time.monotonic() + 30
+        while len(list(tmp_path.glob("died-*"))) < deaths and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return real(n, height, q, beta)
+
+    monkeypatch.setattr(meltingcrystal, "z_box_det", z_box_det)
+    _use_cpus(monkeypatch, deaths + 1)
+    return [case.name for case in SUITES["mc"]("small", random.Random("mc:1"))]
+
+
+def _died_on(tmp_path) -> set:
+    return {marker.read_text() for marker in tmp_path.glob("died-*")}
+
+
 @pytest.mark.parametrize(
     "die, error",
     [
@@ -291,25 +326,92 @@ def _kill_self():
         (_exit_0_silently, "WorkerError: undecodable worker result (EOFError)"),
     ],
 )
-def test_dead_worker_fails_its_share(monkeypatch, die, error):
-    test_process = os.getpid()
-    real = meltingcrystal.z_box_det
-
-    def z_box_det(*args):
-        if os.getpid() != test_process:
-            die()
-        return real(*args)
-
-    monkeypatch.setattr(meltingcrystal, "z_box_det", z_box_det)
-    _use_cpus(monkeypatch, 2)
-    names = [case.name for case in SUITES["mc"]("small", random.Random("mc:1"))]
+def test_dead_worker_fails_its_share(monkeypatch, tmp_path, die, error):
+    """A worker's share of the failures is the one case it was running when it
+    died; this process runs every other case."""
+    names = _die_in_workers(monkeypatch, tmp_path, 1, die)
     rep = run_suite("mc", "small", 1)
     _assert_no_child_left()
-    # the worker ran the odd cases and died on its first z_box_det case
     assert rep.cases == len(names) == 25
-    assert [f["case"] for f in rep.failures] == names[1::2]
-    assert all(f["error"] == error for f in rep.failures)
+    [failure] = rep.failures
+    assert ".zbox." in failure["case"] and {failure["case"]} == _died_on(tmp_path)
+    assert failure["error"] == error
     assert rep.processes == 2
+
+
+def test_two_dead_workers_fail_one_case_each(monkeypatch, tmp_path):
+    def die():
+        """The first worker to get here exits with status 3, the other is killed."""
+        try:
+            first = os.open(tmp_path / "first", os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            _kill_self()
+        os.write(first, (tmp_path / f"died-{os.getpid()}").read_bytes())
+        _exit_3()
+
+    names = _die_in_workers(monkeypatch, tmp_path, 2, die)
+    rep = run_suite("mc", "small", 1)
+    _assert_no_child_left()
+    assert rep.cases == len(names) == 25 and rep.processes == 3
+    assert len(rep.failures) == 2
+    assert all(".zbox." in f["case"] for f in rep.failures)
+    assert {f["case"] for f in rep.failures} == _died_on(tmp_path)
+    errors = {f["case"]: f["error"] for f in rep.failures}
+    exited = (tmp_path / "first").read_text()
+    assert errors.pop(exited) == "WorkerError: worker exited with status 3"
+    assert list(errors.values()) == [f"WorkerError: worker killed by signal {int(signal.SIGKILL)}"]
+
+
+def test_worker_dying_before_it_announces_a_case_fails_that_case(monkeypatch, tmp_path):
+    test_process = os.getpid()
+    real_take = workqueue._take
+
+    def take(fd):
+        index = real_take(fd)
+        if os.getpid() != test_process and index is not None:
+            (tmp_path / f"died-{os.getpid()}").touch()
+            _exit_3()
+        return index
+
+    monkeypatch.setattr(workqueue, "_take", take)
+    names = _die_in_workers(monkeypatch, tmp_path, 1, _exit_3)
+    rep = run_suite("mc", "small", 1)
+    _assert_no_child_left()
+    assert rep.cases == len(names) == 25
+    [failure] = rep.failures
+    assert failure["error"] == "WorkerError: worker died before announcing its index"
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_verify_all_forks_once_per_extra_process(monkeypatch, capsys, cpus):
+    forks = _count_forks(monkeypatch)
+    _use_cpus(monkeypatch, cpus)
+    assert main(["--json", "verify", "all"]) == 0
+    assert len(forks) == cpus - 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_SMALL_SEED1
+    _assert_no_child_left()
+
+
+def test_unknown_suite_is_refused_before_any_fork(monkeypatch, capsys):
+    forks = _count_forks(monkeypatch)
+    _use_cpus(monkeypatch, 2)
+    assert main(["verify", "nosuch"]) == 2
+    assert "unknown suite 'nosuch'" in capsys.readouterr().err
+    with pytest.raises(ParameterError):
+        run_suites(["fv", "nosuch"])
+    assert forks == []
 
 
 def test_interrupted_run_leaves_no_worker(monkeypatch):
