@@ -4,8 +4,8 @@ All results go to stdout as JSON lines (or CSV for the entropy table), with
 rationals rendered as "p/q" strings; given the same seed the bytes are
 identical run to run.  Timing and progress go to stderr only.  The process
 exits 0 exactly when every requested check passed, 1 when a check failed and
-2 on bad input; stdout is written only once the command has finished, so bad
-input leaves it empty.
+2 on bad input; stdout is written only once the command has finished, and
+after the --out file, so bad input, an --out path included, leaves it empty.
 
 Every subcommand is one row of `COMMANDS`: its group, name, help, argument
 specs and handler.  A handler takes the parsed arguments and a list that
@@ -373,10 +373,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = "".join(line + "\n" for line in out)
-    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     print(f"# elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code
 

@@ -33,6 +33,11 @@ def _check_beta(beta: Fraction) -> Fraction:
     return beta
 
 
+def _check_sites(num_sites: int) -> None:
+    if num_sites < 0:
+        raise ParameterError("need a nonnegative number of sites")
+
+
 def l_matrix(u: Fraction, beta: Fraction) -> Matrix:
     """Site operator on (aux, site), basis |00>, |01>, |10>, |11>."""
     return lattice.site_operator(_scalar_weights(Fraction(u), beta), 2)
@@ -91,6 +96,7 @@ def mask_from_positions(x: Sequence[int]) -> int:
 
 
 def sector_masks(num_sites: int, num_particles: int) -> list[int]:
+    _check_sites(num_sites)
     if num_particles < 0:
         raise ParameterError("need a nonnegative particle number")
     return [
@@ -122,6 +128,7 @@ def _configuration(num_sites: int, x: Sequence[int], us: Sequence[Fraction], bet
     parameter per particle, and distinct increasing 1-based positions on the
     chain.  Returns the row state and the partition of the positions."""
     _check_beta(beta)
+    _check_sites(num_sites)
     if len(x) != len(us):
         raise ParameterError("need exactly one spectral parameter per particle")
     if x and x[-1] > num_sites:
@@ -204,6 +211,7 @@ def hamiltonian_direct(num_sites: int, beta: Fraction) -> Matrix:
     joins site 0 to itself and its hop is -(1/beta) times the empty projector.
     """
     beta = _check_beta(beta)
+    _check_sites(num_sites)
     dim = 1 << num_sites
     h = [[Fraction(0)] * dim for _ in range(dim)]
     hop = -1 / beta

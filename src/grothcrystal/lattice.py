@@ -23,7 +23,7 @@ from .exactcore import Matrix, embed_pair
 
 
 def _bits(mask: int, num_sites: int) -> list[int]:
-    if mask < 0 or mask >> num_sites:
+    if num_sites < 0 or mask < 0 or mask >> num_sites:
         raise ParameterError("the state does not fit the chain")
     return [(mask >> site) & 1 for site in range(num_sites)]
 

@@ -1,11 +1,15 @@
 """One work queue that a process and its forked workers pull from.
 
 `run` computes `work(i)` for every index i below a count.  The indices wait
-in a pipe; the calling process and procs - 1 forked workers each take the
-next one whenever they are free, so no process idles while indices are left,
-and the results come back in index order with the seconds each took.  A
-worker announces each index it takes and sends (index, result, seconds) as
-soon as the work ends, so a worker that dies costs only the index it was on.
+in an unlinked temp file whose one open file description the calling process
+and procs - 1 forked workers share: each takes the next index by reading it
+at the shared offset, which read(2) advances atomically (Linux >= 3.14), so
+no two processes take the same index and none idles while indices are left.
+The results come back in index order with the seconds each took.  Each
+worker pickles, into an unlinked temp file of its own, every index it takes
+and then (index, result, seconds) as soon as the work ends; that file is read
+once the worker is reaped, so a worker that dies costs only the index it was
+on.  A run needs a writable temp directory, found as `tempfile` finds one.
 
 Workers are forked, so `work` is never pickled; its results are.  A worker
 never returns to its caller and leaves through `os._exit`, so it flushes no
@@ -19,7 +23,7 @@ import os
 import signal
 import time
 from contextlib import suppress
-from typing import Callable
+from typing import BinaryIO, Callable
 
 _INDEX_BYTES = 4  # per queued index
 
@@ -29,40 +33,34 @@ def run(
 ) -> list:
     """(work(i), seconds) for i in range(count), in order, over procs
     processes.  Where a worker died on index i, died(i, how it died) stands
-    in for work(i).  Indices that do not fit the pipe yet are queued as
-    others are taken; while the pipe is full, this process works on the next
-    unqueued index itself, so it never waits on the queue it feeds."""
+    in for work(i)."""
+    import tempfile
+
     results: list = [None] * count
-    queue_r, queue_w = os.pipe()
-    streams: dict[int, tuple[int, bytearray]] = {}  # worker result pipe -> (pid, bytes read)
-    try:
-        for _ in range(procs - 1):
-            pid, fd = _fork(work, queue_r, queue_w)
-            streams[fd] = (pid, bytearray())
-        os.set_blocking(queue_w, False)
-        queued = _enqueue(queue_w, 0, count)
-        while queued < count:
-            results[queued] = _timed(work, queued)
-            _drain(streams, results, died, 0)
-            queued = _enqueue(queue_w, queued + 1, count)
-        os.close(queue_w)
-        queue_w = -1
-        while (index := _take(queue_r)) is not None:
-            results[index] = _timed(work, index)
-            _drain(streams, results, died, 0)
-        while streams:
-            _drain(streams, results, died, None)
-    finally:
-        for fd in (queue_r, queue_w):
-            if fd >= 0:
-                os.close(fd)
-        for fd, (pid, _) in streams.items():  # left only when this process raised
-            with suppress(OSError):
-                os.kill(pid, signal.SIGKILL)
-            os.close(fd)
-            with suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-    # a worker killed between taking an index and announcing it sent nothing for it
+    workers: list[tuple[int, BinaryIO]] = []  # (pid, result file) of each unreaped worker
+    with tempfile.TemporaryFile() as queue:
+        try:
+            queue.write(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(count)))
+            queue.seek(0)  # flushes the indices, and every process reads from the start
+            for _ in range(procs - 1):
+                workers.append(_fork(work, queue.fileno()))
+            while (index := _take(queue.fileno())) is not None:
+                results[index] = _timed(work, index)
+            while workers:
+                pid, out = workers[-1]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                workers.pop()
+                with out:
+                    out.seek(0)
+                    _decode(out.read(), code, results, died)
+        finally:
+            for pid, out in workers:  # left only when this process raised
+                with suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+                out.close()
+    # a worker killed between taking an index and announcing it wrote nothing for it
     return [
         result or (died(i, "worker died before announcing its index"), 0.0)
         for i, result in enumerate(results)
@@ -75,78 +73,37 @@ def _timed(work: Callable[[int], object], index: int) -> tuple:
     return result, time.perf_counter() - start
 
 
-def _enqueue(fd: int, first: int, stop: int) -> int:
-    """Write indices first, first + 1, ... below stop into the queue until it
-    is full; return the first index not written.  Each write is of at most
-    PIPE_BUF bytes, which a pipe takes whole or not at all, so the queue
-    always holds whole indices and every read of one index gets all of it."""
-    import select
-
-    while first < stop:
-        last = min(stop, first + select.PIPE_BUF // _INDEX_BYTES)
-        try:
-            os.write(fd, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(first, last)))
-        except BlockingIOError:
-            break
-        first = last
-    return first
-
-
 def _take(fd: int) -> int | None:
-    """The next index off the queue; None once it is empty and every copy of
-    its write end is closed."""
+    """The next index off the queue; None once it is read to its end."""
     data = os.read(fd, _INDEX_BYTES)
     return int.from_bytes(data, "little") if data else None
 
 
-def _fork(work: Callable[[int], object], queue_r: int, queue_w: int) -> tuple[int, int]:
+def _fork(work: Callable[[int], object], queue: int) -> tuple[int, BinaryIO]:
     """Fork a worker that takes indices off the queue and pickles, for each,
-    the index and then (index, work(index), seconds) into a pipe; return its
-    pid and the pipe's read end."""
+    the index and then (index, work(index), seconds) into an unlinked temp
+    file; return its pid and that file."""
     import pickle
+    import tempfile
 
-    read_fd, write_fd = os.pipe()
+    out = tempfile.TemporaryFile()
     try:
         pid = os.fork()
     except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
+        out.close()
         raise
     if pid == 0:
         code = 1
         try:
-            os.close(queue_w)
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                while (index := _take(queue_r)) is not None:
-                    pickle.dump(index, pipe)
-                    pipe.flush()
-                    pickle.dump((index, *_timed(work, index)), pipe)
-                    pipe.flush()
+            while (index := _take(queue)) is not None:
+                pickle.dump(index, out)
+                out.flush()
+                pickle.dump((index, *_timed(work, index)), out)
+                out.flush()
             code = 0
         finally:
             os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _drain(streams: dict, results: list, died: Callable, timeout: float | None) -> None:
-    """Read what the workers have sent, waiting up to `timeout` seconds (None:
-    until one sends) when none has; a worker whose stream has ended is reaped
-    and its results are filled in."""
-    import select
-
-    ready, _, _ = select.select(list(streams), [], [], timeout)
-    for fd in ready:
-        pid, data = streams[fd]
-        chunk = os.read(fd, 1 << 16)
-        if chunk:
-            data += chunk
-            continue
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        del streams[fd]
-        os.close(fd)
-        _decode(data, code, results, died)
+    return pid, out
 
 
 def _decode(data: bytes, code: int, results: list, died: Callable) -> None:

@@ -112,6 +112,12 @@ ROWS = [
     # bugfix, height -1: --series printed four zero coefficients, exit 0
     (('mc', 'zbox', '--n', '2', '--height', '-1', '--series', '3'), 2, EMPTY, 'error: box dimensions must be nonnegative'),
     (('mc', 'zbox', '--n', '2', '--height', '-1', '--q', '1/2'), 2, EMPTY, 'error: box dimensions must be nonnegative'),
+    # bugfix, a negative site count: the amplitude 1/1 and exit 0
+    (('fv', 'wavefunction', '--sites', '-2', '--x=', '--u=', '--beta', '1'), 2, EMPTY, 'error: need a nonnegative number of sites'),
+    (('fv', 'wavefunction', '--sites', '-2', '--x=', '--u=', '--beta', '1', '--dual'), 2, EMPTY, 'error: need a nonnegative number of sites'),
+    # bugfix, an --out path that cannot be written: stdout, then a
+    # NotADirectoryError traceback and exit 1
+    (('--out', '/dev/null/x', 'mc', 'macmahon', '--order', '2'), 2, EMPTY, "error: [Errno 20] Not a directory: '/dev/null/x'"),
 ]
 
 

@@ -198,6 +198,31 @@ def test_one_site_hamiltonian_keeps_the_wrap_bond():
             assert hamiltonian(m, beta) == hamiltonian_direct(m, beta)
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda: wavefunction(-2, (), (), F(1)),
+        lambda: wavefunction_lattice(-2, (), (), F(1)),
+        lambda: wavefunction_closed(-2, (), (), F(1)),
+        lambda: dual_wavefunction(-2, (), (), F(1)),
+        lambda: sector_masks(-1, 0),
+        lambda: transfer_matrix(-1, 0, F(1)),
+        lambda: hamiltonian_direct(-1, F(1)),
+        lambda: hamiltonian(-1, F(-1)),
+    ],
+    ids=["wavefunction", "lattice", "closed", "dual", "sector", "transfer", "direct", "hamiltonian"],
+)
+def test_routes_refuse_a_negative_site_count(route):
+    with pytest.raises(ParameterError, match="^need a nonnegative number of sites$"):
+        route()
+
+
+def test_operators_refuse_a_negative_site_count():
+    for apply in (apply_b, apply_c):
+        with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
+            apply(-1, F(2), F(1), {0: F(1)})
+
+
 def test_hamiltonian_needs_rational_square_root():
     with pytest.raises(ParameterError):
         hamiltonian(3, F(-2))
