@@ -4,8 +4,9 @@ All results go to stdout as JSON lines (or CSV for the entropy table), with
 rationals rendered as "p/q" strings; given the same seed the bytes are
 identical run to run.  Timing and progress go to stderr only.  The process
 exits 0 exactly when every requested check passed, 1 when a check failed and
-2 on bad input; stdout is written only once the command has finished, and
-after the --out file, so bad input, an --out path included, leaves it empty.
+2 on bad input, an unusable --out file or temp directory included; stdout is
+written only once the command has finished, and after the --out file, so
+bad input leaves it empty.
 
 Every subcommand is one row of `COMMANDS`: its group, name, help, argument
 specs and handler.  A handler takes the parsed arguments and a list that
@@ -24,6 +25,7 @@ from functools import partial
 
 from . import fivevertex as fv
 from . import grothendieck as gr
+from . import lattice
 from . import meltingcrystal as mc
 from . import partitions as pt
 from . import phasemodel as pm
@@ -136,11 +138,6 @@ def _eval_inputs(args) -> dict:
     vals = _fields("lam", "z", "beta")(args)
     vals["lam"] += [0] * (len(vals["z"]) - len(vals["lam"]))
     return vals
-
-
-def _either(plain, dual):
-    """fn(..., dual) -> dual(...) or plain(...)."""
-    return lambda *vals: (dual if vals[-1] else plain)(*vals[:-1])
 
 
 def _bethe(args, out) -> int:
@@ -284,16 +281,14 @@ COMMANDS = [
     ("fv", "wavefunction", "lattice amplitude, self-checked",
      [SITES(), _arg("--x", required=True, help="1-based particle positions, e.g. 1,3"),
       U(help="spectral parameters"), BETA(required=True), DUAL()],
-     _evaluate(_fields("sites", "x", "u", "beta", "dual"),
-               _either(fv.wavefunction, fv.dual_wavefunction))),
+     _evaluate(_fields("sites", "x", "u", "beta", "dual"), partial(lattice.amplitude, fv.MODEL))),
     ("fv", "verify", "run five-vertex checks",
      [SUITE(help="all, or a filter such as ybe, rll, thm22, skew, ham, commute"), SCALE()],
      _model_verify("fv")),
     ("pm", "wavefunction", "lattice amplitude, self-checked",
      [SITES(), _arg("--occ", required=True, help="occupation numbers per site"), V(),
       BETA(required=True), DUAL()],
-     _evaluate(_fields("sites", "occ", "v", "beta", "dual"),
-               _either(pm.wavefunction_phase, pm.dual_wavefunction_phase))),
+     _evaluate(_fields("sites", "occ", "v", "beta", "dual"), partial(lattice.amplitude, pm.MODEL))),
     ("pm", "scalar", "scalar product: determinant vs expansion",
      [SITES(), U(), V(), BETA(required=True)],
      _evaluate(_fields("sites", "u", "v", "beta"), pm.scalar_product,
@@ -365,21 +360,17 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.run(args, out)
+        text = "".join(line + "\n" for line in out)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except IdentityError as exc:
         # a self-check ran and its two routes disagreed: a failed verification
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = "".join(line + "\n" for line in out)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     sys.stdout.write(text)
     print(f"# elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code

@@ -9,21 +9,21 @@ auxiliary state).  B adds a particle to the row, C removes one.
 Vertex weights on (aux_in, site_in) -> (aux_out, site_out):
   (0,0)->(0,0): u       (0,1)->(1,0): 1      (1,0)->(0,1): 1
   (1,0)->(1,0): -u/beta - 1/u                (1,1)->(1,1): -u/beta
-and the (0,1)->(0,1) vertex is absent.
+and the (0,1)->(0,1) vertex is absent.  `MODEL` hands the weights, states and
+closed form to `lattice`, which computes B, C, the amplitudes and the
+transfer matrix; the R matrix and the Hamiltonian are this module's own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from . import lattice
 from .errors import IdentityError, ParameterError, PoleError
 from .exactcore import LaurentPoly, Matrix, embed_pair, rational_sqrt
-from .grothendieck import groth_det
-from .partitions import complement, partition_from_positions
-
-State = Mapping[int, Fraction]
+from .partitions import partition_from_positions
 
 
 def _check_beta(beta: Fraction) -> Fraction:
@@ -99,19 +99,14 @@ def sector_masks(num_sites: int, num_particles: int) -> list[int]:
     _check_sites(num_sites)
     if num_particles < 0:
         raise ParameterError("need a nonnegative particle number")
-    return [
-        m for m in range(1 << num_sites) if bin(m).count("1") == num_particles
-    ]
+    chosen = combinations(range(num_sites), num_particles)
+    return sorted(sum(1 << site for site in sites) for sites in chosen)
 
 
-def apply_b(num_sites: int, u: Fraction, beta: Fraction, state: State) -> dict[int, Fraction]:
-    """B(u) acting on a weighted state: adds one particle."""
-    return lattice.path_sum(lattice.BITMASK, num_sites, state, 1, 0, _scalar_weights(Fraction(u), beta))
-
-
-def apply_c(num_sites: int, u: Fraction, beta: Fraction, state: State) -> dict[int, Fraction]:
-    """C(u) acting on a weighted state: removes one particle."""
-    return lattice.path_sum(lattice.BITMASK, num_sites, state, 0, 1, _scalar_weights(Fraction(u), beta))
+def reversed_mask(mask: int, num_sites: int) -> int:
+    """The state after a 180-degree rotation of the chain: site j moves to
+    site M+1-j."""
+    return int(format(mask, f"0{num_sites}b")[::-1], 2)
 
 
 def spectral_map(u: Fraction, beta: Fraction) -> Fraction:
@@ -123,83 +118,45 @@ def spectral_map(u: Fraction, beta: Fraction) -> Fraction:
     return -1 / beta - u**-2
 
 
-def _configuration(num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction):
-    """The domain of all four amplitude routes: beta != 0, one spectral
+def _configuration(num_sites: int, x: Sequence[int], us: Sequence, beta: Fraction) -> int:
+    """The domain every amplitude route shares: beta != 0, one spectral
     parameter per particle, and distinct increasing 1-based positions on the
-    chain.  Returns the row state and the partition of the positions."""
+    chain.  Returns the row state."""
     _check_beta(beta)
     _check_sites(num_sites)
     if len(x) != len(us):
         raise ParameterError("need exactly one spectral parameter per particle")
     if x and x[-1] > num_sites:
         raise ParameterError("position beyond the last site")
-    return mask_from_positions(x), partition_from_positions(x)
+    mask = mask_from_positions(x)
+    partition_from_positions(x)  # refuses positions out of order
+    return mask
 
 
-def wavefunction_lattice(
-    num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """<x| B(u_1)...B(u_N) |empty row> by repeated operator application."""
-    mask, _ = _configuration(num_sites, x, us, beta)
-    return lattice.chain(apply_b, num_sites, us, beta, 0).get(mask, Fraction(0))
+def _partition(mask: int) -> tuple[int, ...]:
+    """The partition of the positions of a row state."""
+    return partition_from_positions(s + 1 for s in range(mask.bit_length()) if mask >> s & 1)
 
 
-def wavefunction_closed(
-    num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """The same amplitude in closed form, through the determinant polynomial."""
-    _, lam = _configuration(num_sites, x, us, beta)
-    return _closed_form(num_sites, lam, us, beta)
-
-
-def _closed_form(num_sites: int, lam, us: Sequence[Fraction], beta: Fraction) -> Fraction:
-    """(-1/beta)^(N(N-1)/2) prod u^(M-1) times the determinant polynomial at z(u)."""
+def _prefactor(num_sites: int, us: Sequence[Fraction], beta: Fraction) -> Fraction:
+    """(-1/beta)^(N(N-1)/2) prod u^(M-1)."""
     n = len(us)
-    zs = [spectral_map(u, beta) for u in us]
     pref = (-1 / Fraction(beta)) ** (n * (n - 1) // 2)
     for u in us:
         pref *= Fraction(u) ** (num_sites - 1)
-    return pref * groth_det(lam, zs, beta)
+    return pref
 
 
-def wavefunction(
-    num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """Self-checking amplitude: lattice route asserted against the closed form."""
-    return lattice.checked(wavefunction_lattice, wavefunction_closed, num_sites, x, us, beta)
-
-
-def dual_wavefunction_lattice(
-    num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """<empty row| C(u_1)...C(u_N) |x> by repeated operator application."""
-    mask, _ = _configuration(num_sites, x, us, beta)
-    return lattice.chain(apply_c, num_sites, us, beta, mask).get(0, Fraction(0))
-
-
-def dual_wavefunction_closed(
-    num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """Closed form of the dual amplitude, via the box-complement partition."""
-    _, lam = _configuration(num_sites, x, us, beta)
-    return _closed_form(num_sites, complement(lam, num_sites - len(us)), us, beta)
-
-
-def dual_wavefunction(
-    num_sites: int, x: Sequence[int], us: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    return lattice.checked(
-        dual_wavefunction_lattice, dual_wavefunction_closed, num_sites, x, us, beta
-    )
-
-
-def transfer_matrix(
-    num_sites: int, num_particles: int, beta: Fraction
-) -> tuple[list[int], Matrix]:
-    """t(u) = A(u) + D(u) on one particle-number sector, over Laurent polynomials."""
-    basis = sector_masks(num_sites, num_particles)
-    w = _scalar_weights(LaurentPoly.var(), beta)
-    return basis, lattice.transfer_matrix(lattice.BITMASK, num_sites, basis, w)
+MODEL = lattice.Model(
+    codec=lattice.BITMASK,
+    weights=_scalar_weights,
+    sector=sector_masks,
+    partition=_partition,
+    configuration=_configuration,
+    prefactor=_prefactor,
+    spectral_map=spectral_map,
+    dual_width=lambda num_sites, num_particles: num_sites - num_particles,
+)
 
 
 def hamiltonian_direct(num_sites: int, beta: Fraction) -> Matrix:
@@ -240,7 +197,7 @@ def hamiltonian(num_sites: int, beta: Fraction) -> Matrix:
         raise ParameterError("-beta must be the square of a rational")
     direct = hamiltonian_direct(num_sites, beta)
     for n in range(num_sites + 1):
-        basis, t = transfer_matrix(num_sites, n, beta)
+        basis, t = lattice.transfer_matrix(MODEL, num_sites, n, LaurentPoly.var(), beta)
         f = t.map(lambda p: p.shift(-num_sites))
         f0 = f.map(lambda p: p.evaluate(u0))
         fp0 = f.map(lambda p: p.derivative().evaluate(u0))

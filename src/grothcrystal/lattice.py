@@ -2,15 +2,19 @@
 
 All three share one vertex layout.  At a site holding n particles the
 auxiliary line, empty (0) or carrying one particle (1), either stays empty,
-picks a particle up, deposits its particle or passes through carrying it.  A
-model is a six-weight tuple w = (stay_empty, stay_occupied, pass_empty,
+picks a particle up, deposits its particle or passes through carrying it.  The
+weights are a six-tuple w = (stay_empty, stay_occupied, pass_empty,
 pass_occupied, deposit, pickup) over a coefficient ring (Fraction,
 LaurentPoly or float); a zero weight is an absent vertex.  `vertices` lists
 the moves, `site_operator` lays them out as a matrix, and `path_sum` chains
 them along a row.  A codec says how a chain state is stored: a bitmask for
-the five-vertex model, an occupation tuple for the phase model.  Everything
-else here (transfer matrices, operator chains, self-checks and the
-intertwining relation) is written once on top of these.
+the five-vertex model, an occupation tuple for the phase model.
+
+A `Model` bundles what the five-vertex and phase models do not share: codec,
+weights, sectors, the partition of a state, the domain check and the closed
+form's prefactor, spectral map and dual box width.  Everything else (B and C,
+operator chains, the lattice, closed and self-checked amplitudes with their
+duals, transfer matrices and the intertwining relation) is written once here.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from typing import Callable, NamedTuple
 
 from .errors import IdentityError, ParameterError
 from .exactcore import Matrix, embed_pair
+from .grothendieck import groth_det
+from .partitions import complement
 
 
 def _bits(mask: int, num_sites: int) -> list[int]:
@@ -119,43 +125,95 @@ def _path_sum(codec: Codec, num_sites: int, state, a_in: int, a_out: int, w, tab
     return {s: c for s, c in out.items() if not c == 0}
 
 
-def transfer_matrix(codec: Codec, num_sites: int, basis: list, w) -> Matrix:
-    """A + D on the span of `basis`, over the ring of the weights w."""
+class Model(NamedTuple):
+    """One lattice model.  `weights(p, beta)` is its six-weight tuple over the
+    ring of p; `sector(M, n)` lists the n-particle states of an M-site chain,
+    so `sector(M, 0)[0]` is the empty chain; `configuration(M, config, ps,
+    beta)` is the domain every amplitude route shares and returns the state of
+    the configuration.  The closed form of the amplitude at a state is
+    `prefactor(M, ps, beta)` times G_lam at z = `spectral_map(p, beta)`, with
+    lam = `partition(state)`, complemented in a box `dual_width(M, n)` wide for
+    the dual amplitude."""
+
+    codec: Codec
+    weights: Callable
+    sector: Callable
+    partition: Callable
+    configuration: Callable
+    prefactor: Callable
+    spectral_map: Callable
+    dual_width: Callable
+
+
+def apply_b(model: Model, num_sites: int, p, beta, state) -> dict:
+    """B(p) acting on a weighted state: adds one particle."""
+    w = model.weights(Fraction(p), Fraction(beta))
+    return path_sum(model.codec, num_sites, state, 1, 0, w)
+
+
+def apply_c(model: Model, num_sites: int, p, beta, state) -> dict:
+    """C(p) acting on a weighted state: removes one particle."""
+    w = model.weights(Fraction(p), Fraction(beta))
+    return path_sum(model.codec, num_sites, state, 0, 1, w)
+
+
+def chain(apply: Callable, model: Model, num_sites: int, params, beta, state: dict) -> dict:
+    """X(p_1)...X(p_N) acting on a weighted state, X = `apply_b` or `apply_c`;
+    X(p_N) acts first."""
+    for p in reversed(params):
+        state = apply(model, num_sites, p, beta, state)
+    return state
+
+
+def lattice_amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
+    """<config| B(p_1)...B(p_N) |empty chain>, or for the dual
+    <empty chain| C(p_1)...C(p_N) |config>, by repeated operator application."""
+    state = model.configuration(num_sites, config, params, beta)
+    empty = model.sector(num_sites, 0)[0]
+    start, end = (state, empty) if dual else (empty, state)
+    apply = apply_c if dual else apply_b
+    return chain(apply, model, num_sites, params, beta, {start: Fraction(1)}).get(end, Fraction(0))
+
+
+def closed_amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
+    """The same amplitude in closed form: the prefactor times the determinant
+    polynomial at z(p), of the partition of config or, for the dual, of its
+    box complement."""
+    lam = model.partition(model.configuration(num_sites, config, params, beta))
+    if dual:
+        lam = complement(lam, model.dual_width(num_sites, len(params)))
+    zs = [model.spectral_map(p, beta) for p in params]
+    return model.prefactor(num_sites, params, beta) * groth_det(lam, zs, beta)
+
+
+def amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
+    """The lattice amplitude, after asserting that it equals the closed form."""
+    value = lattice_amplitude(model, num_sites, config, params, beta, dual)
+    want = closed_amplitude(model, num_sites, config, params, beta, dual)
+    if value != want:
+        kind = "dual amplitude" if dual else "amplitude"
+        raise IdentityError(
+            f"lattice {kind} = {value} != closed {kind} = {want} at {tuple(config)}"
+        )
+    return value
+
+
+def transfer_matrix(
+    model: Model, num_sites: int, num_particles: int, p, beta
+) -> tuple[list, Matrix]:
+    """The n-particle sector and A(p) + D(p) on it, over the ring of p: exact
+    at a Fraction, Laurent polynomials at LaurentPoly.var(), floats at a float."""
+    basis = model.sector(num_sites, num_particles)
+    w = model.weights(p, beta)
     index = {s: i for i, s in enumerate(basis)}
     one = w[0] ** 0
     rows = [[one * 0] * len(basis) for _ in basis]
     table: dict = {}  # one move table for every column
     for col, s in enumerate(basis):
         for a in (0, 1):  # A, then D
-            for t, c in _path_sum(codec, num_sites, {s: one}, a, a, w, table).items():
+            for t, c in _path_sum(model.codec, num_sites, {s: one}, a, a, w, table).items():
                 rows[index[t]][col] += c
-    return Matrix(rows)
-
-
-def chain(apply: Callable, num_sites: int, params, beta: Fraction, start) -> dict:
-    """X(p_1)...X(p_N)|start> as a weighted state; X(p_N) acts first.
-
-    `apply(num_sites, p, beta, state)` is one operator of the chain, such as
-    a five-vertex B(u) or a phase-model C(v).
-    """
-    state = {start: Fraction(1)}
-    for p in reversed(params):
-        state = apply(num_sites, p, beta, state)
-    return state
-
-
-def checked(
-    lattice_route: Callable, closed_route: Callable, num_sites: int, config, params, beta
-):
-    """The lattice amplitude, after asserting that it equals the closed form."""
-    value = lattice_route(num_sites, config, params, beta)
-    want = closed_route(num_sites, config, params, beta)
-    if value != want:
-        raise IdentityError(
-            f"{lattice_route.__name__} = {value} != {closed_route.__name__} = {want} "
-            f"at {tuple(config)}"
-        )
-    return value
+    return basis, Matrix(rows)
 
 
 def rll_sides(l_u: Matrix, l_v: Matrix, r: Matrix) -> tuple[Matrix, Matrix]:

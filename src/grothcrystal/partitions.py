@@ -95,14 +95,6 @@ def partition_from_positions(x: Sequence[int]) -> Partition:
     return tuple(x[n - j] - (n - j + 1) for j in range(1, n + 1))
 
 
-def reversed_positions(x: Sequence[int], chain_length: int) -> tuple[int, ...]:
-    """The positions after a 180-degree rotation of the chain."""
-    x = tuple(x)
-    if x and (x[0] < 1 or x[-1] > chain_length):
-        raise OutOfBoxError("positions outside the chain")
-    return tuple(chain_length - v + 1 for v in reversed(x))
-
-
 def complement(lam: Sequence[int], width: int) -> Partition:
     """Complement in the width^N box: width - lam_{N+1-j}."""
     lam = check_partition(lam)

@@ -4,10 +4,10 @@ States are occupation tuples (n_0, ..., n_{M-1}).  The site operator acts on
 (aux, Fock) as [[1/v - beta*v*P0, raise], [lower, v]] with P0 the projector on
 an empty site, and the monodromy matrix multiplies site 0 first.  Its upper
 right auxiliary entry adds one boson to the chain; the lower left removes one.
-This module supplies the six vertex weights and the occupation-tuple states;
-the site operator and the row path sums are built from them in `lattice`, over
-exact rationals, Laurent polynomials, or floats, which is how the Bethe-root
-numerics reuse them.
+`MODEL` hands the six vertex weights, the occupation-tuple states and the
+closed form to `lattice`, which builds the site operator, B, C, the amplitudes
+and the transfer matrix from them, over exact rationals, Laurent polynomials,
+or floats, which is how the Bethe-root numerics reuse them.
 
 Each closed form is prod_v (1/v - beta*v)^(M-1) times a Grothendieck one at
 z(v) = 1/(1/v^2 - beta): G_lam for the wavefunctions, `cauchy_rhs` for the
@@ -19,16 +19,14 @@ from __future__ import annotations
 
 from cmath import exp, pi
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import lattice
 from .errors import IdentityError, ParameterError, PoleError
 from .exactcore import LaurentPoly, Matrix, rat_str
 from .fivevertex import r_matrix
-from .grothendieck import cauchy_rhs, groth_det, summation_rhs
-from .partitions import complement, partition_from_occupation
-
-State = Mapping[tuple[int, ...], Fraction]
+from .grothendieck import cauchy_rhs, summation_rhs
+from .partitions import partition_from_occupation
 
 
 def l_matrix_phase(v: Fraction, beta: Fraction, cap: int) -> Matrix:
@@ -62,12 +60,6 @@ def _scalar_weights_phase(v, beta):
     return (1 / v - beta * v, 1 / v, v, v, v**0, v**0)
 
 
-def vacuum_occupation(num_sites: int) -> tuple[int, ...]:
-    if num_sites < 1:
-        raise ParameterError("need at least one site")
-    return (0,) * num_sites
-
-
 def sector_basis(num_sites: int, num_particles: int) -> list[tuple[int, ...]]:
     """Occupation tuples with the given total, in lexicographic order."""
     if num_sites < 1:
@@ -86,22 +78,6 @@ def sector_basis(num_sites: int, num_particles: int) -> list[tuple[int, ...]]:
     return list(gen(num_sites, num_particles))
 
 
-def apply_b_phase(
-    num_sites: int, v: Fraction, beta: Fraction, state: State
-) -> dict[tuple[int, ...], Fraction]:
-    """Particle-adding monodromy entry acting on a weighted state."""
-    w = _scalar_weights_phase(Fraction(v), Fraction(beta))
-    return lattice.path_sum(lattice.TUPLE, num_sites, state, 1, 0, w)
-
-
-def apply_c_phase(
-    num_sites: int, v: Fraction, beta: Fraction, state: State
-) -> dict[tuple[int, ...], Fraction]:
-    """Particle-removing monodromy entry acting on a weighted state."""
-    w = _scalar_weights_phase(Fraction(v), Fraction(beta))
-    return lattice.path_sum(lattice.TUPLE, num_sites, state, 0, 1, w)
-
-
 def spectral_map_phase(v: Fraction, beta: Fraction) -> Fraction:
     """The variable z = 1/(1/v^2 - beta) induced by a spectral parameter."""
     v = Fraction(v)
@@ -113,10 +89,10 @@ def spectral_map_phase(v: Fraction, beta: Fraction) -> Fraction:
     return 1 / den
 
 
-def _configuration(num_sites: int, occ: Sequence[int], vs: Sequence[Fraction]) -> tuple:
-    """The domain of all four amplitude routes: at least one site, one
+def _configuration(num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta) -> tuple:
+    """The domain every amplitude route shares: at least one site, one
     nonnegative occupation per site and one spectral parameter per boson.
-    Returns the occupation tuple and its partition."""
+    Returns the occupation tuple."""
     if num_sites < 1:
         raise ParameterError("need at least one site")
     occ = tuple(occ)
@@ -124,24 +100,16 @@ def _configuration(num_sites: int, occ: Sequence[int], vs: Sequence[Fraction]) -
         raise ParameterError("occupation must cover every site")
     if sum(occ) != len(vs):
         raise ParameterError("need exactly one spectral parameter per boson")
-    return occ, partition_from_occupation(occ)
+    partition_from_occupation(occ)  # refuses a negative occupation
+    return occ
 
 
-def wavefunction_phase_lattice(
-    num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """<occ| B(v_1)...B(v_N) |empty chain> by repeated operator application."""
-    occ, _ = _configuration(num_sites, occ, vs)
-    state = lattice.chain(apply_b_phase, num_sites, vs, beta, vacuum_occupation(num_sites))
-    return state.get(occ, Fraction(0))
-
-
-def wavefunction_phase_closed(
-    num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """The same amplitude through the determinant polynomial."""
-    _, lam = _configuration(num_sites, occ, vs)
-    return _closed_form(num_sites, lam, vs, beta)
+def _prefactor(num_sites: int, vs: Sequence[Fraction], beta: Fraction) -> Fraction:
+    """prod (1/v - beta*v)^(M-1)."""
+    pref = Fraction(1)
+    for v in map(Fraction, vs):
+        pref *= (1 / v - beta * v) ** (num_sites - 1)
+    return pref
 
 
 def _prefactor_and_zs(num_sites: int, vs: Sequence[Fraction], beta: Fraction) -> tuple:
@@ -149,50 +117,19 @@ def _prefactor_and_zs(num_sites: int, vs: Sequence[Fraction], beta: Fraction) ->
     if num_sites < 1:
         raise ParameterError("need at least one site")
     zs = [spectral_map_phase(v, beta) for v in vs]  # rejects v = 0 first
-    pref = Fraction(1)
-    for v in map(Fraction, vs):
-        pref *= (1 / v - beta * v) ** (num_sites - 1)
-    return pref, zs
+    return _prefactor(num_sites, vs, beta), zs
 
 
-def _closed_form(num_sites: int, lam, vs: Sequence[Fraction], beta: Fraction) -> Fraction:
-    """prod (1/v - beta*v)^(M-1) times the determinant polynomial at z(v)."""
-    pref, zs = _prefactor_and_zs(num_sites, vs, Fraction(beta))
-    return pref * groth_det(lam, zs, beta)
-
-
-def wavefunction_phase(
-    num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """Self-checking amplitude: lattice route asserted against the closed form."""
-    return lattice.checked(
-        wavefunction_phase_lattice, wavefunction_phase_closed, num_sites, occ, vs, beta
-    )
-
-
-def dual_wavefunction_phase_lattice(
-    num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """<empty chain| C(v_1)...C(v_N) |occ> by repeated operator application."""
-    occ, _ = _configuration(num_sites, occ, vs)
-    state = lattice.chain(apply_c_phase, num_sites, vs, beta, occ)
-    return state.get(vacuum_occupation(num_sites), Fraction(0))
-
-
-def dual_wavefunction_phase_closed(
-    num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    """Closed form of the dual amplitude, via the box-complement partition."""
-    _, lam = _configuration(num_sites, occ, vs)
-    return _closed_form(num_sites, complement(lam, num_sites - 1), vs, beta)
-
-
-def dual_wavefunction_phase(
-    num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta: Fraction
-) -> Fraction:
-    return lattice.checked(
-        dual_wavefunction_phase_lattice, dual_wavefunction_phase_closed, num_sites, occ, vs, beta
-    )
+MODEL = lattice.Model(
+    codec=lattice.TUPLE,
+    weights=_scalar_weights_phase,
+    sector=sector_basis,
+    partition=partition_from_occupation,
+    configuration=_configuration,
+    prefactor=_prefactor,
+    spectral_map=spectral_map_phase,
+    dual_width=lambda num_sites, num_particles: num_sites - 1,
+)
 
 
 def scalar_product(
@@ -229,10 +166,9 @@ def scalar_product_bruteforce(
     """The same pairing on the lattice: one B chain from the empty chain, then C(u_N) first."""
     if len(vs) != len(us):
         raise ParameterError("need equally many parameters on both sides")
-    vacuum = vacuum_occupation(num_sites)
-    state = lattice.chain(apply_b_phase, num_sites, vs, beta, vacuum)
-    for u in reversed(us):
-        state = apply_c_phase(num_sites, u, beta, state)
+    vacuum = MODEL.sector(num_sites, 0)[0]
+    state = lattice.chain(lattice.apply_b, MODEL, num_sites, vs, beta, {vacuum: Fraction(1)})
+    state = lattice.chain(lattice.apply_c, MODEL, num_sites, us, beta, state)
     return state.get(vacuum, Fraction(0))
 
 
@@ -262,20 +198,12 @@ def summation_wavefunctions_bruteforce(
 ) -> Fraction:
     """The same sum over the states of one B chain from the empty chain."""
     beta = Fraction(beta)
-    state = lattice.chain(apply_b_phase, num_sites, vs, beta, vacuum_occupation(num_sites))
+    vacuum = MODEL.sector(num_sites, 0)[0]
+    state = lattice.chain(lattice.apply_b, MODEL, num_sites, vs, beta, {vacuum: Fraction(1)})
     return sum(
         ((-beta) ** sum(k * n for k, n in enumerate(occ)) * amp for occ, amp in state.items()),
         Fraction(0),
     )
-
-
-def transfer_matrix_phase(
-    num_sites: int, num_particles: int, beta: Fraction
-) -> tuple[list[tuple[int, ...]], Matrix]:
-    """tau(v) = A(v) + D(v) on one particle-number sector, over Laurent polynomials."""
-    basis = sector_basis(num_sites, num_particles)
-    w = _scalar_weights_phase(LaurentPoly.var(), Fraction(beta))
-    return basis, lattice.transfer_matrix(lattice.TUPLE, num_sites, basis, w)
 
 
 def hamiltonian_phase_direct(num_sites: int, num_particles: int, beta: Fraction) -> Matrix:
@@ -307,7 +235,8 @@ def hamiltonian_phase(num_sites: int, num_particles: int, beta: Fraction) -> Mat
     """Generator built two ways: directly, and as the v^2 coefficient of
     v^M tau(v).  Returns the direct form after asserting equality."""
     direct = hamiltonian_phase_direct(num_sites, num_particles, beta)
-    basis, tau = transfer_matrix_phase(num_sites, num_particles, Fraction(beta))
+    var = LaurentPoly.var()
+    basis, tau = lattice.transfer_matrix(MODEL, num_sites, num_particles, var, Fraction(beta))
     extracted = tau.map(lambda p: p.shift(num_sites).coeff(2))
     if extracted != direct:
         raise IdentityError("transfer-matrix extraction disagrees with the direct build")
@@ -359,8 +288,7 @@ def bethe_verify_n1(num_sites: int, beta: Fraction) -> dict:
         for u in _BETHE_PROBES:
             if abs(u * u - v2) < 1e-6 or abs(w * u * u - 1.0) < 1e-9:
                 raise ParameterError("probe point too close to a pole")
-            w_u = _scalar_weights_phase(u, beta_f)
-            tau_val = lattice.transfer_matrix(lattice.TUPLE, m, basis, w_u).data
+            tau_val = lattice.transfer_matrix(MODEL, m, 1, u, beta_f)[1].data
             tpsi = [
                 sum(tau_val[r][c] * psi_vec[c] for c in range(m))
                 for r in range(m)

@@ -36,7 +36,7 @@ from . import (
     workqueue,
 )
 from .errors import ParameterError
-from .exactcore import TruncatedSeries, rat_str
+from .exactcore import LaurentPoly, TruncatedSeries, rat_str
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _BETA_PALETTE = (
@@ -127,19 +127,19 @@ def _builds(fn: Callable, arg_tuples) -> bool:
     return True
 
 
-def _b_commute(apply_b, chains, u: Fraction, v: Fraction, beta: Fraction) -> bool:
+def _b_commute(model: lattice.Model, chains, u: Fraction, v: Fraction, beta: Fraction) -> bool:
     """B(u)B(v) = B(v)B(u) on each (num_sites, basis state) in `chains`."""
-    return all(
-        lattice.chain(apply_b, m, (u, v), beta, s) == lattice.chain(apply_b, m, (v, u), beta, s)
-        for m, s in chains
-    )
+    def b_chain(m, params, s):
+        return lattice.chain(lattice.apply_b, model, m, params, beta, {s: Fraction(1)})
+
+    return all(b_chain(m, (u, v), s) == b_chain(m, (v, u), s) for m, s in chains)
 
 
-def _transfer_commute(transfer_matrix, m: int, sectors, beta: Fraction) -> bool:
+def _transfer_commute(model: lattice.Model, m: int, sectors, beta: Fraction) -> bool:
     """The symbolic transfer matrix commutes with its values at 2m+1 rational
     points, on each particle-number sector."""
     for n in sectors:
-        _, t_sym = transfer_matrix(m, n, beta)
+        _, t_sym = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
         for i in range(2 * m + 1):
             v0 = Fraction(2) + Fraction(i, 2 * m + 2)
             t_num = t_sym.map(lambda p: p.evaluate(v0))
@@ -149,45 +149,60 @@ def _transfer_commute(transfer_matrix, m: int, sectors, beta: Fraction) -> bool:
     return True
 
 
-def _wavefunction_cases(
-    tag, d, m, ps, beta, configs, key, apply_b, vacuum, closed, dual_lattice, dual_closed
-) -> Iterator[Case]:
-    """One sector's wavefunction cases: <c|B(p_1)...B(p_N)|vacuum> read off one
-    chain at state key(c), and the dual lattice route, each against its closed
-    form for every config c in configs()."""
+def _wavefunction_cases(model: lattice.Model, tag, d, m, ps, beta, configs) -> Iterator[Case]:
+    """One sector's wavefunction cases: <c|B(p_1)...B(p_N)|empty chain> read off
+    one chain at the state of c, and the dual lattice route, each against its
+    closed form for every config c in configs()."""
 
     def forward() -> bool:
-        state = lattice.chain(apply_b, m, ps, beta, vacuum)
-        return all(state.get(key(c), Fraction(0)) == closed(m, c, ps, beta) for c in configs())
+        empty = {model.sector(m, 0)[0]: Fraction(1)}
+        state = lattice.chain(lattice.apply_b, model, m, ps, beta, empty)
+        return all(
+            state.get(model.configuration(m, c, ps, beta), Fraction(0))
+            == lattice.closed_amplitude(model, m, c, ps, beta)
+            for c in configs()
+        )
 
     def dual() -> bool:
-        return all(dual_lattice(m, c, ps, beta) == dual_closed(m, c, ps, beta) for c in configs())
+        return all(
+            lattice.lattice_amplitude(model, m, c, ps, beta, dual=True)
+            == lattice.closed_amplitude(model, m, c, ps, beta, dual=True)
+            for c in configs()
+        )
 
     sector = f"M{m}.N{len(ps)}.{d}"
     yield Case(f"{tag}.wavefunction.{sector}", forward, {"beta": beta})
     yield Case(f"{tag}.wavefunction-dual.{sector}", dual, {"beta": beta})
 
 
-def _skew_pairs(apply_b, m: int, configs, key, n_max: int, p: Fraction, beta: Fraction):
-    """A generator function over (n, lower, upper, <upper|B(p)|lower>): lower in
-    configs(n), upper in configs(n + 1), n <= n_max; one cached B image per lower."""
-    image = cache(lambda lower: apply_b(m, p, beta, {key(lower): Fraction(1)}))
+def _skew_pairs(model: lattice.Model, m: int, n_max: int, p: Fraction, beta: Fraction):
+    """A generator function over (n, lower, upper, <upper|B(p)|lower>): lower
+    an n-particle state, upper an (n + 1)-particle one, n <= n_max; one cached
+    B image per lower."""
+    image = cache(lambda lower: lattice.apply_b(model, m, p, beta, {lower: Fraction(1)}))
 
     def pairs():
         for n in range(n_max + 1):
-            for lower in configs(n):
-                for upper in configs(n + 1):
-                    yield n, lower, upper, image(lower).get(key(upper), Fraction(0))
+            uppers = model.sector(m, n + 1)
+            for lower in model.sector(m, n):
+                for upper in uppers:
+                    yield n, lower, upper, image(lower).get(upper, Fraction(0))
 
     return pairs
 
 
-def _skew_element(pairs, partition, z, norm, beta: Fraction) -> bool:
-    """norm(n) <upper|B|lower> is the single-variable skew polynomial of the two
-    configurations' partitions at the variable z(); norm runs once per n."""
-    at, norm = z(), cache(norm)
+def _skew_norm(model: lattice.Model, m: int, p: Fraction, beta: Fraction, n: int) -> Fraction:
+    """The factor that turns <upper|B(p)|lower>, lower of n particles, into a
+    skew polynomial: the prefactor of n parameters over that of n + 1."""
+    return model.prefactor(m, [p] * n, beta) / model.prefactor(m, [p] * (n + 1), beta)
+
+
+def _skew_element(model: lattice.Model, pairs, m: int, p: Fraction, beta: Fraction) -> bool:
+    """norm(n) <upper|B(p)|lower> is the single-variable skew polynomial of the
+    two states' partitions at z(p); norm runs once per n."""
+    at, norm = model.spectral_map(p, beta), cache(partial(_skew_norm, model, m, p, beta))
     return all(
-        norm(n) * amp == gr.skew_single(partition(upper), partition(lower), at, beta)
+        norm(n) * amp == gr.skew_single(model.partition(upper), model.partition(lower), at, beta)
         for n, lower, upper, amp in pairs()
     )
 
@@ -280,17 +295,10 @@ def _suite_groth(scale: str, rng: random.Random) -> Iterator[Case]:
 # -- five-vertex model --------------------------------------------------------
 
 
-def _fv_norm(m: int, u: Fraction, beta: Fraction, n: int) -> Fraction:
-    return (-beta) ** n * u ** (1 - m)
-
-
 def _skew_rotation(pairs, m: int, u: Fraction, beta: Fraction) -> bool:
     """<y|B(u)|x> equals <x reversed|C(u)|y reversed>; one cached C image per y."""
-
-    def rotated(x):
-        return fv.mask_from_positions(pt.reversed_positions(x, m))
-
-    image = cache(lambda y: fv.apply_c(m, u, beta, {rotated(y): Fraction(1)}))
+    rotated = partial(fv.reversed_mask, num_sites=m)
+    image = cache(lambda y: lattice.apply_c(fv.MODEL, m, u, beta, {rotated(y): Fraction(1)}))
     return all(image(y).get(rotated(x), Fraction(0)) == amp for _, x, y, amp in pairs())
 
 
@@ -317,19 +325,13 @@ def _suite_fv(scale: str, rng: random.Random) -> Iterator[Case]:
             for n in range(0, min(m, n_max) + 1):
                 us = generic_rationals(rng, n)
                 configs = partial(combinations, range(1, m + 1), n)
-                yield from _wavefunction_cases(
-                    "fv", d, m, us, beta, configs, fv.mask_from_positions, fv.apply_b, 0,
-                    fv.wavefunction_closed, fv.dual_wavefunction_lattice,
-                    fv.dual_wavefunction_closed,
-                )
+                yield from _wavefunction_cases(fv.MODEL, "fv", d, m, us, beta, configs)
 
     m = _pick(scale, 5, 6)
     beta = generic_beta(rng, nonzero=True)
     u = generic_rationals(rng, 1)[0]
-    positions = partial(combinations, range(1, m + 1))
-    pairs = _skew_pairs(fv.apply_b, m, positions, fv.mask_from_positions, 2, u, beta)
-    z, norm = partial(fv.spectral_map, u, beta), partial(_fv_norm, m, u, beta)
-    check = partial(_skew_element, pairs, pt.partition_from_positions, z, norm, beta)
+    pairs = _skew_pairs(fv.MODEL, m, 2, u, beta)
+    check = partial(_skew_element, fv.MODEL, pairs, m, u, beta)
     yield Case(f"fv.skew.M{m}", check, {"beta": beta})
     yield Case(f"fv.skew-rotation.M{m}", partial(_skew_rotation, pairs, m, u, beta), {"beta": beta})
 
@@ -337,11 +339,11 @@ def _suite_fv(scale: str, rng: random.Random) -> Iterator[Case]:
     beta = generic_beta(rng, nonzero=True)
     u, v = generic_rationals(rng, 2)
     chains = [(m, mask) for m in range(2, m_max + 1) for mask in range(1 << m)]
-    yield Case("fv.b-commute", partial(_b_commute, fv.apply_b, chains, u, v, beta), {"beta": beta})
+    yield Case("fv.b-commute", partial(_b_commute, fv.MODEL, chains, u, v, beta), {"beta": beta})
 
     m_tr = _pick(scale, 3, 4)
     beta = generic_beta(rng, nonzero=True)
-    check = partial(_transfer_commute, fv.transfer_matrix, m_tr, range(m_tr + 1), beta)
+    check = partial(_transfer_commute, fv.MODEL, m_tr, range(m_tr + 1), beta)
     yield Case("fv.transfer-commute", check, {"beta": beta})
 
     m_ham = _pick(scale, 4, 6)
@@ -353,10 +355,6 @@ def _suite_fv(scale: str, rng: random.Random) -> Iterator[Case]:
 
 
 # -- phase model --------------------------------------------------------------
-
-
-def _pm_norm(m: int, v: Fraction, beta: Fraction, n: int) -> Fraction:
-    return (1 / v - beta * v) ** (1 - m)
 
 
 def _skew_support(pairs) -> bool:
@@ -385,18 +383,13 @@ def _suite_pm(scale: str, rng: random.Random) -> Iterator[Case]:
             for n in range(0, n_max + 1):
                 vs = generic_rationals(rng, n)
                 configs = partial(pm.sector_basis, m, n)
-                yield from _wavefunction_cases(
-                    "pm", d, m, vs, beta, configs, tuple, pm.apply_b_phase, pm.vacuum_occupation(m),
-                    pm.wavefunction_phase_closed, pm.dual_wavefunction_phase_lattice,
-                    pm.dual_wavefunction_phase_closed,
-                )
+                yield from _wavefunction_cases(pm.MODEL, "pm", d, m, vs, beta, configs)
 
     m_sk, n_sk = _pick(scale, (4, 2), (5, 3))
     beta = generic_beta(rng)
     v = generic_rationals(rng, 1)[0]
-    pairs = _skew_pairs(pm.apply_b_phase, m_sk, partial(pm.sector_basis, m_sk), tuple, n_sk, v, beta)
-    z, norm = partial(pm.spectral_map_phase, v, beta), partial(_pm_norm, m_sk, v, beta)
-    check = partial(_skew_element, pairs, pt.partition_from_occupation, z, norm, beta)
+    pairs = _skew_pairs(pm.MODEL, m_sk, n_sk, v, beta)
+    check = partial(_skew_element, pm.MODEL, pairs, m_sk, v, beta)
     yield Case(f"pm.skew-element.M{m_sk}", check, {"beta": beta})
     yield Case(f"pm.skew-support.M{m_sk}", partial(_skew_support, pairs), {"beta": beta})
 
@@ -429,12 +422,12 @@ def _suite_pm(scale: str, rng: random.Random) -> Iterator[Case]:
     beta = generic_beta(rng)
     u, v = generic_rationals(rng, 2)
     chains = [(m, occ) for m in (2, 3) for n in (0, 1, 2) for occ in pm.sector_basis(m, n)]
-    check = partial(_b_commute, pm.apply_b_phase, chains, u, v, beta)
+    check = partial(_b_commute, pm.MODEL, chains, u, v, beta)
     yield Case("pm.b-commute", check, {"beta": beta})
 
     m_tr = _pick(scale, 3, 4)
     beta = generic_beta(rng)
-    check = partial(_transfer_commute, pm.transfer_matrix_phase, m_tr, range(3), beta)
+    check = partial(_transfer_commute, pm.MODEL, m_tr, range(3), beta)
     yield Case("pm.transfer-commute", check, {"beta": beta})
 
     for m in _pick(scale, (2, 3), (2, 3, 4)):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from grothcrystal.errors import ParameterError
+from grothcrystal.errors import OutOfBoxError, ParameterError
 from grothcrystal.exactcore import Matrix, TruncatedSeries
 from grothcrystal.partitions import check_partition
 
@@ -95,6 +95,14 @@ def admissible(m: Sequence[int], n: Sequence[int]) -> bool:
         if not 0 <= tail_m - tail_n <= 1:
             return False
     return True
+
+
+def reversed_positions(x: Sequence[int], chain_length: int) -> tuple[int, ...]:
+    """The 1-based positions after a 180-degree rotation of the chain."""
+    x = tuple(x)
+    if x and (x[0] < 1 or x[-1] > chain_length):
+        raise OutOfBoxError("positions outside the chain")
+    return tuple(chain_length - v + 1 for v in reversed(x))
 
 
 def embed_pair(op: Matrix, pos1: int, pos2: int, dims: Sequence[int]) -> Matrix:

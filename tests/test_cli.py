@@ -1,8 +1,10 @@
 import json
+import os
+import tempfile
 
 import pytest
 
-from grothcrystal import fivevertex, sixvertex
+from grothcrystal import lattice, sixvertex
 from grothcrystal.cli import main
 from grothcrystal.suites import run_suite
 
@@ -239,6 +241,18 @@ def test_out_file_copies_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_unusable_temp_directory_is_bad_input(tmp_path, capsys, monkeypatch):
+    # the work queue is a temp file: a run that cannot make one is bad input,
+    # reported on stderr, and leaves no worker behind
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    code, out, err = run_cli(capsys, "verify", "sv6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "missing" in err.splitlines()[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_cli_reports_errors_on_stderr(capsys):
     code, out, err = run_cli(
         capsys, "groth", "eval", "--lam", "1,2", "--z", "1,2", "--beta", "0"
@@ -263,14 +277,18 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_failed_self_check_exits_1(capsys, monkeypatch):
     # a lattice/closed-form mismatch is a failed verification, not bad input
-    monkeypatch.setattr(fivevertex, "wavefunction_closed", lambda *args: 0)
-    code, out, err = run_cli(
-        capsys, "fv", "wavefunction", "--sites", "5", "--x", "1,3", "--u", "2,3",
-        "--beta", "-1"
-    )
-    assert code == 1
-    assert out == ""
-    assert "wavefunction_lattice = 1260" in err
+    monkeypatch.setattr(lattice, "closed_amplitude", lambda *args, **kwargs: 0)
+    rows = [
+        (("fv", "wavefunction", "--sites", "5", "--x", "1,3", "--u", "2,3", "--beta", "-1"),
+         "lattice amplitude = 1260 != closed amplitude = 0 at (1, 3)"),
+        (("pm", "wavefunction", "--sites", "3", "--occ", "1,0,1", "--v", "2,3", "--beta", "1"),
+         "lattice amplitude = 493/36 != closed amplitude = 0 at (1, 0, 1)"),
+    ]
+    for argv, message in rows:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
 
 
 @pytest.mark.parametrize(

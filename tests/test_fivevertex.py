@@ -1,34 +1,39 @@
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations
 
 import pytest
 import oracles
 
+from grothcrystal import lattice
 from grothcrystal.errors import ParameterError, PoleError
-from grothcrystal.exactcore import Matrix, embed_pair
+from grothcrystal.exactcore import LaurentPoly, Matrix, embed_pair
 from grothcrystal.fivevertex import (
-    apply_b,
-    apply_c,
+    MODEL,
     check_rll,
     check_ybe,
-    dual_wavefunction,
     hamiltonian,
     hamiltonian_direct,
     l_matrix,
     mask_from_positions,
     r_matrix,
+    reversed_mask,
     sector_masks,
     spectral_map,
-    transfer_matrix,
-    wavefunction,
-    wavefunction_closed,
-    wavefunction_lattice,
 )
 from grothcrystal.grothendieck import skew_single
-from grothcrystal.partitions import (
-    partition_from_positions,
-    reversed_positions,
-)
+from grothcrystal.partitions import partition_from_positions
+
+apply_b = partial(lattice.apply_b, MODEL)
+apply_c = partial(lattice.apply_c, MODEL)
+wavefunction = partial(lattice.amplitude, MODEL)
+wavefunction_lattice = partial(lattice.lattice_amplitude, MODEL)
+wavefunction_closed = partial(lattice.closed_amplitude, MODEL)
+dual_wavefunction = partial(lattice.amplitude, MODEL, dual=True)
+
+
+def transfer_matrix(num_sites, num_particles, beta):
+    return lattice.transfer_matrix(MODEL, num_sites, num_particles, LaurentPoly.var(), beta)
 
 
 def monodromy_blocks(num_sites, u, beta):
@@ -156,10 +161,18 @@ def test_rotation_symmetry():
         image = apply_b(m, u, beta, {mask_from_positions(x): F(1)})
         for y in combinations(range(1, m + 1), 2):
             amp = image.get(mask_from_positions(y), F(0))
-            xr = reversed_positions(x, m)
-            yr = reversed_positions(y, m)
+            xr = oracles.reversed_positions(x, m)
+            yr = oracles.reversed_positions(y, m)
             rot = apply_c(m, u, beta, {mask_from_positions(yr): F(1)})
             assert rot.get(mask_from_positions(xr), F(0)) == amp
+
+
+def test_reversed_mask_is_the_reversed_positions():
+    for m in range(8):
+        for n in range(m + 1):
+            for x in combinations(range(1, m + 1), n):
+                want = mask_from_positions(oracles.reversed_positions(x, m))
+                assert reversed_mask(mask_from_positions(x), m) == want
 
 
 def test_b_operators_commute():

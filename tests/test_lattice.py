@@ -2,11 +2,14 @@
 builds equal the ones written out by hand in the oracles, and its path sums
 equal products of embedded site operators.  On its float ring, which only
 the Bethe numerics use, it agrees with the exact Laurent transfer matrices.
-The one weight function per model serves all three rings.  The four
-amplitude routes of each model accept and refuse the same inputs."""
+The one weight function per model serves all three rings.  The lattice,
+closed and self-checked amplitude routes of each model, forward and dual,
+accept and refuse the same inputs, and the prefactor ratio the skew checks
+read equals the normalisation written out by hand."""
 
 import random
 from fractions import Fraction as F
+from functools import partial
 from itertools import product
 
 import pytest
@@ -18,7 +21,7 @@ from grothcrystal import phasemodel as pm
 from grothcrystal import sixvertex as sv
 from grothcrystal.errors import ParameterError, PoleError
 from grothcrystal.exactcore import LaurentPoly, Matrix, embed_pair
-from grothcrystal.suites import _BETA_PALETTE
+from grothcrystal.suites import _BETA_PALETTE, _skew_norm
 
 
 def assert_close(got, exact, v):
@@ -34,13 +37,11 @@ def test_float_transfer_matrix_matches_exact_one_particle_sector():
     v = F(7, 5)
     for beta in (F(-1, 2), F(1, 3), F(2)):
         for m in (2, 3, 4, 5):
-            basis, exact = fv.transfer_matrix(m, 1, beta)
-            w = tuple(float(x) for x in fv._scalar_weights(v, beta))
-            assert_close(lattice.transfer_matrix(lattice.BITMASK, m, basis, w), exact, v)
-
-            basis, exact = pm.transfer_matrix_phase(m, 1, beta)
-            w = pm._scalar_weights_phase(float(v), float(beta))
-            assert_close(lattice.transfer_matrix(lattice.TUPLE, m, basis, w), exact, v)
+            for model in (fv.MODEL, pm.MODEL):
+                basis, exact = lattice.transfer_matrix(model, m, 1, LaurentPoly.var(), beta)
+                got_basis, got = lattice.transfer_matrix(model, m, 1, float(v), float(beta))
+                assert got_basis == basis
+                assert_close(got, exact, v)
 
 
 def test_weight_tuples_at_the_laurent_variable():
@@ -130,15 +131,15 @@ def _embedded_blocks(w, levels: int, num_sites: int) -> dict:
 
 
 @pytest.mark.parametrize(
-    "codec, levels, num_sites, states",
+    "model, levels, num_sites, states",
     [
-        (lattice.BITMASK, 2, 3, list(range(8))),
+        (fv.MODEL, 2, 3, list(range(8))),
         # at most two particles, so a cap of 3 never truncates a path
-        (lattice.TUPLE, 4, 2, [occ for occ in product(range(3), repeat=2) if sum(occ) <= 2]),
+        (pm.MODEL, 4, 2, [occ for occ in product(range(3), repeat=2) if sum(occ) <= 2]),
     ],
     ids=["bitmask", "tuple"],
 )
-def test_path_sums_are_products_of_the_site_operator(codec, levels, num_sites, states):
+def test_path_sums_are_products_of_the_site_operator(model, levels, num_sites, states):
     # six distinct weights, none of them 0 or 1, so deposit and pickup cannot
     # stand in for each other or for the ring's one
     rng = random.Random(16)
@@ -149,6 +150,7 @@ def test_path_sums_are_products_of_the_site_operator(codec, levels, num_sites, s
             w.append(x)
     w = tuple(w)
     blocks = _embedded_blocks(w, levels, num_sites)
+    codec = model.codec
 
     def index(state):
         idx = 0
@@ -168,7 +170,9 @@ def test_path_sums_are_products_of_the_site_operator(codec, levels, num_sites, s
             assert got == {t: c for t, c in want.items() if c}
     for n in range(3):
         basis = [s for s in states if sum(codec.occupations(s, num_sites)) == n]
-        got = lattice.transfer_matrix(codec, num_sites, basis, w)
+        at_w = model._replace(weights=lambda p, beta: w)
+        assert lattice.transfer_matrix(at_w, num_sites, n, None, None)[0] == basis
+        got = lattice.transfer_matrix(at_w, num_sites, n, None, None)[1]
         want = [
             [blocks[0, 0][index(r)][index(c)] + blocks[1, 1][index(r)][index(c)] for c in basis]
             for r in basis
@@ -189,9 +193,9 @@ def test_path_sums_refuse_states_off_the_chain(codec, off_chain):
             with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
                 lattice.path_sum(codec, 2, {state: F(1)}, a_in, a_out, w)
     with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
-        fv.apply_b(2, F(2), F(1), {4: F(1)})
+        lattice.apply_b(fv.MODEL, 2, F(2), F(1), {4: F(1)})
     with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
-        pm.apply_c_phase(2, F(2), F(1), {(0, -1): F(1)})
+        lattice.apply_c(pm.MODEL, 2, F(2), F(1), {(0, -1): F(1)})
 
 
 @pytest.mark.parametrize("var", [F(7, 5), LaurentPoly.var()], ids=["fraction", "laurent"])
@@ -199,22 +203,19 @@ def test_transfer_matrices_are_their_per_column_path_sums(var):
     """One move table serves every column of a transfer matrix; the matrix is
     still A + D read off one path sum per column and aux state."""
     for beta in (F(-1, 2), F(2)):
-        models = [
-            (lattice.BITMASK, fv._scalar_weights(var, beta), fv.sector_masks, lambda m: m),
-            (lattice.TUPLE, pm._scalar_weights_phase(var, beta), pm.sector_basis, lambda m: 3),
-        ]
-        for codec, w, sector, n_max in models:
+        for model, n_max in ((fv.MODEL, lambda m: m), (pm.MODEL, lambda m: 3)):
+            w = model.weights(var, beta)
             one = w[0] ** 0
             zero = one * 0
             for m in range(1, 6):
                 for n in range(n_max(m) + 1):
-                    basis = sector(m, n)
+                    basis = model.sector(m, n)
                     columns = [
-                        [lattice.path_sum(codec, m, {s: one}, a, a, w) for a in (0, 1)]
+                        [lattice.path_sum(model.codec, m, {s: one}, a, a, w) for a in (0, 1)]
                         for s in basis
                     ]
                     want = [[a.get(r, zero) + d.get(r, zero) for a, d in columns] for r in basis]
-                    assert lattice.transfer_matrix(codec, m, basis, w) == Matrix(want)
+                    assert lattice.transfer_matrix(model, m, n, var, beta) == (basis, Matrix(want))
 
 
 def _outcome(route, *args):
@@ -224,29 +225,24 @@ def _outcome(route, *args):
         return type(exc)
 
 
-FV_ROUTES = (
-    fv.wavefunction_lattice, fv.wavefunction_closed,
-    fv.dual_wavefunction_lattice, fv.dual_wavefunction_closed,
-)
-PM_ROUTES = (
-    pm.wavefunction_phase_lattice, pm.wavefunction_phase_closed,
-    pm.dual_wavefunction_phase_lattice, pm.dual_wavefunction_phase_closed,
-)
+ROUTES = (lattice.lattice_amplitude, lattice.closed_amplitude, lattice.amplitude)
 
 
 @pytest.mark.parametrize(
-    "routes, lengths, entries",
+    "model, lengths, entries",
     [
         # positions: one per parameter give or take one, on and off the chain
-        (FV_ROUTES, lambda m, n: range(max(n - 1, 0), n + 2), lambda m: range(-1, m + 2)),
+        (fv.MODEL, lambda m, n: range(max(n - 1, 0), n + 2), lambda m: range(-1, m + 2)),
         # occupations: one per site give or take one, negative ones included
-        (PM_ROUTES, lambda m, n: range(max(m - 1, 0), m + 2), lambda m: range(-1, 3)),
+        (pm.MODEL, lambda m, n: range(max(m - 1, 0), m + 2), lambda m: range(-1, 3)),
     ],
     ids=["fv", "pm"],
 )
-def test_four_amplitude_routes_share_one_domain(routes, lengths, entries):
-    # at each input either all four routes raise the same exception type, or
-    # lattice equals closed for the amplitude and for its dual
+def test_four_amplitude_routes_share_one_domain(model, lengths, entries):
+    # at each input either every route, forward and dual, raises the same
+    # exception type, or lattice equals closed equals self-checked for the
+    # amplitude and for its dual
+    routes = [partial(route, model, dual=dual) for dual in (False, True) for route in ROUTES]
     computed = refused = 0
     for m in range(5):
         for beta in (F(0), F(-1), F(1, 2)):
@@ -259,6 +255,24 @@ def test_four_amplitude_routes_share_one_domain(routes, lengths, entries):
                             assert len(set(got)) == 1, (m, beta, config, ps, got)
                             refused += 1
                         else:
-                            assert got[0] == got[1] and got[2] == got[3], (m, beta, config, ps, got)
+                            assert got[0] == got[1] == got[2], (m, beta, config, ps, got)
+                            assert got[3] == got[4] == got[5], (m, beta, config, ps, got)
                             computed += 1
     assert computed and refused
+
+
+def test_skew_norm_is_the_prefactor_ratio():
+    """The skew checks scale <upper|B(p)|lower> by prefactor(n parameters) over
+    prefactor(n + 1); for each model that equals the normalisation written out
+    by hand, whatever the other n parameters are."""
+    hand = [
+        (fv.MODEL, _BETA_PALETTE, lambda m, u, beta, n: (-beta) ** n * u ** (1 - m)),
+        (pm.MODEL, _BETA_PALETTE + (F(0),), lambda m, v, beta, n: (1 / v - beta * v) ** (1 - m)),
+    ]
+    for model, betas, norm in hand:
+        pref = model.prefactor
+        for m, beta, p, n in product(range(1, 7), betas, (F(7, 5), F(3), F(-5, 2)), range(4)):
+            want = norm(m, p, beta, n)
+            assert _skew_norm(model, m, p, beta, n) == want
+            ps = [F(2), F(11, 3), F(-4)][:n]
+            assert pref(m, ps, beta) / pref(m, ps + [p], beta) == want

@@ -1,23 +1,22 @@
 from fractions import Fraction as F
+from functools import partial
 from math import comb
 
 import pytest
 import oracles
 
+from grothcrystal import lattice
 from grothcrystal.errors import ParameterError, PoleError
-from grothcrystal.exactcore import Matrix, embed_pair
+from grothcrystal.exactcore import LaurentPoly, Matrix, embed_pair
 from grothcrystal.grothendieck import skew_single
 from grothcrystal.partitions import (
     admissible,
     partition_from_occupation,
 )
 from grothcrystal.phasemodel import (
-    apply_b_phase,
-    apply_c_phase,
+    MODEL,
     bethe_verify_n1,
     check_rll_phase,
-    dual_wavefunction_phase,
-    dual_wavefunction_phase_lattice,
     hamiltonian_phase,
     hamiltonian_phase_direct,
     l_matrix_phase,
@@ -27,12 +26,19 @@ from grothcrystal.phasemodel import (
     spectral_map_phase,
     summation_wavefunctions,
     summation_wavefunctions_bruteforce,
-    transfer_matrix_phase,
-    vacuum_occupation,
-    wavefunction_phase,
-    wavefunction_phase_closed,
-    wavefunction_phase_lattice,
 )
+
+apply_b_phase = partial(lattice.apply_b, MODEL)
+apply_c_phase = partial(lattice.apply_c, MODEL)
+wavefunction_phase = partial(lattice.amplitude, MODEL)
+wavefunction_phase_lattice = partial(lattice.lattice_amplitude, MODEL)
+wavefunction_phase_closed = partial(lattice.closed_amplitude, MODEL)
+dual_wavefunction_phase = partial(lattice.amplitude, MODEL, dual=True)
+dual_wavefunction_phase_lattice = partial(lattice.lattice_amplitude, MODEL, dual=True)
+
+
+def transfer_matrix_phase(num_sites, num_particles, beta):
+    return lattice.transfer_matrix(MODEL, num_sites, num_particles, LaurentPoly.var(), beta)
 
 
 def monodromy_blocks_fock(num_sites, v, beta, cap):
@@ -107,7 +113,7 @@ def test_sector_basis_dimensions():
             basis = sector_basis(m, n)
             assert len(basis) == comb(m + n - 1, n)
             assert all(sum(occ) == n and len(occ) == m for occ in basis)
-    assert vacuum_occupation(3) == (0, 0, 0)
+    assert MODEL.sector(3, 0) == [(0, 0, 0)]
     for m in (0, -2):
         with pytest.raises(ParameterError, match="^need at least one site$"):
             sector_basis(m, 1)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import grothcrystal
-from grothcrystal import fivevertex, grothendieck, meltingcrystal, phasemodel, suites, workqueue
+from grothcrystal import grothendieck, lattice, meltingcrystal, suites, workqueue
 from grothcrystal.cli import main
 from grothcrystal.errors import ParameterError
 from grothcrystal.suites import SUITES, run_suite, run_suites
@@ -120,13 +120,13 @@ def test_skew_rotation_applies_c_once_per_upper_state(monkeypatch, scale, case, 
     # one call per upper state of 1..3 particles: C(5,1) + C(5,2) + C(5,3) = 25
     # and C(6,1) + C(6,2) + C(6,3) = 41, not one per (lower, upper) pair
     calls = []
-    real = fivevertex.apply_c
+    real = lattice.apply_c
 
-    def counting(m, u, beta, state):
+    def counting(model, m, u, beta, state):
         calls.append(tuple(state))
-        return real(m, u, beta, state)
+        return real(model, m, u, beta, state)
 
-    monkeypatch.setattr(fivevertex, "apply_c", counting)
+    monkeypatch.setattr(lattice, "apply_c", counting)
     rep = run_suite("fv", scale, 1, tags=case)  # one case: it runs in this process
     assert rep.cases == 1 and rep.ok
     assert len(calls) == len(set(calls)) == states
@@ -146,19 +146,16 @@ def test_skew_cases_fail_on_a_wrong_amplitude(monkeypatch, alter, suite, scale, 
     """B's image of the empty state loses or doubles its first amplitude; the
     support check reads only whether an amplitude vanishes, so a doubled one
     passes it."""
-    module, name, vacuum = {
-        "fv": (fivevertex, "apply_b", lambda m: 0),
-        "pm": (phasemodel, "apply_b_phase", lambda m: (0,) * m),
-    }[suite]
-    real = getattr(module, name)
+    vacuum = {"fv": lambda m: 0, "pm": lambda m: (0,) * m}[suite]
+    real = lattice.apply_b
 
-    def apply_b(m, p, beta, state):
-        image = real(m, p, beta, state)
+    def apply_b(model, m, p, beta, state):
+        image = real(model, m, p, beta, state)
         if set(state) == {vacuum(m)}:
             alter(image, min(image))
         return image
 
-    monkeypatch.setattr(module, name, apply_b)
+    monkeypatch.setattr(lattice, "apply_b", apply_b)
     rep = run_suite(suite, scale, 1, tags=case)
     blind = case.startswith("pm.skew-support") and alter is _double
     assert rep.cases == 1
@@ -170,12 +167,16 @@ def _doubled(real):
     return lambda *args: {s: 2 * c for s, c in real(*args).items()}
 
 
-@pytest.mark.parametrize("operator, tag", [("apply_c_phase", "pm.scalar"), ("apply_b_phase", "pm.sum")])
+@pytest.mark.parametrize(
+    "operator, tag",
+    [("apply_c", "pm.scalar"), ("apply_b", "pm.sum")],
+    ids=["apply_c_phase-pm.scalar", "apply_b_phase-pm.sum"],
+)
 def test_pairing_cases_read_the_lattice(monkeypatch, operator, tag):
     """pm.scalar and pm.sum compare closed forms with lattice operator
     products, so an operator that doubles every amplitude fails every case
     that reads one; pm.sum.beta0-rejected reads none."""
-    monkeypatch.setattr(phasemodel, operator, _doubled(getattr(phasemodel, operator)))
+    monkeypatch.setattr(lattice, operator, _doubled(getattr(lattice, operator)))
     names = [case.name for case in SUITES["pm"]("small", random.Random("pm:1")) if tag in case.name]
     reading = [name for name in names if name.startswith(f"{tag}.M")]
     rep = run_suite("pm", "small", 1, tags=tag)
