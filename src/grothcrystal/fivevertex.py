@@ -1,10 +1,12 @@
 """Five-vertex lattice model on a periodic-free row of M sites.
 
-States of the quantum row are bitmasks: bit j (from 0) is site j+1 of the
-chain, set when the site is occupied.  The monodromy matrix multiplies the
-site operators with site 1 acting first, and its auxiliary-space entries are
-taken with the matrix convention T = [[A, B], [C, D]] (row = outgoing
-auxiliary state).  B adds a particle to the row, C removes one.
+States of the quantum row are 0/1 occupation tuples: entry j (from 0) is
+site j+1 of the chain, 1 when the site is occupied, so a state is a phase
+model state with at most one particle per site.  The monodromy matrix
+multiplies the site operators with site 1 acting first, and its
+auxiliary-space entries are taken with the matrix convention
+T = [[A, B], [C, D]] (row = outgoing auxiliary state).  B adds a particle to
+the row, C removes one.
 
 Vertex weights on (aux_in, site_in) -> (aux_out, site_out):
   (0,0)->(0,0): u       (0,1)->(1,0): 1      (1,0)->(0,1): 1
@@ -17,7 +19,6 @@ transfer matrix; the R matrix and the Hamiltonian are this module's own.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from . import lattice
@@ -86,27 +87,12 @@ def _scalar_weights(u, beta: Fraction):
     return (u, 0 * u, -u / beta - 1 / u, -u / beta, u**0, u**0)
 
 
-def mask_from_positions(x: Sequence[int]) -> int:
-    mask = 0
-    for pos in x:
-        if pos < 1 or mask & (1 << (pos - 1)):
-            raise ParameterError(f"bad positions {x}")
-        mask |= 1 << (pos - 1)
-    return mask
-
-
-def sector_masks(num_sites: int, num_particles: int) -> list[int]:
+def sector_basis(num_sites: int, num_particles: int) -> list[tuple[int, ...]]:
+    """The 0/1 occupation tuples with the given total, in lexicographic order."""
     _check_sites(num_sites)
     if num_particles < 0:
         raise ParameterError("need a nonnegative particle number")
-    chosen = combinations(range(num_sites), num_particles)
-    return sorted(sum(1 << site for site in sites) for sites in chosen)
-
-
-def reversed_mask(mask: int, num_sites: int) -> int:
-    """The state after a 180-degree rotation of the chain: site j moves to
-    site M+1-j."""
-    return int(format(mask, f"0{num_sites}b")[::-1], 2)
+    return lattice.occupations(num_sites, num_particles, 1)
 
 
 def spectral_map(u: Fraction, beta: Fraction) -> Fraction:
@@ -118,7 +104,7 @@ def spectral_map(u: Fraction, beta: Fraction) -> Fraction:
     return -1 / beta - u**-2
 
 
-def _configuration(num_sites: int, x: Sequence[int], us: Sequence, beta: Fraction) -> int:
+def _configuration(num_sites: int, x: Sequence[int], us: Sequence, beta: Fraction) -> tuple:
     """The domain every amplitude route shares: beta != 0, one spectral
     parameter per particle, and distinct increasing 1-based positions on the
     chain.  Returns the row state."""
@@ -128,14 +114,15 @@ def _configuration(num_sites: int, x: Sequence[int], us: Sequence, beta: Fractio
         raise ParameterError("need exactly one spectral parameter per particle")
     if x and x[-1] > num_sites:
         raise ParameterError("position beyond the last site")
-    mask = mask_from_positions(x)
+    if any(pos < 1 for pos in x) or len(set(x)) != len(x):
+        raise ParameterError(f"bad positions {x}")
     partition_from_positions(x)  # refuses positions out of order
-    return mask
+    return tuple(int(site in x) for site in range(1, num_sites + 1))
 
 
-def _partition(mask: int) -> tuple[int, ...]:
-    """The partition of the positions of a row state."""
-    return partition_from_positions(s + 1 for s in range(mask.bit_length()) if mask >> s & 1)
+def _partition(state: tuple) -> tuple[int, ...]:
+    """The partition of the occupied sites of a row state."""
+    return partition_from_positions(j + 1 for j, n in enumerate(state) if n)
 
 
 def _prefactor(num_sites: int, us: Sequence[Fraction], beta: Fraction) -> Fraction:
@@ -148,9 +135,9 @@ def _prefactor(num_sites: int, us: Sequence[Fraction], beta: Fraction) -> Fracti
 
 
 MODEL = lattice.Model(
-    codec=lattice.BITMASK,
+    capacity=1,
     weights=_scalar_weights,
-    sector=sector_masks,
+    sector=sector_basis,
     partition=_partition,
     configuration=_configuration,
     prefactor=_prefactor,
@@ -160,7 +147,8 @@ MODEL = lattice.Model(
 
 
 def hamiltonian_direct(num_sites: int, beta: Fraction) -> Matrix:
-    """Nearest-neighbour hop-plus-interaction generator on the full 2^M space.
+    """Nearest-neighbour hop-plus-interaction generator on the full 2^M space,
+    whose basis index has bit j set when site j (from 0) is occupied.
 
     H = sum_j { -(1/beta) sigma_j^+ sigma_{j+1}^- + (sigma_j^z sigma_{j+1}^z - 1)/4 }
     with periodic wrap, where sigma^+ annihilates and sigma^- creates, so the
@@ -206,9 +194,8 @@ def hamiltonian(num_sites: int, beta: Fraction) -> Matrix:
         except ValueError as exc:
             raise PoleError(f"transfer matrix is singular at u0 = {u0}") from exc
         extracted = (f0_inv @ fp0).scale(u0 / 2)
-        restricted = Matrix(
-            [[direct.entry(r, c) for c in basis] for r in basis]
-        )
+        index = [sum(bit << j for j, bit in enumerate(state)) for state in basis]
+        restricted = Matrix([[direct.entry(r, c) for c in index] for r in index])
         if extracted != restricted:
             raise IdentityError(
                 f"transfer-matrix extraction disagrees on the {n}-particle sector"

@@ -7,14 +7,16 @@ weights are a six-tuple w = (stay_empty, stay_occupied, pass_empty,
 pass_occupied, deposit, pickup) over a coefficient ring (Fraction,
 LaurentPoly or float); a zero weight is an absent vertex.  `vertices` lists
 the moves, `site_operator` lays them out as a matrix, and `path_sum` chains
-them along a row.  A codec says how a chain state is stored: a bitmask for
-the five-vertex model, an occupation tuple for the phase model.
+them along a row.  A chain state is an occupation tuple, site 0 first: the
+five-vertex chain is the phase model's with at most one particle per site, so
+the two differ only in a site's capacity, and `occupations` lists both sectors.
 
-A `Model` bundles what the five-vertex and phase models do not share: codec,
-weights, sectors, the partition of a state, the domain check and the closed
-form's prefactor, spectral map and dual box width.  Everything else (B and C,
-operator chains, the lattice, closed and self-checked amplitudes with their
-duals, transfer matrices and the intertwining relation) is written once here.
+A `Model` bundles what the five-vertex and phase models do not share:
+capacity, weights, sectors, the partition of a state, the domain check and
+the closed form's prefactor, spectral map and dual box width.  Everything else
+(B and C, operator chains, the lattice, closed and self-checked amplitudes
+with their duals, transfer matrices and the intertwining relation) is written
+once here.
 """
 
 from __future__ import annotations
@@ -28,32 +30,17 @@ from .grothendieck import groth_det
 from .partitions import complement
 
 
-def _bits(mask: int, num_sites: int) -> list[int]:
-    if num_sites < 0 or mask < 0 or mask >> num_sites:
-        raise ParameterError("the state does not fit the chain")
-    return [(mask >> site) & 1 for site in range(num_sites)]
-
-
-def _counts(occ: tuple, num_sites: int) -> tuple:
-    if len(occ) != num_sites or any(n < 0 for n in occ):
-        raise ParameterError("the state does not fit the chain")
-    return occ
-
-
-class Codec(NamedTuple):
-    """A chain state is `empty` plus one `piece(site, n)` per site, site 0
-    first; `occupations(state, num_sites)` reads the sites back and refuses a
-    state that does not fit the chain.  A site holds at most `capacity`
-    particles (None: unbounded)."""
-
-    empty: object
-    occupations: Callable
-    piece: Callable
-    capacity: int | None
-
-
-BITMASK = Codec(0, _bits, lambda site, n: n << site, 1)
-TUPLE = Codec((), _counts, lambda site, n: (n,), None)
+def occupations(num_sites: int, num_particles: int, capacity: int | None) -> list[tuple]:
+    """The states of num_particles particles on num_sites sites holding at most
+    `capacity` each (None: unbounded), site 0 first, in lexicographic order."""
+    if num_sites <= 0:
+        return [()] if num_sites == num_particles == 0 else []
+    top = num_particles if capacity is None else min(capacity, num_particles)
+    return [
+        (first,) + rest
+        for first in range(top + 1)
+        for rest in occupations(num_sites - 1, num_particles - first, capacity)
+    ]
 
 
 def vertices(a: int, n: int, w, capacity: int | None) -> list:
@@ -83,32 +70,36 @@ def site_operator(w, levels: int) -> Matrix:
     return Matrix(rows)
 
 
-def path_sum(codec: Codec, num_sites: int, state, a_in: int, a_out: int, w) -> dict:
+def path_sum(capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w) -> dict:
     """Apply one auxiliary-space entry of the monodromy matrix to a weighted
     state: every path of the auxiliary line from a_in to a_out, site 0 first."""
-    return _path_sum(codec, num_sites, state, a_in, a_out, w, {})
+    return _path_sum(capacity, num_sites, state, a_in, a_out, w, {})
 
 
-def _path_sum(codec: Codec, num_sites: int, state, a_in: int, a_out: int, w, table: dict) -> dict:
-    """`path_sum`, reading and filling `table`: (site, occupation) -> the
-    moves for aux 0 and aux 1, which depend only on the codec and w."""
-    empty, occupations, piece, capacity = codec
+def _path_sum(
+    capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w, table: dict
+) -> dict:
+    """`path_sum`, reading and filling `table`: occupation -> the moves for
+    aux 0 and aux 1, which depend only on the capacity and w."""
+    top = float("inf") if capacity is None else capacity
+    if any(len(src) != num_sites or not all(0 <= n <= top for n in src) for src in state):
+        raise ParameterError("the state does not fit the chain")
     out: dict = {}
     for src, amp in state.items():
         if amp == 0:
             continue
-        frontier = {(a_in, empty): amp}
-        for site, n in enumerate(occupations(src, num_sites)):
-            moves = table.get((site, n))
+        frontier = {(a_in, ()): amp}
+        for n in src:
+            moves = table.get(n)
             if moves is None:
-                moves = table[site, n] = [
-                    [(a2, piece(site, n2), wt) for a2, n2, wt in vertices(a, n, w, capacity)]
+                moves = table[n] = [
+                    [(a2, (n2,), wt) for a2, n2, wt in vertices(a, n, w, capacity)]
                     for a in (0, 1)
                 ]
             nxt: dict = {}
             for (a, built), c in frontier.items():
-                for a2, bit, wt in moves[a]:
-                    key = (a2, built + bit)
+                for a2, piece, wt in moves[a]:
+                    key = (a2, built + piece)
                     v = c * wt
                     if key in nxt:
                         nxt[key] = nxt[key] + v
@@ -126,16 +117,17 @@ def _path_sum(codec: Codec, num_sites: int, state, a_in: int, a_out: int, w, tab
 
 
 class Model(NamedTuple):
-    """One lattice model.  `weights(p, beta)` is its six-weight tuple over the
-    ring of p; `sector(M, n)` lists the n-particle states of an M-site chain,
-    so `sector(M, 0)[0]` is the empty chain; `configuration(M, config, ps,
+    """One lattice model.  A site holds at most `capacity` particles (None:
+    unbounded); `weights(p, beta)` is its six-weight tuple over the ring of p;
+    `sector(M, n)` lists the n-particle states of an M-site chain, so
+    `sector(M, 0)[0]` is the empty chain; `configuration(M, config, ps,
     beta)` is the domain every amplitude route shares and returns the state of
     the configuration.  The closed form of the amplitude at a state is
     `prefactor(M, ps, beta)` times G_lam at z = `spectral_map(p, beta)`, with
     lam = `partition(state)`, complemented in a box `dual_width(M, n)` wide for
     the dual amplitude."""
 
-    codec: Codec
+    capacity: int | None
     weights: Callable
     sector: Callable
     partition: Callable
@@ -148,13 +140,13 @@ class Model(NamedTuple):
 def apply_b(model: Model, num_sites: int, p, beta, state) -> dict:
     """B(p) acting on a weighted state: adds one particle."""
     w = model.weights(Fraction(p), Fraction(beta))
-    return path_sum(model.codec, num_sites, state, 1, 0, w)
+    return path_sum(model.capacity, num_sites, state, 1, 0, w)
 
 
 def apply_c(model: Model, num_sites: int, p, beta, state) -> dict:
     """C(p) acting on a weighted state: removes one particle."""
     w = model.weights(Fraction(p), Fraction(beta))
-    return path_sum(model.codec, num_sites, state, 0, 1, w)
+    return path_sum(model.capacity, num_sites, state, 0, 1, w)
 
 
 def chain(apply: Callable, model: Model, num_sites: int, params, beta, state: dict) -> dict:
@@ -211,7 +203,7 @@ def transfer_matrix(
     table: dict = {}  # one move table for every column
     for col, s in enumerate(basis):
         for a in (0, 1):  # A, then D
-            for t, c in _path_sum(model.codec, num_sites, {s: one}, a, a, w, table).items():
+            for t, c in _path_sum(model.capacity, num_sites, {s: one}, a, a, w, table).items():
                 rows[index[t]][col] += c
     return basis, Matrix(rows)
 

@@ -188,22 +188,20 @@ def z_box_det_series(n: int, height: int, beta: Fraction, order: int) -> Truncat
     The determinant is taken by valuation-pivoted elimination (`qadic_det`),
     and its valuation must be -_det_shift(n), the power of q in front.  Its
     pivots have valuations 0, 1, 4, ..., (n-1)^2, so the working order
-    order + (n-1)^2 leaves the unit known through q^order.  Should the pivots
-    taken leave less, working order order - _det_shift(n) suffices, since no
-    pivot valuation exceeds their sum.
+    order + (n-1)^2 leaves the unit known through q^order; a unit known
+    through less raises `PrecisionError`.
     """
     if order < 0:
         raise ParameterError("order must be nonnegative")
     beta = Fraction(beta)
-    shift = -_det_shift(n)
-    for work in (order + (n - 1) ** 2, order + shift):
-        entries, pref = _z_box_det_parts(n, height, TruncatedSeries.indeterminate(work), beta)
-        val, unit = qadic_det(entries, work)
-        if val != shift:
-            raise ArithmeticError("exponent bookkeeping failed")
-        if unit.order >= order:
-            return (pref.truncate(unit.order) * unit).truncate(order)
-    raise PrecisionError(f"the determinant is not known through q^{order}")
+    work = order + (n - 1) ** 2
+    entries, pref = _z_box_det_parts(n, height, TruncatedSeries.indeterminate(work), beta)
+    val, unit = qadic_det(entries, work)
+    if val != -_det_shift(n):
+        raise ArithmeticError("exponent bookkeeping failed")
+    if unit.order < order:
+        raise PrecisionError(f"the determinant is not known through q^{order}")
+    return (pref.truncate(unit.order) * unit).truncate(order)
 
 
 def z_box_beta0(n_rows: int, n_cols: int, height: int, q) -> object:

@@ -66,16 +66,7 @@ def sector_basis(num_sites: int, num_particles: int) -> list[tuple[int, ...]]:
         raise ParameterError("need at least one site")
     if num_particles < 0:
         raise ParameterError("need a nonnegative particle number")
-
-    def gen(sites: int, left: int):
-        if sites == 1:
-            yield (left,)
-            return
-        for first in range(left + 1):
-            for rest in gen(sites - 1, left - first):
-                yield (first,) + rest
-
-    return list(gen(num_sites, num_particles))
+    return lattice.occupations(num_sites, num_particles, None)
 
 
 def spectral_map_phase(v: Fraction, beta: Fraction) -> Fraction:
@@ -121,7 +112,7 @@ def _prefactor_and_zs(num_sites: int, vs: Sequence[Fraction], beta: Fraction) ->
 
 
 MODEL = lattice.Model(
-    codec=lattice.TUPLE,
+    capacity=None,
     weights=_scalar_weights_phase,
     sector=sector_basis,
     partition=partition_from_occupation,

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 import oracles
@@ -15,10 +15,8 @@ from grothcrystal.fivevertex import (
     hamiltonian,
     hamiltonian_direct,
     l_matrix,
-    mask_from_positions,
     r_matrix,
-    reversed_mask,
-    sector_masks,
+    sector_basis,
     spectral_map,
 )
 from grothcrystal.grothendieck import skew_single
@@ -56,9 +54,17 @@ def monodromy_blocks(num_sites, u, beta):
     return blocks
 
 
-def chain_index(mask, num_sites):
-    # mask keeps site 1 in the low bit; the embedding keeps site 1 most significant
-    return sum(1 << (num_sites - site) for site in range(1, num_sites + 1) if mask >> (site - 1) & 1)
+def row_state(x, num_sites):
+    """The 0/1 occupation tuple with particles at the 1-based positions x."""
+    return tuple(int(site in x) for site in range(1, num_sites + 1))
+
+
+def chain_index(state):
+    # the embedding keeps site 1 most significant
+    idx = 0
+    for bit in state:
+        idx = 2 * idx + bit
+    return idx
 
 
 def test_monodromy_matches_embedded_product():
@@ -67,37 +73,41 @@ def test_monodromy_matches_embedded_product():
         blocks = monodromy_blocks(m, u, beta)
         b_block = blocks[0, 1]  # adds a particle
         c_block = blocks[1, 0]
-        for mask in range(1 << m):
-            state = {mask: F(1)}
-            got_b = apply_b(m, u, beta, state)
-            got_c = apply_c(m, u, beta, state)
-            for out_mask in range(1 << m):
-                want_b = b_block.entry(chain_index(out_mask, m), chain_index(mask, m))
-                want_c = c_block.entry(chain_index(out_mask, m), chain_index(mask, m))
-                assert got_b.get(out_mask, F(0)) == want_b
-                assert got_c.get(out_mask, F(0)) == want_c
+        for s in product((0, 1), repeat=m):
+            got_b = apply_b(m, u, beta, {s: F(1)})
+            got_c = apply_c(m, u, beta, {s: F(1)})
+            for t in product((0, 1), repeat=m):
+                want_b = b_block.entry(chain_index(t), chain_index(s))
+                want_c = c_block.entry(chain_index(t), chain_index(s))
+                assert got_b.get(t, F(0)) == want_b
+                assert got_c.get(t, F(0)) == want_c
 
 
 def test_b_and_c_frozen_values():
     u, beta = F(2), F(1)
-    out = apply_b(2, u, beta, {0: F(1)})
-    assert out == {
-        mask_from_positions((1,)): u,
-        mask_from_positions((2,)): -u / beta - 1 / u,
-    }
-    assert apply_c(2, u, beta, {mask_from_positions((2,)): F(1)}) == {0: u}
-    assert apply_c(2, u, beta, {mask_from_positions((1,)): F(1)}) == {0: F(-5, 2)}
+    out = apply_b(2, u, beta, {(0, 0): F(1)})
+    assert out == {(1, 0): u, (0, 1): -u / beta - 1 / u}
+    assert apply_c(2, u, beta, {(0, 1): F(1)}) == {(0, 0): u}
+    assert apply_c(2, u, beta, {(1, 0): F(1)}) == {(0, 0): F(-5, 2)}
 
 
-def test_mask_helpers():
-    assert mask_from_positions((1, 3)) == 0b101
-    assert sector_masks(3, 2) == [0b011, 0b101, 0b110]
-    for build in (lambda: sector_masks(3, -1), lambda: transfer_matrix(3, -1, F(1))):
+def test_state_helpers():
+    def configuration(x, num_sites=3):
+        return MODEL.configuration(num_sites, x, [F(2)] * len(x), F(1))
+
+    assert configuration((1, 3)) == (1, 0, 1)
+    assert MODEL.partition((1, 0, 1)) == partition_from_positions((1, 3))
+    assert sector_basis(3, 2) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    for build in (lambda: sector_basis(3, -1), lambda: transfer_matrix(3, -1, F(1))):
         with pytest.raises(ParameterError, match="^need a nonnegative particle number$"):
             build()
     for x in ((0,), (2, 0), (-3,), (2, 2)):
         with pytest.raises(ParameterError, match=r"^bad positions "):
-            mask_from_positions(x)
+            configuration(x)
+    with pytest.raises(ParameterError, match="^position beyond the last site$"):
+        configuration((1, 4))
+    with pytest.raises(ParameterError, match="^positions not strictly increasing"):
+        configuration((4, 2))
 
 
 def test_ybe_and_rll():
@@ -136,8 +146,8 @@ def test_dual_wavefunction_closed_form():
 
 def test_wavefunction_supports_only_its_sector():
     beta = F(1)
-    state = apply_b(3, F(2), beta, {0: F(1)})
-    assert set(state) <= set(sector_masks(3, 1))
+    state = apply_b(3, F(2), beta, {(0, 0, 0): F(1)})
+    assert set(state) <= set(sector_basis(3, 1))
 
 
 def test_skew_matrix_element_is_single_variable_skew():
@@ -146,11 +156,11 @@ def test_skew_matrix_element_is_single_variable_skew():
     for n in (0, 1, 2):
         for x in combinations(range(1, m + 1), n):
             lam = partition_from_positions(x)
-            image = apply_b(m, u, beta, {mask_from_positions(x): F(1)})
+            image = apply_b(m, u, beta, {row_state(x, m): F(1)})
             for y in combinations(range(1, m + 1), n + 1):
                 mu = partition_from_positions(y)
                 # (-beta)^N u^(1-M) <y|B(u)|x>
-                got = (-beta) ** n * u ** (1 - m) * image.get(mask_from_positions(y), F(0))
+                got = (-beta) ** n * u ** (1 - m) * image.get(row_state(y, m), F(0))
                 assert got == skew_single(mu, lam, z, beta)
 
 
@@ -158,28 +168,20 @@ def test_rotation_symmetry():
     # <y|B|x> equals <x~|C|y~> after rotating the chain half a turn
     m, beta, u = 4, F(1, 2), F(3)
     for x in combinations(range(1, m + 1), 1):
-        image = apply_b(m, u, beta, {mask_from_positions(x): F(1)})
+        image = apply_b(m, u, beta, {row_state(x, m): F(1)})
         for y in combinations(range(1, m + 1), 2):
-            amp = image.get(mask_from_positions(y), F(0))
+            amp = image.get(row_state(y, m), F(0))
             xr = oracles.reversed_positions(x, m)
             yr = oracles.reversed_positions(y, m)
-            rot = apply_c(m, u, beta, {mask_from_positions(yr): F(1)})
-            assert rot.get(mask_from_positions(xr), F(0)) == amp
-
-
-def test_reversed_mask_is_the_reversed_positions():
-    for m in range(8):
-        for n in range(m + 1):
-            for x in combinations(range(1, m + 1), n):
-                want = mask_from_positions(oracles.reversed_positions(x, m))
-                assert reversed_mask(mask_from_positions(x), m) == want
+            rot = apply_c(m, u, beta, {row_state(yr, m): F(1)})
+            assert rot.get(row_state(xr, m), F(0)) == amp
 
 
 def test_b_operators_commute():
     m, beta = 4, F(-2)
     u, v = F(2), F(3)
-    for mask in range(1 << m):
-        start = {mask: F(1)}
+    for s in product((0, 1), repeat=m):
+        start = {s: F(1)}
         ab = apply_b(m, u, beta, apply_b(m, v, beta, start))
         ba = apply_b(m, v, beta, apply_b(m, u, beta, start))
         assert ab == ba
@@ -218,7 +220,7 @@ def test_one_site_hamiltonian_keeps_the_wrap_bond():
         lambda: wavefunction_lattice(-2, (), (), F(1)),
         lambda: wavefunction_closed(-2, (), (), F(1)),
         lambda: dual_wavefunction(-2, (), (), F(1)),
-        lambda: sector_masks(-1, 0),
+        lambda: sector_basis(-1, 0),
         lambda: transfer_matrix(-1, 0, F(1)),
         lambda: hamiltonian_direct(-1, F(1)),
         lambda: hamiltonian(-1, F(-1)),
@@ -233,7 +235,7 @@ def test_routes_refuse_a_negative_site_count(route):
 def test_operators_refuse_a_negative_site_count():
     for apply in (apply_b, apply_c):
         with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
-            apply(-1, F(2), F(1), {0: F(1)})
+            apply(-1, F(2), F(1), {(): F(1)})
 
 
 def test_hamiltonian_needs_rational_square_root():

@@ -1,8 +1,10 @@
-"""The shared vertex table and row path-sum engine.  The site operators it
-builds equal the ones written out by hand in the oracles, and its path sums
-equal products of embedded site operators.  On its float ring, which only
-the Bethe numerics use, it agrees with the exact Laurent transfer matrices.
-The one weight function per model serves all three rings.  The lattice,
+"""The shared vertex table, state enumerator and row path-sum engine.  The
+site operators it builds equal the ones written out by hand in the oracles,
+and its path sums equal products of embedded site operators.  Both models'
+states are occupation tuples from one enumerator, and the five-vertex and
+phase-model sectors carry the same partitions.  On its float ring, which
+only the Bethe numerics use, it agrees with the exact Laurent transfer
+matrices.  The one weight function per model serves all three rings.  The lattice,
 closed and self-checked amplitude routes of each model, forward and dual,
 accept and refuse the same inputs, and the prefactor ratio the skew checks
 read equals the normalisation written out by hand."""
@@ -11,9 +13,12 @@ import random
 from fractions import Fraction as F
 from functools import partial
 from itertools import product
+from math import comb
 
 import pytest
 import oracles
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grothcrystal import fivevertex as fv
 from grothcrystal import lattice
@@ -133,11 +138,11 @@ def _embedded_blocks(w, levels: int, num_sites: int) -> dict:
 @pytest.mark.parametrize(
     "model, levels, num_sites, states",
     [
-        (fv.MODEL, 2, 3, list(range(8))),
+        (fv.MODEL, 2, 3, list(product((0, 1), repeat=3))),
         # at most two particles, so a cap of 3 never truncates a path
         (pm.MODEL, 4, 2, [occ for occ in product(range(3), repeat=2) if sum(occ) <= 2]),
     ],
-    ids=["bitmask", "tuple"],
+    ids=["fv", "pm"],
 )
 def test_path_sums_are_products_of_the_site_operator(model, levels, num_sites, states):
     # six distinct weights, none of them 0 or 1, so deposit and pickup cannot
@@ -150,26 +155,22 @@ def test_path_sums_are_products_of_the_site_operator(model, levels, num_sites, s
             w.append(x)
     w = tuple(w)
     blocks = _embedded_blocks(w, levels, num_sites)
-    codec = model.codec
 
     def index(state):
         idx = 0
-        for n in codec.occupations(state, num_sites):
+        for n in state:
             idx = idx * levels + n
         return idx
 
-    if codec is lattice.BITMASK:
-        all_states = list(range(levels**num_sites))
-    else:
-        all_states = list(product(range(levels), repeat=num_sites))
+    all_states = list(product(range(levels), repeat=num_sites))
     for s in states:
         for a_in, a_out in ((1, 0), (0, 1)):  # B, then C
-            got = lattice.path_sum(codec, num_sites, {s: F(1)}, a_in, a_out, w)
+            got = lattice.path_sum(model.capacity, num_sites, {s: F(1)}, a_in, a_out, w)
             block = blocks[a_out, a_in]
             want = {t: block[index(t)][index(s)] for t in all_states}
             assert got == {t: c for t, c in want.items() if c}
     for n in range(3):
-        basis = [s for s in states if sum(codec.occupations(s, num_sites)) == n]
+        basis = [s for s in states if sum(s) == n]
         at_w = model._replace(weights=lambda p, beta: w)
         assert lattice.transfer_matrix(at_w, num_sites, n, None, None)[0] == basis
         got = lattice.transfer_matrix(at_w, num_sites, n, None, None)[1]
@@ -181,21 +182,54 @@ def test_path_sums_are_products_of_the_site_operator(model, levels, num_sites, s
 
 
 @pytest.mark.parametrize(
-    "codec, off_chain",
-    [(lattice.BITMASK, (4, 7, -1)), (lattice.TUPLE, ((0,), (0, 0, 5), (0, -1)))],
-    ids=["bitmask", "tuple"],
+    "model, off_chain",
+    [
+        (fv.MODEL, ((0,), (0, 0, 1), (0, -1), (2, 0))),
+        (pm.MODEL, ((0,), (0, 0, 5), (0, -1), (0, -1, 5))),
+    ],
+    ids=["fv", "pm"],
 )
-def test_path_sums_refuse_states_off_the_chain(codec, off_chain):
-    # a mask past the last site or negative; a tuple too short, too long or negative
+def test_path_sums_refuse_states_off_the_chain(model, off_chain):
+    # a state too short, too long, negative or, at capacity 1, holding two
+    # particles on one site; its amplitude 0 does not let it through
     w = fv._scalar_weights(F(2), F(1))
     for state in off_chain:
-        for a_in, a_out in product((0, 1), repeat=2):
-            with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
-                lattice.path_sum(codec, 2, {state: F(1)}, a_in, a_out, w)
-    with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
-        lattice.apply_b(fv.MODEL, 2, F(2), F(1), {4: F(1)})
-    with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
-        lattice.apply_c(pm.MODEL, 2, F(2), F(1), {(0, -1): F(1)})
+        for amp in (F(1), F(0)):
+            for a_in, a_out in product((0, 1), repeat=2):
+                with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
+                    lattice.path_sum(model.capacity, 2, {state: amp}, a_in, a_out, w)
+            for apply in (lattice.apply_b, lattice.apply_c):
+                with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
+                    apply(model, 2, F(2), F(1), {(0, 0): F(1), state: amp})
+    # a phase model state fits its chain at any occupation
+    assert lattice.apply_b(pm.MODEL, 2, F(2), F(1), {(2, 0): F(1)})
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 5), st.sampled_from([1, None]))
+def test_occupations_are_the_sorted_capped_tuples(num_sites, num_particles, capacity):
+    top = num_particles if capacity is None else capacity
+    want = sorted(
+        occ
+        for occ in product(range(num_particles + 1), repeat=num_sites)
+        if sum(occ) == num_particles and max(occ, default=0) <= top
+    )
+    got = lattice.occupations(num_sites, num_particles, capacity)
+    assert got == want
+    if num_sites:  # the counts below hold on at least one site
+        pool = num_sites if capacity else num_sites + num_particles - 1
+        assert len(got) == comb(pool, num_particles)
+
+
+def test_fermion_and_boson_sectors_carry_the_same_partitions():
+    # the five-vertex (M, N) sector and the phase-model (M - N + 1, N) sector
+    # both hold the partitions in the N x (M - N) box, one state each
+    for m in range(9):
+        for n in range(m + 1):
+            fermions = sorted(map(fv.MODEL.partition, fv.MODEL.sector(m, n)))
+            bosons = sorted(map(pm.MODEL.partition, pm.MODEL.sector(m - n + 1, n)))
+            assert fermions == bosons
+            assert len(fermions) == len(set(fermions)) == comb(m, n)
 
 
 @pytest.mark.parametrize("var", [F(7, 5), LaurentPoly.var()], ids=["fraction", "laurent"])
@@ -211,7 +245,7 @@ def test_transfer_matrices_are_their_per_column_path_sums(var):
                 for n in range(n_max(m) + 1):
                     basis = model.sector(m, n)
                     columns = [
-                        [lattice.path_sum(model.codec, m, {s: one}, a, a, w) for a in (0, 1)]
+                        [lattice.path_sum(model.capacity, m, {s: one}, a, a, w) for a in (0, 1)]
                         for s in basis
                     ]
                     want = [[a.get(r, zero) + d.get(r, zero) for a, d in columns] for r in basis]

@@ -33,6 +33,7 @@ from grothcrystal.partitions import (
     plane_partitions_of_size,
     pp_size,
 )
+from grothcrystal.suites import _BETA_PALETTE
 
 
 def test_weight_phi_frozen_values():
@@ -330,19 +331,41 @@ def test_negative_base_sides_are_rejected():
                 z_box_det_series(n, height, F(1, 2), 2)
 
 
-def test_series_det_retries_when_the_pivots_leave_too_little(monkeypatch):
-    want = z_box_det_series(4, 3, F(-2, 3), 6)
+def test_series_det_raises_when_the_pivots_leave_too_little(monkeypatch):
     works = []
 
-    def short_first(rows, order):
+    def one_short(rows, order):
         v, unit = qadic_det(rows, order)
         works.append(order)
-        # the first attempt reports one coefficient less than it needs
-        return v, unit.truncate(unit.order - 1) if len(works) == 1 else unit
+        # the unit is one coefficient short of the requested order
+        return v, unit.truncate(6 - 1)
 
-    monkeypatch.setattr(meltingcrystal, "qadic_det", short_first)
-    assert z_box_det_series(4, 3, F(-2, 3), 6) == want
-    assert works == [6 + 9, 6 - _det_shift(4)]
+    monkeypatch.setattr(meltingcrystal, "qadic_det", one_short)
+    with pytest.raises(PrecisionError, match=r"not known through q\^6"):
+        z_box_det_series(4, 3, F(-2, 3), 6)
+    assert works == [6 + 9]
+
+
+def test_series_det_takes_one_working_order(monkeypatch):
+    # order + (n-1)^2 always leaves the unit known through q^order: one
+    # q-adic determinant per call and no PrecisionError, over every box with
+    # n <= 6 and h <= 5, the beta palette with 0 and -1, and orders 0..2n
+    # (0 and 2n only for n >= 5, to keep the sweep to a few seconds)
+    works = []
+
+    def counting(rows, order):
+        works.append(order)
+        return qadic_det(rows, order)
+
+    monkeypatch.setattr(meltingcrystal, "qadic_det", counting)
+    for n in range(7):
+        orders = range(2 * n + 1) if n < 5 else (0, 2 * n)
+        for height in range(6):
+            for beta in _BETA_PALETTE + (F(0),):
+                for order in orders:
+                    works.clear()
+                    assert z_box_det_series(n, height, beta, order).order == order
+                    assert works == [order + (n - 1) ** 2]
 
 
 def test_series_det_raises_when_still_short(monkeypatch):
