@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegeneratePointError, ParameterError, PoleError
-from .exactcore import Matrix, vandermonde
+from .exactcore import Matrix, _int_det_bareiss, vandermonde
 from .partitions import (
     check_partition,
     complement,
@@ -37,20 +37,37 @@ def _require_width(width: int):
 
 def groth_det(lam: Sequence[int], zs: Sequence[Fraction], beta: Fraction) -> Fraction:
     """G_lam via the N x N determinant ratio."""
-    lam = check_partition(lam)
+    return groth_dets([lam], zs, beta)[0]
+
+
+def groth_dets(shapes, zs: Sequence[Fraction], beta: Fraction) -> list[Fraction]:
+    """G_lam for each lam in shapes, as det(z_i^(lam_k + N-1-k) (1 + beta z_i)^k)
+    over the Vandermonde.  With z_i = a_i/b_i and 1 + beta z_i = c_i/d_i, row i
+    times b_i^E d_i^(N-1) is a_i^e b_i^(E-e) c_i^k d_i^(N-1-k), E the largest
+    exponent: one integer table for every shape, one denominator for all."""
+    shapes = [check_partition(lam) for lam in shapes]
     zs = [Fraction(z) for z in zs]
     beta = Fraction(beta)
     n = len(zs)
-    if len(lam) != n:
+    if any(len(lam) != n for lam in shapes):
         raise ParameterError("need exactly one part (possibly zero) per variable")
     _require_distinct(zs, "variables")
-    rows = []
-    for z in zs:
-        w = 1 + beta * z
-        rows.append(
-            [z ** (lam[k] + n - 1 - k) * w**k for k in range(n)]
+    if n == 0:
+        return [Fraction(1)] * len(shapes)
+    top = max((lam[0] for lam in shapes), default=0) + n - 1
+    ws = [1 + beta * z for z in zs]
+    pz = [[z.numerator**e * z.denominator ** (top - e) for e in range(top + 1)] for z in zs]
+    pw = [[w.numerator**k * w.denominator ** (n - 1 - k) for k in range(n)] for w in ws]
+    den = vandermonde(zs)
+    for z, w in zip(zs, ws):
+        den *= z.denominator**top * w.denominator ** (n - 1)
+    return [
+        _int_det_bareiss(
+            [[pz[i][lam[k] + n - 1 - k] * pw[i][k] for k in range(n)] for i in range(n)]
         )
-    return Matrix(rows).det() / vandermonde(zs)
+        / den
+        for lam in shapes
+    ]
 
 
 def schur_det(lam: Sequence[int], zs: Sequence[Fraction]) -> Fraction:

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from .errors import IdentityError, ParameterError
 from .exactcore import Matrix, embed_pair
-from .grothendieck import groth_det
+from .grothendieck import groth_dets
 from .partitions import complement
 
 
@@ -80,7 +80,9 @@ def _path_sum(
     capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w, table: dict
 ) -> dict:
     """`path_sum`, reading and filling `table`: occupation -> the moves for
-    aux 0 and aux 1, which depend only on the capacity and w."""
+    aux 0 and aux 1, which depend only on the capacity and w.  From one source
+    state the built prefix fixes the aux state, because particles are
+    conserved, so each frontier key is reached by one path only."""
     top = float("inf") if capacity is None else capacity
     if any(len(src) != num_sites or not all(0 <= n <= top for n in src) for src in state):
         raise ParameterError("the state does not fit the chain")
@@ -99,12 +101,7 @@ def _path_sum(
             nxt: dict = {}
             for (a, built), c in frontier.items():
                 for a2, piece, wt in moves[a]:
-                    key = (a2, built + piece)
-                    v = c * wt
-                    if key in nxt:
-                        nxt[key] = nxt[key] + v
-                    else:
-                        nxt[key] = v
+                    nxt[a2, built + piece] = c * wt
             frontier = nxt
         for (a, built), c in frontier.items():
             if a != a_out:
@@ -157,25 +154,45 @@ def chain(apply: Callable, model: Model, num_sites: int, params, beta, state: di
     return state
 
 
+def lattice_amplitudes(model: Model, num_sites: int, params, beta, dual=False) -> dict:
+    """Every nonzero amplitude of the sector from one chain: state ->
+    <state| B(p_1)...B(p_N) |empty chain>, or for the dual state ->
+    <empty chain| C(p_1)...C(p_N) |state>.  Transposing a vertex on the site
+    and flipping the aux label turns C into B with the weights (w[2], w[3],
+    w[0], w[1], w[5], w[4]), so the dual is <state| B~(p_N)...B~(p_1) |empty
+    chain>, a B chain too."""
+    state = {model.sector(num_sites, 0)[0]: Fraction(1)}
+    for p in params if dual else reversed(params):
+        w = model.weights(Fraction(p), Fraction(beta))
+        if dual:
+            w = (w[2], w[3], w[0], w[1], w[5], w[4])
+        state = path_sum(model.capacity, num_sites, state, 1, 0, w)
+    return state
+
+
 def lattice_amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
     """<config| B(p_1)...B(p_N) |empty chain>, or for the dual
-    <empty chain| C(p_1)...C(p_N) |config>, by repeated operator application."""
+    <empty chain| C(p_1)...C(p_N) |config>, read off `lattice_amplitudes`."""
     state = model.configuration(num_sites, config, params, beta)
-    empty = model.sector(num_sites, 0)[0]
-    start, end = (state, empty) if dual else (empty, state)
-    apply = apply_c if dual else apply_b
-    return chain(apply, model, num_sites, params, beta, {start: Fraction(1)}).get(end, Fraction(0))
+    return lattice_amplitudes(model, num_sites, params, beta, dual).get(state, Fraction(0))
+
+
+def closed_amplitudes(model: Model, num_sites: int, configs, params, beta, dual=False) -> list:
+    """The same amplitudes in closed form, one per config: the prefactor times
+    the determinant polynomial at z(p), of the partition of the config or, for
+    the dual, of its box complement."""
+    shapes = []
+    for config in configs:
+        lam = model.partition(model.configuration(num_sites, config, params, beta))
+        shapes.append(complement(lam, model.dual_width(num_sites, len(params))) if dual else lam)
+    zs = [model.spectral_map(p, beta) for p in params]
+    pref = model.prefactor(num_sites, params, beta)
+    return [pref * g for g in groth_dets(shapes, zs, beta)]
 
 
 def closed_amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
-    """The same amplitude in closed form: the prefactor times the determinant
-    polynomial at z(p), of the partition of config or, for the dual, of its
-    box complement."""
-    lam = model.partition(model.configuration(num_sites, config, params, beta))
-    if dual:
-        lam = complement(lam, model.dual_width(num_sites, len(params)))
-    zs = [model.spectral_map(p, beta) for p in params]
-    return model.prefactor(num_sites, params, beta) * groth_det(lam, zs, beta)
+    """`closed_amplitudes` at one config."""
+    return closed_amplitudes(model, num_sites, [config], params, beta, dual)[0]
 
 
 def amplitude(model: Model, num_sites: int, config, params, beta, dual=False):

@@ -150,29 +150,20 @@ def _transfer_commute(model: lattice.Model, m: int, sectors, beta: Fraction) -> 
 
 
 def _wavefunction_cases(model: lattice.Model, tag, d, m, ps, beta, configs) -> Iterator[Case]:
-    """One sector's wavefunction cases: <c|B(p_1)...B(p_N)|empty chain> read off
-    one chain at the state of c, and the dual lattice route, each against its
-    closed form for every config c in configs()."""
+    """One sector's wavefunction cases: <c|B(p_1)...B(p_N)|empty chain> and its
+    dual, each read off one chain for the whole sector and compared with its
+    closed form at every config c in configs()."""
 
-    def forward() -> bool:
-        empty = {(0,) * m: Fraction(1)}
-        state = lattice.chain(lattice.apply_b, model, m, ps, beta, empty)
-        return all(
-            state.get(model.configuration(m, c, ps, beta), Fraction(0))
-            == lattice.closed_amplitude(model, m, c, ps, beta)
-            for c in configs()
-        )
+    def sector(dual: bool) -> bool:
+        cs = list(configs())
+        amps = lattice.lattice_amplitudes(model, m, ps, beta, dual)
+        states = [model.configuration(m, c, ps, beta) for c in cs]
+        closed = lattice.closed_amplitudes(model, m, cs, ps, beta, dual)
+        return all(amps.get(s, Fraction(0)) == v for s, v in zip(states, closed, strict=True))
 
-    def dual() -> bool:
-        return all(
-            lattice.lattice_amplitude(model, m, c, ps, beta, dual=True)
-            == lattice.closed_amplitude(model, m, c, ps, beta, dual=True)
-            for c in configs()
-        )
-
-    sector = f"M{m}.N{len(ps)}.{d}"
-    yield Case(f"{tag}.wavefunction.{sector}", forward, {"beta": beta})
-    yield Case(f"{tag}.wavefunction-dual.{sector}", dual, {"beta": beta})
+    sector_name = f"M{m}.N{len(ps)}.{d}"
+    yield Case(f"{tag}.wavefunction.{sector_name}", partial(sector, False), {"beta": beta})
+    yield Case(f"{tag}.wavefunction-dual.{sector_name}", partial(sector, True), {"beta": beta})
 
 
 def _skew_pairs(model: lattice.Model, m: int, n_max: int, p: Fraction, beta: Fraction):

@@ -4,8 +4,8 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from grothcrystal.errors import OutOfBoxError, ParameterError
-from grothcrystal.exactcore import Matrix, TruncatedSeries
+from grothcrystal.errors import DegeneratePointError, OutOfBoxError, ParameterError
+from grothcrystal.exactcore import Matrix, TruncatedSeries, vandermonde
 from grothcrystal.partitions import check_partition
 
 
@@ -37,6 +37,22 @@ def det_ring(rows: Sequence[Sequence]) -> object:
                     nxt[key] = term
         states = nxt
     return states[(1 << n) - 1]
+
+
+def groth_det_fraction(lam: Sequence[int], zs: Sequence, beta) -> Fraction:
+    """G_lam as the determinant of the Fraction matrix
+    z_i^(lam_k + N-1-k) (1 + beta z_i)^k over the Vandermonde, each entry a
+    Fraction power, with the same checks in the same order as `groth_det`."""
+    lam = check_partition(lam)
+    zs = [Fraction(z) for z in zs]
+    beta = Fraction(beta)
+    n = len(zs)
+    if len(lam) != n:
+        raise ParameterError("need exactly one part (possibly zero) per variable")
+    if len(set(zs)) != n:
+        raise DegeneratePointError("variables must be pairwise distinct")
+    rows = [[z ** (lam[k] + n - 1 - k) * (1 + beta * z) ** k for k in range(n)] for z in zs]
+    return Matrix(rows).det() / vandermonde(zs)
 
 
 def gen_binomial(e: int, m: int) -> Fraction:

@@ -2,6 +2,9 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+import oracles
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grothcrystal.errors import DegeneratePointError, ParameterError, PoleError
 from grothcrystal.grothendieck import (
@@ -9,6 +12,7 @@ from grothcrystal.grothendieck import (
     cauchy_rhs,
     groth_chain,
     groth_det,
+    groth_dets,
     schur_det,
     skew_multi,
     skew_single,
@@ -16,6 +20,7 @@ from grothcrystal.grothendieck import (
     summation_rhs,
 )
 from grothcrystal.partitions import interlacing_below, partitions_in_box
+from grothcrystal.suites import _BETA_PALETTE
 
 
 def ssyt_sum(lam, xs):
@@ -214,3 +219,67 @@ def test_box_sides_need_a_nonnegative_width(n, width):
     ]:
         with pytest.raises(ParameterError, match="^box width must be nonnegative$"):
             side(width, *args, F(1, 2))
+
+
+@st.composite
+def det_points(draw):
+    """(shapes, zs, beta): one to four shapes of N parts, trailing zeros
+    allowed, at N <= 4 distinct variables of either sign, among them, when
+    drawn, z = 0 and the z at which 1 + beta*z vanishes."""
+    beta = draw(st.sampled_from(_BETA_PALETTE + (F(0),)))
+    n = draw(st.integers(0, 4))
+    zs = draw(st.lists(st.fractions(-4, 4, max_denominator=5), min_size=n, max_size=n, unique=True))
+    specials = [F(0)] + ([-1 / beta] if beta else [])
+    for z in specials:
+        if n and z not in zs and draw(st.booleans()):
+            zs[draw(st.integers(0, n - 1))] = z
+    parts = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    shapes = draw(st.lists(parts.map(lambda p: tuple(sorted(p, reverse=True))), min_size=1, max_size=4))
+    return shapes, zs, beta
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(det_points())
+def test_groth_dets_equal_the_fraction_matrix_route(point):
+    shapes, zs, beta = point
+    want = [oracles.groth_det_fraction(lam, zs, beta) for lam in shapes]
+    assert groth_dets(shapes, zs, beta) == want
+    assert [groth_det(lam, zs, beta) for lam in shapes] == want
+
+
+def test_groth_dets_at_zero_negative_and_vanishing_one_plus_beta_z():
+    # z = 2 is where 1 + beta*z = 0; every shape of the 3 x 3 box, most of
+    # them with trailing zeros, in one call
+    beta = F(-1, 2)
+    zs = (F(0), F(2), F(-3, 4))
+    shapes = list(partitions_in_box(3, 3))
+    want = [oracles.groth_det_fraction(lam, zs, beta) for lam in shapes]
+    assert groth_dets(shapes, zs, beta) == want
+    assert len(set(want)) > 1
+    assert groth_dets([], zs, beta) == []
+    assert groth_dets([(), ()], (), beta) == [1, 1]
+
+
+def _raised(route, *args):
+    with pytest.raises(ValueError) as info:
+        route(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "lam, zs",
+    [
+        ((1, 0), (F(2), F(2))),  # a repeated variable
+        ((1,), (F(2), F(3))),  # a part short
+        ((1, 0, 0), (F(2), F(3))),  # a part too many
+        ((1,), (F(2), F(2))),  # the length before the repeated variable
+        ((0, 1), (F(2), F(2))),  # not a partition, before anything else
+        ((1, -1), (F(2),)),  # a negative part, before the length
+    ],
+)
+def test_groth_dets_raise_what_groth_det_raises(lam, zs):
+    want = _raised(oracles.groth_det_fraction, lam, zs, F(1, 2))
+    assert _raised(groth_det, lam, zs, F(1, 2)) == want
+    assert _raised(groth_dets, [lam], zs, F(1, 2)) == want
+    # a good shape in front changes nothing
+    assert _raised(groth_dets, [(0,) * len(zs), lam], zs, F(1, 2)) == want

@@ -252,6 +252,40 @@ def test_transfer_matrices_are_their_per_column_path_sums(var):
                     assert lattice.transfer_matrix(model, m, n, var, beta) == (basis, Matrix(want))
 
 
+def _six_weights(p, beta):
+    """Six distinct nonzero weights at each parameter the test below uses; both
+    models deposit and pick up at weight 1, so they cannot tell those apart."""
+    return (p, p + F(1, 2), 2 * p + F(1, 3), -p, 1 / p, p * p + beta)
+
+
+@pytest.mark.parametrize(
+    "model, m_max, betas",
+    [
+        (fv.MODEL, 7, _BETA_PALETTE),
+        (pm.MODEL, 5, _BETA_PALETTE + (F(0),)),
+        (fv.MODEL._replace(weights=_six_weights), 5, (F(1, 7),)),
+        (pm.MODEL._replace(weights=_six_weights), 4, (F(1, 7),)),
+    ],
+    ids=["fv", "pm", "fv-six-weights", "pm-six-weights"],
+)
+def test_sector_amplitudes_are_the_per_state_chains(model, m_max, betas):
+    """One chain per sector gives what a chain per state gave: the dual, a B
+    chain with transposed weights, equals C(p_1)...C(p_N) from each state to
+    the empty chain, and the forward one equals B(p_1)...B(p_N) from it."""
+    ps = (F(7, 5), F(3), F(-5, 2))
+    for m, beta, n in product(range(1, m_max + 1), betas, range(4)):
+        empty = model.sector(m, 0)[0]
+        dual = {}
+        for s in model.sector(m, n):
+            c = lattice.chain(lattice.apply_c, model, m, ps[:n], beta, {s: F(1)}).get(empty, 0)
+            if c:
+                dual[s] = c
+        forward = lattice.chain(lattice.apply_b, model, m, ps[:n], beta, {empty: F(1)})
+        assert lattice.lattice_amplitudes(model, m, ps[:n], beta, dual=True) == dual
+        assert lattice.lattice_amplitudes(model, m, ps[:n], beta) == forward
+        assert dual or model.sector(m, n) == []
+
+
 def _outcome(route, *args):
     try:
         return route(*args)

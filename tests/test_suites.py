@@ -162,6 +162,53 @@ def test_skew_cases_fail_on_a_wrong_amplitude(monkeypatch, alter, suite, scale, 
     assert not any("error" in f for f in rep.failures)  # a false verdict, not a crash
 
 
+def _perturb_first(real):
+    def closed_amplitudes(*args):
+        values = real(*args)
+        return [values[0] + 1] + values[1:]
+
+    return closed_amplitudes
+
+
+def _drop_first(real):
+    def lattice_amplitudes(*args):
+        amps = real(*args)
+        del amps[min(amps)]
+        return amps
+
+    return lattice_amplitudes
+
+
+def _shorten(real):
+    return lambda *args: real(*args)[:-1]
+
+
+@pytest.mark.parametrize(
+    "route, alter",
+    [
+        ("closed_amplitudes", _perturb_first),
+        ("lattice_amplitudes", _drop_first),
+        ("closed_amplitudes", _shorten),
+    ],
+    ids=["perturbed-closed", "dropped-state", "short-closed"],
+)
+@pytest.mark.parametrize(
+    "suite, tag, count", [("fv", "fv.wavefunction.", 12), ("pm", "pm.wavefunction-dual.", 9)]
+)
+def test_wavefunction_cases_fail_on_one_wrong_amplitude(monkeypatch, route, alter, suite, tag, count):
+    """Each wavefunction case compares every state of its sector: one closed
+    value off by one, or one state missing from the lattice side, fails every
+    case, and a closed list one short fails it with an error, not a skipped
+    comparison."""
+    monkeypatch.setattr(lattice, route, alter(getattr(lattice, route)))
+    names = [case.name for case in SUITES[suite]("small", random.Random(f"{suite}:1"))]
+    rep = run_suite(suite, "small", 1, tags=tag)
+    assert rep.cases == count
+    assert [f["case"] for f in rep.failures] == [name for name in names if tag in name]
+    errors = [f.get("error", "")[:11] for f in rep.failures]
+    assert errors == ["ValueError:" if alter is _shorten else ""] * count
+
+
 def _doubled(real):
     return lambda *args: {s: 2 * c for s, c in real(*args).items()}
 
