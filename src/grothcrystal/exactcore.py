@@ -199,11 +199,6 @@ class LaurentPoly(_Ring):
         """Multiply by u^k."""
         return LaurentPoly._raw({e + k: c for e, c in self.coeffs.items()})
 
-    def derivative(self) -> "LaurentPoly":
-        return LaurentPoly._raw(
-            {e - 1: c * e for e, c in self.coeffs.items() if e != 0}
-        )
-
     def evaluate(self, a: Fraction) -> Fraction:
         """Value at a nonzero rational (zero allowed when no negative exponents)."""
         a = Fraction(a)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import lattice
 from .errors import IdentityError, ParameterError, PoleError
-from .exactcore import LaurentPoly, Matrix, embed_pair, rational_sqrt
+from .exactcore import Matrix, TruncatedSeries, embed_pair, rational_sqrt
 from .partitions import partition_from_positions
 
 
@@ -80,7 +80,7 @@ def check_rll(u: Fraction, v: Fraction, beta: Fraction) -> bool:
 
 
 def _scalar_weights(u, beta: Fraction):
-    """The six vertex weights at u, a Fraction, a float or LaurentPoly.var()."""
+    """The six vertex weights at u: a Fraction, float, TruncatedSeries or LaurentPoly.var()."""
     beta = _check_beta(beta)
     if u == 0:
         raise PoleError("u = 0 is a pole of the site weights")
@@ -177,18 +177,20 @@ def hamiltonian_direct(num_sites: int, beta: Fraction) -> Matrix:
 
 def hamiltonian(num_sites: int, beta: Fraction) -> Matrix:
     """Generator built two ways: directly, and as the logarithmic derivative of
-    the transfer matrix at u0 = sqrt(-beta).  Returns the direct form after
-    asserting sector-by-sector equality."""
+    u^-M times the transfer matrix at u0 = sqrt(-beta), read off it at u0 + e
+    over Q[e]/(e^2).  Returns the direct form after asserting sector-by-sector
+    equality."""
     beta = _check_beta(beta)
     u0 = rational_sqrt(-beta)
     if u0 is None:
         raise ParameterError("-beta must be the square of a rational")
     direct = hamiltonian_direct(num_sites, beta)
+    u = u0 + TruncatedSeries.indeterminate(1)
     for n in range(num_sites + 1):
-        basis, t = lattice.transfer_matrix(MODEL, num_sites, n, LaurentPoly.var(), beta)
-        f = t.map(lambda p: p.shift(-num_sites))
-        f0 = f.map(lambda p: p.evaluate(u0))
-        fp0 = f.map(lambda p: p.derivative().evaluate(u0))
+        basis, t = lattice.transfer_matrix(MODEL, num_sites, n, u, beta)
+        f = t.scale(u**-num_sites)
+        f0 = f.map(lambda p: p.coeff(0))
+        fp0 = f.map(lambda p: p.coeff(1))
         try:
             f0_inv = f0.inverse()
         except ValueError as exc:

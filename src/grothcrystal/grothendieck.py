@@ -152,10 +152,10 @@ def cauchy_lhs(
     n = len(zs)
     if len(ws) != n:
         raise ParameterError("need as many w variables as z variables")
-    total = Fraction(0)
-    for lam in partitions_in_box(width, n):
-        total += groth_det(lam, zs, beta) * groth_det(complement(lam, width), ws, beta)
-    return total
+    shapes = list(partitions_in_box(width, n))
+    gz = groth_dets(shapes, zs, beta)
+    gw = groth_dets([complement(lam, width) for lam in shapes], ws, beta)
+    return sum((a * b for a, b in zip(gz, gw)), Fraction(0))
 
 
 def cauchy_rhs(
@@ -194,10 +194,9 @@ def summation_lhs(width: int, zs: Sequence[Fraction], beta: Fraction) -> Fractio
     """Brute-force sum of (-beta)^|lam| G_lam(z) over the box."""
     _require_width(width)
     beta = Fraction(beta)
-    total = Fraction(0)
-    for lam in partitions_in_box(width, len(zs)):
-        total += (-beta) ** sum(lam) * groth_det(lam, zs, beta)
-    return total
+    shapes = list(partitions_in_box(width, len(zs)))
+    gs = groth_dets(shapes, zs, beta)
+    return sum(((-beta) ** sum(lam) * g for lam, g in zip(shapes, gs)), Fraction(0))
 
 
 def summation_rhs(width: int, zs: Sequence[Fraction], beta: Fraction) -> Fraction:

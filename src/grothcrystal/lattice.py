@@ -5,18 +5,18 @@ auxiliary line, empty (0) or carrying one particle (1), either stays empty,
 picks a particle up, deposits its particle or passes through carrying it.  The
 weights are a six-tuple w = (stay_empty, stay_occupied, pass_empty,
 pass_occupied, deposit, pickup) over a coefficient ring (Fraction,
-LaurentPoly or float); a zero weight is an absent vertex.  `vertices` lists
-the moves, `site_operator` lays them out as a matrix, and `path_sum` chains
-them along a row.  A chain state is an occupation tuple, site 0 first: the
-five-vertex chain is the phase model's with at most one particle per site, so
-the two differ only in a site's capacity, and `occupations` lists both sectors.
+LaurentPoly, TruncatedSeries or float); a zero weight is an absent vertex.
+`vertices` lists the moves, `site_operator` lays them out as a matrix, and
+`path_sum` chains them along a row.  A chain state is an occupation tuple,
+site 0 first: the five-vertex chain is the phase model's with at most one
+particle per site, so the two differ only in a site's capacity, and
+`occupations` lists both sectors.
 
 A `Model` bundles what the five-vertex and phase models do not share:
 capacity, weights, sectors, the partition of a state, the domain check and
 the closed form's prefactor, spectral map and dual box width.  Everything else
-(B and C, operator chains, the lattice, closed and self-checked amplitudes
-with their duals, transfer matrices and the intertwining relation) is written
-once here.
+(B and C, the lattice, closed and self-checked amplitudes with their duals,
+transfer matrices and the intertwining relation) is written once here.
 """
 
 from __future__ import annotations
@@ -146,59 +146,53 @@ def apply_c(model: Model, num_sites: int, p, beta, state) -> dict:
     return path_sum(model.capacity, num_sites, state, 0, 1, w)
 
 
-def chain(apply: Callable, model: Model, num_sites: int, params, beta, state: dict) -> dict:
-    """X(p_1)...X(p_N) acting on a weighted state, X = `apply_b` or `apply_c`;
-    X(p_N) acts first."""
-    for p in reversed(params):
-        state = apply(model, num_sites, p, beta, state)
-    return state
+def _transposed(w) -> tuple:
+    """The weights of the vertices transposed on the site, aux label flipped:
+    C(p) transposed is B(p) with them, and B(p) transposed is C(p)."""
+    return (w[2], w[3], w[0], w[1], w[5], w[4])
 
 
 def lattice_amplitudes(model: Model, num_sites: int, params, beta, dual=False) -> dict:
     """Every nonzero amplitude of the sector from one chain: state ->
     <state| B(p_1)...B(p_N) |empty chain>, or for the dual state ->
-    <empty chain| C(p_1)...C(p_N) |state>.  Transposing a vertex on the site
-    and flipping the aux label turns C into B with the weights (w[2], w[3],
-    w[0], w[1], w[5], w[4]), so the dual is <state| B~(p_N)...B~(p_1) |empty
-    chain>, a B chain too."""
+    <empty chain| C(p_1)...C(p_N) |state> = <state| B~(p_N)...B~(p_1) |empty
+    chain>, B~ being B with the `_transposed` weights."""
     state = {model.sector(num_sites, 0)[0]: Fraction(1)}
     for p in params if dual else reversed(params):
         w = model.weights(Fraction(p), Fraction(beta))
-        if dual:
-            w = (w[2], w[3], w[0], w[1], w[5], w[4])
-        state = path_sum(model.capacity, num_sites, state, 1, 0, w)
+        state = path_sum(model.capacity, num_sites, state, 1, 0, _transposed(w) if dual else w)
     return state
 
 
 def lattice_amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
-    """<config| B(p_1)...B(p_N) |empty chain>, or for the dual
-    <empty chain| C(p_1)...C(p_N) |config>, read off `lattice_amplitudes`."""
-    state = model.configuration(num_sites, config, params, beta)
-    return lattice_amplitudes(model, num_sites, params, beta, dual).get(state, Fraction(0))
+    """One amplitude of `lattice_amplitudes`, from one chain down from the
+    config's state to the empty chain: C(p_N) first for the dual, and C~(p_1)
+    first for <config| B(p_1)...B(p_N) |empty chain> = <empty chain|
+    C~(p_N)...C~(p_1) |config>, C~ being C with the `_transposed` weights."""
+    state = {model.configuration(num_sites, config, params, beta): Fraction(1)}
+    for p in reversed(params) if dual else params:
+        w = model.weights(Fraction(p), Fraction(beta))
+        state = path_sum(model.capacity, num_sites, state, 0, 1, w if dual else _transposed(w))
+    return state.get(model.sector(num_sites, 0)[0], Fraction(0))
 
 
-def closed_amplitudes(model: Model, num_sites: int, configs, params, beta, dual=False) -> list:
-    """The same amplitudes in closed form, one per config: the prefactor times
-    the determinant polynomial at z(p), of the partition of the config or, for
+def closed_amplitudes(model: Model, num_sites: int, states, params, beta, dual=False) -> list:
+    """The same amplitudes in closed form, one per state: the prefactor times
+    the determinant polynomial at z(p), of the partition of the state or, for
     the dual, of its box complement."""
-    shapes = []
-    for config in configs:
-        lam = model.partition(model.configuration(num_sites, config, params, beta))
-        shapes.append(complement(lam, model.dual_width(num_sites, len(params))) if dual else lam)
+    width = model.dual_width(num_sites, len(params))
+    lams = [model.partition(state) for state in states]
+    shapes = [complement(lam, width) for lam in lams] if dual else lams
     zs = [model.spectral_map(p, beta) for p in params]
     pref = model.prefactor(num_sites, params, beta)
     return [pref * g for g in groth_dets(shapes, zs, beta)]
 
 
-def closed_amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
-    """`closed_amplitudes` at one config."""
-    return closed_amplitudes(model, num_sites, [config], params, beta, dual)[0]
-
-
 def amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
     """The lattice amplitude, after asserting that it equals the closed form."""
     value = lattice_amplitude(model, num_sites, config, params, beta, dual)
-    want = closed_amplitude(model, num_sites, config, params, beta, dual)
+    state = model.configuration(num_sites, config, params, beta)
+    (want,) = closed_amplitudes(model, num_sites, [state], params, beta, dual)
     if value != want:
         kind = "dual amplitude" if dual else "amplitude"
         raise IdentityError(
@@ -211,7 +205,8 @@ def transfer_matrix(
     model: Model, num_sites: int, num_particles: int, p, beta
 ) -> tuple[list, Matrix]:
     """The n-particle sector and A(p) + D(p) on it, over the ring of p: exact
-    at a Fraction, Laurent polynomials at LaurentPoly.var(), floats at a float."""
+    at a Fraction, Laurent polynomials at LaurentPoly.var(), truncated series
+    at a TruncatedSeries, floats at a float."""
     basis = model.sector(num_sites, num_particles)
     w = model.weights(p, beta)
     index = {s: i for i, s in enumerate(basis)}

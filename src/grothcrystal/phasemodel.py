@@ -12,7 +12,7 @@ or floats, which is how the Bethe-root numerics reuse them.
 Each closed form is prod_v (1/v - beta*v)^(M-1) times a Grothendieck one at
 z(v) = 1/(1/v^2 - beta): G_lam for the wavefunctions, `cauchy_rhs` for the
 scalar product, `summation_rhs` for the weighted sum.  The brute forces of the
-last two are operator products on the lattice and reach no closed form.
+last two are sums over the lattice wavefunction tables and reach no closed form.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def check_rll_phase(u: Fraction, v: Fraction, beta: Fraction, cap: int) -> bool:
 
 
 def _scalar_weights_phase(v, beta):
-    """The six vertex weights at v, a Fraction, a float or LaurentPoly.var()."""
+    """The six vertex weights at v: a Fraction, float, TruncatedSeries or LaurentPoly.var()."""
     if v == 0:
         raise PoleError("v = 0 is a pole of the site weights")
     return (1 / v - beta * v, 1 / v, v, v, v**0, v**0)
@@ -154,13 +154,13 @@ def scalar_product_bruteforce(
     vs: Sequence[Fraction],
     beta: Fraction,
 ) -> Fraction:
-    """The same pairing on the lattice: one B chain from the empty chain, then C(u_N) first."""
+    """The same pairing on the lattice: the dual wavefunction at u times the
+    one at v, summed over the sector; finite at beta*u^2 = 1."""
     if len(vs) != len(us):
         raise ParameterError("need equally many parameters on both sides")
-    vacuum = MODEL.sector(num_sites, 0)[0]
-    state = lattice.chain(lattice.apply_b, MODEL, num_sites, vs, beta, {vacuum: Fraction(1)})
-    state = lattice.chain(lattice.apply_c, MODEL, num_sites, us, beta, state)
-    return state.get(vacuum, Fraction(0))
+    dual = lattice.lattice_amplitudes(MODEL, num_sites, us, beta, dual=True)
+    wave = lattice.lattice_amplitudes(MODEL, num_sites, vs, beta)
+    return sum((amp * wave.get(occ, 0) for occ, amp in dual.items()), Fraction(0))
 
 
 def summation_wavefunctions(
@@ -187,10 +187,9 @@ def summation_wavefunctions(
 def summation_wavefunctions_bruteforce(
     num_sites: int, vs: Sequence[Fraction], beta: Fraction
 ) -> Fraction:
-    """The same sum over the states of one B chain from the empty chain."""
+    """The same sum over the wavefunctions of the sector."""
     beta = Fraction(beta)
-    vacuum = MODEL.sector(num_sites, 0)[0]
-    state = lattice.chain(lattice.apply_b, MODEL, num_sites, vs, beta, {vacuum: Fraction(1)})
+    state = lattice.lattice_amplitudes(MODEL, num_sites, vs, beta)
     return sum(
         ((-beta) ** sum(k * n for k, n in enumerate(occ)) * amp for occ, amp in state.items()),
         Fraction(0),

@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations, product
 from typing import Callable, Iterator
 
 from . import (
@@ -127,12 +126,13 @@ def _builds(fn: Callable, arg_tuples) -> bool:
     return True
 
 
-def _b_commute(model: lattice.Model, chains, u: Fraction, v: Fraction, beta: Fraction) -> bool:
-    """B(u)B(v) = B(v)B(u) on each (num_sites, basis state) in `chains`."""
-    def b_chain(m, params, s):
-        return lattice.chain(lattice.apply_b, model, m, params, beta, {s: Fraction(1)})
+def _b_commute(model: lattice.Model, sectors, u: Fraction, v: Fraction, beta: Fraction) -> bool:
+    """B(u)B(v) = B(v)B(u) on each state of each (num_sites, num_particles)
+    sector in `sectors`."""
+    def b_b(m, p1, p2, s):
+        return lattice.apply_b(model, m, p1, beta, lattice.apply_b(model, m, p2, beta, {s: 1}))
 
-    return all(b_chain(m, (u, v), s) == b_chain(m, (v, u), s) for m, s in chains)
+    return all(b_b(m, u, v, s) == b_b(m, v, u, s) for m, n in sectors for s in model.sector(m, n))
 
 
 def _transfer_commute(model: lattice.Model, m: int, sectors, beta: Fraction) -> bool:
@@ -149,16 +149,15 @@ def _transfer_commute(model: lattice.Model, m: int, sectors, beta: Fraction) -> 
     return True
 
 
-def _wavefunction_cases(model: lattice.Model, tag, d, m, ps, beta, configs) -> Iterator[Case]:
-    """One sector's wavefunction cases: <c|B(p_1)...B(p_N)|empty chain> and its
+def _wavefunction_cases(model: lattice.Model, tag, d, m, ps, beta) -> Iterator[Case]:
+    """One sector's wavefunction cases: <s|B(p_1)...B(p_N)|empty chain> and its
     dual, each read off one chain for the whole sector and compared with its
-    closed form at every config c in configs()."""
+    closed form at every state s of the sector."""
 
     def sector(dual: bool) -> bool:
-        cs = list(configs())
+        states = model.sector(m, len(ps))
         amps = lattice.lattice_amplitudes(model, m, ps, beta, dual)
-        states = [model.configuration(m, c, ps, beta) for c in cs]
-        closed = lattice.closed_amplitudes(model, m, cs, ps, beta, dual)
+        closed = lattice.closed_amplitudes(model, m, states, ps, beta, dual)
         return all(amps.get(s, Fraction(0)) == v for s, v in zip(states, closed, strict=True))
 
     sector_name = f"M{m}.N{len(ps)}.{d}"
@@ -314,8 +313,7 @@ def _suite_fv(scale: str, rng: random.Random) -> Iterator[Case]:
         for m in range(2, m_max + 1):
             for n in range(0, min(m, n_max) + 1):
                 us = generic_rationals(rng, n)
-                configs = partial(combinations, range(1, m + 1), n)
-                yield from _wavefunction_cases(fv.MODEL, "fv", d, m, us, beta, configs)
+                yield from _wavefunction_cases(fv.MODEL, "fv", d, m, us, beta)
 
     m = _pick(scale, 5, 6)
     beta = generic_beta(rng, nonzero=True)
@@ -328,8 +326,8 @@ def _suite_fv(scale: str, rng: random.Random) -> Iterator[Case]:
     m_max = _pick(scale, 4, 6)
     beta = generic_beta(rng, nonzero=True)
     u, v = generic_rationals(rng, 2)
-    chains = [(m, s) for m in range(2, m_max + 1) for s in product((0, 1), repeat=m)]
-    yield Case("fv.b-commute", partial(_b_commute, fv.MODEL, chains, u, v, beta), {"beta": beta})
+    sectors = [(m, n) for m in range(2, m_max + 1) for n in range(m + 1)]
+    yield Case("fv.b-commute", partial(_b_commute, fv.MODEL, sectors, u, v, beta), {"beta": beta})
 
     m_tr = _pick(scale, 3, 4)
     beta = generic_beta(rng, nonzero=True)
@@ -372,8 +370,7 @@ def _suite_pm(scale: str, rng: random.Random) -> Iterator[Case]:
         for m in range(2, m_max + 1):
             for n in range(0, n_max + 1):
                 vs = generic_rationals(rng, n)
-                configs = partial(pm.sector_basis, m, n)
-                yield from _wavefunction_cases(pm.MODEL, "pm", d, m, vs, beta, configs)
+                yield from _wavefunction_cases(pm.MODEL, "pm", d, m, vs, beta)
 
     m_sk, n_sk = _pick(scale, (4, 2), (5, 3))
     beta = generic_beta(rng)
@@ -411,8 +408,8 @@ def _suite_pm(scale: str, rng: random.Random) -> Iterator[Case]:
 
     beta = generic_beta(rng)
     u, v = generic_rationals(rng, 2)
-    chains = [(m, occ) for m in (2, 3) for n in (0, 1, 2) for occ in pm.sector_basis(m, n)]
-    check = partial(_b_commute, pm.MODEL, chains, u, v, beta)
+    sectors = [(m, n) for m in (2, 3) for n in (0, 1, 2)]
+    check = partial(_b_commute, pm.MODEL, sectors, u, v, beta)
     yield Case("pm.b-commute", check, {"beta": beta})
 
     m_tr = _pick(scale, 3, 4)

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from grothcrystal import lattice
 from grothcrystal.errors import DegeneratePointError, OutOfBoxError, ParameterError
 from grothcrystal.exactcore import Matrix, TruncatedSeries, vandermonde
 from grothcrystal.partitions import check_partition
@@ -53,6 +54,22 @@ def groth_det_fraction(lam: Sequence[int], zs: Sequence, beta) -> Fraction:
         raise DegeneratePointError("variables must be pairwise distinct")
     rows = [[z ** (lam[k] + n - 1 - k) * (1 + beta * z) ** k for k in range(n)] for z in zs]
     return Matrix(rows).det() / vandermonde(zs)
+
+
+def chain(apply, model, num_sites: int, params, beta, state: dict) -> dict:
+    """X(p_1)...X(p_N) acting on a weighted state, X = `lattice.apply_b` or
+    `lattice.apply_c`, X(p_N) first: one operator at a time, the per-state
+    route that the sector tables and the one-state lookups replace."""
+    for p in reversed(params):
+        state = apply(model, num_sites, p, beta, state)
+    return state
+
+
+def closed_amplitude(model, num_sites: int, config, params, beta, dual=False) -> Fraction:
+    """`lattice.closed_amplitudes` at the state of one config, after the same
+    domain check as the lattice route."""
+    state = model.configuration(num_sites, config, params, beta)
+    return lattice.closed_amplitudes(model, num_sites, [state], params, beta, dual)[0]
 
 
 def gen_binomial(e: int, m: int) -> Fraction:

@@ -277,7 +277,7 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_failed_self_check_exits_1(capsys, monkeypatch):
     # a lattice/closed-form mismatch is a failed verification, not bad input
-    monkeypatch.setattr(lattice, "closed_amplitude", lambda *args, **kwargs: 0)
+    monkeypatch.setattr(lattice, "closed_amplitudes", lambda *args, **kwargs: [0])
     rows = [
         (("fv", "wavefunction", "--sites", "5", "--x", "1,3", "--u", "2,3", "--beta", "-1"),
          "lattice amplitude = 1260 != closed amplitude = 0 at (1, 3)"),

@@ -26,6 +26,9 @@ ROWS = [
     (('fv', 'wavefunction', '--sites', '5', '--x', '1,3', '--u', '2,3', '--beta', '-1'), 0, 'c45df445d5990792e55099b5f27b896610274fdbf00fd4d98085a5d9e6c36c26', None),
     (('fv', 'wavefunction', '--sites', '5', '--x', '1,3', '--u', '2,3', '--beta', '-1', '--dual'), 0, '22dcad315504a54eff83f3e839789b864c7f7f8036a62e5b50f10faa6425826b', None),
     (('pm', 'wavefunction', '--sites', '3', '--occ', '1,0,1', '--v', '2,3', '--beta', '1'), 0, '14e727c5d590d4059e9b83aed0e623852f1aee9afcc8e7c6cb432dbfcdad33a2', None),
+    # one-state lookups at M = 12, recorded while they still built the sector
+    (('fv', 'wavefunction', '--sites', '12', '--x', '2,4,6,8,10,12', '--u', '2,3,5,7,11,13', '--beta', '-1'), 0, '8b41bcff1c97aeb43334245f0caf7fa384915ecf82f267b3492db7acd25d0e84', None),
+    (('fv', 'wavefunction', '--sites', '12', '--x', '2,4,6,8,10,12', '--u', '2,3,5,7,11,13', '--beta', '-1', '--dual'), 0, '6f3bed712f6b72372b0c37d9d072448a592c5b2441642ec03b51bf32c0dd9577', None),
     (('pm', 'scalar', '--sites', '2', '--u', '2', '--v', '3', '--beta', '1'), 0, '016551a629e15f4ec1771f7fd4748ac768afd0c01f7c77833cd0153e7d26dde6', None),
     (('pm', 'sum', '--sites', '2', '--v', '2', '--beta', '-1'), 0, '1492fd13e25aa10444fbf075eff20fdb1c8eca290bcb0dbc3dcb4aabd65f26b0', None),
     (('pm', 'bethe', '--sites', '3', '--beta', '-1'), 0, '70b90d8b1eca09c42690288fbca2b5d3226a0da3a5b25028faec351e66ebef47', None),

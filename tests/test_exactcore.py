@@ -57,16 +57,6 @@ def test_laurent_arithmetic():
     assert q.coeff(2) == 1 and q.coeff(0) == -1 and q.coeff(5) == 0
 
 
-def test_laurent_derivative_product_rule():
-    z = LaurentPoly.var()
-    p = 2 * z ** 3 - z + LaurentPoly.monomial(5, -2)
-    q = z ** 2 + LaurentPoly.monomial(1, -1)
-    lhs = (p * q).derivative()
-    rhs = p.derivative() * q + p * q.derivative()
-    assert lhs == rhs
-    assert (z ** 0).derivative() == 0
-
-
 def test_laurent_equality_lifts_scalars():
     z = LaurentPoly.var()
     assert z - z == 0

@@ -26,7 +26,7 @@ apply_b = partial(lattice.apply_b, MODEL)
 apply_c = partial(lattice.apply_c, MODEL)
 wavefunction = partial(lattice.amplitude, MODEL)
 wavefunction_lattice = partial(lattice.lattice_amplitude, MODEL)
-wavefunction_closed = partial(lattice.closed_amplitude, MODEL)
+wavefunction_closed = partial(oracles.closed_amplitude, MODEL)
 dual_wavefunction = partial(lattice.amplitude, MODEL, dual=True)
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 import oracles
@@ -19,7 +19,7 @@ from grothcrystal.grothendieck import (
     summation_lhs,
     summation_rhs,
 )
-from grothcrystal.partitions import interlacing_below, partitions_in_box
+from grothcrystal.partitions import complement, interlacing_below, partitions_in_box
 from grothcrystal.suites import _BETA_PALETTE
 
 
@@ -201,6 +201,32 @@ def test_summation_small_and_hand_values():
     assert summation_rhs(0, zs, beta) == 1
     for width in (1, 2):
         assert summation_lhs(width, zs, beta) == summation_rhs(width, zs, beta)
+
+
+@pytest.mark.parametrize("beta", _BETA_PALETTE + (F(0),))
+def test_box_sums_equal_the_per_shape_sums(beta):
+    """cauchy_lhs and summation_lhs take one `groth_dets` table per side; they
+    equal the sums of one Fraction-matrix determinant per shape, also at z = 0
+    and where 1 + beta*z vanishes, and still refuse a repeated variable."""
+    special = -1 / beta if beta else F(4, 3)
+    points = [
+        ((F(2), F(-1, 3), F(5, 2)), (F(3), F(1, 2), F(-4))),
+        ((F(0), special, F(-7, 5)), (special + 1, F(2, 7), F(9))),
+    ]
+    det = oracles.groth_det_fraction
+    for (zs, ws), n, width in product(points, range(4), range(4)):
+        zs, ws = zs[:n], ws[:n]
+        shapes = list(partitions_in_box(width, n))
+        pairs = sum(det(lam, zs, beta) * det(complement(lam, width), ws, beta) for lam in shapes)
+        assert cauchy_lhs(width, zs, ws, beta) == pairs
+        weighted = sum((-beta) ** sum(lam) * det(lam, zs, beta) for lam in shapes)
+        assert summation_lhs(width, zs, beta) == weighted
+    for width in (0, 2):
+        for zs, ws in [((F(2), F(2)), (F(3), F(5))), ((F(2), F(3)), (F(5), F(5)))]:
+            with pytest.raises(DegeneratePointError):
+                cauchy_lhs(width, zs, ws, beta)
+        with pytest.raises(DegeneratePointError):
+            summation_lhs(width, (F(2), F(3), F(2)), beta)
 
 
 def test_summation_requires_nonzero_beta():

@@ -4,10 +4,12 @@ and its path sums equal products of embedded site operators.  Both models'
 states are occupation tuples from one enumerator, and the five-vertex and
 phase-model sectors carry the same partitions.  On its float ring, which
 only the Bethe numerics use, it agrees with the exact Laurent transfer
-matrices.  The one weight function per model serves all three rings.  The lattice,
-closed and self-checked amplitude routes of each model, forward and dual,
-accept and refuse the same inputs, and the prefactor ratio the skew checks
-read equals the normalisation written out by hand."""
+matrices.  The one weight function per model serves all three rings.  The
+sector tables equal the per-state operator chains, and each one-state lookup,
+a chain from the state down to the empty chain, equals its table without
+building one.  The lattice, closed and self-checked amplitude routes of each
+model, forward and dual, accept and refuse the same inputs, and the prefactor
+ratio the skew checks read equals the normalisation written out by hand."""
 
 import random
 from fractions import Fraction as F
@@ -277,13 +279,51 @@ def test_sector_amplitudes_are_the_per_state_chains(model, m_max, betas):
         empty = model.sector(m, 0)[0]
         dual = {}
         for s in model.sector(m, n):
-            c = lattice.chain(lattice.apply_c, model, m, ps[:n], beta, {s: F(1)}).get(empty, 0)
+            c = oracles.chain(lattice.apply_c, model, m, ps[:n], beta, {s: F(1)}).get(empty, 0)
             if c:
                 dual[s] = c
-        forward = lattice.chain(lattice.apply_b, model, m, ps[:n], beta, {empty: F(1)})
+        forward = oracles.chain(lattice.apply_b, model, m, ps[:n], beta, {empty: F(1)})
         assert lattice.lattice_amplitudes(model, m, ps[:n], beta, dual=True) == dual
         assert lattice.lattice_amplitudes(model, m, ps[:n], beta) == forward
         assert dual or model.sector(m, n) == []
+
+
+def _positions(state):
+    return tuple(j + 1 for j, n in enumerate(state) if n)
+
+
+@pytest.mark.parametrize(
+    "model, config, m_max, betas",
+    [
+        (fv.MODEL, _positions, 7, _BETA_PALETTE),
+        (pm.MODEL, tuple, 5, _BETA_PALETTE + (F(0),)),
+        (fv.MODEL._replace(weights=_six_weights), _positions, 5, (F(1, 7),)),
+        (pm.MODEL._replace(weights=_six_weights), tuple, 4, (F(1, 7),)),
+    ],
+    ids=["fv", "pm", "fv-six-weights", "pm-six-weights"],
+)
+def test_one_state_lookups_are_the_sector_tables(model, config, m_max, betas):
+    """The chain from one state down to the empty chain, C~ = B transposed
+    for the forward amplitude and C for the dual, reads what the sector's
+    table holds at that state, zero included."""
+    ps = (F(7, 5), F(3), F(-5, 2))
+    for m, beta, n, dual in product(range(1, m_max + 1), betas, range(4), (False, True)):
+        table = lattice.lattice_amplitudes(model, m, ps[:n], beta, dual)
+        for s in model.sector(m, n):
+            got = lattice.lattice_amplitude(model, m, config(s), ps[:n], beta, dual)
+            assert got == table.get(s, 0), (m, beta, s, dual)
+
+
+def test_one_state_lookups_build_no_sector(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-state lookup built the whole sector")
+
+    monkeypatch.setattr(lattice, "lattice_amplitudes", refuse)
+    us, beta = (F(2), F(3), F(5)), F(-1)
+    for dual in (False, True):
+        for route in (lattice.lattice_amplitude, lattice.amplitude):
+            assert route(fv.MODEL, 6, (1, 3, 6), us, beta, dual)
+            assert route(pm.MODEL, 4, (1, 0, 2, 0), us, beta, dual)
 
 
 def _outcome(route, *args):
@@ -293,7 +333,7 @@ def _outcome(route, *args):
         return type(exc)
 
 
-ROUTES = (lattice.lattice_amplitude, lattice.closed_amplitude, lattice.amplitude)
+ROUTES = (lattice.lattice_amplitude, oracles.closed_amplitude, lattice.amplitude)
 
 
 @pytest.mark.parametrize(

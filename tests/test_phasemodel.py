@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from functools import partial
+from itertools import product
 from math import comb
 
 import pytest
@@ -27,12 +28,13 @@ from grothcrystal.phasemodel import (
     summation_wavefunctions,
     summation_wavefunctions_bruteforce,
 )
+from grothcrystal.suites import _BETA_PALETTE
 
 apply_b_phase = partial(lattice.apply_b, MODEL)
 apply_c_phase = partial(lattice.apply_c, MODEL)
 wavefunction_phase = partial(lattice.amplitude, MODEL)
 wavefunction_phase_lattice = partial(lattice.lattice_amplitude, MODEL)
-wavefunction_phase_closed = partial(lattice.closed_amplitude, MODEL)
+wavefunction_phase_closed = partial(oracles.closed_amplitude, MODEL)
 dual_wavefunction_phase = partial(lattice.amplitude, MODEL, dual=True)
 dual_wavefunction_phase_lattice = partial(lattice.lattice_amplitude, MODEL, dual=True)
 
@@ -183,10 +185,25 @@ def test_scalar_product_frozen_and_bruteforce():
     assert scalar_product_bruteforce(2, (F(2),), (F(3),), F(1, 4)) == F(-5, 6)
 
 
+def test_table_sums_are_the_operator_chains():
+    """The pairing over two wavefunction tables equals <empty chain|
+    C(u_1)...C(u_N) B(v_1)...B(v_N) |empty chain> run one operator at a time,
+    and the weighted sum over one table equals it over the B chain's states,
+    also at beta*u^2 = 1 (u = 2 at beta = 1/4)."""
+    for m, n, beta in product(range(1, 6), range(4), _BETA_PALETTE + (F(0), F(1, 4))):
+        us, vs = (F(2), F(5), F(-11, 3))[:n], (F(3), F(-7, 2), F(13, 2))[:n]
+        vacuum = MODEL.sector(m, 0)[0]
+        forward = oracles.chain(lattice.apply_b, MODEL, m, vs, beta, {vacuum: F(1)})
+        paired = oracles.chain(lattice.apply_c, MODEL, m, us, beta, forward)
+        assert scalar_product_bruteforce(m, us, vs, beta) == paired.get(vacuum, 0)
+        weighted = sum((-beta) ** sum(k * c for k, c in enumerate(s)) * a for s, a in forward.items())
+        assert summation_wavefunctions_bruteforce(m, vs, beta) == weighted
+
+
 def test_lattice_pairing_is_the_sum_of_amplitude_products():
-    """One B chain closed by C operators equals the sector sum of dual times
-    forward lattice amplitudes, also where beta*u^2 = 1 or beta*v^2 = 1 (u or
-    v = 2 at beta = 1/4) and the closed form raises."""
+    """The pairing of the two sector tables equals the sector sum of dual
+    times forward one-state lookups, also where beta*u^2 = 1 or beta*v^2 = 1
+    (u or v = 2 at beta = 1/4) and the closed form raises."""
     points = [
         ((), ()),
         ((F(2),), (F(3),)),

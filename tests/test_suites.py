@@ -209,20 +209,20 @@ def test_wavefunction_cases_fail_on_one_wrong_amplitude(monkeypatch, route, alte
     assert errors == ["ValueError:" if alter is _shorten else ""] * count
 
 
-def _doubled(real):
-    return lambda *args: {s: 2 * c for s, c in real(*args).items()}
-
-
 @pytest.mark.parametrize(
-    "operator, tag",
-    [("apply_c", "pm.scalar"), ("apply_b", "pm.sum")],
-    ids=["apply_c_phase-pm.scalar", "apply_b_phase-pm.sum"],
+    "side, tag", [(True, "pm.scalar"), (False, "pm.sum")], ids=["dual-pm.scalar", "forward-pm.sum"]
 )
-def test_pairing_cases_read_the_lattice(monkeypatch, operator, tag):
-    """pm.scalar and pm.sum compare closed forms with lattice operator
-    products, so an operator that doubles every amplitude fails every case
-    that reads one; pm.sum.beta0-rejected reads none."""
-    monkeypatch.setattr(lattice, operator, _doubled(getattr(lattice, operator)))
+def test_pairing_cases_read_the_lattice(monkeypatch, side, tag):
+    """pm.scalar pairs a dual wavefunction table with a forward one and pm.sum
+    sums a forward one, so a table of that side with every amplitude doubled
+    fails every case that reads one; pm.sum.beta0-rejected reads none."""
+    real = lattice.lattice_amplitudes
+
+    def doubled(model, m, ps, beta, dual=False):
+        table = real(model, m, ps, beta, dual)
+        return {s: 2 * c for s, c in table.items()} if dual == side else table
+
+    monkeypatch.setattr(lattice, "lattice_amplitudes", doubled)
     names = [case.name for case in SUITES["pm"]("small", random.Random("pm:1")) if tag in case.name]
     reading = [name for name in names if name.startswith(f"{tag}.M")]
     rep = run_suite("pm", "small", 1, tags=tag)
