@@ -195,10 +195,6 @@ class LaurentPoly(_Ring):
 
     __pow__ = _Ring.__pow__
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by u^k."""
-        return LaurentPoly._raw({e + k: c for e, c in self.coeffs.items()})
-
     def evaluate(self, a: Fraction) -> Fraction:
         """Value at a nonzero rational (zero allowed when no negative exponents)."""
         a = Fraction(a)

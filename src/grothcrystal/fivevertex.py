@@ -13,7 +13,7 @@ Vertex weights on (aux_in, site_in) -> (aux_out, site_out):
   (1,0)->(1,0): -u/beta - 1/u                (1,1)->(1,1): -u/beta
 and the (0,1)->(0,1) vertex is absent.  `MODEL` hands the weights, states and
 closed form to `lattice`, which computes B, C, the amplitudes and the
-transfer matrix; the R matrix and the Hamiltonian are this module's own.
+transfer matrix; the R matrix is this module's own.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ def check_ybe(u: Fraction, v: Fraction, w: Fraction) -> bool:
 
 def check_rll(u: Fraction, v: Fraction, beta: Fraction) -> bool:
     """Intertwining relation R(L x L) = (L x L)R on aux x aux x site."""
-    lhs, rhs = lattice.rll_sides(l_matrix(u, beta), l_matrix(v, beta), r_matrix(u, v))
-    return lhs == rhs
+    return lattice.rll_holds(l_matrix(u, beta), l_matrix(v, beta), r_matrix(u, v), 2)
 
 
 def _scalar_weights(u, beta: Fraction):
@@ -146,60 +145,36 @@ MODEL = lattice.Model(
 )
 
 
-def hamiltonian_direct(num_sites: int, beta: Fraction) -> Matrix:
-    """Nearest-neighbour hop-plus-interaction generator on the full 2^M space,
-    whose basis index has bit j set when site j (from 0) is occupied.
+def hamiltonian_direct(num_sites: int, num_particles: int, beta: Fraction) -> Matrix:
+    """Nearest-neighbour hop-plus-interaction generator on one sector:
 
     H = sum_j { -(1/beta) sigma_j^+ sigma_{j+1}^- + (sigma_j^z sigma_{j+1}^z - 1)/4 }
     with periodic wrap, where sigma^+ annihilates and sigma^- creates, so the
-    hop moves a particle from site j to site j+1.  On one site the wrap bond
-    joins site 0 to itself and its hop is -(1/beta) times the empty projector.
+    hop moves a particle from site j to site j+1 and the diagonal is -1/2 per
+    bond whose two sites differ.  On one site the wrap bond joins site 0 to
+    itself and its hop is -(1/beta) times the empty projector.
     """
     beta = _check_beta(beta)
-    _check_sites(num_sites)
-    dim = 1 << num_sites
-    h = [[Fraction(0)] * dim for _ in range(dim)]
-    hop = -1 / beta
-    for s in range(dim):
-        diag = Fraction(0)
-        for j in range(num_sites):
-            k = (j + 1) % num_sites
-            bj = (s >> j) & 1
-            bk = (s >> k) & 1
-            if bj != bk:
-                diag -= Fraction(1, 2)
-            if bk == 0 and (bj == 1 or j == k):
-                t = s ^ (1 << j) ^ (1 << k)
-                h[t][s] += hop
-        h[s][s] += diag
-    return Matrix(h)
+    return lattice.hopping_generator(
+        MODEL, num_sites, num_particles, -1 / beta,
+        lambda s: Fraction(-sum(a != b for a, b in zip(s, s[1:] + s[:1])), 2),
+    )
 
 
-def hamiltonian(num_sites: int, beta: Fraction) -> Matrix:
-    """Generator built two ways: directly, and as the logarithmic derivative of
-    u^-M times the transfer matrix at u0 = sqrt(-beta), read off it at u0 + e
-    over Q[e]/(e^2).  Returns the direct form after asserting sector-by-sector
-    equality."""
+def hamiltonian(num_sites: int, num_particles: int, beta: Fraction) -> Matrix:
+    """Generator on one sector built two ways: directly, and as (u0/2)
+    f(u0)^-1 f'(u0), f(u) = u^-M T(u) at u0 = sqrt(-beta), where f(u0) is a
+    monomial matrix, checked as (u0/2) f'(u0) = f(u0) H over Q[e]/(e^2).
+    Returns the direct form after asserting equality."""
     beta = _check_beta(beta)
     u0 = rational_sqrt(-beta)
     if u0 is None:
         raise ParameterError("-beta must be the square of a rational")
-    direct = hamiltonian_direct(num_sites, beta)
+    direct = hamiltonian_direct(num_sites, num_particles, beta)
     u = u0 + TruncatedSeries.indeterminate(1)
-    for n in range(num_sites + 1):
-        basis, t = lattice.transfer_matrix(MODEL, num_sites, n, u, beta)
-        f = t.scale(u**-num_sites)
-        f0 = f.map(lambda p: p.coeff(0))
-        fp0 = f.map(lambda p: p.coeff(1))
-        try:
-            f0_inv = f0.inverse()
-        except ValueError as exc:
-            raise PoleError(f"transfer matrix is singular at u0 = {u0}") from exc
-        extracted = (f0_inv @ fp0).scale(u0 / 2)
-        index = [sum(bit << j for j, bit in enumerate(state)) for state in basis]
-        restricted = Matrix([[direct.entry(r, c) for c in index] for r in index])
-        if extracted != restricted:
-            raise IdentityError(
-                f"transfer-matrix extraction disagrees on the {n}-particle sector"
-            )
+    f = lattice.transfer_matrix(MODEL, num_sites, num_particles, u, beta)[1].scale(u**-num_sites)
+    if f.map(lambda p: p.coeff(1)).scale(u0 / 2) != f.map(lambda p: p.coeff(0)) @ direct:
+        raise IdentityError(
+            f"transfer-matrix extraction disagrees on the {num_particles}-particle sector"
+        )
     return direct

@@ -16,7 +16,10 @@ A `Model` bundles what the five-vertex and phase models do not share:
 capacity, weights, sectors, the partition of a state, the domain check and
 the closed form's prefactor, spectral map and dual box width.  Everything else
 (B and C, the lattice, closed and self-checked amplitudes with their duals,
-transfer matrices and the intertwining relation) is written once here.
+transfer matrices, the hopping generator and the intertwining relation) is
+written once here.  The generator reads no vertex weight: each model passes
+its hop amplitude and diagonal, so it stays independent of the transfer
+matrix it is checked against.
 """
 
 from __future__ import annotations
@@ -220,11 +223,38 @@ def transfer_matrix(
     return basis, Matrix(rows)
 
 
-def rll_sides(l_u: Matrix, l_v: Matrix, r: Matrix) -> tuple[Matrix, Matrix]:
-    """Both sides R(L_u x L_v) and (L_v x L_u)R of the intertwining relation on
-    aux x aux x site, with the two site operators sharing the site."""
-    dims = (2, 2, l_u.rows // 2)
+def hopping_generator(model: Model, num_sites: int, num_particles: int, hop, diagonal) -> Matrix:
+    """The nearest-neighbour generator on the n-particle sector: on each bond
+    (j, j+1 mod M), `hop` times creating a particle at j+1 if that site has
+    room and then annihilating one at j if it is occupied, plus `diagonal(s)`
+    on each state s.  On one site the bond joins site 0 to itself."""
+    basis = model.sector(num_sites, num_particles)
+    index = {s: i for i, s in enumerate(basis)}
+    rows = [[Fraction(0)] * len(basis) for _ in basis]
+    for col, s in enumerate(basis):
+        rows[col][col] += diagonal(s)
+        for j in range(num_sites):
+            k = (j + 1) % num_sites
+            if model.capacity is not None and s[k] >= model.capacity:
+                continue
+            t = list(s)
+            t[k] += 1
+            if t[j]:
+                t[j] -= 1
+                rows[index[tuple(t)]][col] += hop
+    return Matrix(rows)
+
+
+def rll_holds(l_u: Matrix, l_v: Matrix, r: Matrix, exact: int) -> bool:
+    """The intertwining relation R(L_u x L_v) = (L_v x L_u)R on aux x aux x
+    site, the two site operators sharing the site, compared on the columns
+    whose site state is below `exact`: a site space truncated at cap drops the
+    move that raises state cap, so its column cap is wrong."""
+    levels = l_u.rows // 2
+    dims = (2, 2, levels)
     l_a = embed_pair(l_u, 0, 2, dims)
     l_b = embed_pair(l_v, 1, 2, dims)
     r_ab = embed_pair(r, 0, 1, dims)
-    return r_ab @ l_a @ l_b, l_b @ l_a @ r_ab
+    lhs, rhs = r_ab @ l_a @ l_b, l_b @ l_a @ r_ab
+    cols = [c for c in range(lhs.cols) if c % levels < exact]
+    return all([a[c] for c in cols] == [b[c] for c in cols] for a, b in zip(lhs.data, rhs.data))

@@ -40,17 +40,8 @@ def check_rll_phase(u: Fraction, v: Fraction, beta: Fraction, cap: int) -> bool:
     occupation is below the truncation cap (those columns are exact)."""
     if cap < 1:
         raise ParameterError("need cap >= 1")
-    lhs, rhs = lattice.rll_sides(
-        l_matrix_phase(u, beta, cap), l_matrix_phase(v, beta, cap), r_matrix(u, v)
-    )
-    total = 4 * (cap + 1)
-    for col in range(total):
-        if col % (cap + 1) == cap:
-            continue  # truncated raising makes the top Fock column unreliable
-        for row in range(total):
-            if lhs.entry(row, col) != rhs.entry(row, col):
-                return False
-    return True
+    l_u, l_v = l_matrix_phase(u, beta, cap), l_matrix_phase(v, beta, cap)
+    return lattice.rll_holds(l_u, l_v, r_matrix(u, v), cap)
 
 
 def _scalar_weights_phase(v, beta):
@@ -200,25 +191,12 @@ def hamiltonian_phase_direct(num_sites: int, num_particles: int, beta: Fraction)
     """Hopping-plus-empty-site generator on one particle-number sector.
 
     H = sum_j { raise_{j+1} lower_j - beta * P0_j } with periodic wrap; the hop
-    moves one boson from site j to site j+1.
+    moves one boson from site j to site j+1, and on one site it is the identity.
     """
     beta = Fraction(beta)
-    basis = sector_basis(num_sites, num_particles)
-    index = {occ: i for i, occ in enumerate(basis)}
-    dim = len(basis)
-    h = [[Fraction(0)] * dim for _ in range(dim)]
-    for col, occ in enumerate(basis):
-        empty = sum(1 for n in occ if n == 0)
-        h[col][col] -= beta * empty
-        for j in range(num_sites):
-            if occ[j] == 0:
-                continue
-            k = (j + 1) % num_sites
-            target = list(occ)
-            target[j] -= 1
-            target[k] += 1
-            h[index[tuple(target)]][col] += Fraction(1)
-    return Matrix(h)
+    return lattice.hopping_generator(
+        MODEL, num_sites, num_particles, Fraction(1), lambda occ: -beta * occ.count(0)
+    )
 
 
 def hamiltonian_phase(num_sites: int, num_particles: int, beta: Fraction) -> Matrix:
@@ -226,9 +204,8 @@ def hamiltonian_phase(num_sites: int, num_particles: int, beta: Fraction) -> Mat
     v^M tau(v).  Returns the direct form after asserting equality."""
     direct = hamiltonian_phase_direct(num_sites, num_particles, beta)
     var = LaurentPoly.var()
-    basis, tau = lattice.transfer_matrix(MODEL, num_sites, num_particles, var, Fraction(beta))
-    extracted = tau.map(lambda p: p.shift(num_sites).coeff(2))
-    if extracted != direct:
+    tau = lattice.transfer_matrix(MODEL, num_sites, num_particles, var, Fraction(beta))[1]
+    if tau.map(lambda p: p.coeff(2 - num_sites)) != direct:
         raise IdentityError("transfer-matrix extraction disagrees with the direct build")
     return direct
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ParameterError, PoleError
 from .exactcore import Matrix
-from .lattice import rll_sides, site_operator
+from .lattice import rll_holds, site_operator
 
 
 @dataclass(frozen=True)
@@ -103,5 +103,4 @@ def r_six(u: Fraction, v: Fraction, t: Fraction) -> Matrix:
 
 def check_rll_six(u: Fraction, v: Fraction, p: SixVertexParams) -> bool:
     """Intertwining relation R(t)(L x L) = (L x L)R(t) on aux x aux x site."""
-    lhs, rhs = rll_sides(l_six(u, p), l_six(v, p), r_six(u, v, p.t))
-    return lhs == rhs
+    return rll_holds(l_six(u, p), l_six(v, p), r_six(u, v, p.t), 2)

@@ -292,11 +292,12 @@ def _skew_rotation(pairs, m: int, u: Fraction, beta: Fraction) -> bool:
 
 
 def _tasep_structure(m: int) -> bool:
-    """At beta = -1: zero column sums, off-diagonal entries 0 or 1."""
-    h = fv.hamiltonian_direct(m, Fraction(-1))
-    dim = range(1 << m)
-    return all(sum(h.entry(r, c) for r in dim) == 0 for c in dim) and all(
-        h.entry(r, c) in (Fraction(0), Fraction(1)) for r in dim for c in dim if r != c
+    """At beta = -1, on every sector: zero column sums, off-diagonal entries 0 or 1."""
+    hs = [fv.hamiltonian_direct(m, n, Fraction(-1)).data for n in range(m + 1)]
+    return all(
+        not any(map(sum, zip(*h)))
+        and all(x in (0, 1) for r, row in enumerate(h) for c, x in enumerate(row) if r != c)
+        for h in hs
     )
 
 
@@ -336,7 +337,8 @@ def _suite_fv(scale: str, rng: random.Random) -> Iterator[Case]:
 
     m_ham = _pick(scale, 4, 6)
     for beta in _pick(scale, (Fraction(-1),), (Fraction(-1), Fraction(-4), Fraction(-1, 4))):
-        check = partial(_builds, fv.hamiltonian, [(m, beta) for m in range(2, m_ham + 1)])
+        sectors = [(m, n, beta) for m in range(2, m_ham + 1) for n in range(m + 1)]
+        check = partial(_builds, fv.hamiltonian, sectors)
         yield Case(f"fv.hamiltonian.beta={beta}", check)
 
     yield Case("fv.tasep-structure", partial(_tasep_structure, m_ham))

@@ -217,3 +217,48 @@ def l_six(u, p) -> Matrix:
             [zero, zero, zero, p.a5 * u + p.a6 * p.t * ui],
         ]
     )
+
+
+def hamiltonian_bitmask(num_sites: int, beta) -> Matrix:
+    """The five-vertex generator on the full 2^M space, whose basis index has
+    bit j set when site j (from 0) is occupied:
+    H = sum_j { -(1/beta) sigma_j^+ sigma_{j+1}^- + (sigma_j^z sigma_{j+1}^z - 1)/4 }
+    with periodic wrap, the hop moving a particle from site j to site j+1.  On
+    one site the wrap bond joins site 0 to itself and its hop is -(1/beta)
+    times the empty projector."""
+    dim = 1 << num_sites
+    h = [[Fraction(0)] * dim for _ in range(dim)]
+    hop = -1 / Fraction(beta)
+    for s in range(dim):
+        diag = Fraction(0)
+        for j in range(num_sites):
+            k = (j + 1) % num_sites
+            bj = (s >> j) & 1
+            bk = (s >> k) & 1
+            if bj != bk:
+                diag -= Fraction(1, 2)
+            if bk == 0 and (bj == 1 or j == k):
+                t = s ^ (1 << j) ^ (1 << k)
+                h[t][s] += hop
+        h[s][s] += diag
+    return Matrix(h)
+
+
+def hamiltonian_phase_sector(num_sites: int, num_particles: int, beta) -> Matrix:
+    """The phase-model generator H = sum_j { raise_{j+1} lower_j - beta * P0_j }
+    on one sector of `lattice.occupations` with periodic wrap, each hop moving
+    one boson from site j to a different site j+1 (so at least two sites)."""
+    beta = Fraction(beta)
+    basis = lattice.occupations(num_sites, num_particles, None)
+    index = {occ: i for i, occ in enumerate(basis)}
+    h = [[Fraction(0)] * len(basis) for _ in basis]
+    for col, occ in enumerate(basis):
+        h[col][col] -= beta * sum(1 for n in occ if n == 0)
+        for j in range(num_sites):
+            if occ[j] == 0:
+                continue
+            target = list(occ)
+            target[j] -= 1
+            target[(j + 1) % num_sites] += 1
+            h[index[tuple(target)]][col] += Fraction(1)
+    return Matrix(h)

@@ -201,16 +201,19 @@ def test_transfer_matrices_commute():
 
 def test_hamiltonian_extraction_matches_direct():
     for beta in (F(-1), F(-4), F(-1, 4)):
-        h = hamiltonian(4, beta)
-        assert h == hamiltonian_direct(4, beta)
+        for n in range(5):
+            h = hamiltonian(4, n, beta)
+            assert h == hamiltonian_direct(4, n, beta)
 
 
 def test_one_site_hamiltonian_keeps_the_wrap_bond():
     # on one site the wrap bond joins site 0 to itself: its hop is -(1/beta) P_empty
     for beta in (F(-1), F(-4), F(-1, 4)):
-        assert hamiltonian(1, beta) == Matrix([[-1 / beta, F(0)], [F(0), F(0)]])
+        assert hamiltonian(1, 0, beta) == Matrix([[-1 / beta]])
+        assert hamiltonian(1, 1, beta) == Matrix([[F(0)]])
         for m in (0, 2, 3):
-            assert hamiltonian(m, beta) == hamiltonian_direct(m, beta)
+            for n in range(m + 1):
+                assert hamiltonian(m, n, beta) == hamiltonian_direct(m, n, beta)
 
 
 @pytest.mark.parametrize(
@@ -222,8 +225,8 @@ def test_one_site_hamiltonian_keeps_the_wrap_bond():
         lambda: dual_wavefunction(-2, (), (), F(1)),
         lambda: sector_basis(-1, 0),
         lambda: transfer_matrix(-1, 0, F(1)),
-        lambda: hamiltonian_direct(-1, F(1)),
-        lambda: hamiltonian(-1, F(-1)),
+        lambda: hamiltonian_direct(-1, 0, F(1)),
+        lambda: hamiltonian(-1, 0, F(-1)),
     ],
     ids=["wavefunction", "lattice", "closed", "dual", "sector", "transfer", "direct", "hamiltonian"],
 )
@@ -240,22 +243,23 @@ def test_operators_refuse_a_negative_site_count():
 
 def test_hamiltonian_needs_rational_square_root():
     with pytest.raises(ParameterError):
-        hamiltonian(3, F(-2))
+        hamiltonian(3, 1, F(-2))
     with pytest.raises(ParameterError):
-        hamiltonian(3, F(1))
+        hamiltonian(3, 1, F(1))
 
 
 def test_tasep_generator_structure():
     # at beta = -1 the direct form is a continuous-time TASEP generator
     m = 5
-    h = hamiltonian_direct(m, F(-1))
-    dim = 1 << m
-    for c in range(dim):
-        assert sum(h.entry(r, c) for r in range(dim)) == 0
-    for r in range(dim):
+    for n in range(m + 1):
+        h = hamiltonian_direct(m, n, F(-1))
+        dim = h.rows
         for c in range(dim):
-            if r != c:
-                assert h.entry(r, c) in (F(0), F(1))
+            assert sum(h.entry(r, c) for r in range(dim)) == 0
+        for r in range(dim):
+            for c in range(dim):
+                if r != c:
+                    assert h.entry(r, c) in (F(0), F(1))
 
 
 def test_self_checking_wrapper_returns_lattice_value():

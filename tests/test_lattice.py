@@ -27,7 +27,7 @@ from grothcrystal import lattice
 from grothcrystal import phasemodel as pm
 from grothcrystal import sixvertex as sv
 from grothcrystal.errors import ParameterError, PoleError
-from grothcrystal.exactcore import LaurentPoly, Matrix, embed_pair
+from grothcrystal.exactcore import LaurentPoly, Matrix, embed_pair, rational_sqrt
 from grothcrystal.suites import _BETA_PALETTE, _skew_norm
 
 
@@ -116,6 +116,17 @@ def test_site_operators_refuse_an_empty_site_space_and_a_zero_parameter():
     ):
         with pytest.raises(PoleError):
             build()
+
+
+def test_truncated_intertwining_fails_on_the_top_column():
+    # a Fock space truncated at cap drops the move that raises state cap, so the
+    # phase check compares the columns below cap: on column cap the sides differ
+    u, v = F(2), F(3)
+    for beta in _BETA_PALETTE + (F(0),):
+        for cap in (1, 2, 3):
+            l_u, l_v = pm.l_matrix_phase(u, beta, cap), pm.l_matrix_phase(v, beta, cap)
+            assert lattice.rll_holds(l_u, l_v, fv.r_matrix(u, v), cap)
+            assert not lattice.rll_holds(l_u, l_v, fv.r_matrix(u, v), cap + 1)
 
 
 def _embedded_blocks(w, levels: int, num_sites: int) -> dict:
@@ -384,3 +395,29 @@ def test_skew_norm_is_the_prefactor_ratio():
             assert _skew_norm(model, m, p, beta, n) == want
             ps = [F(2), F(11, 3), F(-4)][:n]
             assert pref(m, ps, beta) / pref(m, ps + [p], beta) == want
+
+
+def test_hopping_generators_are_the_reference_builders():
+    # the five-vertex one against the 2^M bitmask build restricted to a sector,
+    # the phase-model one against the per-sector build
+    for m, beta in product(range(7), _BETA_PALETTE):
+        full = oracles.hamiltonian_bitmask(m, beta)
+        for n in range(m + 1):
+            index = [sum(bit << j for j, bit in enumerate(s)) for s in fv.sector_basis(m, n)]
+            want = Matrix([[full.entry(r, c) for c in index] for r in index])
+            assert fv.hamiltonian_direct(m, n, beta) == want, (m, n, beta)
+    for m, beta, n in product(range(2, 7), _BETA_PALETTE + (F(0),), range(4)):
+        want = oracles.hamiltonian_phase_sector(m, n, beta)
+        assert pm.hamiltonian_phase_direct(m, n, beta) == want, (m, n, beta)
+
+
+def test_five_vertex_transfer_matrix_is_monomial_at_the_extraction_point():
+    # at u0^2 = -beta the pass-empty weight vanishes: T(u0) has one nonzero
+    # entry in each row and column, so fv.hamiltonian needs no inverse
+    for beta in (F(-1), F(-4), F(-1, 4), F(-9, 4)):
+        u0 = rational_sqrt(-beta)
+        for m in range(7):
+            for n in range(m + 1):
+                t = lattice.transfer_matrix(fv.MODEL, m, n, u0, beta)[1].data
+                for line in list(t) + list(zip(*t)):
+                    assert sum(1 for x in line if x) == 1, (m, n, beta)

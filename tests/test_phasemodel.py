@@ -288,6 +288,13 @@ def test_hamiltonian_extraction_matches_direct():
                 assert h == hamiltonian_phase_direct(m, n, beta)
 
 
+def test_one_site_hamiltonian_keeps_the_wrap_bond():
+    # on one site the wrap bond hops a boson from site 0 back to site 0
+    for beta in _BETA_PALETTE + (F(0),):
+        for n in range(4):
+            assert hamiltonian_phase(1, n, beta) == Matrix([[1 - beta * (n == 0)]])
+
+
 def test_bethe_one_particle_reports():
     rep = bethe_verify_n1(3, F(-1))
     assert rep["chain_length"] == 3
