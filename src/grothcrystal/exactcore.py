@@ -44,6 +44,14 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+def clear_denominators(xs: Iterable) -> tuple[list[int], int]:
+    """(ints, den) with x = ints[i] / den for the i-th int or Fraction x of
+    xs, den the lcm of their denominators."""
+    pairs = [x.as_integer_ratio() for x in xs]
+    den = math.lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
 class _Ring:
     """Subtraction, division and integer powers, written once on top of a
     subclass's `_lift`, `+`, unary `-`, `*` and `inverse()`.
@@ -247,8 +255,8 @@ class TruncatedSeries(_Ring):
         if not co:
             raise ValueError("a series needs at least its constant coefficient")
         # over the lcm of reduced denominators the numerators share no factor
-        self.den = math.lcm(*(c.denominator for c in co))
-        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in co)
+        nums, self.den = clear_denominators(co)
+        self.nums = tuple(nums)
         self._coeffs = None
 
     @classmethod
@@ -421,6 +429,27 @@ def _int_det_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _rational(rows) -> bool:
+    return {type(x) for row in rows for x in row} <= {int, bool, Fraction}
+
+
+def _product(rows, cols) -> list[list]:
+    """Each row times each column over any ring; zero products add nothing."""
+    out = []
+    for row in rows:
+        rest = [(k, a) for k, a in enumerate(row) if k and a]
+        new_row = []
+        for col in cols:
+            acc = row[0] * col[0]  # fixes the entry type
+            for k, a in rest:
+                b = col[k]
+                if b:
+                    acc = acc + a * b
+            new_row.append(acc)
+        out.append(new_row)
+    return out
+
+
 class Matrix:
     """Dense matrix over a commutative ring (Fraction, LaurentPoly, series or
     float entries)."""
@@ -468,23 +497,21 @@ class Matrix:
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product over the entries' ring.  Over the rationals the loop runs
+        on each row of self and each column of other cleared to integers, and
+        each sum is divided once by their denominators (a zero sum is `_ZERO`)."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = tuple(zip(*other.data))  # columns of other
-        out = []
-        for row in self.data:
-            rest = [(k, a) for k, a in enumerate(row) if k and a]
-            new_row = []
-            for col in ot:
-                # the first product fixes the entry type; zero products add nothing
-                acc = row[0] * col[0]
-                for k, a in rest:
-                    b = col[k]
-                    if b:
-                        acc = acc + a * b
-                new_row.append(acc)
-            out.append(new_row)
-        return Matrix(out)
+        cols = tuple(zip(*other.data))
+        if not (_rational(self.data) and _rational(cols)):
+            return Matrix(_product(self.data, cols))
+        left = [clear_denominators(row) for row in self.data]
+        right = [clear_denominators(col) for col in cols]
+        sums = _product([row for row, _ in left], [col for col, _ in right])
+        return Matrix(
+            [[Fraction(s, dr * dc) if s else _ZERO for s, (_, dc) in zip(row, right)]
+             for row, (_, dr) in zip(sums, left)]
+        )
 
     def scale(self, s) -> "Matrix":
         return Matrix([[x * s for x in row] for row in self.data])
@@ -499,18 +526,16 @@ class Matrix:
         n = self.rows
         if n != self.cols:
             raise ValueError("determinant needs a square matrix")
-        if not all(isinstance(x, (int, Fraction)) for row in self.data for x in row):
+        if not _rational(self.data):
             raise TypeError("Matrix.det takes rational entries only")
         if n == 0:
             return _ONE
         scale = 1
         cleared = []
         for row in self.data:
-            den = 1
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
+            ints, den = clear_denominators(row)
             scale *= den
-            cleared.append([int(x * den) for x in row])
+            cleared.append(ints)
         return Fraction(_int_det_bareiss(cleared), scale)
 
     def inverse(self) -> "Matrix":

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import IdentityError, ParameterError
-from .exactcore import Matrix, embed_pair
+from .exactcore import Matrix, _rational, clear_denominators, embed_pair
 from .grothendieck import groth_dets
 from .partitions import complement
 
@@ -75,8 +75,17 @@ def site_operator(w, levels: int) -> Matrix:
 
 def path_sum(capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w) -> dict:
     """Apply one auxiliary-space entry of the monodromy matrix to a weighted
-    state: every path of the auxiliary line from a_in to a_out, site 0 first."""
-    return _path_sum(capacity, num_sites, state, a_in, a_out, w, {})
+    state: every path of the auxiliary line from a_in to a_out, site 0 first.
+    Over the rationals the loop runs on integers: with the weights scaled by
+    the lcm L of their denominators and the amplitudes by the lcm D of theirs,
+    each path gains D L^M (one weight per site), divided out once per sum."""
+    if not _rational((w, state.values())):
+        return _path_sum(capacity, num_sites, state, a_in, a_out, w, {})
+    w, scale = clear_denominators(w)
+    amps, den = clear_denominators(state.values())
+    sums = _path_sum(capacity, num_sites, dict(zip(state, amps)), a_in, a_out, w, {})
+    den *= scale**num_sites
+    return {s: Fraction(c, den) for s, c in sums.items()}
 
 
 def _path_sum(

@@ -136,15 +136,17 @@ def _b_commute(model: lattice.Model, sectors, u: Fraction, v: Fraction, beta: Fr
 
 
 def _transfer_commute(model: lattice.Model, m: int, sectors, beta: Fraction) -> bool:
-    """The symbolic transfer matrix commutes with its values at 2m+1 rational
-    points, on each particle-number sector."""
+    """T(u) = sum_k u^k T_k commutes with its values at 2m+1 rational points
+    v0 on each particle-number sector: [T(u), T(v0)] = sum_k u^k [T_k, T(v0)]
+    vanishes iff every rational coefficient [T_k, T(v0)] does."""
     for n in sectors:
         _, t_sym = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
+        exps = {e for row in t_sym.data for p in row for e in p.coeffs}
+        t_ks = [t_sym.map(lambda p: p.coeff(e)) for e in sorted(exps)]
         for i in range(2 * m + 1):
             v0 = Fraction(2) + Fraction(i, 2 * m + 2)
             t_num = t_sym.map(lambda p: p.evaluate(v0))
-            comm = t_sym @ t_num - t_num @ t_sym
-            if any(not x == 0 for row in comm.data for x in row):
+            if any(t_k @ t_num != t_num @ t_k for t_k in t_ks):
                 return False
     return True
 

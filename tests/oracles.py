@@ -138,6 +138,40 @@ def reversed_positions(x: Sequence[int], chain_length: int) -> tuple[int, ...]:
     return tuple(chain_length - v + 1 for v in reversed(x))
 
 
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product over the entries' ring, row by column with no denominator
+    cleared: the first product fixes the entry type, zero products add
+    nothing."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    cols = tuple(zip(*b.data))
+    out = []
+    for row in a.data:
+        rest = [(k, x) for k, x in enumerate(row) if k and x]
+        new_row = []
+        for col in cols:
+            acc = row[0] * col[0]
+            for k, x in rest:
+                y = col[k]
+                if y:
+                    acc = acc + x * y
+            new_row.append(acc)
+        out.append(new_row)
+    return Matrix(out)
+
+
+def transfer_commute_pointwise(t_sym: Matrix, m: int) -> bool:
+    """T(u) commutes with T(v0) at the 2m+1 points v0 = 2 + i/(2m+2), by the
+    commutator over the Laurent polynomials."""
+    for i in range(2 * m + 1):
+        v0 = Fraction(2) + Fraction(i, 2 * m + 2)
+        t_num = t_sym.map(lambda p: p.evaluate(v0))
+        comm = matmul(t_sym, t_num) - matmul(t_num, t_sym)
+        if any(not x == 0 for row in comm.data for x in row):
+            return False
+    return True
+
+
 def embed_pair(op: Matrix, pos1: int, pos2: int, dims: Sequence[int]) -> Matrix:
     """Embed an operator on tensor factors pos1 < pos2 into the full product,
     entry by entry over big-endian digit expansions of both indices."""

@@ -5,11 +5,13 @@ states are occupation tuples from one enumerator, and the five-vertex and
 phase-model sectors carry the same partitions.  On its float ring, which
 only the Bethe numerics use, it agrees with the exact Laurent transfer
 matrices.  The one weight function per model serves all three rings.  The
-sector tables equal the per-state operator chains, and each one-state lookup,
-a chain from the state down to the empty chain, equals its table without
-building one.  The lattice, closed and self-checked amplitude routes of each
-model, forward and dual, accept and refuse the same inputs, and the prefactor
-ratio the skew checks read equals the normalisation written out by hand."""
+sector tables equal the per-state operator chains, a path sum over the
+rationals, run on integers, equals the ring-generic loop, and each one-state
+lookup, a chain from the state down to the empty chain, equals its table
+without building one.  The lattice, closed and self-checked amplitude routes
+of each model, forward and dual, accept and refuse the same inputs, and the
+prefactor ratio the skew checks read equals the normalisation written out by
+hand."""
 
 import random
 from fractions import Fraction as F
@@ -131,12 +133,13 @@ def test_truncated_intertwining_fails_on_the_top_column():
 
 def _embedded_blocks(w, levels: int, num_sites: int) -> dict:
     """The monodromy matrix as a product of embedded site operators, site 0
-    acting first and most significant, split into its aux blocks."""
+    acting first and most significant, split into its aux blocks; multiplied
+    by the ring-generic loop, so that no integer-lifted route checks another."""
     dims = [2] + [levels] * num_sites
     op = lattice.site_operator(w, levels)
     total = Matrix.identity(2 * levels**num_sites)
     for j in range(num_sites):
-        total = embed_pair(op, 0, j + 1, dims) @ total
+        total = oracles.matmul(embed_pair(op, 0, j + 1, dims), total)
     half = levels**num_sites
     return {
         (a_out, a_in): [
@@ -216,6 +219,37 @@ def test_path_sums_refuse_states_off_the_chain(model, off_chain):
                     apply(model, 2, F(2), F(1), {(0, 0): F(1), state: amp})
     # a phase model state fits its chain at any occupation
     assert lattice.apply_b(pm.MODEL, 2, F(2), F(1), {(2, 0): F(1)})
+
+
+_ints = st.integers(-9, 9).filter(bool)
+_fractions = st.fractions(-9, 9, max_denominator=9).filter(bool)
+_weights = st.one_of(st.just(0), _ints, _fractions)
+_amplitudes = st.one_of(st.sampled_from([0, F(0)]), _ints, _fractions)
+
+
+@st.composite
+def _rational_path_sums(draw):
+    """A capacity, a chain of at most five sites, an aux entry, six weights
+    and a weighted set of states on the chain, each weight and amplitude zero,
+    an int or a Fraction."""
+    capacity = draw(st.sampled_from([1, None]))
+    num_sites = draw(st.integers(1, 5))
+    a_in, a_out = draw(st.sampled_from(list(product((0, 1), repeat=2))))
+    w = tuple(draw(_weights) for _ in range(6))
+    top = 1 if capacity == 1 else 2
+    sites = st.tuples(*(st.integers(0, top) for _ in range(num_sites)))
+    state = draw(st.dictionaries(sites, _amplitudes, min_size=1, max_size=6))
+    return capacity, num_sites, state, a_in, a_out, w
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_rational_path_sums())
+def test_rational_path_sums_are_the_ring_generic_loop(args):
+    # the integer lift equals the loop run on the inputs as given, and every
+    # sum it returns is a nonzero Fraction
+    got = lattice.path_sum(*args)
+    assert got == lattice._path_sum(*args, {})
+    assert all(type(c) is F and c != 0 for c in got.values())
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -1,13 +1,16 @@
 """Ring arithmetic written once for LaurentPoly and TruncatedSeries (division
 by units, square-and-multiply powers), the subset-expansion determinant oracle
 over both rings, and the zero-skipping matrix product against an explicit
-triple sum."""
+triple sum.  Over the rationals the product runs on integers cleared of
+denominators; it equals the ring-generic product loop it replaces there, and
+every other ring still takes that loop."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import det_ring
 
 from grothcrystal.exactcore import (
@@ -148,6 +151,65 @@ def test_matmul_keeps_the_entry_type_when_every_product_vanishes():
     floats = (zero_col.map(float) @ upper.map(float)).data
     assert floats == ((0.0, 6.0), (0.0, -3.0))
     assert all(isinstance(x, float) for row in floats for x in row)
+
+
+ints = st.integers(-9, 9)
+wide_rats = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+scalars = st.one_of(st.just(0), st.just(F(0)), ints, wide_rats)
+
+
+@st.composite
+def rational_pairs(draw):
+    """Two matrices of shapes r x k and k x c in 1..5, entries zero, int or
+    Fraction, now and then with a row of the left or a column of the right
+    all zero."""
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    a = [[draw(scalars) for _ in range(k)] for _ in range(r)]
+    b = [[draw(scalars) for _ in range(c)] for _ in range(k)]
+    if draw(st.booleans()):
+        a[draw(st.integers(0, r - 1))] = [0] * k
+    if draw(st.booleans()):
+        col = draw(st.integers(0, c - 1))
+        for row in b:
+            row[col] = F(0)
+    return Matrix(a), Matrix(b)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rational_pairs())
+def test_rational_matmul_is_the_ring_generic_product(pair):
+    a, b = pair
+    got = a @ b
+    assert got == oracles.matmul(a, b)
+    assert all(type(x) is F for row in got.data for x in row)
+
+
+def _pairs_over(entries):
+    """Matrices of shapes r x k and k x c in 1..4 over the given entries."""
+
+    def grid(n, m):
+        return st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n).map(Matrix)
+
+    shapes = st.tuples(*(st.integers(1, 4) for _ in range(3)))
+    return shapes.flatmap(lambda s: st.tuples(grid(s[0], s[1]), grid(s[1], s[2])))
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        _pairs_over(laurents),
+        _pairs_over(series),
+        _pairs_over(st.floats(-9, 9, allow_nan=False)),
+        # a Laurent or float side makes the product generic even if the other is rational
+        _pairs_over(rats).map(lambda p: (p[0].map(LaurentPoly.const), p[1])),
+        _pairs_over(rats).map(lambda p: (p[0], p[1].map(float))),
+    )
+)
+def test_other_rings_take_the_generic_product_unchanged(pair):
+    a, b = pair
+    got, want = (a @ b).data, oracles.matmul(a, b).data
+    assert got == want
+    assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
 
 
 def test_vandermonde_and_its_reversal():

@@ -7,12 +7,14 @@ import sys
 import time
 from pathlib import Path
 
+import oracles
 import pytest
 
 import grothcrystal
 from grothcrystal import grothendieck, lattice, meltingcrystal, suites, workqueue
 from grothcrystal.cli import main
 from grothcrystal.errors import ParameterError
+from grothcrystal.exactcore import LaurentPoly, Matrix
 from grothcrystal.suites import SUITES, run_suite, run_suites
 
 # (suite, scale) -> (case count, sha256 of the case names one per line, then
@@ -32,6 +34,8 @@ DRAW_STREAM = {
 
 # sha256 of the stdout of `--json --seed 1 verify all --scale small`
 VERIFY_SMALL_SEED1 = "65513ba76eb08ce49f20b78933797560939266428d326ed2682251434b1d6111"
+# sha256 of the stdout of `--json --seed 1 verify all --scale full`
+VERIFY_FULL_SEED1 = "ddc012d12b083f4219c6440102a8b36ec63b97accfa1417f1adf2c99b4f1d3c8"
 
 
 def _raise_zero_division(*args, **kwargs):
@@ -273,6 +277,47 @@ def test_verify_all_small_stdout_is_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SMALL_SEED1
+
+
+def test_verify_all_full_stdout_is_pinned(capsys):
+    code = main(["--json", "--seed", "1", "verify", "all", "--scale", "full"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_SEED1
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["present-exponent", "new-exponent"])
+@pytest.mark.parametrize("suite", ["fv", "pm"])
+def test_transfer_commute_fails_on_a_perturbed_matrix(monkeypatch, suite, fresh):
+    """u^e added to one off-diagonal entry of each symbolic transfer matrix of
+    two or more states, e its top exponent or one above, fails the case; on
+    every sector the coefficient-matrix check agrees with the pointwise
+    commutator over the Laurent polynomials, perturbed or not.  (At fv's
+    two-particle sector a perturbation at u^1 still commutes: the only other
+    coefficient, of u^3, is scalar there.)"""
+    name = f"{suite}.transfer-commute"
+    (case,) = [c for c in SUITES[suite]("small", random.Random(f"{suite}:1")) if c.name == name]
+    model, m, sectors, beta = case.check.args
+    real = lattice.transfer_matrix
+
+    def perturbed(*args):
+        basis, t_sym = real(*args)
+        if len(basis) < 2:
+            return basis, t_sym
+        exps = {e for row in t_sym.data for p in row for e in p.coeffs}
+        rows = [list(row) for row in t_sym.data]
+        rows[0][1] = rows[0][1] + LaurentPoly.monomial(1, max(exps) + 1 if fresh else max(exps))
+        return basis, Matrix(rows)
+
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(lattice, "transfer_matrix", perturbed)
+        assert case.check() is not patched
+        for n in sectors:
+            basis, t_sym = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
+            verdict = suites._transfer_commute(model, m, [n], beta)
+            assert verdict == oracles.transfer_commute_pointwise(t_sym, m)
+            assert verdict is not (patched and len(basis) > 1)
 
 
 # -- cases shared out over forked processes -------------------------------------
