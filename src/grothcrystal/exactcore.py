@@ -1,12 +1,12 @@
 """Exact arithmetic: rationals, Laurent polynomials, truncated q-series, matrices.
 
-Scalars are `fractions.Fraction` throughout; floating point enters only in the
-Bethe-root and entropy numerics, which live elsewhere.  A Laurent polynomial is
-stored sparsely as {exponent: coefficient} with no zero coefficients kept; a
-truncated series keeps integer numerators of q^0..q^D over one common
-denominator, multiplies them by a schoolbook convolution that skips zero
-terms, and discards everything above its fixed order.  Rationals serialize as
-canonical "p/q" strings and series as lists of such strings.
+Scalars are `fractions.Fraction`; floats enter only in the Bethe-root and
+entropy numerics elsewhere.  A Laurent polynomial is sparse {exponent:
+coefficient} with no zeros kept.  A truncated series keeps integer numerators
+of q^0..q^D over one denominator, multiplied by a convolution that skips zero
+terms and cut at its fixed order; a rational matrix likewise keeps one integer
+table over one denominator, so its products and equality run on integers.
+Rationals serialize as canonical "p/q" strings, series as lists of them.
 """
 
 from __future__ import annotations
@@ -452,66 +452,87 @@ def _product(rows, cols) -> list[list]:
 
 class Matrix:
     """Dense matrix over a commutative ring (Fraction, LaurentPoly, series or
-    float entries)."""
+    float entries).  A rational matrix built from rows keeps its entries as
+    given and is cleared to its `table()` once; a product of two rational
+    matrices is made as a table, its Fraction `data` built when read."""
 
-    __slots__ = ("data",)
+    __slots__ = ("_data", "_table")
 
     def __init__(self, rows: Sequence[Sequence]):
         data = tuple(tuple(r) for r in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-        self.data = data
+        if any(len(r) != len(data[0]) for r in data):
+            raise ValueError("ragged rows")
+        self._data, self._table = data, None
+
+    @classmethod
+    def from_table(cls, ints: list[list[int]], den: int) -> "Matrix":
+        """The matrix ints / den, for an integer table and den > 0, reduced."""
+        g = math.gcd(den, *itertools.chain.from_iterable(ints))
+        if g != 1:
+            ints = [[x // g for x in row] for row in ints]
+            den //= g
+        obj = object.__new__(cls)
+        obj._data, obj._table = None, (ints, den)
+        return obj
+
+    def table(self) -> tuple[list[list[int]], int] | None:
+        """(ints, den) with entry (i, j) = ints[i][j] / den, den > 0 sharing no
+        factor with all of ints: one form per rational matrix; else None."""
+        if self._table is None and _rational(self._data):
+            flat, den = clear_denominators(itertools.chain(*self._data))
+            width = self.cols
+            self._table = ([flat[i * width : (i + 1) * width] for i in range(self.rows)], den)
+        return self._table
+
+    @property
+    def data(self) -> tuple[tuple, ...]:
+        if self._data is None:
+            ints, den = self._table
+            self._data = tuple(tuple(Fraction(x, den) if x else _ZERO for x in row) for row in ints)
+        return self._data
 
     @property
     def rows(self) -> int:
-        return len(self.data)
+        return len(self._table[0] if self._data is None else self._data)
 
     @property
     def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
+        grid = self._table[0] if self._data is None else self._data
+        return len(grid[0]) if grid else 0
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        )
+        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     def entry(self, i: int, j: int):
         return self.data[i][j]
 
     def __eq__(self, other) -> bool:
+        """Two rational matrices are equal iff their tables are."""
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.data == other.data
+        a = self.table()
+        b = a and other.table()
+        return a == b if b else self.data == other.data
 
     __hash__ = None
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product over the entries' ring.  Over the rationals the loop runs
-        on each row of self and each column of other cleared to integers, and
-        each sum is divided once by their denominators (a zero sum is `_ZERO`)."""
+        """The product over the entries' ring; over the rationals the loop runs
+        on the two tables, and dividing by their denominators is reduced once."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols = tuple(zip(*other.data))
-        if not (_rational(self.data) and _rational(cols)):
-            return Matrix(_product(self.data, cols))
-        left = [clear_denominators(row) for row in self.data]
-        right = [clear_denominators(col) for col in cols]
-        sums = _product([row for row, _ in left], [col for col, _ in right])
-        return Matrix(
-            [[Fraction(s, dr * dc) if s else _ZERO for s, (_, dc) in zip(row, right)]
-             for row, (_, dr) in zip(sums, left)]
-        )
+        a = self.table()
+        b = a and other.table()
+        if not b:
+            return Matrix(_product(self.data, tuple(zip(*other.data))))
+        (x, dx), (y, dy) = a, b
+        return Matrix.from_table(_product(x, tuple(zip(*y))), dx * dy)
 
     def scale(self, s) -> "Matrix":
         return Matrix([[x * s for x in row] for row in self.data])
@@ -530,13 +551,9 @@ class Matrix:
             raise TypeError("Matrix.det takes rational entries only")
         if n == 0:
             return _ONE
-        scale = 1
-        cleared = []
-        for row in self.data:
-            ints, den = clear_denominators(row)
-            scale *= den
-            cleared.append(ints)
-        return Fraction(_int_det_bareiss(cleared), scale)
+        cleared = [clear_denominators(row) for row in self.data]
+        scale = math.prod(den for _, den in cleared)
+        return Fraction(_int_det_bareiss([ints for ints, _ in cleared]), scale)
 
     def inverse(self) -> "Matrix":
         """Exact inverse over the rationals (Gauss-Jordan)."""
@@ -639,6 +656,8 @@ def embed_pair(op: Matrix, pos1: int, pos2: int, dims: Sequence[int]) -> Matrix:
         (tuple(ds[k] for k in keep), ds[pos1] * d2 + ds[pos2])
         for ds in itertools.product(*map(range, dims))
     ]
-    return Matrix(
-        [[op.entry(r, c) if out_r == out_c else _ZERO for out_c, c in split] for out_r, r in split]
-    )
+    # a rational op embeds as its table, anything else entry by entry
+    table = op.table()
+    grid, zero = (table[0], 0) if table else (op.data, _ZERO)
+    rows = [[grid[r][c] if out_r == out_c else zero for out_c, c in split] for out_r, r in split]
+    return Matrix.from_table(rows, table[1]) if table else Matrix(rows)

@@ -258,12 +258,13 @@ def rll_holds(l_u: Matrix, l_v: Matrix, r: Matrix, exact: int) -> bool:
     """The intertwining relation R(L_u x L_v) = (L_v x L_u)R on aux x aux x
     site, the two site operators sharing the site, compared on the columns
     whose site state is below `exact`: a site space truncated at cap drops the
-    move that raises state cap, so its column cap is wrong."""
+    move that raises state cap, so its column cap is wrong.  The operators are
+    rational; the sides x/dx and y/dy agree where x dy = y dx on their tables."""
     levels = l_u.rows // 2
     dims = (2, 2, levels)
     l_a = embed_pair(l_u, 0, 2, dims)
     l_b = embed_pair(l_v, 1, 2, dims)
     r_ab = embed_pair(r, 0, 1, dims)
-    lhs, rhs = r_ab @ l_a @ l_b, l_b @ l_a @ r_ab
-    cols = [c for c in range(lhs.cols) if c % levels < exact]
-    return all([a[c] for c in cols] == [b[c] for c in cols] for a, b in zip(lhs.data, rhs.data))
+    (x, dx), (y, dy) = (r_ab @ l_a @ l_b).table(), (l_b @ l_a @ r_ab).table()
+    cols = [c for c in range(4 * levels) if c % levels < exact]
+    return all(a[c] * dy == b[c] * dx for a, b in zip(x, y) for c in cols)

@@ -96,6 +96,27 @@ def test_matrix_inverse():
         singular.inverse()
 
 
+def test_matrix_difference_refuses_a_shape_mismatch():
+    a = Matrix([[1, 2], [3, 4]])
+    for other in (Matrix([[1]]), Matrix([[1, 2]]), Matrix([[1], [2]])):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            a - other
+    assert (a - Matrix([[1, 1], [F(1, 2), 4]])).data == ((0, 1), (F(5, 2), 0))
+
+
+def test_rational_tables_are_in_lowest_terms():
+    assert Matrix([[F(1, 2), 2], [0, F(-5, 6)]]).table() == ([[3, 12], [0, -5]], 6)
+    assert Matrix([[True, 3], [False, 1]]).table() == ([[1, 3], [0, 1]], 1)
+    assert Matrix.from_table([[2, 4], [0, -6]], 6).table() == ([[1, 2], [0, -3]], 3)
+    assert Matrix.from_table([[0, 0]], 9).table() == ([[0, 0]], 1)
+    assert Matrix.from_table([[0, 0]], 9).data == ((0, 0),)
+    assert Matrix([[], []]).table() == ([[], []], 1) != Matrix([[]]).table()
+    # equal tables need equal denominators too
+    assert Matrix([[1, 2]]) != Matrix([[F(1, 2), 1]]) == Matrix.from_table([[1, 2]], 2)
+    assert Matrix([[LaurentPoly.var()]]).table() is None
+    assert Matrix([[F(1), 0.5]]).table() is None
+
+
 def test_det_takes_rational_entries_only():
     # series determinants go through qadic_det; nothing takes one over Laurent entries
     with pytest.raises(TypeError):
@@ -182,4 +203,8 @@ def test_embed_pair_matches_the_digit_loop_reference():
                 op = Matrix(
                     [[F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(size)] for _ in range(size)]
                 )
-                assert embed_pair(op, pos1, pos2, dims) == oracles.embed_pair(op, pos1, pos2, dims)
+                # a rational op embeds through its table, a Laurent one entry by entry
+                for m in (op, op.map(LaurentPoly.const)):
+                    got, want = embed_pair(m, pos1, pos2, dims), oracles.embed_pair(m, pos1, pos2, dims)
+                    assert got == want and got.data == want.data
+                    assert [list(map(type, r)) for r in got.data] == [list(map(type, r)) for r in want.data]

@@ -131,6 +131,38 @@ def test_truncated_intertwining_fails_on_the_top_column():
             assert not lattice.rll_holds(l_u, l_v, fv.r_matrix(u, v), cap + 1)
 
 
+@pytest.mark.parametrize("model", ["fv", "pm", "sv6"])
+def test_intertwining_fails_when_one_entry_of_r_moves(model):
+    """Each model's R passes its RLL check (the phase model at cap 4, its top
+    column still left out), and moving any one of R's 16 entries by 1/7 fails
+    it: the comparison on the two sides' integer tables sees every entry."""
+    u, v, beta, six = F(2), F(3), F(-1, 2), sv.intertwiner_params(F(1, 3))
+    l_u, l_v, r, exact = {
+        "fv": lambda: (fv.l_matrix(u, beta), fv.l_matrix(v, beta), fv.r_matrix(u, v), 2),
+        "pm": lambda: (pm.l_matrix_phase(u, beta, 4), pm.l_matrix_phase(v, beta, 4), fv.r_matrix(u, v), 4),
+        "sv6": lambda: (sv.l_six(u, six), sv.l_six(v, six), sv.r_six(u, v, six.t), 2),
+    }[model]()
+    assert lattice.rll_holds(l_u, l_v, r, exact)
+    for i, j in product(range(4), repeat=2):
+        rows = [list(row) for row in r.data]
+        rows[i][j] += F(1, 7)
+        assert not lattice.rll_holds(l_u, l_v, Matrix(rows), exact), (i, j)
+
+
+def test_intertwining_compares_sides_over_their_own_denominators():
+    """Sides that agree on the kept columns and differ elsewhere can reduce to
+    different denominators: with R = 1 and site operators 1 x A, 1 x B, the
+    sides are 1 x 1 x AB and 1 x 1 x BA, equal on site column 0, and over 2
+    and over 1 on column 1."""
+
+    def on_site(m):
+        return Matrix([[m[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(4)] for i in range(4)])
+
+    l_u, l_v = on_site([[1, 0], [0, 2]]), on_site([[1, F(1, 2)], [0, 1]])
+    assert lattice.rll_holds(l_u, l_v, Matrix.identity(4), 1)
+    assert not lattice.rll_holds(l_u, l_v, Matrix.identity(4), 2)
+
+
 def _embedded_blocks(w, levels: int, num_sites: int) -> dict:
     """The monodromy matrix as a product of embedded site operators, site 0
     acting first and most significant, split into its aux blocks; multiplied

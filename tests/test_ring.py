@@ -155,13 +155,13 @@ def test_matmul_keeps_the_entry_type_when_every_product_vanishes():
 
 ints = st.integers(-9, 9)
 wide_rats = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-scalars = st.one_of(st.just(0), st.just(F(0)), ints, wide_rats)
+scalars = st.one_of(st.just(0), st.just(F(0)), st.booleans(), ints, wide_rats)
 
 
 @st.composite
 def rational_pairs(draw):
-    """Two matrices of shapes r x k and k x c in 1..5, entries zero, int or
-    Fraction, now and then with a row of the left or a column of the right
+    """Two matrices of shapes r x k and k x c in 1..5, entries zero, bool, int
+    or Fraction, now and then with a row of the left or a column of the right
     all zero."""
     r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
     a = [[draw(scalars) for _ in range(k)] for _ in range(r)]
@@ -179,9 +179,39 @@ def rational_pairs(draw):
 @given(rational_pairs())
 def test_rational_matmul_is_the_ring_generic_product(pair):
     a, b = pair
-    got = a @ b
-    assert got == oracles.matmul(a, b)
+    got, want = a @ b, oracles.matmul(a, b)
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got.data == want.data
     assert all(type(x) is F for row in got.data for x in row)
+
+
+def _moved(m: Matrix, at: int, delta) -> Matrix:
+    """m built from rows, with entry number `at` (row-major, wrapped) moved by delta."""
+    rows = [list(row) for row in m.data]
+    i, j = divmod(at % (m.rows * m.cols), m.cols)
+    rows[i][j] += delta
+    return Matrix(rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rational_pairs(), rational_pairs(), st.integers(0, 24), wide_rats.filter(bool))
+def test_rational_equality_is_entrywise_on_both_routes(p, q, at, delta):
+    """`==` between rational matrices made as products (integer tables) or
+    built from rows (entries kept as given: bool, int or Fraction) is entrywise
+    Fraction equality of the same shape, decided before any entry is read."""
+    made = [p[0] @ p[1], q[0] @ q[1], p[0] @ p[1]]
+    built = [oracles.matmul(*p), oracles.matmul(*q), p[0], q[1], _moved(oracles.matmul(*p), at, delta),
+             oracles.matmul(*p).scale(F(1, 3))]
+    ms = made + built
+    verdicts = [[x == y for y in ms] for x in ms]
+    for x, row in zip(ms, verdicts):
+        for y, verdict in zip(ms, row):
+            same = (x.rows, x.cols) == (y.rows, y.cols) and all(
+                F(s) == F(t) for rx, ry in zip(x.data, y.data) for s, t in zip(rx, ry)
+            )
+            assert verdict is same
+    # a product equals itself made again and built from rows, not moved
+    assert verdicts[0][2] and verdicts[0][3] and not verdicts[0][7]
 
 
 def _pairs_over(entries):
@@ -209,6 +239,7 @@ def test_other_rings_take_the_generic_product_unchanged(pair):
     a, b = pair
     got, want = (a @ b).data, oracles.matmul(a, b).data
     assert got == want
+    assert a @ b == oracles.matmul(a, b)
     assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
 
 

@@ -36,6 +36,8 @@ DRAW_STREAM = {
 VERIFY_SMALL_SEED1 = "65513ba76eb08ce49f20b78933797560939266428d326ed2682251434b1d6111"
 # sha256 of the stdout of `--json --seed 1 verify all --scale full`
 VERIFY_FULL_SEED1 = "ddc012d12b083f4219c6440102a8b36ec63b97accfa1417f1adf2c99b4f1d3c8"
+# sha256 of the stdout of `--json --seed 7 verify all --scale full`
+VERIFY_FULL_SEED7 = "25af52eab9f2941a30926fcb6134eef0e6efa4927f4074a324ae44e655874689"
 
 
 def _raise_zero_division(*args, **kwargs):
@@ -284,6 +286,13 @@ def test_verify_all_full_stdout_is_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_SEED1
+
+
+def test_verify_all_full_seed7_stdout_is_pinned(capsys):
+    code = main(["--json", "--seed", "7", "verify", "all", "--scale", "full"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_SEED7
 
 
 @pytest.mark.parametrize("fresh", [False, True], ids=["present-exponent", "new-exponent"])
