@@ -203,14 +203,6 @@ class LaurentPoly(_Ring):
 
     __pow__ = _Ring.__pow__
 
-    def evaluate(self, a: Fraction) -> Fraction:
-        """Value at a nonzero rational (zero allowed when no negative exponents)."""
-        a = Fraction(a)
-        total = _ZERO
-        for e, c in self.coeffs.items():
-            total += c * a**e
-        return total
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "LaurentPoly(0)"
@@ -516,11 +508,6 @@ class Matrix:
         return a == b if b else self.data == other.data
 
     __hash__ = None
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product over the entries' ring; over the rationals the loop runs

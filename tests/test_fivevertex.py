@@ -192,11 +192,7 @@ def test_transfer_matrices_commute():
     for n in range(m + 1):
         basis, t_sym = transfer_matrix(m, n, beta)
         assert len(basis) == len(t_sym.data)
-        for i in range(2 * m + 1):
-            v0 = F(2) + F(i, 2 * m + 2)
-            t_num = t_sym.map(lambda p: p.evaluate(v0))
-            comm = t_sym @ t_num - t_num @ t_sym
-            assert all(x == 0 for row in comm.data for x in row)
+        assert oracles.transfer_commute_pointwise(t_sym, m)
 
 
 def test_hamiltonian_extraction_matches_direct():

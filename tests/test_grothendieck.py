@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -20,7 +21,7 @@ from grothcrystal.grothendieck import (
     summation_rhs,
 )
 from grothcrystal.partitions import complement, interlacing_below, partitions_in_box
-from grothcrystal.suites import _BETA_PALETTE
+from grothcrystal.suites import _BETA_PALETTE, generic_rationals
 
 
 def ssyt_sum(lam, xs):
@@ -147,6 +148,32 @@ def test_chain_equals_determinant():
     beta = F(-1)
     for lam in partitions_in_box(2, 3):
         assert groth_chain(lam, zs, beta) == groth_det(lam, zs, beta)
+
+
+def _top_difference(values):
+    """The (len(values) - 1)-th forward difference of equally spaced values."""
+    while len(values) > 1:
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values[0]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_chain_equals_determinant_at_every_beta(n):
+    """At fixed z, G_lambda(z; beta) is a polynomial in beta of degree at most
+    D = n(n-1)/2 (the row factors (1 + beta z)^(i-1) of the numerator), so the
+    two routes agreeing at D + 1 distinct beta agree at every beta.  Self-check
+    of the bound: the (D + 1)-th difference of groth_det over D + 2 equally
+    spaced beta vanishes, and the D-th does not for some shape."""
+    zs = generic_rationals(random.Random(f"groth-beta:{n}"), n)
+    d = n * (n - 1) // 2
+    betas = [F(k, 3) - 1 for k in range(d + 2)]
+    top = []
+    for lam in partitions_in_box(3, n):
+        dets = [groth_det(lam, zs, beta) for beta in betas]
+        assert [groth_chain(lam, zs, beta) for beta in betas[: d + 1]] == dets[: d + 1]
+        assert _top_difference(dets) == 0
+        top.append(_top_difference(dets[: d + 1]))
+    assert any(top)
 
 
 def test_addition_by_one_variable():

@@ -105,8 +105,8 @@ def test_det_ring_commutes_with_ring_maps(rows):
     det = det_ring(rows)
     # a ring map to the rationals, u -> 3/2 or q -> 0, takes it to the Bareiss determinant
     if isinstance(det, LaurentPoly):
-        at = Matrix(rows).map(lambda p: p.evaluate(F(3, 2)))
-        assert det.evaluate(F(3, 2)) == at.det()
+        at = Matrix(rows).map(lambda p: oracles.evaluate(p, F(3, 2)))
+        assert oracles.evaluate(det, F(3, 2)) == at.det()
     else:
         assert det.coeff(0) == Matrix(rows).map(lambda s: s.coeff(0)).det()
 

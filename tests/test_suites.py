@@ -34,6 +34,8 @@ DRAW_STREAM = {
 
 # sha256 of the stdout of `--json --seed 1 verify all --scale small`
 VERIFY_SMALL_SEED1 = "65513ba76eb08ce49f20b78933797560939266428d326ed2682251434b1d6111"
+# sha256 of the stdout of `--json --seed 7 verify all --scale small`
+VERIFY_SMALL_SEED7 = "ba54c9e2dcf204bc1d5c6045fa8ab32a42e4ba45cfd2499142947efdc7b946b9"
 # sha256 of the stdout of `--json --seed 1 verify all --scale full`
 VERIFY_FULL_SEED1 = "ddc012d12b083f4219c6440102a8b36ec63b97accfa1417f1adf2c99b4f1d3c8"
 # sha256 of the stdout of `--json --seed 7 verify all --scale full`
@@ -281,6 +283,13 @@ def test_verify_all_small_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SMALL_SEED1
 
 
+def test_verify_all_small_seed7_stdout_is_pinned(capsys):
+    code = main(["--json", "--seed", "7", "verify", "all", "--scale", "small"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SMALL_SEED7
+
+
 def test_verify_all_full_stdout_is_pinned(capsys):
     code = main(["--json", "--seed", "1", "verify", "all", "--scale", "full"])
     out = capsys.readouterr().out
@@ -295,18 +304,22 @@ def test_verify_all_full_seed7_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_SEED7
 
 
-@pytest.mark.parametrize("fresh", [False, True], ids=["present-exponent", "new-exponent"])
+@pytest.mark.parametrize(
+    "exponents",
+    [lambda exps: [max(exps)], lambda exps: [max(exps) + 1], lambda exps: [min(exps), min(exps) - 1]],
+    ids=["present-exponent", "new-exponent", "lowest-exponents"],
+)
 @pytest.mark.parametrize("suite", ["fv", "pm"])
-def test_transfer_commute_fails_on_a_perturbed_matrix(monkeypatch, suite, fresh):
+def test_transfer_commute_fails_on_a_perturbed_matrix(monkeypatch, suite, exponents):
     """u^e added to one off-diagonal entry of each symbolic transfer matrix of
-    two or more states, e its top exponent or one above, fails the case; on
-    every sector the coefficient-matrix check agrees with the pointwise
-    commutator over the Laurent polynomials, perturbed or not.  (At fv's
-    two-particle sector a perturbation at u^1 still commutes: the only other
-    coefficient, of u^3, is scalar there.)"""
+    two or more states, for e its top exponent, one above it, or both its
+    lowest and one below, fails the case at both scales; on every sector the
+    coefficient-matrix check agrees with the pointwise commutator over the
+    Laurent polynomials, perturbed or not.  (On fv's sectors one particle
+    short of full, a perturbation at the lowest exponent alone still
+    commutes: the only other coefficient there is scalar.  So the lowest
+    input adds u^e one below as well.)"""
     name = f"{suite}.transfer-commute"
-    (case,) = [c for c in SUITES[suite]("small", random.Random(f"{suite}:1")) if c.name == name]
-    model, m, sectors, beta = case.check.args
     real = lattice.transfer_matrix
 
     def perturbed(*args):
@@ -315,18 +328,23 @@ def test_transfer_commute_fails_on_a_perturbed_matrix(monkeypatch, suite, fresh)
             return basis, t_sym
         exps = {e for row in t_sym.data for p in row for e in p.coeffs}
         rows = [list(row) for row in t_sym.data]
-        rows[0][1] = rows[0][1] + LaurentPoly.monomial(1, max(exps) + 1 if fresh else max(exps))
+        for e in exponents(exps):
+            rows[0][1] = rows[0][1] + LaurentPoly.monomial(1, e)
         return basis, Matrix(rows)
 
-    for patched in (False, True):
-        if patched:
-            monkeypatch.setattr(lattice, "transfer_matrix", perturbed)
-        assert case.check() is not patched
-        for n in sectors:
-            basis, t_sym = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
-            verdict = suites._transfer_commute(model, m, [n], beta)
-            assert verdict == oracles.transfer_commute_pointwise(t_sym, m)
-            assert verdict is not (patched and len(basis) > 1)
+    for scale in ("small", "full"):
+        (case,) = [c for c in SUITES[suite](scale, random.Random(f"{suite}:1")) if c.name == name]
+        model, m, sectors, beta = case.check.args
+        for patched in (False, True):
+            with monkeypatch.context() as mp:
+                if patched:
+                    mp.setattr(lattice, "transfer_matrix", perturbed)
+                assert case.check() is not patched
+                for n in sectors:
+                    basis, t_sym = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
+                    verdict = suites._transfer_commute(model, m, [n], beta)
+                    assert verdict == oracles.transfer_commute_pointwise(t_sym, m)
+                    assert verdict is not (patched and len(basis) > 1)
 
 
 # -- cases shared out over forked processes -------------------------------------
