@@ -4,8 +4,9 @@ Scalars are `fractions.Fraction`; floats enter only in the Bethe-root and
 entropy numerics elsewhere.  A Laurent polynomial is sparse {exponent:
 coefficient} with no zeros kept.  A truncated series keeps integer numerators
 of q^0..q^D over one denominator, multiplied by a convolution that skips zero
-terms and cut at its fixed order; a rational matrix likewise keeps one integer
-table over one denominator, so its products and equality run on integers.
+terms and cut at its fixed order; a matrix is rational and likewise keeps one
+integer table over one denominator, so its products and equality run on
+integers.
 Rationals serialize as canonical "p/q" strings, series as lists of them.
 """
 
@@ -425,28 +426,29 @@ def _rational(rows) -> bool:
     return {type(x) for row in rows for x in row} <= {int, bool, Fraction}
 
 
-def _product(rows, cols) -> list[list]:
-    """Each row times each column over any ring; zero products add nothing."""
+def _product(rows, cols) -> list[list[int]]:
+    """Each row of an integer table times each column of another; zero
+    products add nothing."""
     out = []
     for row in rows:
-        rest = [(k, a) for k, a in enumerate(row) if k and a]
+        terms = [(k, a) for k, a in enumerate(row) if a]
         new_row = []
         for col in cols:
-            acc = row[0] * col[0]  # fixes the entry type
-            for k, a in rest:
+            acc = 0
+            for k, a in terms:
                 b = col[k]
                 if b:
-                    acc = acc + a * b
+                    acc += a * b
             new_row.append(acc)
         out.append(new_row)
     return out
 
 
 class Matrix:
-    """Dense matrix over a commutative ring (Fraction, LaurentPoly, series or
-    float entries).  A rational matrix built from rows keeps its entries as
-    given and is cleared to its `table()` once; a product of two rational
-    matrices is made as a table, its Fraction `data` built when read."""
+    """Dense rational matrix: int, bool or Fraction entries, any other entry a
+    TypeError.  Built from rows it keeps its entries as given and is cleared
+    to its `table()` once; a product is made as a table, its Fraction `data`
+    built when read.  Over other rings a matrix is a list of rows."""
 
     __slots__ = ("_data", "_table")
 
@@ -454,6 +456,8 @@ class Matrix:
         data = tuple(tuple(r) for r in rows)
         if any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged rows")
+        if not _rational(data):
+            raise TypeError("a Matrix takes int, bool or Fraction entries only")
         self._data, self._table = data, None
 
     @classmethod
@@ -467,10 +471,10 @@ class Matrix:
         obj._data, obj._table = None, (ints, den)
         return obj
 
-    def table(self) -> tuple[list[list[int]], int] | None:
+    def table(self) -> tuple[list[list[int]], int]:
         """(ints, den) with entry (i, j) = ints[i][j] / den, den > 0 sharing no
-        factor with all of ints: one form per rational matrix; else None."""
-        if self._table is None and _rational(self._data):
+        factor with all of ints: one form per matrix."""
+        if self._table is None:
             flat, den = clear_denominators(itertools.chain(*self._data))
             width = self.cols
             self._table = ([flat[i * width : (i + 1) * width] for i in range(self.rows)], den)
@@ -500,42 +504,32 @@ class Matrix:
         return self.data[i][j]
 
     def __eq__(self, other) -> bool:
-        """Two rational matrices are equal iff their tables are."""
+        """Two matrices are equal iff their tables are."""
         if not isinstance(other, Matrix):
             return NotImplemented
-        a = self.table()
-        b = a and other.table()
-        return a == b if b else self.data == other.data
+        return self.table() == other.table()
 
     __hash__ = None
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product over the entries' ring; over the rationals the loop runs
-        on the two tables, and dividing by their denominators is reduced once."""
+        """The product of the two tables, divided by their denominators and
+        reduced once."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        a = self.table()
-        b = a and other.table()
-        if not b:
-            return Matrix(_product(self.data, tuple(zip(*other.data))))
-        (x, dx), (y, dy) = a, b
+        (x, dx), (y, dy) = self.table(), other.table()
         return Matrix.from_table(_product(x, tuple(zip(*y))), dx * dy)
 
     def scale(self, s) -> "Matrix":
         return Matrix([[x * s for x in row] for row in self.data])
 
-    def map(self, fn) -> "Matrix":
-        return Matrix([[fn(x) for x in row] for row in self.data])
-
     def det(self) -> Fraction:
-        """Exact determinant of a rational matrix: fraction-free (Bareiss)
-        elimination on the matrix with each row cleared of denominators.
-        Series matrices go through `qadic_det`."""
+        """Exact determinant: fraction-free (Bareiss) elimination on the matrix
+        with each row cleared of denominators, which keeps the integers smaller
+        than the one-denominator table.  Series matrices go through
+        `qadic_det`."""
         n = self.rows
         if n != self.cols:
             raise ValueError("determinant needs a square matrix")
-        if not _rational(self.data):
-            raise TypeError("Matrix.det takes rational entries only")
         if n == 0:
             return _ONE
         cleared = [clear_denominators(row) for row in self.data]
@@ -643,8 +637,6 @@ def embed_pair(op: Matrix, pos1: int, pos2: int, dims: Sequence[int]) -> Matrix:
         (tuple(ds[k] for k in keep), ds[pos1] * d2 + ds[pos2])
         for ds in itertools.product(*map(range, dims))
     ]
-    # a rational op embeds as its table, anything else entry by entry
-    table = op.table()
-    grid, zero = (table[0], 0) if table else (op.data, _ZERO)
-    rows = [[grid[r][c] if out_r == out_c else zero for out_c, c in split] for out_r, r in split]
-    return Matrix.from_table(rows, table[1]) if table else Matrix(rows)
+    ints, den = op.table()
+    rows = [[ints[r][c] if out_r == out_c else 0 for out_c, c in split] for out_r, r in split]
+    return Matrix.from_table(rows, den)

@@ -172,8 +172,11 @@ def hamiltonian(num_sites: int, num_particles: int, beta: Fraction) -> Matrix:
         raise ParameterError("-beta must be the square of a rational")
     direct = hamiltonian_direct(num_sites, num_particles, beta)
     u = u0 + TruncatedSeries.indeterminate(1)
-    f = lattice.transfer_matrix(MODEL, num_sites, num_particles, u, beta)[1].scale(u**-num_sites)
-    if f.map(lambda p: p.coeff(1)).scale(u0 / 2) != f.map(lambda p: p.coeff(0)) @ direct:
+    t = lattice.transfer_matrix(MODEL, num_sites, num_particles, u, beta)
+    scale = u**-num_sites
+    f = [[p * scale for p in row] for row in t]
+    f0, f1 = (Matrix([[p.coeff(e) for p in row] for row in f]) for e in (0, 1))
+    if f1.scale(u0 / 2) != f0 @ direct:
         raise IdentityError(
             f"transfer-matrix extraction disagrees on the {num_particles}-particle sector"
         )

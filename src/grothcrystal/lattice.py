@@ -213,12 +213,11 @@ def amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
     return value
 
 
-def transfer_matrix(
-    model: Model, num_sites: int, num_particles: int, p, beta
-) -> tuple[list, Matrix]:
-    """The n-particle sector and A(p) + D(p) on it, over the ring of p: exact
-    at a Fraction, Laurent polynomials at LaurentPoly.var(), truncated series
-    at a TruncatedSeries, floats at a float."""
+def transfer_matrix(model: Model, num_sites: int, num_particles: int, p, beta) -> list[list]:
+    """A(p) + D(p) on the n-particle sector as rows over the ring of p, in
+    `model.sector` order: exact at a Fraction, Laurent polynomials at
+    LaurentPoly.var(), truncated series at a TruncatedSeries, floats at a
+    float."""
     basis = model.sector(num_sites, num_particles)
     w = model.weights(p, beta)
     index = {s: i for i, s in enumerate(basis)}
@@ -229,7 +228,7 @@ def transfer_matrix(
         for a in (0, 1):  # A, then D
             for t, c in _path_sum(model.capacity, num_sites, {s: one}, a, a, w, table).items():
                 rows[index[t]][col] += c
-    return basis, Matrix(rows)
+    return rows
 
 
 def hopping_generator(model: Model, num_sites: int, num_particles: int, hop, diagonal) -> Matrix:

@@ -204,8 +204,8 @@ def hamiltonian_phase(num_sites: int, num_particles: int, beta: Fraction) -> Mat
     v^M tau(v).  Returns the direct form after asserting equality."""
     direct = hamiltonian_phase_direct(num_sites, num_particles, beta)
     var = LaurentPoly.var()
-    tau = lattice.transfer_matrix(MODEL, num_sites, num_particles, var, Fraction(beta))[1]
-    if tau.map(lambda p: p.coeff(2 - num_sites)) != direct:
+    tau = lattice.transfer_matrix(MODEL, num_sites, num_particles, var, Fraction(beta))
+    if Matrix([[p.coeff(2 - num_sites) for p in row] for row in tau]) != direct:
         raise IdentityError("transfer-matrix extraction disagrees with the direct build")
     return direct
 
@@ -230,6 +230,7 @@ def bethe_verify_n1(num_sites: int, beta: Fraction) -> dict:
     basis = sector_basis(m, 1)
     h_exact = hamiltonian_phase_direct(m, 1, beta)
     h = [[float(h_exact.entry(r, c)) for c in range(m)] for r in range(m)]
+    taus = {u: lattice.transfer_matrix(MODEL, m, 1, u, beta_f) for u in _BETHE_PROBES}
 
     roots = []
     for k in range(m):
@@ -252,10 +253,9 @@ def bethe_verify_n1(num_sites: int, beta: Fraction) -> dict:
         h_res = max(abs(a - energy * b) for a, b in zip(hpsi, psi_vec))
         bae_res = abs((w - beta_f) ** m - 1.0)
         tau_res = []
-        for u in _BETHE_PROBES:
+        for u, tau_val in taus.items():
             if abs(u * u - v2) < 1e-6 or abs(w * u * u - 1.0) < 1e-9:
                 raise ParameterError("probe point too close to a pole")
-            tau_val = lattice.transfer_matrix(MODEL, m, 1, u, beta_f)[1].data
             tpsi = [
                 sum(tau_val[r][c] * psi_vec[c] for c in range(m))
                 for r in range(m)

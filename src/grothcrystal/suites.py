@@ -36,7 +36,7 @@ from . import (
     workqueue,
 )
 from .errors import ParameterError
-from .exactcore import LaurentPoly, TruncatedSeries, rat_str
+from .exactcore import LaurentPoly, Matrix, TruncatedSeries, rat_str
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _BETA_PALETTE = (
@@ -140,9 +140,9 @@ def _transfer_commute(model: lattice.Model, m: int, sectors, beta: Fraction) -> 
     """On each particle-number sector, T(u) = sum_k u^k T_k commutes with T(v)
     for all u and v iff every pair of rational coefficient matrices T_k does."""
     for n in sectors:
-        _, t_sym = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
-        exps = sorted({e for row in t_sym.data for p in row for e in p.coeffs})
-        t_ks = [t_sym.map(lambda p: p.coeff(e)) for e in exps]
+        t_sym = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
+        exps = sorted({e for row in t_sym for p in row for e in p.coeffs})
+        t_ks = [Matrix([[p.coeff(e) for p in row] for row in t_sym]) for e in exps]
         if any(a @ b != b @ a for a, b in combinations(t_ks, 2)):
             return False
     return True

@@ -138,15 +138,15 @@ def reversed_positions(x: Sequence[int], chain_length: int) -> tuple[int, ...]:
     return tuple(chain_length - v + 1 for v in reversed(x))
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """The product over the entries' ring, row by column with no denominator
-    cleared: the first product fixes the entry type, zero products add
-    nothing."""
-    if a.cols != b.rows:
+def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """The product of two matrices given as rows over any ring, row by column
+    with no denominator cleared: the first product fixes the entry type, zero
+    products add nothing."""
+    if len(a[0]) != len(b):
         raise ValueError("shape mismatch")
-    cols = tuple(zip(*b.data))
+    cols = tuple(zip(*b))
     out = []
-    for row in a.data:
+    for row in a:
         rest = [(k, x) for k, x in enumerate(row) if k and x]
         new_row = []
         for col in cols:
@@ -157,7 +157,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                     acc = acc + x * y
             new_row.append(acc)
         out.append(new_row)
-    return Matrix(out)
+    return out
 
 
 def evaluate(p: LaurentPoly, a) -> Fraction:
@@ -167,12 +167,12 @@ def evaluate(p: LaurentPoly, a) -> Fraction:
     return sum((c * a**e for e, c in p.coeffs.items()), Fraction(0))
 
 
-def transfer_commute_pointwise(t_sym: Matrix, m: int) -> bool:
-    """T(u) commutes with T(v0) at the 2m+1 points v0 = 2 + i/(2m+2), by the
-    products over the Laurent polynomials."""
+def transfer_commute_pointwise(t_sym: list[list], m: int) -> bool:
+    """T(u), rows of Laurent polynomials, commutes with T(v0) at the 2m+1
+    points v0 = 2 + i/(2m+2), by the products over the Laurent polynomials."""
     for i in range(2 * m + 1):
         v0 = Fraction(2) + Fraction(i, 2 * m + 2)
-        t_num = t_sym.map(lambda p: evaluate(p, v0))
+        t_num = [[evaluate(p, v0) for p in row] for row in t_sym]
         if matmul(t_sym, t_num) != matmul(t_num, t_sym):
             return False
     return True
@@ -208,6 +208,27 @@ def embed_pair(op: Matrix, pos1: int, pos2: int, dims: Sequence[int]) -> Matrix:
                 row.append(Fraction(0))
         out_rows.append(row)
     return Matrix(out_rows)
+
+
+def monodromy_blocks(l_op: Matrix, levels: int, num_sites: int) -> dict:
+    """The monodromy matrix as a product of site operators, each embedded by
+    `embed_pair` above on aux x site 0 x ... x site M-1, site 0 acting first
+    and most significant, multiplied by `matmul` so that no integer-lifted
+    product checks another: {(a_out, a_in): rows of the aux block}, row and
+    column the big-endian index of the chain state."""
+    dims = [2] + [levels] * num_sites
+    size = math.prod(dims)
+    total = [[Fraction(int(r == c)) for c in range(size)] for r in range(size)]
+    for j in range(num_sites):
+        total = matmul(embed_pair(l_op, 0, j + 1, dims).data, total)
+    half = size // 2
+    return {
+        (a_out, a_in): [
+            row[a_in * half : (a_in + 1) * half] for row in total[a_out * half : (a_out + 1) * half]
+        ]
+        for a_out in (0, 1)
+        for a_in in (0, 1)
+    }
 
 
 def l_matrix(u, beta) -> Matrix:

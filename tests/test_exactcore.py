@@ -105,12 +105,17 @@ def test_rational_tables_are_in_lowest_terms():
     assert Matrix([[], []]).table() == ([[], []], 1) != Matrix([[]]).table()
     # equal tables need equal denominators too
     assert Matrix([[1, 2]]) != Matrix([[F(1, 2), 1]]) == Matrix.from_table([[1, 2]], 2)
-    assert Matrix([[LaurentPoly.var()]]).table() is None
-    assert Matrix([[F(1), 0.5]]).table() is None
+
+
+def test_matrix_takes_rational_entries_only():
+    assert Matrix([[1, True], [F(-3, 4), False]]).data == ((1, True), (F(-3, 4), False))
+    for x in (0.5, 1.0, 2j, complex(1, 0), LaurentPoly.const(1), TruncatedSeries.one(2)):
+        with pytest.raises(TypeError, match="^a Matrix takes int, bool or Fraction entries only$"):
+            Matrix([[F(1), 0], [0, x]])
 
 
 def test_det_takes_rational_entries_only():
-    # series determinants go through qadic_det; nothing takes one over Laurent entries
+    # series determinants go through qadic_det; a Matrix refuses Laurent and series entries
     with pytest.raises(TypeError):
         Matrix([[LaurentPoly.var()]]).det()
     with pytest.raises(TypeError):
@@ -195,8 +200,6 @@ def test_embed_pair_matches_the_digit_loop_reference():
                 op = Matrix(
                     [[F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(size)] for _ in range(size)]
                 )
-                # a rational op embeds through its table, a Laurent one entry by entry
-                for m in (op, op.map(LaurentPoly.const)):
-                    got, want = embed_pair(m, pos1, pos2, dims), oracles.embed_pair(m, pos1, pos2, dims)
-                    assert got == want and got.data == want.data
-                    assert [list(map(type, r)) for r in got.data] == [list(map(type, r)) for r in want.data]
+                got, want = embed_pair(op, pos1, pos2, dims), oracles.embed_pair(op, pos1, pos2, dims)
+                assert got == want and got.data == want.data
+                assert [list(map(type, r)) for r in got.data] == [list(map(type, r)) for r in want.data]

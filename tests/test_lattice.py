@@ -8,7 +8,9 @@ matrices.  The one weight function per model serves all three rings.  The
 sector tables equal the per-state operator chains, a path sum over the
 rationals, run on integers, equals the ring-generic loop, and each one-state
 lookup, a chain from the state down to the empty chain, equals its table
-without building one.  The lattice, closed and self-checked amplitude routes
+without building one.  Each five-vertex wavefunction, forward and dual, is a
+phase-model one up to a factor, path sum against path sum (the boson-fermion
+correspondence).  The lattice, closed and self-checked amplitude routes
 of each model, forward and dual, accept and refuse the same inputs, and the
 prefactor ratio the skew checks read equals the normalisation written out by
 hand."""
@@ -17,7 +19,7 @@ import random
 from fractions import Fraction as F
 from functools import partial
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 import oracles
@@ -29,17 +31,17 @@ from grothcrystal import lattice
 from grothcrystal import phasemodel as pm
 from grothcrystal import sixvertex as sv
 from grothcrystal.errors import ParameterError, PoleError
-from grothcrystal.exactcore import LaurentPoly, Matrix, embed_pair, rational_sqrt
+from grothcrystal.exactcore import LaurentPoly, Matrix, rational_sqrt
 from grothcrystal.suites import _BETA_PALETTE, _skew_norm
 
 
 def assert_close(got, exact, v):
-    want = exact.map(lambda p: oracles.evaluate(p, v))
-    assert got.rows == want.rows and got.cols == want.cols
-    for r in range(want.rows):
-        for c in range(want.cols):
-            assert isinstance(got.entry(r, c), float)
-            assert abs(got.entry(r, c) - want.entry(r, c)) < 1e-12
+    want = [[oracles.evaluate(p, v) for p in row] for row in exact]
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for got_row, want_row in zip(got, want):
+        for x, y in zip(got_row, want_row):
+            assert isinstance(x, float)
+            assert abs(x - y) < 1e-12
 
 
 def test_float_transfer_matrix_matches_exact_one_particle_sector():
@@ -47,9 +49,9 @@ def test_float_transfer_matrix_matches_exact_one_particle_sector():
     for beta in (F(-1, 2), F(1, 3), F(2)):
         for m in (2, 3, 4, 5):
             for model in (fv.MODEL, pm.MODEL):
-                basis, exact = lattice.transfer_matrix(model, m, 1, LaurentPoly.var(), beta)
-                got_basis, got = lattice.transfer_matrix(model, m, 1, float(v), float(beta))
-                assert got_basis == basis
+                exact = lattice.transfer_matrix(model, m, 1, LaurentPoly.var(), beta)
+                got = lattice.transfer_matrix(model, m, 1, float(v), float(beta))
+                assert len(got) == len(model.sector(m, 1))
                 assert_close(got, exact, v)
 
 
@@ -163,26 +165,6 @@ def test_intertwining_compares_sides_over_their_own_denominators():
     assert not lattice.rll_holds(l_u, l_v, Matrix.identity(4), 2)
 
 
-def _embedded_blocks(w, levels: int, num_sites: int) -> dict:
-    """The monodromy matrix as a product of embedded site operators, site 0
-    acting first and most significant, split into its aux blocks; multiplied
-    by the ring-generic loop, so that no integer-lifted route checks another."""
-    dims = [2] + [levels] * num_sites
-    op = lattice.site_operator(w, levels)
-    total = Matrix.identity(2 * levels**num_sites)
-    for j in range(num_sites):
-        total = oracles.matmul(embed_pair(op, 0, j + 1, dims), total)
-    half = levels**num_sites
-    return {
-        (a_out, a_in): [
-            [total.entry(a_out * half + r, a_in * half + c) for c in range(half)]
-            for r in range(half)
-        ]
-        for a_out in (0, 1)
-        for a_in in (0, 1)
-    }
-
-
 @pytest.mark.parametrize(
     "model, levels, num_sites, states",
     [
@@ -202,7 +184,7 @@ def test_path_sums_are_products_of_the_site_operator(model, levels, num_sites, s
         if x not in (0, 1) and x not in w:
             w.append(x)
     w = tuple(w)
-    blocks = _embedded_blocks(w, levels, num_sites)
+    blocks = oracles.monodromy_blocks(lattice.site_operator(w, levels), levels, num_sites)
 
     def index(state):
         idx = 0
@@ -220,13 +202,12 @@ def test_path_sums_are_products_of_the_site_operator(model, levels, num_sites, s
     for n in range(3):
         basis = [s for s in states if sum(s) == n]
         at_w = model._replace(weights=lambda p, beta: w)
-        assert lattice.transfer_matrix(at_w, num_sites, n, None, None)[0] == basis
-        got = lattice.transfer_matrix(at_w, num_sites, n, None, None)[1]
+        assert at_w.sector(num_sites, n) == basis
         want = [
             [blocks[0, 0][index(r)][index(c)] + blocks[1, 1][index(r)][index(c)] for c in basis]
             for r in basis
         ]
-        assert got == Matrix(want)
+        assert lattice.transfer_matrix(at_w, num_sites, n, None, None) == want
 
 
 @pytest.mark.parametrize(
@@ -311,7 +292,66 @@ def test_fermion_and_boson_sectors_carry_the_same_partitions():
             assert len(fermions) == len(set(fermions)) == comb(m, n)
 
 
-@pytest.mark.parametrize("var", [F(7, 5), LaurentPoly.var()], ids=["fraction", "laurent"])
+def _fermion_z(z, beta):
+    """The five-vertex B in z-weights."""
+    return (-beta, 0, -beta * z, 1, 1 + beta * z, -beta)
+
+
+def _boson_z(z, beta):
+    """The phase model's B in z-weights."""
+    return (1, 1 + beta * z, z, z, 1 + beta * z, z)
+
+
+def _correspondence(boson_z, dual: bool):
+    """(fermion side, boson side) at each five-vertex state x of M <= 7 sites
+    and N <= 4 particles, occ the phase-model state of M - N + 1 sites with
+    the partition of x, both sides path sums, z_N applied first.  Forward:
+    <x|B(z_1)...B(z_N)|0> and (-beta)^(N(M-N) + N(N-1)/2) <occ|B(z_1)...B(z_N)|0>;
+    dual: <0|C(z_1)...C(z_N)|x> and (-beta)^(N(M-N) + N(N+1)/2) / prod z_j
+    times <0|C(z_1)...C(z_N)|occ>."""
+
+    def chain(capacity, num_sites, state, w, zs, beta):
+        a_in, a_out = (0, 1) if dual else (1, 0)
+        for z in reversed(zs):
+            state = lattice.path_sum(capacity, num_sites, state, a_in, a_out, w(z, beta))
+        return state
+
+    betas = (F(1, 2), F(-2, 3), F(3), F(-1))
+    sectors = ((3, 3), (4, 2), (5, 1), (5, 3), (6, 3), (7, 4))
+    for beta, (m, n) in product(betas, sectors):
+        zs, k = (F(1, 3), F(2, 5), F(-3, 7), F(5, 11))[:n], m - n + 1
+        occ = {pm.MODEL.partition(s): s for s in pm.MODEL.sector(k, n)}
+        if dual:
+            factor = (-beta) ** (n * (m - n) + n * (n + 1) // 2) / prod(zs)
+            for x in fv.MODEL.sector(m, n):
+                fermion = chain(1, m, {x: F(1)}, _fermion_z, zs, beta).get((0,) * m, 0)
+                boson = chain(None, k, {occ[fv.MODEL.partition(x)]: F(1)}, boson_z, zs, beta)
+                yield fermion, factor * boson.get((0,) * k, 0)
+        else:
+            factor = (-beta) ** (n * (m - n) + n * (n - 1) // 2)
+            fermions = chain(1, m, {(0,) * m: F(1)}, _fermion_z, zs, beta)
+            bosons = chain(None, k, {(0,) * k: F(1)}, boson_z, zs, beta)
+            for x in fv.MODEL.sector(m, n):
+                yield fermions.get(x, 0), factor * bosons.get(occ[fv.MODEL.partition(x)], 0)
+
+
+def test_boson_fermion_correspondence_lattice_to_lattice():
+    """Each five-vertex wavefunction, forward and dual, is a phase-model one
+    up to its factor, state by state, with no closed form on either side."""
+    for dual in (False, True):
+        sides = list(_correspondence(_boson_z, dual))
+        assert len(sides) == 308
+        assert all(fermion == boson for fermion, boson in sides)
+        assert sum(1 for fermion, _ in sides if fermion) == 304
+
+    def deposit_one(z, beta):
+        return _boson_z(z, beta)[:4] + (1, z)
+
+    # a phase-model deposit weight of 1 breaks every forward state
+    assert all(fermion != boson for fermion, boson in _correspondence(deposit_one, False))
+
+
+@pytest.mark.parametrize("var",[F(7, 5), LaurentPoly.var()], ids=["fraction", "laurent"])
 def test_transfer_matrices_are_their_per_column_path_sums(var):
     """One move table serves every column of a transfer matrix; the matrix is
     still A + D read off one path sum per column and aux state."""
@@ -328,7 +368,7 @@ def test_transfer_matrices_are_their_per_column_path_sums(var):
                         for s in basis
                     ]
                     want = [[a.get(r, zero) + d.get(r, zero) for a, d in columns] for r in basis]
-                    assert lattice.transfer_matrix(model, m, n, var, beta) == (basis, Matrix(want))
+                    assert lattice.transfer_matrix(model, m, n, var, beta) == want
 
 
 def _six_weights(p, beta):
@@ -484,6 +524,6 @@ def test_five_vertex_transfer_matrix_is_monomial_at_the_extraction_point():
         u0 = rational_sqrt(-beta)
         for m in range(7):
             for n in range(m + 1):
-                t = lattice.transfer_matrix(fv.MODEL, m, n, u0, beta)[1].data
+                t = lattice.transfer_matrix(fv.MODEL, m, n, u0, beta)
                 for line in list(t) + list(zip(*t)):
                     assert sum(1 for x in line if x) == 1, (m, n, beta)
