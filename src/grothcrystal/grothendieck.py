@@ -16,11 +16,10 @@ from typing import Sequence
 from .errors import DegeneratePointError, ParameterError, PoleError
 from .exactcore import Matrix, _int_det_bareiss, vandermonde
 from .partitions import (
+    _interlaced,
     check_partition,
     complement,
-    interlaces,
     interlacing_below,
-    part,
     partitions_in_box,
 )
 
@@ -89,6 +88,12 @@ def schur_det(lam: Sequence[int], zs: Sequence[Fraction]) -> Fraction:
     return Matrix(rows).det()
 
 
+def _skew_exponents(mu, lam) -> tuple[int, int]:
+    """(e, k) of the skew factor z^e (1 + beta z)^k of mu over an interlacing
+    lam: e = |mu| - |lam|, and k counts the j with mu_(j+1) != lam_j."""
+    return sum(mu) - sum(lam), sum(a != b for a, b in zip(mu[1:], lam))
+
+
 def skew_single(
     mu: Sequence[int], lam: Sequence[int], z: Fraction, beta: Fraction
 ) -> Fraction:
@@ -103,14 +108,10 @@ def skew_single(
         raise ParameterError("mu must have exactly one part more than lam")
     z = Fraction(z)
     beta = Fraction(beta)
-    if not interlaces(mu, lam):
+    if not _interlaced(mu, lam):
         return Fraction(0)
-    val = z ** (sum(mu) - sum(lam))
-    bz = beta * z
-    for j in range(1, len(lam) + 1):
-        if part(mu, j + 1) != part(lam, j):
-            val *= 1 + bz
-    return val
+    e, k = _skew_exponents(mu, lam)
+    return z**e * (1 + beta * z) ** k
 
 
 def skew_multi(
@@ -119,20 +120,28 @@ def skew_multi(
     zs: Sequence[Fraction],
     beta: Fraction,
 ) -> Fraction:
-    """Multivariable skew polynomial as a chain sum from lam down to nu."""
+    """Multivariable skew polynomial as a chain sum from lam down to nu, taken
+    level by level on integers: with z = a/b and 1 + beta z = c/d, a skew factor
+    times b^E d^K is a^e b^(E-e) c^k d^(K-k), E = lam_1 >= e, K = len(kappa) >= k."""
     lam = check_partition(lam)
     nu = check_partition(nu)
     zs = [Fraction(z) for z in zs]
     if len(lam) != len(nu) + len(zs):
         raise ParameterError("lengths must satisfy len(lam) = len(nu) + #variables")
-    if not zs:
-        return Fraction(1) if lam == nu else Fraction(0)
-    total = Fraction(0)
-    for kappa in interlacing_below(lam):
-        s = skew_single(lam, kappa, zs[0], beta)
-        if s:
-            total += s * skew_multi(kappa, nu, zs[1:], beta)
-    return total
+    top = lam[0] if lam else 0
+    level, den = {lam: 1}, 1
+    for size, z in zip(range(len(lam) - 1, -1, -1), zs):
+        w = 1 + Fraction(beta) * z
+        pz = [z.numerator**e * z.denominator ** (top - e) for e in range(top + 1)]
+        pw = [w.numerator**k * w.denominator ** (size - k) for k in range(size + 1)]
+        den *= z.denominator**top * w.denominator**size
+        below: dict = {}
+        for mu, weight in level.items():
+            for kappa in interlacing_below(mu):
+                e, k = _skew_exponents(mu, kappa)
+                below[kappa] = below.get(kappa, 0) + weight * pz[e] * pw[k]
+        level = below
+    return Fraction(level.get(nu, 0), den)
 
 
 def groth_chain(lam: Sequence[int], zs: Sequence[Fraction], beta: Fraction) -> Fraction:

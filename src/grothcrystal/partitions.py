@@ -19,8 +19,16 @@ Partition = tuple[int, ...]
 PlanePartition = tuple[tuple[int, ...], ...]
 
 
+def _integers(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """values as a tuple of ints; refuses any value that int() would change."""
+    values = tuple(values)
+    if (ints := tuple(map(int, values))) != values:
+        raise ParameterError(f"{what} must be integers: {values}")
+    return ints
+
+
 def check_partition(lam: Sequence[int]) -> Partition:
-    lam = tuple(int(p) for p in lam)
+    lam = _integers(lam, "parts")
     for a, b in zip(lam, lam[1:]):
         if a < b:
             raise ParameterError(f"not weakly decreasing: {lam}")
@@ -69,10 +77,12 @@ def interlaces(mu: Sequence[int], lam: Sequence[int]) -> bool:
     mu = check_partition(mu)
     lam = check_partition(lam)
     n = max(len(mu), len(lam) + 1)
-    for j in range(1, n + 1):
-        if not (part(mu, j) >= part(lam, j) >= part(mu, j + 1)):
-            return False
-    return True
+    return _interlaced(mu + (0,) * (n - len(mu)), lam + (0,) * (n - 1 - len(lam)))
+
+
+def _interlaced(mu: Partition, lam: Partition) -> bool:
+    """mu_j >= lam_j >= mu_(j+1) for checked partitions with len(mu) = len(lam) + 1."""
+    return all(a >= b >= c for a, b, c in zip(mu, lam, mu[1:]))
 
 
 def interlacing_below(mu: Sequence[int]) -> Iterator[Partition]:
@@ -85,7 +95,7 @@ def interlacing_below(mu: Sequence[int]) -> Iterator[Partition]:
 
 
 def partition_from_positions(x: Sequence[int]) -> Partition:
-    x = tuple(int(v) for v in x)
+    x = _integers(x, "positions")
     for a, b in zip(x, x[1:]):
         if a >= b:
             raise ParameterError(f"positions not strictly increasing: {x}")

@@ -207,25 +207,24 @@ def _same_shapes(shapes, lhs: Callable, rhs: Callable) -> bool:
 
 
 def _addition(shapes, zs, beta: Fraction):
-    """The one-variable addition theorem; the witness is the first failing shape."""
-    for mu in shapes():
-        rhs = sum(
-            gr.skew_single(mu, lam, zs[-1], beta) * gr.groth_det(lam, zs[:-1], beta)
-            for lam in pt.interlacing_below(mu)
-        )
-        if gr.groth_det(mu, zs, beta) != rhs:
+    """The one-variable addition theorem, each side's G from one `groth_dets`
+    call; the witness is the first failing shape."""
+    mus = list(shapes())
+    lows = [list(pt.interlacing_below(mu)) for mu in mus]
+    below = list(dict.fromkeys(lam for lams in lows for lam in lams))
+    g_below = dict(zip(below, gr.groth_dets(below, zs[:-1], beta)))
+    for mu, g, lams in zip(mus, gr.groth_dets(mus, zs, beta), lows):
+        if g != sum(gr.skew_single(mu, lam, zs[-1], beta) * g_below[lam] for lam in lams):
             return False, {"witness": mu}
     return True, {"witness": None}
 
 
 def _branching(zs, ws, beta: Fraction) -> bool:
+    lams, nus = list(pt.partitions_in_box(2, 3)), list(pt.partitions_in_box(2, 1))
+    g_nus = gr.groth_dets(nus, ws, beta)
     return all(
-        gr.groth_det(lam, zs + ws, beta)
-        == sum(
-            gr.skew_multi(lam, nu, zs, beta) * gr.groth_det(nu, ws, beta)
-            for nu in pt.partitions_in_box(2, 1)
-        )
-        for lam in pt.partitions_in_box(2, 3)
+        g == sum(gr.skew_multi(lam, nu, zs, beta) * h for nu, h in zip(nus, g_nus))
+        for lam, g in zip(lams, gr.groth_dets(lams, zs + ws, beta))
     )
 
 

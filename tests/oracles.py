@@ -114,6 +114,62 @@ def interlacing_below(mu: Sequence[int]) -> Iterator[tuple[int, ...]]:
     yield from rec(0, [])
 
 
+def part(lam: Sequence[int], j: int) -> int:
+    """The j-th part (1-based), zero beyond the length."""
+    return lam[j - 1] if 1 <= j <= len(lam) else 0
+
+
+def interlaces(mu: Sequence[int], lam: Sequence[int]) -> bool:
+    """Whether mu >= lam >= mu shifted by one, read part by part with zero
+    padding up to max(len(mu), len(lam) + 1)."""
+    mu = check_partition(mu)
+    lam = check_partition(lam)
+    n = max(len(mu), len(lam) + 1)
+    for j in range(1, n + 1):
+        if not (part(mu, j) >= part(lam, j) >= part(mu, j + 1)):
+            return False
+    return True
+
+
+def skew_single(mu: Sequence[int], lam: Sequence[int], z, beta) -> Fraction:
+    """One-variable skew factor z^(|mu| - |lam|) times one 1 + beta*z per j
+    with mu_(j+1) != lam_j, multiplied in one at a time, after the same checks
+    in the same order as `grothendieck.skew_single`."""
+    mu = check_partition(mu)
+    lam = check_partition(lam)
+    if len(mu) != len(lam) + 1:
+        raise ParameterError("mu must have exactly one part more than lam")
+    z = Fraction(z)
+    beta = Fraction(beta)
+    if not interlaces(mu, lam):
+        return Fraction(0)
+    val = z ** (sum(mu) - sum(lam))
+    bz = beta * z
+    for j in range(1, len(lam) + 1):
+        if part(mu, j + 1) != part(lam, j):
+            val *= 1 + bz
+    return val
+
+
+def skew_multi_recursive(lam: Sequence[int], nu: Sequence[int], zs: Sequence, beta) -> Fraction:
+    """Multivariable skew polynomial as a chain sum from lam down to nu,
+    recursing over every interlacing chain in Fraction arithmetic, after the
+    same checks in the same order as `grothendieck.skew_multi`."""
+    lam = check_partition(lam)
+    nu = check_partition(nu)
+    zs = [Fraction(z) for z in zs]
+    if len(lam) != len(nu) + len(zs):
+        raise ParameterError("lengths must satisfy len(lam) = len(nu) + #variables")
+    if not zs:
+        return Fraction(1) if lam == nu else Fraction(0)
+    total = Fraction(0)
+    for kappa in interlacing_below(lam):
+        s = skew_single(lam, kappa, zs[0], beta)
+        if s:
+            total += s * skew_multi_recursive(kappa, nu, zs[1:], beta)
+    return total
+
+
 def admissible(m: Sequence[int], n: Sequence[int]) -> bool:
     """Whether the tail sums of m exceed those of n by 0 or 1 at every site."""
     if len(m) != len(n):

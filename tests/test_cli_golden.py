@@ -21,6 +21,8 @@ ROWS = [
     # README examples and other ordinary runs
     (('groth', 'eval', '--lam', '2,1', '--z', '1,2,3', '--beta', '0'), 0, '304f08beda120260f3b22d3746be91f60e2b6240496f2fd05c53770801c33174', None),
     (('groth', 'skew', '--mu', '3,1', '--lam', '', '--z', '2,3', '--beta', '1'), 0, '3e3bcf03319bbd3fa4aad2e11079ffab7c8b1985a98a263d7e945eb8ab35179d', None),
+    # a six-variable chain sum, the same value as when it recursed over every chain
+    (('groth', 'skew', '--mu', '5,4,3,2,1,0', '--lam', '', '--z', '2/3,3/5,4/7,5/9,6/11,7/13', '--beta', '1/2'), 0, '634b2185502d15a95a48edc7d7233d5d09d2dedbfb067e6e9f4ce01463a23ed7', None),
     (('groth', 'verify-cauchy', '--n', '2', '--width', '2', '--points', '3'), 0, '4cd6e54563f4dd2849781803a30506e79d090bfa799d2d26289493433f896003', None),
     (('groth', 'verify-sum', '--n', '2', '--width', '2', '--points', '3'), 0, '662b9f7fcefa1bbfd0b15ef5d976a646d79319614dfaeb3c38522f5f7db6579c', None),
     (('fv', 'wavefunction', '--sites', '5', '--x', '1,3', '--u', '2,3', '--beta', '-1'), 0, 'c45df445d5990792e55099b5f27b896610274fdbf00fd4d98085a5d9e6c36c26', None),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -201,6 +202,7 @@ def test_multivariable_skew_branching():
         assert got == want
     assert skew_multi((2, 1), (2, 1), (), beta) == 1
     assert skew_multi((2, 1), (1, 1), (), beta) == 0
+    assert skew_multi((2, 1), (2, 1), (), "beta is not read without variables") == 1
 
 
 def test_cauchy_identity_small():
@@ -336,3 +338,171 @@ def test_groth_dets_raise_what_groth_det_raises(lam, zs):
     assert _raised(groth_dets, [lam], zs, F(1, 2)) == want
     # a good shape in front changes nothing
     assert _raised(groth_dets, [(0,) * len(zs), lam], zs, F(1, 2)) == want
+
+
+SKEW_BETAS = (F(0), F(-1), F(1, 2), F(-2, 3), F(3))
+
+
+def _shapes(length):
+    return st.lists(st.integers(0, 3), min_size=length, max_size=length).map(
+        lambda parts: tuple(sorted(parts, reverse=True))
+    )
+
+
+@st.composite
+def skew_points(draw):
+    """(lam, nu, zs, beta): lam of at most 4 parts each at most 3, nu either
+    reached from lam by len(zs) interlacing steps or any shape of the right
+    length, among the zs, when drawn, z = 0 and the z at which 1 + beta*z
+    vanishes."""
+    beta = draw(st.sampled_from(SKEW_BETAS))
+    length = draw(st.integers(0, 4))
+    n = draw(st.integers(0, length))
+    lam = draw(_shapes(length))
+    if draw(st.booleans()):
+        nu = lam
+        for _ in range(n):
+            nu = draw(st.sampled_from(list(interlacing_below(nu))))
+    else:
+        nu = draw(_shapes(length - n))
+    zs = draw(st.lists(st.fractions(-4, 4, max_denominator=5), min_size=n, max_size=n))
+    for z in [F(0)] + ([-1 / beta] if beta else []):
+        if n and draw(st.booleans()):
+            zs[draw(st.integers(0, n - 1))] = z
+    return lam, nu, zs, beta
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(skew_points())
+def test_skew_multi_equals_the_recursive_chain_sum(point):
+    lam, nu, zs, beta = point
+    assert skew_multi(lam, nu, zs, beta) == oracles.skew_multi_recursive(lam, nu, zs, beta)
+
+
+def test_skew_single_equals_the_part_loop():
+    zs = (F(0), F(5, 2), F(-4, 3))
+    for m in range(1, 5):
+        for mu, lam in product(partitions_in_box(3, m), partitions_in_box(3, m - 1)):
+            for beta in SKEW_BETAS:
+                for z in zs + ((-1 / beta,) if beta else ()):
+                    got = skew_single(mu, lam, z, beta)
+                    assert got == oracles.skew_single(mu, lam, z, beta)
+                    assert type(got) is F
+
+
+@pytest.mark.parametrize(
+    "lam, nu, zs, beta",
+    [
+        ((0, 1), (0, 1), ["x"], "x"),  # lam is checked first
+        ((1, 0), (0, 1), ["x"], "x"),  # then nu
+        ((1.5, 0), (0,), [2], F(1)),  # a part that is not an integer
+        ((1, 0), (0, 0), ["x"], "x"),  # then the z, before the length
+        ((1, 0), (0, 0), [2], "x"),  # then the length, before beta
+        ((1, 0), (0,), [2], "x"),  # beta last
+        ((1, -1), (), [2, 3], F(1)),  # a negative part
+    ],
+)
+def test_skew_multi_raises_what_the_recursion_raises(lam, nu, zs, beta):
+    want = _raised(oracles.skew_multi_recursive, lam, nu, zs, beta)
+    assert _raised(skew_multi, lam, nu, zs, beta) == want
+    chain = _raised(oracles.skew_multi_recursive, lam, (), zs[::-1], beta)
+    assert _raised(groth_chain, lam, zs, beta) == chain
+
+
+@pytest.mark.parametrize(
+    "mu, lam, z, beta",
+    [
+        ((0, 1), (0, 1, 2), "x", "x"),  # mu is checked first
+        ((2, 1, 0), (0, 1), "x", "x"),  # then lam
+        ((2, 1), (0.5,), "x", "x"),  # a part that is not an integer
+        ((2, 1), (1, 0), "x", "x"),  # then the length
+        ((2, 1), (1,), "x", "x"),  # then z
+        ((2, 1), (1,), 2, "x"),  # then beta
+        ((2, 2), (1,), 2, "x"),  # beta even where mu does not interlace lam
+    ],
+)
+def test_skew_single_raises_what_the_part_loop_raises(mu, lam, z, beta):
+    want = _raised(oracles.skew_single, mu, lam, z, beta)
+    assert _raised(skew_single, mu, lam, z, beta) == want
+
+
+def test_parts_must_be_integers():
+    # int() used to truncate each part: (1.5, 0) read as G_(1,0), (2.9, 0.2) as G_(2,0)
+    zs, beta = (F(2), F(3)), F(1, 2)
+    for route in (groth_det, groth_chain):
+        for lam in ((1.5, 0), (2.9, 0.2), (F(5, 2), 1)):
+            with pytest.raises(ParameterError, match="^parts must be integers"):
+                route(lam, zs, beta)
+        assert route((2.0, F(1)), zs, beta) == route((2, 1), zs, beta)
+
+
+@pytest.mark.parametrize("beta", [F(-2, 3), F(3, 2), F(-1)])
+@pytest.mark.parametrize("width, n", [(3, 6), (4, 5)])
+def test_chain_equals_determinant_on_every_shape_of_a_wide_box(width, n, beta):
+    zs = generic_rationals(random.Random(f"groth-box:{width}x{n}"), n)
+    shapes = list(partitions_in_box(width, n))
+    assert [groth_chain(lam, zs, beta) for lam in shapes] == groth_dets(shapes, zs, beta)
+
+
+def _addition_sides(n, skew, beta):
+    """Both sides of the one-variable addition theorem for every shape of the
+    3-wide box of n parts, at seeded z."""
+    zs = generic_rationals(random.Random(f"groth-addition:{n}"), n)
+    mus = list(partitions_in_box(3, n))
+    right = [
+        sum(skew(mu, lam, zs[-1], beta) * groth_det(lam, zs[:-1], beta) for lam in interlacing_below(mu))
+        for mu in mus
+    ]
+    return groth_dets(mus, zs, beta), right
+
+
+def _branching_sides(skew, beta):
+    """Both sides of the branching rule in 2 + 1 variables for every shape of
+    the 3 x 3 box, at seeded z and w."""
+    rng = random.Random("groth-branching")
+    zs, ws = generic_rationals(rng, 2), generic_rationals(rng, 1, start=2)
+    lams, nus = list(partitions_in_box(3, 3)), list(partitions_in_box(3, 1))
+    right = [sum(skew(lam, nu, zs, beta) * groth_det(nu, ws, beta) for nu in nus) for lam in lams]
+    return groth_dets(lams, zs + ws, beta), right
+
+
+def _extra_factor_single(mu, lam, z, beta):
+    """A skew factor with (1 + beta z)^(k+1) in place of (1 + beta z)^k."""
+    return skew_single(mu, lam, z, beta) * (1 + beta * z)
+
+
+def _extra_factor_multi(lam, nu, zs, beta):
+    """A chain sum whose every skew factor has (1 + beta z)^(k+1)."""
+    out = skew_multi(lam, nu, zs, beta)
+    for z in zs:
+        out *= 1 + beta * z
+    return out
+
+
+IDENTITIES = {
+    **{
+        f"addition-{n}": (n, partial(_addition_sides, n), skew_single, _extra_factor_single)
+        for n in range(1, 5)
+    },
+    "branching-2+1": (3, _branching_sides, skew_multi, _extra_factor_multi),
+}
+
+
+@pytest.mark.parametrize("name", IDENTITIES)
+def test_identities_hold_at_every_beta(name):
+    """At fixed z each side is a polynomial in beta of degree at most
+    D = n(n-1)/2, n the number of variables, so agreeing at D + 1 distinct beta
+    they agree at every beta.  Self-checks: the (D + 1)-th difference of each
+    side over D + 2 equally spaced beta vanishes, the D-th of the determinant
+    side does not for some shape, and a skew factor with (1 + beta z)^(k+1)
+    breaks the agreement."""
+    n, sides, skew, mutant = IDENTITIES[name]
+    d = n * (n - 1) // 2
+    betas = [F(k, 3) - 1 for k in range(d + 2)]
+    left, right = zip(*(sides(skew, beta) for beta in betas))
+    left, right = list(zip(*left)), list(zip(*right))  # per shape, over beta
+    assert [v[: d + 1] for v in left] == [v[: d + 1] for v in right]
+    assert all(_top_difference(list(v)) == 0 for v in left + right)
+    assert any(_top_difference(list(v[: d + 1])) for v in left)
+    broken = [sides(mutant, beta) for beta in betas[: d + 1]]
+    assert any(lhs != rhs for lhs, rhs in broken)

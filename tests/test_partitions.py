@@ -45,6 +45,19 @@ def test_check_partition():
         check_partition([2, -1])
 
 
+def test_parts_and_positions_must_be_integers():
+    # int() used to truncate: (2.9, 0.2) read as (2, 0), positions (1, 2.5) as (1, 2)
+    for bad in [(1.5, 0), (2.9, 0.2), (3, 2.5), (1, 0.0, 1 / 3)]:
+        with pytest.raises(ParameterError, match="^parts must be integers"):
+            check_partition(bad)
+    with pytest.raises(ParameterError, match="^positions must be integers"):
+        partition_from_positions((1, 2.5))
+    assert check_partition((2.0, 1, 0.0)) == (2, 1, 0)
+    assert check_partition(iter([3, 1])) == (3, 1)
+    assert partition_from_positions((1.0, 3)) == (1, 0)
+    assert [type(p) for p in partition_from_positions((2.0, 3))] == [int, int]
+
+
 def test_part_is_one_based_and_padded():
     lam = (4, 2, 1)
     assert part(lam, 1) == 4
@@ -94,6 +107,19 @@ def test_interlaces_examples():
     assert not interlaces((2, 2), (1,))
     assert interlaces((2,), ())
     assert not interlaces((1, 1), ())
+
+
+def test_interlaces_equals_the_part_loop_at_any_lengths():
+    # every pair of shapes of at most 4 parts each at most 3, trailing zeros
+    # included, so lengths differ by anything from -4 to 4
+    shapes = [lam for n in range(5) for lam in partitions_in_box(3, n)]
+    for mu in shapes:
+        for lam in shapes:
+            assert interlaces(mu, lam) == oracles.interlaces(mu, lam), (mu, lam)
+    assert sum(interlaces(mu, lam) for mu in shapes for lam in shapes) > len(shapes)
+    for bad in [((1, 2), ()), ((), (0, 1)), ((1, -1), (0,)), ((1.5,), ())]:
+        with pytest.raises(ParameterError):
+            interlaces(*bad)
 
 
 def test_interlacing_below_matches_filter():

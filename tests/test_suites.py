@@ -253,6 +253,26 @@ def test_symmetry_cases_read_the_chain_sum(monkeypatch):
     assert [f["case"] for f in rep.failures] == ["groth.symmetry.0", "groth.symmetry.1"]
 
 
+def test_addition_and_branching_cases_read_the_skew_factors(monkeypatch):
+    """groth.addition names the first shape whose two sides differ, and
+    groth.branching fails when the chain sum does."""
+    real_single, real_multi = grothendieck.skew_single, grothendieck.skew_multi
+
+    def single(mu, lam, z, beta):
+        return real_single(mu, lam, z, beta) * (2 if sum(mu) >= 3 else 1)
+
+    monkeypatch.setattr(grothendieck, "skew_single", single)
+    monkeypatch.setattr(grothendieck, "skew_multi", lambda *args: 2 * real_multi(*args))
+    for seed in (1, 7):
+        rep = run_suite("groth", "small", seed, tags="groth.addition")
+        assert rep.failures == [{"case": "groth.addition", "box": [2, 2, 2], "witness": [1, 1, 1]}]
+        rep = run_suite("groth", "full", seed, tags="groth.branching")
+        assert rep.failures == [{"case": "groth.branching"}]
+    monkeypatch.setattr(grothendieck, "skew_single", real_single)
+    monkeypatch.setattr(grothendieck, "skew_multi", real_multi)
+    assert run_suite("groth", "full", 1, tags="groth.addition").failures == []
+
+
 def test_raising_check_is_a_failure_record(monkeypatch, capsys):
     cases = run_suite("mc", "small", 1).cases
     names = [case.name for case in SUITES["mc"]("small", random.Random("mc:1"))]
