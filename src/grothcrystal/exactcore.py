@@ -111,6 +111,8 @@ class LaurentPoly(_Ring):
         cleaned: dict[int, Fraction] = {}
         if coeffs:
             for e, c in coeffs.items():
+                if e != int(e):
+                    raise ValueError(f"exponents must be integers: {e}")
                 c = Fraction(c)
                 if c:
                     cleaned[int(e)] = c

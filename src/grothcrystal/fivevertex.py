@@ -18,6 +18,7 @@ transfer matrix; the R matrix is this module's own.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -171,13 +172,21 @@ def hamiltonian(num_sites: int, num_particles: int, beta: Fraction) -> Matrix:
     if u0 is None:
         raise ParameterError("-beta must be the square of a rational")
     direct = hamiltonian_direct(num_sites, num_particles, beta)
-    u = u0 + TruncatedSeries.indeterminate(1)
-    t = lattice.transfer_matrix(MODEL, num_sites, num_particles, u, beta)
-    scale = u**-num_sites
-    f = [[p * scale for p in row] for row in t]
-    f0, f1 = (Matrix([[p.coeff(e) for p in row] for row in f]) for e in (0, 1))
-    if f1.scale(u0 / 2) != f0 @ direct:
+    f0, f1 = _log_derivative_sides(num_sites, num_particles, beta, u0)
+    if f1 != f0 @ direct:
         raise IdentityError(
             f"transfer-matrix extraction disagrees on the {num_particles}-particle sector"
         )
     return direct
+
+
+def _log_derivative_sides(num_sites: int, num_particles: int, beta: Fraction, u0: Fraction):
+    """f(u0) and (u0/2) f'(u0): f is the transfer matrix of the weights over u
+    (one a site) at u = u0 + e over Q[e]/(e^2), read as two integer tables."""
+    model = MODEL._replace(weights=lambda u, b: tuple(x / u for x in _scalar_weights(u, b)))
+    u = u0 + TruncatedSeries.indeterminate(1)
+    f = lattice.transfer_matrix(model, num_sites, num_particles, u, beta)
+    den = math.lcm(*(x.den for row in f for x in row))
+    f0, f1 = ([[x.nums[e] * (den // x.den) for x in row] for row in f] for e in (0, 1))
+    u0_f1 = [[x * u0.numerator for x in row] for row in f1]
+    return Matrix.from_table(f0, den), Matrix.from_table(u0_f1, 2 * u0.denominator * den)

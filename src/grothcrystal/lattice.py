@@ -7,7 +7,11 @@ weights are a six-tuple w = (stay_empty, stay_occupied, pass_empty,
 pass_occupied, deposit, pickup) over a coefficient ring (Fraction,
 LaurentPoly, TruncatedSeries or float); a zero weight is an absent vertex.
 `vertices` lists the moves, `site_operator` lays them out as a matrix, and
-`path_sum` chains them along a row.  A chain state is an occupation tuple,
+`path_sum` chains them along a row.  `integer_chain` applies path sums one
+after another on integers: rational values cleared over the lcm of their
+denominators, truncated series over theirs as integer coefficient tuples,
+and one division at the end; Laurent polynomials and floats run the same
+loop as they are.  A chain state is an occupation tuple,
 site 0 first: the five-vertex chain is the phase model's with at most one
 particle per site, so the two differ only in a site's capacity, and
 `occupations` lists both sectors.
@@ -24,11 +28,14 @@ matrix it is checked against.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import IdentityError, ParameterError
-from .exactcore import Matrix, _rational, clear_denominators, embed_pair
+from .exactcore import Matrix, TruncatedSeries, _low_product, clear_denominators, embed_pair
 from .grothendieck import groth_dets
 from .partitions import complement
 
@@ -36,14 +43,19 @@ from .partitions import complement
 def occupations(num_sites: int, num_particles: int, capacity: int | None) -> list[tuple]:
     """The states of num_particles particles on num_sites sites holding at most
     `capacity` each (None: unbounded), site 0 first, in lexicographic order."""
+    return list(_occupations(num_sites, num_particles, capacity))
+
+
+@cache
+def _occupations(num_sites: int, num_particles: int, capacity: int | None) -> tuple[tuple, ...]:
     if num_sites <= 0:
-        return [()] if num_sites == num_particles == 0 else []
+        return ((),) if num_sites == num_particles == 0 else ()
     top = num_particles if capacity is None else min(capacity, num_particles)
-    return [
+    return tuple(
         (first,) + rest
         for first in range(top + 1)
-        for rest in occupations(num_sites - 1, num_particles - first, capacity)
-    ]
+        for rest in _occupations(num_sites - 1, num_particles - first, capacity)
+    )
 
 
 def vertices(a: int, n: int, w, capacity: int | None) -> list:
@@ -75,17 +87,59 @@ def site_operator(w, levels: int) -> Matrix:
 
 def path_sum(capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w) -> dict:
     """Apply one auxiliary-space entry of the monodromy matrix to a weighted
-    state: every path of the auxiliary line from a_in to a_out, site 0 first.
-    Over the rationals the loop runs on integers: with the weights scaled by
-    the lcm L of their denominators and the amplitudes by the lcm D of theirs,
-    each path gains D L^M (one weight per site), divided out once per sum."""
-    if not _rational((w, state.values())):
-        return _path_sum(capacity, num_sites, state, a_in, a_out, w, {})
-    w, scale = clear_denominators(w)
-    amps, den = clear_denominators(state.values())
-    sums = _path_sum(capacity, num_sites, dict(zip(state, amps)), a_in, a_out, w, {})
-    den *= scale**num_sites
-    return {s: Fraction(c, den) for s, c in sums.items()}
+    state: every path of the auxiliary line from a_in to a_out, site 0 first,
+    as a one-step `integer_chain`."""
+    sums, den, build = integer_chain(capacity, num_sites, state, [(a_in, a_out, w)])
+    return {s: build(c, den) for s, c in sums.items()}
+
+
+class _Coeffs(tuple):
+    """Integer series coefficients: * is the truncated product, + termwise."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return _Coeffs(_low_product(self, other))
+
+    def __add__(self, other):
+        return _Coeffs(map(operator.add, self, other))
+
+    def __bool__(self) -> bool:
+        return any(self)
+
+
+def _clearing(values) -> tuple[Callable, Callable]:
+    """(clear, build), clear(xs) = (forms, den) with xs[i] = build(forms[i],
+    den): rationals clear to ints and truncated series (rationals lifted) to
+    `_Coeffs`, over the lcm of their denominators; other rings stay, over 1."""
+    kinds = {type(x) for x in values}
+    if kinds <= {int, bool, Fraction}:
+        return clear_denominators, Fraction
+    if not kinds <= {int, bool, Fraction, TruncatedSeries}:
+        return (lambda xs: (list(xs), 1)), (lambda x, den: x)
+    like = next(x for x in values if type(x) is TruncatedSeries)
+
+    def clear(xs):
+        xs = [like._lift(x) for x in xs]  # another order raises ValueError
+        den = math.lcm(*(x.den for x in xs))
+        return [_Coeffs(n * (den // x.den) for n in x.nums) for x in xs], den
+
+    return clear, lambda c, den: TruncatedSeries._raw(tuple(c), den)
+
+
+def integer_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[dict, int, Callable]:
+    """(sums, den, build): `steps`, (a_in, a_out, w) each, applied in turn to
+    a weighted state, the amplitude at s being build(sums[s], den).  den is
+    the lcm D of the amplitudes' denominators times L^M for each step, L that
+    of its weights (one a site): the chain divides only when built."""
+    clear, build = _clearing([*state.values(), *(x for *_, w in steps for x in w)])
+    amps, den = clear(state.values())
+    state = dict(zip(state, amps))
+    for a_in, a_out, w in steps:
+        w, scale = clear(w)
+        state = _path_sum(capacity, num_sites, state, a_in, a_out, w, {})
+        den *= scale**num_sites
+    return state, den, build
 
 
 def _path_sum(
@@ -100,7 +154,7 @@ def _path_sum(
         raise ParameterError("the state does not fit the chain")
     out: dict = {}
     for src, amp in state.items():
-        if amp == 0:
+        if not amp:
             continue
         frontier = {(a_in, ()): amp}
         for n in src:
@@ -122,7 +176,7 @@ def _path_sum(
                 out[built] = out[built] + c
             else:
                 out[built] = c
-    return {s: c for s, c in out.items() if not c == 0}
+    return {s: c for s, c in out.items() if c}
 
 
 class Model(NamedTuple):
@@ -169,11 +223,10 @@ def lattice_amplitudes(model: Model, num_sites: int, params, beta, dual=False) -
     <state| B(p_1)...B(p_N) |empty chain>, or for the dual state ->
     <empty chain| C(p_1)...C(p_N) |state> = <state| B~(p_N)...B~(p_1) |empty
     chain>, B~ being B with the `_transposed` weights."""
-    state = {model.sector(num_sites, 0)[0]: Fraction(1)}
-    for p in params if dual else reversed(params):
-        w = model.weights(Fraction(p), Fraction(beta))
-        state = path_sum(model.capacity, num_sites, state, 1, 0, _transposed(w) if dual else w)
-    return state
+    ws = [model.weights(Fraction(p), Fraction(beta)) for p in (params if dual else reversed(params))]
+    steps = [(1, 0, _transposed(w) if dual else w) for w in ws]
+    sums, den, build = integer_chain(model.capacity, num_sites, {model.sector(num_sites, 0)[0]: 1}, steps)
+    return {s: build(c, den) for s, c in sums.items()}
 
 
 def lattice_amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
@@ -181,11 +234,11 @@ def lattice_amplitude(model: Model, num_sites: int, config, params, beta, dual=F
     config's state to the empty chain: C(p_N) first for the dual, and C~(p_1)
     first for <config| B(p_1)...B(p_N) |empty chain> = <empty chain|
     C~(p_N)...C~(p_1) |config>, C~ being C with the `_transposed` weights."""
-    state = {model.configuration(num_sites, config, params, beta): Fraction(1)}
-    for p in reversed(params) if dual else params:
-        w = model.weights(Fraction(p), Fraction(beta))
-        state = path_sum(model.capacity, num_sites, state, 0, 1, w if dual else _transposed(w))
-    return state.get(model.sector(num_sites, 0)[0], Fraction(0))
+    state = {model.configuration(num_sites, config, params, beta): 1}
+    ws = [model.weights(Fraction(p), Fraction(beta)) for p in (reversed(params) if dual else params)]
+    steps = [(0, 1, w if dual else _transposed(w)) for w in ws]
+    sums, den, build = integer_chain(model.capacity, num_sites, state, steps)
+    return build(sums.get(model.sector(num_sites, 0)[0], 0), den)
 
 
 def closed_amplitudes(model: Model, num_sites: int, states, params, beta, dual=False) -> list:
@@ -217,17 +270,23 @@ def transfer_matrix(model: Model, num_sites: int, num_particles: int, p, beta) -
     """A(p) + D(p) on the n-particle sector as rows over the ring of p, in
     `model.sector` order: exact at a Fraction, Laurent polynomials at
     LaurentPoly.var(), truncated series at a TruncatedSeries, floats at a
-    float."""
+    float.  Each entry is summed on the weights cleared as in `integer_chain`
+    and built once."""
     basis = model.sector(num_sites, num_particles)
-    w = model.weights(p, beta)
     index = {s: i for i, s in enumerate(basis)}
-    one = w[0] ** 0
-    rows = [[one * 0] * len(basis) for _ in basis]
+    w = model.weights(p, beta)
+    zero = w[0] * 0
+    rows = [[zero] * len(basis) for _ in basis]
+    clear, build = _clearing(w)
+    (one,), _ = clear([w[0] ** 0])
+    w, scale = clear(w)
     table: dict = {}  # one move table for every column
     for col, s in enumerate(basis):
-        for a in (0, 1):  # A, then D
-            for t, c in _path_sum(model.capacity, num_sites, {s: one}, a, a, w, table).items():
-                rows[index[t]][col] += c
+        entries = _path_sum(model.capacity, num_sites, {s: one}, 0, 0, w, table)  # A
+        for t, c in _path_sum(model.capacity, num_sites, {s: one}, 1, 1, w, table).items():  # D
+            entries[t] = entries[t] + c if t in entries else c
+        for t, c in entries.items():
+            rows[index[t]][col] = build(c, scale**num_sites)
     return rows
 
 

@@ -141,7 +141,7 @@ def admissible(m: Sequence[int], n: Sequence[int]) -> bool:
 def normalize_plane_partition(rows: Sequence[Sequence[int]]) -> PlanePartition:
     out = []
     for row in rows:
-        row = tuple(int(v) for v in row)
+        row = _integers(row, "entries")
         while row and row[-1] == 0:
             row = row[:-1]
         if row:

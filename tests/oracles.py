@@ -4,9 +4,9 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from grothcrystal import lattice
+from grothcrystal import fivevertex, lattice
 from grothcrystal.errors import DegeneratePointError, OutOfBoxError, ParameterError
-from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, vandermonde
+from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, rational_sqrt, vandermonde
 from grothcrystal.partitions import check_partition
 
 
@@ -63,6 +63,28 @@ def chain(apply, model, num_sites: int, params, beta, state: dict) -> dict:
     for p in reversed(params):
         state = apply(model, num_sites, p, beta, state)
     return state
+
+
+def path_sum_chain(capacity, num_sites: int, state: dict, steps) -> dict:
+    """`lattice.path_sum` one (a_in, a_out, weights) step at a time, each
+    step's sums built before the next: the chain that divides after every
+    operator, which `lattice.integer_chain` replaces."""
+    for a_in, a_out, w in steps:
+        state = lattice.path_sum(capacity, num_sites, state, a_in, a_out, w)
+    return state
+
+
+def hamiltonian_extraction_series(num_sites: int, num_particles: int, beta) -> tuple:
+    """f(u0) and (u0/2) f'(u0) for the five-vertex f(u) = u^-M T(u) at
+    u0 = sqrt(-beta): T(u0 + e) over Q[e]/(e^2) times the series u^-M entry by
+    entry, each coefficient matrix read one entry at a time."""
+    u0 = rational_sqrt(-Fraction(beta))
+    u = u0 + TruncatedSeries.indeterminate(1)
+    t = lattice.transfer_matrix(fivevertex.MODEL, num_sites, num_particles, u, beta)
+    scale = u**-num_sites
+    f = [[p * scale for p in row] for row in t]
+    f0, f1 = (Matrix([[p.coeff(e) for p in row] for row in f]) for e in (0, 1))
+    return f0, f1.scale(u0 / 2)
 
 
 def closed_amplitude(model, num_sites: int, config, params, beta, dual=False) -> Fraction:

@@ -46,6 +46,9 @@ ROWS = [
     (('--json', '--seed', '1', 'verify', 'all', '--scale', 'small'), 0, '65513ba76eb08ce49f20b78933797560939266428d326ed2682251434b1d6111', None),
     (('--json', 'mc', 'entropy', '--mu', '1', '--temps', '1.0', '--betas', '0'), 0, '64dfe47543f647136ed1593b202a0264c372bfd669071b7efd41eba702843ada', None),
     (('--seed', '9', 'sv6', 'verify'), 0, 'c8427e54e601a5785a64a9534c6d5e621e8014d4e109a34f53fca9a9768990ad', None),
+    # the five-vertex Hamiltonian extraction at full scale, recorded while it
+    # multiplied truncated series per vertex
+    (('--seed', '1', 'fv', 'verify', '--suite', 'hamiltonian', '--scale', 'full'), 0, '471001f1f19d875ec93918099842844a76390049115dcab1432077f0723ad135', None),
     (('pm', 'verify', '--suite', 'thm52'), 0, '6291a193bee9c1005266cac71570190d191aed1e367d406e36bc59adb99c70e6', None),
     # bad input
     (('groth', 'eval', '--lam', '1,x', '--z', '1'), 2, EMPTY, "error: invalid literal for int() with base 10: 'x'"),

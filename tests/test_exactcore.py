@@ -63,6 +63,16 @@ def test_laurent_equality_lifts_scalars():
     assert LaurentPoly.const(F(3, 2)) == F(3, 2)
 
 
+def test_laurent_exponents_must_be_integers():
+    # int() used to truncate: {1.5: 1} read as u^1
+    for bad in ({1.5: 1}, {0: 1, F(1, 2): 3}):
+        with pytest.raises(ValueError, match="^exponents must be integers"):
+            LaurentPoly(bad)
+    p = LaurentPoly({2.0: 1, F(-3): 2, True: 5})
+    assert p.coeffs == {2: 1, -3: 2, 1: 5}
+    assert all(type(e) is int for e in p.coeffs)
+
+
 def test_vandermonde_determinant():
     xs = [F(1), F(2), F(3), F(5)]
     m = Matrix([[x ** i for x in xs] for i in range(4)])

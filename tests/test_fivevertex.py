@@ -5,9 +5,10 @@ from itertools import combinations, product
 import pytest
 import oracles
 
+from grothcrystal import fivevertex as fv
 from grothcrystal import lattice
-from grothcrystal.errors import ParameterError, PoleError
-from grothcrystal.exactcore import LaurentPoly, Matrix
+from grothcrystal.errors import IdentityError, ParameterError, PoleError
+from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, rational_sqrt
 from grothcrystal.fivevertex import (
     MODEL,
     check_rll,
@@ -180,6 +181,38 @@ def test_hamiltonian_extraction_matches_direct():
         for n in range(5):
             h = hamiltonian(4, n, beta)
             assert h == hamiltonian_direct(4, n, beta)
+
+
+def test_integer_extraction_is_the_series_extraction():
+    # f(u0) and (u0/2) f'(u0) read off integer tables of the weights over u
+    # equal the series route, T(u0 + e) times u^-M entry by entry
+    for beta in (F(-1), F(-4), F(-1, 4)):
+        u0 = rational_sqrt(-beta)
+        for m in range(7):
+            for n in range(m + 1):
+                want = oracles.hamiltonian_extraction_series(m, n, beta)
+                assert fv._log_derivative_sides(m, n, beta, u0) == want, (m, n, beta)
+
+
+@pytest.mark.parametrize("beta", [F(-1), F(-1, 4)])
+def test_extraction_fails_on_a_perturbed_derivative_entry(monkeypatch, beta):
+    # e added to any one entry of the transfer matrix moves (u0/2) f'(u0)
+    # and not f(u0) H
+    real = lattice.transfer_matrix
+    m, n = 4, 2
+    size = len(sector_basis(m, n))
+    for r, c in product(range(size), repeat=2):
+
+        def perturbed(*args):
+            rows = real(*args)
+            rows[r][c] = rows[r][c] + TruncatedSeries.indeterminate(1)
+            return rows
+
+        monkeypatch.setattr(lattice, "transfer_matrix", perturbed)
+        with pytest.raises(IdentityError, match="^transfer-matrix extraction disagrees on the 2-p"):
+            hamiltonian(m, n, beta)
+    monkeypatch.setattr(lattice, "transfer_matrix", real)
+    assert hamiltonian(m, n, beta) == hamiltonian_direct(m, n, beta)
 
 
 def test_one_site_hamiltonian_keeps_the_wrap_bond():

@@ -5,10 +5,12 @@ states are occupation tuples from one enumerator, and the five-vertex and
 phase-model sectors carry the same partitions.  On its float ring, which
 only the Bethe numerics use, it agrees with the exact Laurent transfer
 matrices.  The one weight function per model serves all three rings.  The
-sector tables equal the per-state operator chains, a path sum over the
-rationals, run on integers, equals the ring-generic loop, and each one-state
-lookup, a chain from the state down to the empty chain, equals its table
-without building one.  Each five-vertex wavefunction, forward and dual, is a
+sector tables equal the per-state operator chains and the chains that build
+their values after every step; a path sum, a transfer matrix and a chain of
+path sums over the rationals or over truncated series, run on integers,
+equal the ring-generic loop, and a series transfer matrix multiplies no
+series per vertex; each one-state lookup, a chain from the state down to
+the empty chain, equals its table without building one.  Each five-vertex wavefunction, forward and dual, is a
 phase-model one up to a factor, path sum against path sum (the boson-fermion
 correspondence).  The lattice, closed and self-checked amplitude routes
 of each model, forward and dual, accept and refuse the same inputs, and the
@@ -31,7 +33,7 @@ from grothcrystal import lattice
 from grothcrystal import phasemodel as pm
 from grothcrystal import sixvertex as sv
 from grothcrystal.errors import ParameterError, PoleError
-from grothcrystal.exactcore import LaurentPoly, Matrix, rational_sqrt
+from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, rational_sqrt
 from grothcrystal.suites import _BETA_PALETTE, _skew_norm
 
 
@@ -263,6 +265,136 @@ def test_rational_path_sums_are_the_ring_generic_loop(args):
     got = lattice.path_sum(*args)
     assert got == lattice._path_sum(*args, {})
     assert all(type(c) is F and c != 0 for c in got.values())
+
+
+def _series(order: int):
+    """Series through q^order whose coefficients are zero, ints or Fractions
+    of mixed denominators, the zero series included."""
+    coeffs = st.lists(_weights, min_size=order + 1, max_size=order + 1)
+    return coeffs.map(TruncatedSeries)
+
+
+@st.composite
+def _series_path_sums(draw):
+    """`_rational_path_sums` at a series order 0..3: each weight and amplitude
+    zero, rational or a series, and at least one weight a series."""
+    capacity, num_sites, state, a_in, a_out, w = draw(_rational_path_sums())
+    series = _series(draw(st.integers(0, 3)))
+    w = [draw(st.one_of(st.just(x), series)) for x in w]
+    w[draw(st.integers(0, 5))] = draw(series)
+    state = {s: draw(st.one_of(st.just(c), series)) for s, c in state.items()}
+    return capacity, num_sites, state, a_in, a_out, tuple(w)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_series_path_sums())
+def test_series_path_sums_are_the_ring_generic_loop(args):
+    # the lift to integer coefficient tuples equals the loop run on the
+    # TruncatedSeries as given, and every sum it returns is a nonzero series
+    got = lattice.path_sum(*args)
+    assert got == lattice._path_sum(*args, {})
+    assert all(type(c) is TruncatedSeries and c for c in got.values())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_series_path_sums())
+def test_series_transfer_matrices_are_the_ring_generic_loop(args):
+    # A + D summed on integers and built once per entry equals the sum of the
+    # two generic path sums per column, for every sector of the chain
+    capacity, num_sites, _, _, _, w = args
+    model = (fv.MODEL if capacity == 1 else pm.MODEL)._replace(weights=lambda p, beta: w)
+    for n in range(3):
+        basis = model.sector(num_sites, n)
+        columns = [[lattice._path_sum(capacity, num_sites, {s: 1}, a, a, w, {}) for a in (0, 1)] for s in basis]
+        want = [[a.get(r, 0) + d.get(r, 0) for a, d in columns] for r in basis]
+        assert lattice.transfer_matrix(model, num_sites, n, None, None) == want
+
+
+@st.composite
+def _chains(draw):
+    """A start as in `_rational_path_sums` and one to three steps on its
+    chain, all rational or, at one series order, each weight and amplitude
+    possibly a series."""
+    capacity, num_sites, state, *step = draw(_rational_path_sums())
+    steps = [tuple(step)]
+    for _ in range(draw(st.integers(0, 2))):
+        steps.append(draw(_rational_path_sums())[3:])
+    if draw(st.booleans()):
+        series = _series(draw(st.integers(0, 3)))
+        lift = lambda x: draw(st.one_of(st.just(x), series))  # noqa: E731
+        state = {s: lift(c) for s, c in state.items()}
+        steps = [(a_in, a_out, tuple(map(lift, w))) for a_in, a_out, w in steps]
+    return capacity, num_sites, state, steps
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_chains())
+def test_integer_chains_are_the_generic_loop_step_by_step(args):
+    # one division at the end of the chain gives what the ring-generic loop
+    # gives one step at a time on the values as given
+    capacity, num_sites, state, steps = args
+    sums, den, build = lattice.integer_chain(capacity, num_sites, state, steps)
+    want = state
+    for a_in, a_out, w in steps:
+        want = lattice._path_sum(capacity, num_sites, want, a_in, a_out, w, {})
+    assert {s: build(c, den) for s, c in sums.items()} == want
+
+
+@pytest.mark.parametrize(
+    "model, config, m_max, betas",
+    [
+        (fv.MODEL, lambda s: tuple(j + 1 for j, n in enumerate(s) if n), 6, (F(-1, 2), F(2))),
+        (pm.MODEL, tuple, 4, (F(0), F(-1, 2), F(2))),
+    ],
+    ids=["fv", "pm"],
+)
+def test_chains_divide_once_as_the_step_by_step_chain(model, config, m_max, betas):
+    """A sector table, forward and dual, and each one-state lookup equal the
+    chain of `path_sum` calls that builds its values after every operator."""
+    ps = (F(7, 5), F(3), F(-5, 2))
+    for m, beta, n, dual in product(range(1, m_max + 1), betas, range(4), (False, True)):
+        ws = [model.weights(p, beta) for p in ps[:n]]
+        up = [(1, 0, lattice._transposed(w)) for w in ws] if dual else [(1, 0, w) for w in ws[::-1]]
+        down = [(0, 1, w) for w in ws[::-1]] if dual else [(0, 1, lattice._transposed(w)) for w in ws]
+        empty = model.sector(m, 0)[0]
+        want = oracles.path_sum_chain(model.capacity, m, {empty: F(1)}, up)
+        assert lattice.lattice_amplitudes(model, m, ps[:n], beta, dual) == want
+        for s in model.sector(m, n):
+            one = oracles.path_sum_chain(model.capacity, m, {s: F(1)}, down).get(empty, 0)
+            got = lattice.lattice_amplitude(model, m, config(s), ps[:n], beta, dual)
+            assert got == one == want.get(s, 0)
+            assert type(got) is F
+
+
+@pytest.mark.parametrize("model, calls", [(fv.MODEL, 5), (pm.MODEL, 4)], ids=["fv", "pm"])
+def test_series_transfer_matrices_multiply_no_series_per_vertex(monkeypatch, model, calls):
+    # the weights and the zero entry take a fixed number of series products;
+    # every vertex product runs on integer coefficient tuples, whatever the
+    # chain length and sector size
+    real, counted = TruncatedSeries.__mul__, []
+
+    def mul(self, other):
+        counted.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", mul)
+    u = F(3, 2) + TruncatedSeries.indeterminate(2)
+    for m, n in product(range(1, 7), range(4)):
+        counted.clear()
+        lattice.transfer_matrix(model, m, n, u, F(-1, 3))
+        assert len(counted) == calls, (m, n)
+
+
+def test_occupations_hand_out_a_fresh_list_each_call():
+    # one cached enumeration per sector; a caller's edits do not reach it
+    want = lattice.occupations(4, 2, None)
+    got = lattice.occupations(4, 2, None)
+    assert got == want and got is not want
+    got.append((9, 9, 9, 9))
+    got[0] = None
+    assert lattice.occupations(4, 2, None) == want
+    assert fv.sector_basis(3, 1) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import oracles
 import pytest
 
 from grothcrystal.errors import OutOfBoxError, ParameterError
+from grothcrystal.meltingcrystal import weight_phi
 from grothcrystal.partitions import (
     admissible,
     all_diagonal_slices,
@@ -224,6 +227,20 @@ def test_check_plane_partition():
         check_plane_partition(((1, 2),))
     with pytest.raises(ParameterError):
         check_plane_partition(((1,), (2,)))
+
+
+def test_plane_partition_entries_must_be_integers():
+    # int() used to truncate: [[2.7, 1.2]] read as ((2, 1),), in the slices too
+    for bad in ([[2.7, 1.2]], [[3, 2], [1.5]], [[2, Fraction(1, 2)]]):
+        with pytest.raises(ParameterError, match="^entries must be integers"):
+            check_plane_partition(bad)
+        with pytest.raises(ParameterError, match="^entries must be integers"):
+            all_diagonal_slices(bad)
+        with pytest.raises(ParameterError, match="^entries must be integers"):
+            weight_phi(bad, Fraction(1, 2), Fraction(1), 2)
+    pi = check_plane_partition([[2.0, Fraction(1)], [True, 0]])
+    assert pi == ((2, 1), (1,))
+    assert [type(v) for row in pi for v in row] == [int, int, int]
 
 
 def test_boxed_counts():

@@ -5,13 +5,16 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import oracles
 import pytest
 
 import grothcrystal
+from grothcrystal import fivevertex as fv
 from grothcrystal import grothendieck, lattice, meltingcrystal, suites, workqueue
+from grothcrystal import phasemodel as pm
 from grothcrystal.cli import main
 from grothcrystal.errors import ParameterError
 from grothcrystal.exactcore import LaurentPoly
@@ -251,6 +254,56 @@ def test_symmetry_cases_read_the_chain_sum(monkeypatch):
     rep = run_suite("groth", "small", 1, tags="groth.symmetry")
     assert rep.cases == 2
     assert [f["case"] for f in rep.failures] == ["groth.symmetry.0", "groth.symmetry.1"]
+
+
+def test_shape_cases_take_their_determinants_from_one_batch(monkeypatch):
+    """groth.symmetry, groth.schur-limit and groth.chain each take G_lam for
+    every shape of the box from one `groth_dets` call, none from `groth_det`."""
+    real, calls = grothendieck.groth_dets, []
+
+    def batch(shapes, zs, beta):
+        calls.append(len(shapes))
+        return real(shapes, zs, beta)
+
+    def one(*args):
+        raise AssertionError("a shape case took one determinant at a time")
+
+    monkeypatch.setattr(grothendieck, "groth_dets", batch)
+    monkeypatch.setattr(grothendieck, "groth_det", one)
+    names = ("groth.symmetry", "groth.schur-limit", "groth.chain")
+    for scale, cases, shapes in (("small", 5, 6), ("full", 7, 20)):
+        kept = [c for c in SUITES["groth"](scale, random.Random("groth:1")) if c.name.startswith(names)]
+        assert len(kept) == cases
+        for case in kept:
+            calls.clear()
+            assert case.check() is True
+            assert calls == [shapes], case.name
+
+
+def _noncommuting_weights(p, beta):
+    """Six weights at which B(u) and B(v) do not commute on either chain."""
+    return (p, p + F(1, 2), 2 * p + F(1, 3), -p, 1 / p, p * p + beta)
+
+
+@pytest.mark.parametrize("model", [fv.MODEL, pm.MODEL], ids=["fv", "pm"])
+def test_b_commute_fails_on_weights_that_do_not_commute(model):
+    """The integer route compares B(u)B(v) with B(v)B(u) over their shared
+    denominator; sector by sector its verdict is the one of the route that
+    builds every amplitude after every B, and it fails the broken weights."""
+    u, v, beta = F(7, 5), F(3), F(-1, 2)
+    sectors = [(m, n) for m in (2, 3, 4) for n in range(4) if model.capacity is None or n <= m]
+    verdicts = {}
+    for weights in (model.weights, _noncommuting_weights):
+        at = model._replace(weights=weights)
+        for m, n in sectors:
+
+            def b_b(first, second, s):
+                return lattice.apply_b(at, m, second, beta, lattice.apply_b(at, m, first, beta, {s: 1}))
+
+            stepwise = all(b_b(u, v, s) == b_b(v, u, s) for s in at.sector(m, n))
+            assert suites._b_commute(at, [(m, n)], u, v, beta) == stepwise, (m, n)
+        verdicts[weights] = suites._b_commute(at, sectors, u, v, beta)
+    assert verdicts == {model.weights: True, _noncommuting_weights: False}
 
 
 def test_addition_and_branching_cases_read_the_skew_factors(monkeypatch):
