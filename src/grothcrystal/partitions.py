@@ -94,6 +94,15 @@ def interlacing_below(mu: Sequence[int]) -> Iterator[Partition]:
     return itertools.product(*(range(low, high + 1) for high, low in zip(mu, mu[1:])))
 
 
+def interlacing_above(lam: Sequence[int], top: int) -> Iterator[Partition]:
+    """All mu with len(mu) = len(lam) + 1, mu_1 <= top and mu interlacing lam,
+    in ascending lexicographic order: part j of mu ranges over [lam_j,
+    lam_(j-1)] on its own, with lam_0 = top and lam_(n+1) = 0."""
+    lam = check_partition(lam)
+    (top,) = _integers([top], "top")
+    return itertools.product(*(range(low, high + 1) for high, low in zip((top, *lam), (*lam, 0))))
+
+
 def partition_from_positions(x: Sequence[int]) -> Partition:
     x = _integers(x, "positions")
     for a, b in zip(x, x[1:]):

@@ -167,20 +167,27 @@ def _wavefunction_cases(model: lattice.Model, tag, d, m, ps, beta) -> Iterator[C
     yield Case(f"{tag}.wavefunction-dual.{sector_name}", partial(sector, True), {"beta": beta})
 
 
-def _skew_pairs(model: lattice.Model, m: int, n_max: int, p: Fraction, beta: Fraction):
-    """A generator function over (n, lower, upper, <upper|B(p)|lower>): lower
-    an n-particle state, upper an (n + 1)-particle one, n <= n_max; one cached
-    B image per lower."""
-    image = cache(lambda lower: lattice.apply_b(model, m, p, beta, {lower: Fraction(1)}))
+def _skew_lowers(model: lattice.Model, m: int, n_max: int, p: Fraction, beta: Fraction):
+    """A cached function listing (n, lower, lam, image, uppers) for every lower
+    state of n <= n_max particles: lam its partition, image its B(p) image
+    {upper: amp}, amp != 0, and uppers {mu: upper} over the (n + 1)-particle
+    states whose partitions mu interlace lam.  Only those can be in the image,
+    so a check on them decides every (lower, upper) pair."""
 
-    def pairs():
+    @cache
+    def lowers():
+        out = []
         for n in range(n_max + 1):
-            uppers = model.sector(m, n + 1)
+            by_part = {model.partition(s): s for s in model.sector(m, n + 1)}
+            top = max(mu[0] for mu in by_part)
             for lower in model.sector(m, n):
-                for upper in uppers:
-                    yield n, lower, upper, image(lower).get(upper, Fraction(0))
+                lam = model.partition(lower)
+                image = lattice.apply_b(model, m, p, beta, {lower: Fraction(1)})
+                uppers = {mu: by_part[mu] for mu in pt.interlacing_above(lam, top)}
+                out.append((n, lower, lam, image, uppers))
+        return out
 
-    return pairs
+    return lowers
 
 
 def _skew_norm(model: lattice.Model, m: int, p: Fraction, beta: Fraction, n: int) -> Fraction:
@@ -189,15 +196,18 @@ def _skew_norm(model: lattice.Model, m: int, p: Fraction, beta: Fraction, n: int
     return model.prefactor(m, [p] * n, beta) / model.prefactor(m, [p] * (n + 1), beta)
 
 
-def _skew_element(model: lattice.Model, pairs, m: int, p: Fraction, beta: Fraction) -> bool:
-    """norm(n) <upper|B(p)|lower> is the single-variable skew polynomial of the
-    two states' partitions at z(p); norm runs once per n and partition once
-    per state."""
-    at, norm = model.spectral_map(p, beta), cache(partial(_skew_norm, model, m, p, beta))
-    part = cache(model.partition)
+def _skew_element(model: lattice.Model, lowers, m: int, p: Fraction, beta: Fraction) -> bool:
+    """norm(n) <upper|B(p)|lower> is the single-variable skew polynomial
+    z^e (1 + beta z)^k of the two states' partitions at z(p), (e, k) their
+    `_skew_exponents`: each image, scaled, equals the nonzero values over the
+    interlacing uppers, and vanishes off them.  norm runs once per n and the
+    value once per (e, k)."""
+    z, norm = model.spectral_map(p, beta), cache(partial(_skew_norm, model, m, p, beta))
+    value = cache(lambda e, k: z**e * (1 + beta * z) ** k)
     return all(
-        norm(n) * amp == gr.skew_single(part(upper), part(lower), at, beta)
-        for n, lower, upper, amp in pairs()
+        {upper: norm(n) * amp for upper, amp in image.items()}
+        == {upper: v for mu, upper in uppers.items() if (v := value(*gr._skew_exponents(mu, lam)))}
+        for n, _, lam, image, uppers in lowers()
     )
 
 
@@ -290,10 +300,17 @@ def _suite_groth(scale: str, rng: random.Random) -> Iterator[Case]:
 # -- five-vertex model --------------------------------------------------------
 
 
-def _skew_rotation(pairs, m: int, u: Fraction, beta: Fraction) -> bool:
-    """<y|B(u)|x> equals <x reversed|C(u)|y reversed>; one cached C image per y."""
-    image = cache(lambda y: lattice.apply_c(fv.MODEL, m, u, beta, {y[::-1]: Fraction(1)}))
-    return all(image(y).get(x[::-1], Fraction(0)) == amp for _, x, y, amp in pairs())
+def _skew_rotation(lowers, m: int, n_max: int, u: Fraction, beta: Fraction) -> bool:
+    """<y|B(u)|x> equals <x reversed|C(u)|y reversed>: the nonzero B images and
+    the C images, one per upper state y, as two {(x, y): amp} tables."""
+    b_table = {(x, y): amp for _, x, _, image, _ in lowers() for y, amp in image.items()}
+    c_table = {
+        (x[::-1], y): amp
+        for n in range(1, n_max + 2)
+        for y in fv.MODEL.sector(m, n)
+        for x, amp in lattice.apply_c(fv.MODEL, m, u, beta, {y[::-1]: Fraction(1)}).items()
+    }
+    return b_table == c_table
 
 
 def _tasep_structure(m: int) -> bool:
@@ -324,10 +341,11 @@ def _suite_fv(scale: str, rng: random.Random) -> Iterator[Case]:
     m = _pick(scale, 5, 6)
     beta = generic_beta(rng, nonzero=True)
     u = generic_rationals(rng, 1)[0]
-    pairs = _skew_pairs(fv.MODEL, m, 2, u, beta)
-    check = partial(_skew_element, fv.MODEL, pairs, m, u, beta)
+    lowers = _skew_lowers(fv.MODEL, m, 2, u, beta)
+    check = partial(_skew_element, fv.MODEL, lowers, m, u, beta)
     yield Case(f"fv.skew.M{m}", check, {"beta": beta})
-    yield Case(f"fv.skew-rotation.M{m}", partial(_skew_rotation, pairs, m, u, beta), {"beta": beta})
+    check = partial(_skew_rotation, lowers, m, 2, u, beta)
+    yield Case(f"fv.skew-rotation.M{m}", check, {"beta": beta})
 
     m_max = _pick(scale, 4, 6)
     beta = generic_beta(rng, nonzero=True)
@@ -352,9 +370,10 @@ def _suite_fv(scale: str, rng: random.Random) -> Iterator[Case]:
 # -- phase model --------------------------------------------------------------
 
 
-def _skew_support(pairs) -> bool:
-    """<upper|B|lower> is nonzero exactly when the two states are admissible."""
-    return all(pt.admissible(upper, lower) == (amp != 0) for _, lower, upper, amp in pairs())
+def _skew_support(lowers) -> bool:
+    """<upper|B|lower> is nonzero exactly when the two states' partitions
+    interlace: each image's states are the interlacing uppers."""
+    return all(image.keys() == set(uppers.values()) for *_, image, uppers in lowers())
 
 
 def _bethe(m: int, beta: Fraction):
@@ -382,10 +401,10 @@ def _suite_pm(scale: str, rng: random.Random) -> Iterator[Case]:
     m_sk, n_sk = _pick(scale, (4, 2), (5, 3))
     beta = generic_beta(rng)
     v = generic_rationals(rng, 1)[0]
-    pairs = _skew_pairs(pm.MODEL, m_sk, n_sk, v, beta)
-    check = partial(_skew_element, pm.MODEL, pairs, m_sk, v, beta)
+    lowers = _skew_lowers(pm.MODEL, m_sk, n_sk, v, beta)
+    check = partial(_skew_element, pm.MODEL, lowers, m_sk, v, beta)
     yield Case(f"pm.skew-element.M{m_sk}", check, {"beta": beta})
-    yield Case(f"pm.skew-support.M{m_sk}", partial(_skew_support, pairs), {"beta": beta})
+    yield Case(f"pm.skew-support.M{m_sk}", partial(_skew_support, lowers), {"beta": beta})
 
     m_sc, points = _pick(scale, (3, 2), (4, 5))
     for d in range(points):

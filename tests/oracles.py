@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from grothcrystal import fivevertex, lattice
+from grothcrystal import fivevertex, grothendieck, lattice, partitions
 from grothcrystal.errors import DegeneratePointError, OutOfBoxError, ParameterError
 from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, rational_sqrt, vandermonde
 from grothcrystal.partitions import check_partition
@@ -206,6 +206,52 @@ def admissible(m: Sequence[int], n: Sequence[int]) -> bool:
         if not 0 <= tail_m - tail_n <= 1:
             return False
     return True
+
+
+def skew_pairs(model, num_sites: int, n_max: int, p, beta) -> Iterator[tuple]:
+    """(n, lower, upper, <upper|B(p)|lower>) over every pair of an n-particle
+    lower state and an (n + 1)-particle upper one, n <= n_max, zero
+    amplitudes included; one B image per lower."""
+    for n in range(n_max + 1):
+        uppers = model.sector(num_sites, n + 1)
+        for lower in model.sector(num_sites, n):
+            image = lattice.apply_b(model, num_sites, p, beta, {lower: Fraction(1)})
+            for upper in uppers:
+                yield n, lower, upper, image.get(upper, Fraction(0))
+
+
+def skew_element_pairwise(model, num_sites: int, n_max: int, p, beta) -> bool:
+    """norm(n) <upper|B(p)|lower> equals `grothendieck.skew_single` of the two
+    states' partitions at z(p), pair by pair, norm(n) the prefactor of n
+    parameters over that of n + 1."""
+    z = model.spectral_map(p, beta)
+
+    def norm(n):
+        return model.prefactor(num_sites, [p] * n, beta) / model.prefactor(num_sites, [p] * (n + 1), beta)
+
+    return all(
+        norm(n) * amp == grothendieck.skew_single(model.partition(upper), model.partition(lower), z, beta)
+        for n, lower, upper, amp in skew_pairs(model, num_sites, n_max, p, beta)
+    )
+
+
+def skew_support_pairwise(model, num_sites: int, n_max: int, p, beta) -> bool:
+    """<upper|B(p)|lower> is nonzero exactly when the two occupations are
+    `partitions.admissible`, pair by pair (phase-model states)."""
+    return all(
+        partitions.admissible(upper, lower) == (amp != 0)
+        for _, lower, upper, amp in skew_pairs(model, num_sites, n_max, p, beta)
+    )
+
+
+def skew_rotation_pairwise(num_sites: int, n_max: int, u, beta) -> bool:
+    """<y|B(u)|x> equals <x reversed|C(u)|y reversed> on the five-vertex
+    chain, pair by pair."""
+    model = fivevertex.MODEL
+    return all(
+        lattice.apply_c(model, num_sites, u, beta, {y[::-1]: Fraction(1)}).get(x[::-1], Fraction(0)) == amp
+        for _, x, y, amp in skew_pairs(model, num_sites, n_max, u, beta)
+    )
 
 
 def reversed_positions(x: Sequence[int], chain_length: int) -> tuple[int, ...]:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grothcrystal.errors import OutOfBoxError, ParameterError
 from grothcrystal.meltingcrystal import weight_phi
@@ -16,6 +18,7 @@ from grothcrystal.partitions import (
     diagonal_slice,
     enumerate_boxed,
     interlaces,
+    interlacing_above,
     interlacing_below,
     part,
     partition_from_occupation,
@@ -132,6 +135,35 @@ def test_interlacing_below_matches_filter():
             lam for lam in partitions_in_box(3, 2) if interlaces(mu, lam)
         }
         assert below == brute
+
+
+def test_interlacing_above_matches_filter():
+    for top in range(4):
+        for n in range(3):
+            for lam in partitions_in_box(3, n):
+                above = list(interlacing_above(lam, top))
+                brute = [mu for mu in partitions_in_box(top, n + 1) if interlaces(mu, lam)]
+                assert above == sorted(brute), (lam, top)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=4), st.integers(-1, 6))
+def test_interlacing_above_inverts_interlacing_below(parts, top):
+    lam = tuple(sorted(parts, reverse=True))
+    above = set(interlacing_above(lam, top))
+    for mu in partitions_in_box(6, len(lam) + 1):  # parts up to 6, past every top
+        assert (mu in above) == (lam in set(interlacing_below(mu)) and mu[0] <= top), (lam, mu, top)
+
+
+def test_interlacing_above_edge_cases():
+    assert list(interlacing_above((), 2)) == [(0,), (1,), (2,)]
+    assert list(interlacing_above((2, 1), 1)) == []  # top < lam_1
+    assert list(interlacing_above((2, 1), 2)) == [(2, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 1)]
+    for bad in [(1.5,), (1, 2), (1, -1)]:
+        with pytest.raises(ParameterError):
+            interlacing_above(bad, 3)
+    with pytest.raises(ParameterError):
+        interlacing_above((1,), 2.5)
 
 
 def test_admissible_matches_interlacing():

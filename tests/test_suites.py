@@ -90,7 +90,7 @@ def test_draw_stream_is_pinned(scale):
         assert (len(names), digest) == DRAW_STREAM[name, scale], name
 
 
-# (suite, scale, case, (lower, upper) pairs the shared skew helper yields to it)
+# (suite, scale, case, (lower, upper) pairs the case decides)
 SKEW_CASES = [
     ("fv", "small", "fv.skew.M5", 155),
     ("fv", "small", "fv.skew-rotation.M5", 155),
@@ -101,27 +101,29 @@ SKEW_CASES = [
     ("pm", "full", "pm.skew-element.M5", 3055),
     ("pm", "full", "pm.skew-support.M5", 3055),
 ]
+# (suite, M sites) -> the lower states of 0..n_max particles, n_max = 2 but 3
+# at pm M5: 1 + 5 + 10, 1 + 6 + 15, 1 + 4 + 10 and 1 + 5 + 15 + 35
+SKEW_LOWERS = {("fv", 5): 16, ("fv", 6): 22, ("pm", 4): 15, ("pm", 5): 56}
 
 
 @pytest.mark.parametrize("suite, scale, case, count", SKEW_CASES)
 def test_skew_cases_visit_every_pair(monkeypatch, suite, scale, case, count):
-    seen = []
-    real = suites._skew_pairs
+    """B is applied once per lower state, and each image is checked against
+    the whole upper sector: the lowers' pairs with it number `count`."""
+    model = fv.MODEL if suite == "fv" else pm.MODEL
+    lowers = []
+    real = lattice.apply_b
 
-    def counting(*args):
-        pairs = real(*args)
+    def counting(model, m, p, beta, state):
+        lowers.extend(state)
+        return real(model, m, p, beta, state)
 
-        def counted():
-            for item in pairs():
-                seen.append(item[1:3])
-                yield item
-
-        return counted
-
-    monkeypatch.setattr(suites, "_skew_pairs", counting)
+    monkeypatch.setattr(lattice, "apply_b", counting)
     rep = run_suite(suite, scale, 1, tags=case)  # one case: it runs in this process
     assert rep.cases == 1 and rep.ok
-    assert len(seen) == len(set(seen)) == count
+    m = len(lowers[0])
+    assert len(lowers) == len(set(lowers)) == SKEW_LOWERS[suite, m]
+    assert sum(len(model.sector(m, sum(s) + 1)) for s in lowers) == count
 
 
 @pytest.mark.parametrize(
@@ -171,6 +173,75 @@ def test_skew_cases_fail_on_a_wrong_amplitude(monkeypatch, alter, suite, scale, 
     assert rep.cases == 1
     assert [f["case"] for f in rep.failures] == ([] if blind else [case])
     assert not any("error" in f for f in rep.failures)  # a false verdict, not a crash
+
+
+def _per_lower_checks(model, m, n_max, p, beta):
+    """The element and support verdicts of the skew cases, per lower state."""
+    lowers = suites._skew_lowers(model, m, n_max, p, beta)
+    return suites._skew_element(model, lowers, m, p, beta), suites._skew_support(lowers)
+
+
+# (model, M sites, n_max) the per-lower checks are compared with the per-pair route on
+SKEW_SIZES = [(fv.MODEL, m, min(2, m - 1)) for m in range(1, 7)] + [(pm.MODEL, m, 3) for m in range(1, 6)]
+
+
+@pytest.mark.parametrize("beta", suites._BETA_PALETTE + (F(0),))
+def test_skew_checks_agree_with_the_per_pair_route(beta):
+    p = F(13, 5)
+    for model, m, n_max in SKEW_SIZES:
+        if model is fv.MODEL and not beta:
+            continue  # beta = 0 is outside the five-vertex model's domain
+        assert _per_lower_checks(model, m, n_max, p, beta) == (True, True), (m, n_max)
+        assert oracles.skew_element_pairwise(model, m, n_max, p, beta), (m, n_max)
+        if model is pm.MODEL:
+            assert oracles.skew_support_pairwise(model, m, n_max, p, beta), (m, n_max)
+        else:
+            lowers = suites._skew_lowers(model, m, n_max, p, beta)
+            assert suites._skew_rotation(lowers, m, n_max, p, beta), (m, n_max)
+            assert oracles.skew_rotation_pairwise(m, n_max, p, beta), (m, n_max)
+
+
+def _doubled_deposit(model):
+    def weights(p, beta):
+        w = model.weights(p, beta)
+        return (*w[:4], 2 * w[4], w[5])
+
+    return model._replace(weights=weights)
+
+
+@pytest.mark.parametrize("beta", suites._BETA_PALETTE)
+@pytest.mark.parametrize("model, m, n_max", [(fv.MODEL, 6, 2), (pm.MODEL, 5, 3)], ids=["fv", "pm"])
+def test_skew_checks_fail_on_each_mutant(monkeypatch, model, m, n_max, beta):
+    """A doubled deposit weight scales every amplitude by a power of 2 and
+    keeps the support; k off by one scales every value by 1 + beta z != 1;
+    an upper dropped from the enumeration leaves its amplitude unmatched."""
+    p = F(13, 5)
+    assert _per_lower_checks(_doubled_deposit(model), m, n_max, p, beta) == (False, True)
+    assert not oracles.skew_element_pairwise(_doubled_deposit(model), m, n_max, p, beta)
+    with monkeypatch.context() as patch:
+        real = grothendieck._skew_exponents
+        patch.setattr(grothendieck, "_skew_exponents", lambda mu, lam: (real(mu, lam)[0], real(mu, lam)[1] + 1))
+        assert _per_lower_checks(model, m, n_max, p, beta) == (False, True)
+    with monkeypatch.context() as patch:
+        real_above = suites.pt.interlacing_above
+        patch.setattr(suites.pt, "interlacing_above", lambda lam, top: list(real_above(lam, top))[:-1])
+        assert _per_lower_checks(model, m, n_max, p, beta) == (False, False)
+
+
+@pytest.mark.parametrize("beta", [F(-2, 3), F(3, 2)])
+@pytest.mark.parametrize("model, m", [(pm.MODEL, 7), (fv.MODEL, 9)], ids=["pm", "fv"])
+def test_skew_checks_reach_past_the_suites(model, m, beta):
+    """The element and support checks on lower states of up to 4 particles,
+    past the suites' pm M5 and fv M6."""
+    assert _per_lower_checks(model, m, 4, F(13, 5), beta) == (True, True)
+
+
+def test_generating_every_case_runs_no_path_sum(monkeypatch):
+    """A filtered query pays for generating every case of its suites, so no
+    lattice work may move into generation."""
+    monkeypatch.setattr(lattice, "_path_sum", _raise_zero_division)
+    for name, suite in SUITES.items():
+        assert sum(1 for _ in suite("full", random.Random(f"{name}:1"))) == DRAW_STREAM[name, "full"][0]
 
 
 def _perturb_first(real):
