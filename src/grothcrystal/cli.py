@@ -197,11 +197,11 @@ def _sv6(args, out) -> int:
     if args.params is None:
         args.json = True  # this command prints its suite report as JSON either way
         return _suites(["sv6"], None, args, out)
-    raw = json.loads(args.params)
+    raw = json.loads(args.params, parse_float=Fraction)  # 0.1 reads as 1/10
     if not isinstance(raw, dict):
         raise ParameterError(f"--params must be a JSON object, not {type(raw).__name__}")
     for key in _SV6_KEYS:
-        if not isinstance(raw.get(key), (str, int, float)):
+        if type(raw.get(key)) not in (str, int, Fraction):  # JSON true is no number
             raise ParameterError(f"--params needs a string or number for {key!r}")
     _require_nonnegative(args, "points")
     p = sv.SixVertexParams(*(parse_rat(raw[k]) for k in _SV6_KEYS))

@@ -130,10 +130,6 @@ class LaurentPoly(_Ring):
         return cls({0: Fraction(c)})
 
     @classmethod
-    def monomial(cls, coeff, exp: int) -> "LaurentPoly":
-        return cls({exp: Fraction(coeff)})
-
-    @classmethod
     def var(cls) -> "LaurentPoly":
         return cls({1: _ONE})
 
@@ -274,10 +270,6 @@ class TruncatedSeries(_Ring):
     @property
     def order(self) -> int:
         return len(self.nums) - 1
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -497,10 +489,6 @@ class Matrix:
     def cols(self) -> int:
         grid = self._table[0] if self._data is None else self._data
         return len(grid[0]) if grid else 0
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     def entry(self, i: int, j: int):
         return self.data[i][j]

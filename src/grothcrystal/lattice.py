@@ -7,7 +7,7 @@ weights are a six-tuple w = (stay_empty, stay_occupied, pass_empty,
 pass_occupied, deposit, pickup) over a coefficient ring (Fraction,
 LaurentPoly, TruncatedSeries or float); a zero weight is an absent vertex.
 `vertices` lists the moves, `site_operator` lays them out as a matrix, and
-`path_sum` chains them along a row.  `integer_chain` applies path sums one
+`_path_sum` chains them along a row.  `integer_chain` applies path sums one
 after another on integers: rational values cleared over the lcm of their
 denominators, truncated series over theirs as integer coefficient tuples,
 and one division at the end; Laurent polynomials and floats run the same
@@ -85,14 +85,6 @@ def site_operator(w, levels: int) -> Matrix:
     return Matrix(rows)
 
 
-def path_sum(capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w) -> dict:
-    """Apply one auxiliary-space entry of the monodromy matrix to a weighted
-    state: every path of the auxiliary line from a_in to a_out, site 0 first,
-    as a one-step `integer_chain`."""
-    sums, den, build = integer_chain(capacity, num_sites, state, [(a_in, a_out, w)])
-    return {s: build(c, den) for s, c in sums.items()}
-
-
 class _Coeffs(tuple):
     """Integer series coefficients: * is the truncated product, + termwise."""
 
@@ -145,7 +137,9 @@ def integer_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[d
 def _path_sum(
     capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w, table: dict
 ) -> dict:
-    """`path_sum`, reading and filling `table`: occupation -> the moves for
+    """Apply one auxiliary-space entry of the monodromy matrix to a weighted
+    state: every path of the auxiliary line from a_in to a_out, site 0 first,
+    reading and filling `table`: occupation -> the moves for
     aux 0 and aux 1, which depend only on the capacity and w.  From one source
     state the built prefix fixes the aux state, because particles are
     conserved, so each frontier key is reached by one path only."""
@@ -202,14 +196,19 @@ class Model(NamedTuple):
 
 def apply_b(model: Model, num_sites: int, p, beta, state) -> dict:
     """B(p) acting on a weighted state: adds one particle."""
-    w = model.weights(Fraction(p), Fraction(beta))
-    return path_sum(model.capacity, num_sites, state, 1, 0, w)
+    return _apply(model, num_sites, p, beta, state, 1, 0)
 
 
 def apply_c(model: Model, num_sites: int, p, beta, state) -> dict:
     """C(p) acting on a weighted state: removes one particle."""
+    return _apply(model, num_sites, p, beta, state, 0, 1)
+
+
+def _apply(model: Model, num_sites: int, p, beta, state, a_in: int, a_out: int) -> dict:
+    """The aux a_in -> a_out entry at p as a one-step `integer_chain`."""
     w = model.weights(Fraction(p), Fraction(beta))
-    return path_sum(model.capacity, num_sites, state, 0, 1, w)
+    sums, den, build = integer_chain(model.capacity, num_sites, state, [(a_in, a_out, w)])
+    return {s: build(c, den) for s, c in sums.items()}
 
 
 def _transposed(w) -> tuple:

@@ -131,19 +131,6 @@ def partition_from_occupation(occ: Sequence[int]) -> Partition:
     return tuple(out)
 
 
-def admissible(m: Sequence[int], n: Sequence[int]) -> bool:
-    """Whether the partitions of the occupations m and n interlace.
-
-    m and n are occupation configurations on the same sites with sum(m) equal
-    to sum(n) + 1.
-    """
-    if len(m) != len(n):
-        raise ParameterError("configurations live on different chains")
-    if sum(m) != sum(n) + 1:
-        raise ParameterError("particle numbers must differ by exactly one")
-    return interlaces(partition_from_occupation(m), partition_from_occupation(n))
-
-
 # -- plane partitions ---------------------------------------------------------
 
 

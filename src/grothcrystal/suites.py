@@ -681,20 +681,8 @@ def run_suites(
 def run_suite(
     name: str, scale: str = "small", seed: int = 1, tags: str | None = None
 ) -> SuiteReport:
-    """`run_suites` of one suite, or of every suite merged into one report for
-    "all"."""
-    if name != "all":
-        return run_suites([name], scale, seed, tags)[0]
-    reports = run_suites(list(SUITES), scale, seed, tags)
-    return SuiteReport(
-        name,
-        scale,
-        seed,
-        sum(rep.cases for rep in reports),
-        [f for rep in reports for f in rep.failures],
-        sum(rep.wall_time for rep in reports),
-        reports[0].processes,
-    )
+    """`run_suites` of one suite."""
+    return run_suites([name], scale, seed, tags)[0]
 
 
 def _record(case: Case) -> dict | None:

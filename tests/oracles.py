@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from grothcrystal import fivevertex, grothendieck, lattice, partitions
+from grothcrystal import fivevertex, grothendieck, lattice
 from grothcrystal.errors import DegeneratePointError, OutOfBoxError, ParameterError
 from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, rational_sqrt, vandermonde
 from grothcrystal.partitions import check_partition
@@ -66,11 +66,11 @@ def chain(apply, model, num_sites: int, params, beta, state: dict) -> dict:
 
 
 def path_sum_chain(capacity, num_sites: int, state: dict, steps) -> dict:
-    """`lattice.path_sum` one (a_in, a_out, weights) step at a time, each
-    step's sums built before the next: the chain that divides after every
+    """The ring-generic `lattice._path_sum` one (a_in, a_out, weights) step
+    at a time, on the values as given: the chain that divides after every
     operator, which `lattice.integer_chain` replaces."""
     for a_in, a_out, w in steps:
-        state = lattice.path_sum(capacity, num_sites, state, a_in, a_out, w)
+        state = lattice._path_sum(capacity, num_sites, state, a_in, a_out, w, {})
     return state
 
 
@@ -237,9 +237,9 @@ def skew_element_pairwise(model, num_sites: int, n_max: int, p, beta) -> bool:
 
 def skew_support_pairwise(model, num_sites: int, n_max: int, p, beta) -> bool:
     """<upper|B(p)|lower> is nonzero exactly when the two occupations are
-    `partitions.admissible`, pair by pair (phase-model states)."""
+    `admissible`, pair by pair (phase-model states)."""
     return all(
-        partitions.admissible(upper, lower) == (amp != 0)
+        admissible(upper, lower) == (amp != 0)
         for _, lower, upper, amp in skew_pairs(model, num_sites, n_max, p, beta)
     )
 

@@ -60,6 +60,11 @@ ROWS = [
     # bugfix, bad --params: a KeyError or TypeError traceback and exit 1 before
     (('sv6', 'verify', '--params', '{"a1":"1"}'), 2, EMPTY, "error: --params needs a string or number for 'a2'"),
     (('sv6', 'verify', '--params', '[1]'), 2, EMPTY, 'error: --params must be a JSON object, not list'),
+    # bugfix, a JSON boolean in --params: true read as 1, exit 0
+    (('sv6', 'verify', '--params', '{"a1":true,"a2":"1","a3":"2","a4":"1","a5":"-1/2","a6":"-1/2","t":"1/2"}'), 2, EMPTY, "error: --params needs a string or number for 'a1'"),
+    # bugfix, a JSON number in --params: 0.1 read as its binary double,
+    # 3602879701896397/36028797018963968, not 1/10
+    (('sv6', 'verify', '--params', '{"a1":1,"a2":1,"a3":1,"a4":-0.1,"a5":1,"a6":-1,"t":0.1}'), 0, '977d5da94acf7db3bc4e24e84ad1d539c71830e1e31a434ad9c3fe8581d354b1', None),
     # bugfix, --q with --series: --q was ignored and the series printed, exit 0
     (('mc', 'zbox', '--n', '2', '--height', '1', '--q', '1/2', '--series', '3'), 2, EMPTY, 'error: zbox takes --q or --series, not both'),
     # bugfix, output before a failure: the CSV header was printed first

@@ -46,7 +46,7 @@ def test_gen_binomial_any_sign():
 
 def test_laurent_arithmetic():
     z = LaurentPoly.var()
-    p = z + 2 * z ** 0 + LaurentPoly.monomial(3, -1)
+    p = z + 2 * z ** 0 + LaurentPoly({-1: 3})
     q = z ** 2 - 1
     prod = p * q
     for t in (F(2), F(-3), F(1, 2), F(7, 3)):
@@ -99,8 +99,8 @@ def test_det_multiplicative():
 
 def test_matrix_inverse():
     m = Matrix([[F(2), F(1)], [F(7), F(4)]])
-    assert m @ m.inverse() == Matrix.identity(2)
-    assert m.inverse() @ m == Matrix.identity(2)
+    assert m @ m.inverse() == Matrix([[1, 0], [0, 1]])
+    assert m.inverse() @ m == Matrix([[1, 0], [0, 1]])
     singular = Matrix([[F(1), F(2)], [F(2), F(4)]])
     with pytest.raises(ValueError):
         singular.inverse()
@@ -191,8 +191,8 @@ def test_binomial_qn_series():
 
 
 def test_embed_pair_identity_and_swap():
-    ident = Matrix.identity(4)
-    assert embed_pair(ident, 0, 2, [2, 2, 2]) == Matrix.identity(8)
+    ident = Matrix([[int(i == j) for j in range(4)] for i in range(4)])
+    assert embed_pair(ident, 0, 2, [2, 2, 2]) == Matrix([[int(i == j) for j in range(8)] for i in range(8)])
     swap = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     big = embed_pair(swap, 0, 1, [2, 2])
     # big-endian: basis index 1 = |0,1>, index 2 = |1,0>

@@ -163,8 +163,9 @@ def test_intertwining_compares_sides_over_their_own_denominators():
         return Matrix([[m[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(4)] for i in range(4)])
 
     l_u, l_v = on_site([[1, 0], [0, 2]]), on_site([[1, F(1, 2)], [0, 1]])
-    assert lattice.rll_holds(l_u, l_v, Matrix.identity(4), 1)
-    assert not lattice.rll_holds(l_u, l_v, Matrix.identity(4), 2)
+    ident = Matrix([[int(i == j) for j in range(4)] for i in range(4)])
+    assert lattice.rll_holds(l_u, l_v, ident, 1)
+    assert not lattice.rll_holds(l_u, l_v, ident, 2)
 
 
 @pytest.mark.parametrize(
@@ -195,15 +196,15 @@ def test_path_sums_are_products_of_the_site_operator(model, levels, num_sites, s
         return idx
 
     all_states = list(product(range(levels), repeat=num_sites))
+    at_w = model._replace(weights=lambda p, beta: w)
     for s in states:
-        for a_in, a_out in ((1, 0), (0, 1)):  # B, then C
-            got = lattice.path_sum(model.capacity, num_sites, {s: F(1)}, a_in, a_out, w)
+        for apply, a_in, a_out in ((lattice.apply_b, 1, 0), (lattice.apply_c, 0, 1)):
+            got = apply(at_w, num_sites, 1, 1, {s: F(1)})
             block = blocks[a_out, a_in]
             want = {t: block[index(t)][index(s)] for t in all_states}
             assert got == {t: c for t, c in want.items() if c}
     for n in range(3):
         basis = [s for s in states if sum(s) == n]
-        at_w = model._replace(weights=lambda p, beta: w)
         assert at_w.sector(num_sites, n) == basis
         want = [
             [blocks[0, 0][index(r)][index(c)] + blocks[1, 1][index(r)][index(c)] for c in basis]
@@ -228,12 +229,19 @@ def test_path_sums_refuse_states_off_the_chain(model, off_chain):
         for amp in (F(1), F(0)):
             for a_in, a_out in product((0, 1), repeat=2):
                 with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
-                    lattice.path_sum(model.capacity, 2, {state: amp}, a_in, a_out, w)
+                    lattice.integer_chain(model.capacity, 2, {state: amp}, [(a_in, a_out, w)])
             for apply in (lattice.apply_b, lattice.apply_c):
                 with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
                     apply(model, 2, F(2), F(1), {(0, 0): F(1), state: amp})
     # a phase model state fits its chain at any occupation
     assert lattice.apply_b(pm.MODEL, 2, F(2), F(1), {(2, 0): F(1)})
+
+
+def _chain(capacity, num_sites: int, state: dict, steps) -> dict:
+    """`lattice.integer_chain` with its values built; one step of it is what
+    `lattice.apply_b` and `lattice.apply_c` return."""
+    sums, den, build = lattice.integer_chain(capacity, num_sites, state, steps)
+    return {s: build(c, den) for s, c in sums.items()}
 
 
 _ints = st.integers(-9, 9).filter(bool)
@@ -262,7 +270,8 @@ def _rational_path_sums(draw):
 def test_rational_path_sums_are_the_ring_generic_loop(args):
     # the integer lift equals the loop run on the inputs as given, and every
     # sum it returns is a nonzero Fraction
-    got = lattice.path_sum(*args)
+    capacity, num_sites, state, a_in, a_out, w = args
+    got = _chain(capacity, num_sites, state, [(a_in, a_out, w)])
     assert got == lattice._path_sum(*args, {})
     assert all(type(c) is F and c != 0 for c in got.values())
 
@@ -291,7 +300,8 @@ def _series_path_sums(draw):
 def test_series_path_sums_are_the_ring_generic_loop(args):
     # the lift to integer coefficient tuples equals the loop run on the
     # TruncatedSeries as given, and every sum it returns is a nonzero series
-    got = lattice.path_sum(*args)
+    capacity, num_sites, state, a_in, a_out, w = args
+    got = _chain(capacity, num_sites, state, [(a_in, a_out, w)])
     assert got == lattice._path_sum(*args, {})
     assert all(type(c) is TruncatedSeries and c for c in got.values())
 
@@ -333,11 +343,7 @@ def test_integer_chains_are_the_generic_loop_step_by_step(args):
     # one division at the end of the chain gives what the ring-generic loop
     # gives one step at a time on the values as given
     capacity, num_sites, state, steps = args
-    sums, den, build = lattice.integer_chain(capacity, num_sites, state, steps)
-    want = state
-    for a_in, a_out, w in steps:
-        want = lattice._path_sum(capacity, num_sites, want, a_in, a_out, w, {})
-    assert {s: build(c, den) for s, c in sums.items()} == want
+    assert _chain(capacity, num_sites, state, steps) == oracles.path_sum_chain(capacity, num_sites, state, steps)
 
 
 @pytest.mark.parametrize(
@@ -350,7 +356,7 @@ def test_integer_chains_are_the_generic_loop_step_by_step(args):
 )
 def test_chains_divide_once_as_the_step_by_step_chain(model, config, m_max, betas):
     """A sector table, forward and dual, and each one-state lookup equal the
-    chain of `path_sum` calls that builds its values after every operator."""
+    ring-generic chain that builds its values after every operator."""
     ps = (F(7, 5), F(3), F(-5, 2))
     for m, beta, n, dual in product(range(1, m_max + 1), betas, range(4), (False, True)):
         ws = [model.weights(p, beta) for p in ps[:n]]
@@ -444,9 +450,7 @@ def _correspondence(boson_z, dual: bool):
 
     def chain(capacity, num_sites, state, w, zs, beta):
         a_in, a_out = (0, 1) if dual else (1, 0)
-        for z in reversed(zs):
-            state = lattice.path_sum(capacity, num_sites, state, a_in, a_out, w(z, beta))
-        return state
+        return _chain(capacity, num_sites, state, [(a_in, a_out, w(z, beta)) for z in reversed(zs)])
 
     betas = (F(1, 2), F(-2, 3), F(3), F(-1))
     sectors = ((3, 3), (4, 2), (5, 1), (5, 3), (6, 3), (7, 4))
@@ -496,7 +500,7 @@ def test_transfer_matrices_are_their_per_column_path_sums(var):
                 for n in range(n_max(m) + 1):
                     basis = model.sector(m, n)
                     columns = [
-                        [lattice.path_sum(model.capacity, m, {s: one}, a, a, w) for a in (0, 1)]
+                        [_chain(model.capacity, m, {s: one}, [(a, a, w)]) for a in (0, 1)]
                         for s in basis
                     ]
                     want = [[a.get(r, zero) + d.get(r, zero) for a, d in columns] for r in basis]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from grothcrystal.errors import OutOfBoxError, ParameterError
 from grothcrystal.meltingcrystal import weight_phi
 from grothcrystal.partitions import (
-    admissible,
     all_diagonal_slices,
     assemble_from_slices,
     check_partition,
@@ -29,7 +28,6 @@ from grothcrystal.partitions import (
     pp_entry,
     pp_size,
 )
-from grothcrystal.phasemodel import sector_basis
 
 
 def positions(lam):
@@ -166,32 +164,6 @@ def test_interlacing_above_edge_cases():
         interlacing_above((1,), 2.5)
 
 
-def test_admissible_matches_interlacing():
-    # occupation admissibility is interlacing of the encoded partitions
-    for m in range(2, 6):
-        for n in range(0, 3):
-            uppers = [
-                occupation(mu, m)
-                for mu in partitions_in_box(m - 1, n + 1)
-            ]
-            lowers = [
-                occupation(lam, m)
-                for lam in partitions_in_box(m - 1, n)
-            ]
-            for up in uppers:
-                for lo in lowers:
-                    mu = partition_from_occupation(up)
-                    lam = partition_from_occupation(lo)
-                    assert admissible(up, lo) == interlaces(mu, lam)
-
-
-def test_admissible_rejects_bad_particle_numbers():
-    with pytest.raises(ParameterError):
-        admissible((1, 0), (1, 0))
-    with pytest.raises(ParameterError):
-        admissible((1, 0), (1, 0, 0))
-
-
 def test_interlacing_below_yields_the_reference_sequence():
     # the same partitions in the same order as the part-by-part recursion
     for length in range(1, 5):
@@ -199,14 +171,6 @@ def test_interlacing_below_yields_the_reference_sequence():
             assert list(interlacing_below(mu)) == list(oracles.interlacing_below(mu))
     with pytest.raises(ParameterError, match="empty partition has nothing below"):
         interlacing_below(())
-
-
-def test_admissible_matches_the_tail_sum_reference():
-    for m in range(1, 5):
-        for n in range(0, 4):
-            for up in sector_basis(m, n + 1):
-                for lo in sector_basis(m, n):
-                    assert admissible(up, lo) == oracles.admissible(up, lo)
 
 
 def test_partitions_in_box_inventory():

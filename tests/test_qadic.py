@@ -39,7 +39,7 @@ def matrices(max_n=4, max_order=8):
 
 
 def monomial(e, order):
-    return TruncatedSeries.indeterminate(order) ** e if e <= order else TruncatedSeries.zero(order)
+    return TruncatedSeries.indeterminate(order) ** e if e <= order else TruncatedSeries([], order)
 
 
 def padded(rows, order):
@@ -95,7 +95,7 @@ def test_row_and_column_swaps_flip_the_sign(case, data):
 
 
 def unitriangular(n, order, lower, fill):
-    one, zero = TruncatedSeries.one(order), TruncatedSeries.zero(order)
+    one, zero = TruncatedSeries.one(order), TruncatedSeries([], order)
     it = iter(fill)
     return [
         [one if r == c else (next(it) if (r > c) == lower else zero) for c in range(n)] for r in range(n)
@@ -121,7 +121,7 @@ def test_valuation_of_a_factored_matrix_is_exact(case):
     # L diag(q^a_i) U with unitriangular L, U has determinant q^(sum a_i)
     n, exps, fill = case
     order = 8
-    diag = [[monomial(exps[r], order) if r == c else TruncatedSeries.zero(order) for c in range(n)] for r in range(n)]
+    diag = [[monomial(exps[r], order) if r == c else TruncatedSeries([], order) for c in range(n)] for r in range(n)]
     lower = unitriangular(n, order, True, fill)
     upper = unitriangular(n, order, False, fill[n * (n - 1) // 2 :])
     rows = matmul(matmul(lower, diag), upper)
@@ -135,7 +135,7 @@ def test_valuation_of_a_factored_matrix_is_exact(case):
 def test_diagonal_monomials_report_exact_valuation_and_precision():
     order = 10
     for a, b in ((0, 0), (2, 5), (5, 2), (3, 3), (0, 10), (7, 4)):
-        rows = [[monomial(a, order), TruncatedSeries.zero(order)], [TruncatedSeries.zero(order), monomial(b, order)]]
+        rows = [[monomial(a, order), TruncatedSeries([], order)], [TruncatedSeries([], order), monomial(b, order)]]
         v, unit = qadic_det(rows, order)
         assert v == a + b
         assert unit == TruncatedSeries.one(order - max(a, b))
@@ -145,7 +145,7 @@ def test_diagonal_monomials_report_exact_valuation_and_precision():
         # beyond the working order moves the unit's next coefficient
         big = max(a, b)
         bumped = TruncatedSeries.indeterminate(order + 1) ** big * (1 + TruncatedSeries.indeterminate(order + 1) ** (order + 1 - big))
-        deep = [[monomial(a, order + 1), TruncatedSeries.zero(order + 1)], [TruncatedSeries.zero(order + 1), monomial(b, order + 1)]]
+        deep = [[monomial(a, order + 1), TruncatedSeries([], order + 1)], [TruncatedSeries([], order + 1), monomial(b, order + 1)]]
         deep[0 if a == big else 1][0 if a == big else 1] = bumped
         dv, dunit = qadic_det(deep, order + 1)
         assert dv == v
@@ -177,7 +177,7 @@ def test_vanishing_block_raises_instead_of_truncating():
     one5 = TruncatedSeries.one(5)
     assert qadic_det([[one5, one5], [one5, one5 + q5**5]], 5) == (5, TruncatedSeries.one(0))
     with pytest.raises(PrecisionError):
-        qadic_det([[TruncatedSeries.zero(order)]], order)
+        qadic_det([[TruncatedSeries([], order)]], order)
 
 
 def test_empty_and_malformed_matrices():

@@ -105,7 +105,7 @@ def test_equal_series_by_different_routes_compare_equal(pair, p, r):
     assert (a + b) - b == a
     assert a * b == b * a
     assert (a * scalar) / scalar == a
-    assert a - a == TruncatedSeries.zero(a.order) == a * 0
+    assert a - a == TruncatedSeries([], a.order) == a * 0
     zero = a - a
     assert zero.nums == (0,) * (a.order + 1) and zero.den == 1
     assert not zero
@@ -140,7 +140,7 @@ def test_order_zero_series(c):
 
 
 def test_all_zero_series():
-    z = TruncatedSeries.zero(5)
+    z = TruncatedSeries([], 5)
     q = TruncatedSeries.indeterminate(5)
     assert z.nums == (0,) * 6 and z.den == 1
     assert (z * q).nums == (0,) * 6 and z * q == z == 0

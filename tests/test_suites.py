@@ -50,12 +50,40 @@ def _raise_zero_division(*args, **kwargs):
 
 
 def test_run_all_aggregates_every_suite():
-    report = run_suite("all", "small", 1)
+    # one run of every suite reports each suite as its own run does
+    reports = run_suites(list(SUITES), "small", 1)
     per_suite = [run_suite(name, "small", 1) for name in SUITES]
-    assert report.ok
-    assert report.suite == "all"
-    assert report.cases == sum(r.cases for r in per_suite)
-    assert report.wall_time > 0.0
+    assert [r.to_json() for r in reports] == [r.to_json() for r in per_suite]
+    assert all(r.ok and r.wall_time > 0.0 for r in reports)
+
+
+# (suite, tag) of each tag-filtered query the acceptance criteria make
+ACCEPTANCE_TAGS = [
+    ("fv", "fv.wavefunction"),
+    ("groth", "groth.cauchy"),
+    ("groth", "groth.summation"),
+    ("groth", "groth.addition"),
+    ("groth", "groth.chain"),
+    ("groth", "groth.branching"),
+    ("pm", "pm.bethe"),
+    ("mc", "mc.entropy"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, scale, tags",
+    [(name, "small", None) for name in SUITES] + [(name, "full", tag) for name, tag in ACCEPTANCE_TAGS],
+)
+def test_run_suite_is_run_suites_of_one(name, scale, tags):
+    got = run_suite(name, scale, 7, tags)
+    (want,) = run_suites([name], scale, 7, tags)
+    assert got.to_json() == want.to_json()
+    assert got.processes == want.processes
+
+
+def test_run_suite_has_no_merged_all():
+    with pytest.raises(ParameterError, match="^unknown suite 'all'$"):
+        run_suite("all", "small", 1)
 
 
 def test_report_json_is_seed_stable():
@@ -472,7 +500,7 @@ def test_transfer_commute_fails_on_a_perturbed_matrix(monkeypatch, suite, expone
             return t_sym
         exps = {e for row in t_sym for p in row for e in p.coeffs}
         for e in exponents(exps):
-            t_sym[0][1] = t_sym[0][1] + LaurentPoly.monomial(1, e)
+            t_sym[0][1] = t_sym[0][1] + LaurentPoly({e: 1})
         return t_sym
 
     for scale in ("small", "full"):
