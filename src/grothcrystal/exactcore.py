@@ -381,15 +381,6 @@ class TruncatedSeries(_Ring):
         return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
 
 
-def vandermonde(xs: Sequence) -> object:
-    """prod_{j<k} (x_j - x_k); the reversed list gives prod_{j<k} (x_k - x_j)."""
-    out = _ONE
-    for j, x in enumerate(xs):
-        for y in xs[j + 1 :]:
-            out = out * (x - y)
-    return out
-
-
 def _int_det_bareiss(m: list[list[int]]) -> int:
     """Fraction-free (Bareiss) determinant of an integer matrix; destroys m."""
     n = len(m)

@@ -128,7 +128,7 @@ def _partition(state: tuple) -> tuple[int, ...]:
 def _prefactor(num_sites: int, us: Sequence[Fraction], beta: Fraction) -> Fraction:
     """(-1/beta)^(N(N-1)/2) prod u^(M-1)."""
     n = len(us)
-    pref = (-1 / Fraction(beta)) ** (n * (n - 1) // 2)
+    pref = (-1 / _check_beta(beta)) ** (n * (n - 1) // 2)
     for u in us:
         pref *= Fraction(u) ** (num_sites - 1)
     return pref

@@ -10,11 +10,12 @@ cross-check them against brute-force sums over a box.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegeneratePointError, ParameterError, PoleError
-from .exactcore import Matrix, _int_det_bareiss, vandermonde
+from .exactcore import Matrix, _int_det_bareiss
 from .partitions import (
     _interlaced,
     check_partition,
@@ -40,10 +41,29 @@ def groth_det(lam: Sequence[int], zs: Sequence[Fraction], beta: Fraction) -> Fra
 
 
 def groth_dets(shapes, zs: Sequence[Fraction], beta: Fraction) -> list[Fraction]:
-    """G_lam for each lam in shapes, as det(z_i^(lam_k + N-1-k) (1 + beta z_i)^k)
-    over the Vandermonde.  With z_i = a_i/b_i and 1 + beta z_i = c_i/d_i, row i
-    times b_i^E d_i^(N-1) is a_i^e b_i^(E-e) c_i^k d_i^(N-1-k), E the largest
-    exponent: one integer table for every shape, one denominator for all."""
+    """G_lam for each lam in shapes: the `groth_table` ratios."""
+    dets, den = groth_table(shapes, zs, beta)
+    return [Fraction(d, den) for d in dets]
+
+
+def _int_vandermonde(zs: Sequence[Fraction]) -> int:
+    """prod_{j<k} (a_j b_k - a_k b_j) for z = a/b: the Vandermonde
+    prod_{j<k} (z_j - z_k) times prod b^(N-1)."""
+    out = 1
+    for j, z in enumerate(zs):
+        a, b = z.numerator, z.denominator
+        for y in zs[j + 1 :]:
+            out *= a * y.denominator - y.numerator * b
+    return out
+
+
+def groth_table(shapes, zs: Sequence[Fraction], beta: Fraction) -> tuple[list[int], int]:
+    """(dets, den) with G_lam = dets[i] / den for lam = shapes[i]: G_lam is
+    det(z_i^(lam_k + N-1-k) (1 + beta z_i)^k) over the Vandermonde.  With
+    z_i = a_i/b_i and 1 + beta z_i = c_i/d_i, row i times b_i^E d_i^(N-1) is
+    a_i^e b_i^(E-e) c_i^k d_i^(N-1-k), E the largest exponent, and the
+    Vandermonde times prod b_i^(N-1) is `_int_vandermonde`: one integer table
+    for every shape, one denominator for all."""
     shapes = [check_partition(lam) for lam in shapes]
     zs = [Fraction(z) for z in zs]
     beta = Fraction(beta)
@@ -52,21 +72,19 @@ def groth_dets(shapes, zs: Sequence[Fraction], beta: Fraction) -> list[Fraction]
         raise ParameterError("need exactly one part (possibly zero) per variable")
     _require_distinct(zs, "variables")
     if n == 0:
-        return [Fraction(1)] * len(shapes)
+        return [1] * len(shapes), 1
     top = max((lam[0] for lam in shapes), default=0) + n - 1
     ws = [1 + beta * z for z in zs]
     pz = [[z.numerator**e * z.denominator ** (top - e) for e in range(top + 1)] for z in zs]
     pw = [[w.numerator**k * w.denominator ** (n - 1 - k) for k in range(n)] for w in ws]
-    den = vandermonde(zs)
+    den = _int_vandermonde(zs)
     for z, w in zip(zs, ws):
-        den *= z.denominator**top * w.denominator ** (n - 1)
-    return [
-        _int_det_bareiss(
-            [[pz[i][lam[k] + n - 1 - k] * pw[i][k] for k in range(n)] for i in range(n)]
-        )
-        / den
+        den *= z.denominator ** (top - n + 1) * w.denominator ** (n - 1)
+    dets = [
+        _int_det_bareiss([[pz[i][lam[k] + n - 1 - k] * pw[i][k] for k in range(n)] for i in range(n)])
         for lam in shapes
     ]
+    return dets, den
 
 
 def schur_det(lam: Sequence[int], zs: Sequence[Fraction]) -> Fraction:
@@ -156,15 +174,16 @@ def cauchy_lhs(
     ws: Sequence[Fraction],
     beta: Fraction,
 ) -> Fraction:
-    """Brute-force sum of G_lam(z) G_{lam complement}(w) over the box."""
+    """Brute-force sum of G_lam(z) G_{lam complement}(w) over the box: the
+    products of the two `groth_table` numerators over one denominator."""
     _require_width(width)
     n = len(zs)
     if len(ws) != n:
         raise ParameterError("need as many w variables as z variables")
     shapes = list(partitions_in_box(width, n))
-    gz = groth_dets(shapes, zs, beta)
-    gw = groth_dets([complement(lam, width) for lam in shapes], ws, beta)
-    return sum((a * b for a, b in zip(gz, gw)), Fraction(0))
+    gz, dz = groth_table(shapes, zs, beta)
+    gw, dw = groth_table([complement(lam, width) for lam in shapes], ws, beta)
+    return Fraction(sum(map(operator.mul, gz, gw)), dz * dw)
 
 
 def cauchy_rhs(
@@ -173,7 +192,13 @@ def cauchy_rhs(
     ws: Sequence[Fraction],
     beta: Fraction,
 ) -> Fraction:
-    """Closed determinant side of the dual-pairing identity."""
+    """Closed determinant side of the dual-pairing identity,
+    det((z_i^e (1 + beta w_j)^(N-1) - w_j^e (1 + beta z_i)^(N-1)) / (z_i - w_j))
+    over the Vandermondes of z and of w reversed, e = width + N.  With z = a/b,
+    w = c/d and beta = r/s, entry (i, j) is the integer N_ij / (a_i d_j - b_i c_j)
+    over s^(2(N-1)) b_i^(e+N-2) d_j^(e+N-2), where N_ij =
+    a^e (sb)^(N-1) d^e (sd+rc)^(N-1) - c^e (sd)^(N-1) b^e (sb+ra)^(N-1)
+    vanishes on ad = bc, so the division is exact."""
     _require_width(width)
     zs = [Fraction(z) for z in zs]
     ws = [Fraction(w) for w in ws]
@@ -186,30 +211,52 @@ def cauchy_rhs(
     for z in zs:
         if z in ws:
             raise PoleError("z and w variables must avoid each other")
+    if n == 0:
+        return Fraction(1)
     e = width + n
+    r, s = beta.numerator, beta.denominator
+    zp = [z.as_integer_ratio() for z in zs]
+    wp = [w.as_integer_ratio() for w in ws]
+    fz = [(a**e * (s * b) ** (n - 1), b**e * (s * b + r * a) ** (n - 1)) for a, b in zp]
+    fw = [(d**e * (s * d + r * c) ** (n - 1), c**e * (s * d) ** (n - 1)) for c, d in wp]
     rows = []
-    for z in zs:
-        bz = (1 + beta * z) ** (n - 1)
+    for (a, b), (az, bz) in zip(zp, fz):
         row = []
-        for w in ws:
-            bw = (1 + beta * w) ** (n - 1)
-            row.append((z**e * bw - w**e * bz) / (z - w))
+        for (c, d), (aw, bw) in zip(wp, fw):
+            entry, rest = divmod(az * aw - bw * bz, a * d - b * c)
+            if rest:
+                raise ArithmeticError("a Cauchy entry is not divisible by a d - b c")
+            row.append(entry)
         rows.append(row)
-    pref = vandermonde(zs) * vandermonde(ws[::-1])
-    return Matrix(rows).det() / pref
+    # the Vandermondes times prod b^(N-1) and prod d^(N-1) are integers
+    den = s ** (2 * n * (n - 1)) * _int_vandermonde(zs) * _int_vandermonde(ws[::-1])
+    for (_, b), (_, d) in zip(zp, wp):
+        den *= (b * d) ** (e - 1)
+    return Fraction(_int_det_bareiss(rows), den)
 
 
 def summation_lhs(width: int, zs: Sequence[Fraction], beta: Fraction) -> Fraction:
-    """Brute-force sum of (-beta)^|lam| G_lam(z) over the box."""
+    """Brute-force sum of (-beta)^|lam| G_lam(z) over the box: with beta = r/s,
+    the `groth_table` numerators weighted by (-r)^|lam| s^(top-|lam|), top the
+    largest size, over one denominator."""
     _require_width(width)
     beta = Fraction(beta)
     shapes = list(partitions_in_box(width, len(zs)))
-    gs = groth_dets(shapes, zs, beta)
-    return sum(((-beta) ** sum(lam) * g for lam, g in zip(shapes, gs)), Fraction(0))
+    dets, den = groth_table(shapes, zs, beta)
+    r, s = beta.numerator, beta.denominator
+    top = width * len(zs)
+    weights = [(-r) ** k * s ** (top - k) for k in range(top + 1)]
+    return Fraction(sum(weights[sum(lam)] * d for lam, d in zip(shapes, dets)), den * s**top)
 
 
 def summation_rhs(width: int, zs: Sequence[Fraction], beta: Fraction) -> Fraction:
-    """Closed determinant side of the weighted box summation; beta must be nonzero."""
+    """Closed determinant side of the weighted box summation; beta must be
+    nonzero.  Row j < N holds (-beta)^(j-N) sum_(m<j) (-1)^m C(e, m)
+    w^(m-j+N-1) and the last row -sum_(m>=max(N-1,1)) (-1)^m C(e, m) w^(m-1),
+    at w = 1 + beta z, over the Vandermonde of the reversed variables.  With
+    z = a/b and beta = r/s, w = W/T for W = sb + ra and T = sb, and each power
+    w^k is W^k T^(e-1-k) over the column's T^(e-1): the determinant is taken
+    on integers and the row and column factors divided once."""
     _require_width(width)
     zs = [Fraction(z) for z in zs]
     beta = Fraction(beta)
@@ -222,23 +269,19 @@ def summation_rhs(width: int, zs: Sequence[Fraction], beta: Fraction) -> Fractio
         return Fraction(1)
     _require_distinct(zs, "variables")
     e = width + n
-    rows = []
-    for j in range(1, n):
-        mb = (-beta) ** (j - n)
-        row = []
-        for z in zs:
-            w = 1 + beta * z
-            acc = Fraction(0)
-            for m in range(j):
-                acc += (-1) ** m * math.comb(e, m) * w ** (m - j + n - 1)
-            row.append(mb * acc)
-        rows.append(row)
-    last = []
+    top = e - 1
+    r, s = beta.numerator, beta.denominator
+    cols = []
+    for a, b in (z.as_integer_ratio() for z in zs):
+        t = s * b
+        cols.append([(t + r * a) ** k * t ** (top - k) for k in range(top + 1)])
+    signed = [(-1) ** m * math.comb(e, m) for m in range(e + 1)]
+    rows = [[sum(signed[m] * p[m - j + n - 1] for m in range(j)) for p in cols] for j in range(1, n)]
+    rows.append([-sum(signed[m] * p[m - 1] for m in range(max(n - 1, 1), e + 1)) for p in cols])
+    # the rows carry (-s/r)^(n-j), the columns (sb)^-top, and the Vandermonde
+    # of the reversed variables is `_int_vandermonde` over prod b^(N-1)
+    k = n * (n - 1) // 2
+    den = r**k * s ** (n * top - k) * _int_vandermonde(zs[::-1])
     for z in zs:
-        w = 1 + beta * z
-        acc = Fraction(0)
-        for m in range(max(n - 1, 1), e + 1):
-            acc += (-1) ** m * math.comb(e, m) * w ** (m - 1)
-        last.append(-acc)
-    rows.append(last)
-    return Matrix(rows).det() / vandermonde(zs[::-1])
+        den *= z.denominator**width
+    return Fraction((-1) ** k * _int_det_bareiss(rows), den)

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 from .errors import IdentityError, ParameterError
 from .exactcore import Matrix, TruncatedSeries, _low_product, clear_denominators, embed_pair
-from .grothendieck import groth_dets
+from .grothendieck import groth_table
 from .partitions import complement
 
 
@@ -123,7 +123,12 @@ def integer_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[d
     """(sums, den, build): `steps`, (a_in, a_out, w) each, applied in turn to
     a weighted state, the amplitude at s being build(sums[s], den).  den is
     the lcm D of the amplitudes' denominators times L^M for each step, L that
-    of its weights (one a site): the chain divides only when built."""
+    of its weights (one a site): the chain divides only when built.  Only the
+    starting states are checked against the chain: a path sum's output fits
+    it by construction."""
+    top = float("inf") if capacity is None else capacity
+    if any(len(src) != num_sites or not all(0 <= n <= top for n in src) for src in state):
+        raise ParameterError("the state does not fit the chain")
     clear, build = _clearing([*state.values(), *(x for *_, w in steps for x in w)])
     amps, den = clear(state.values())
     state = dict(zip(state, amps))
@@ -142,10 +147,8 @@ def _path_sum(
     reading and filling `table`: occupation -> the moves for
     aux 0 and aux 1, which depend only on the capacity and w.  From one source
     state the built prefix fixes the aux state, because particles are
-    conserved, so each frontier key is reached by one path only."""
-    top = float("inf") if capacity is None else capacity
-    if any(len(src) != num_sites or not all(0 <= n <= top for n in src) for src in state):
-        raise ParameterError("the state does not fit the chain")
+    conserved, so each frontier key is reached by one path only.  The states
+    must fit the chain; `integer_chain` checks them."""
     out: dict = {}
     for src, amp in state.items():
         if not amp:
@@ -217,14 +220,19 @@ def _transposed(w) -> tuple:
     return (w[2], w[3], w[0], w[1], w[5], w[4])
 
 
-def lattice_amplitudes(model: Model, num_sites: int, params, beta, dual=False) -> dict:
-    """Every nonzero amplitude of the sector from one chain: state ->
+def lattice_table(model: Model, num_sites: int, params, beta, dual=False) -> tuple[dict, int, Callable]:
+    """The `integer_chain` (sums, den, build) of the whole sector: state ->
     <state| B(p_1)...B(p_N) |empty chain>, or for the dual state ->
     <empty chain| C(p_1)...C(p_N) |state> = <state| B~(p_N)...B~(p_1) |empty
     chain>, B~ being B with the `_transposed` weights."""
     ws = [model.weights(Fraction(p), Fraction(beta)) for p in (params if dual else reversed(params))]
     steps = [(1, 0, _transposed(w) if dual else w) for w in ws]
-    sums, den, build = integer_chain(model.capacity, num_sites, {model.sector(num_sites, 0)[0]: 1}, steps)
+    return integer_chain(model.capacity, num_sites, {model.sector(num_sites, 0)[0]: 1}, steps)
+
+
+def lattice_amplitudes(model: Model, num_sites: int, params, beta, dual=False) -> dict:
+    """Every nonzero amplitude of the sector, built from `lattice_table`."""
+    sums, den, build = lattice_table(model, num_sites, params, beta, dual)
     return {s: build(c, den) for s, c in sums.items()}
 
 
@@ -240,16 +248,25 @@ def lattice_amplitude(model: Model, num_sites: int, config, params, beta, dual=F
     return build(sums.get(model.sector(num_sites, 0)[0], 0), den)
 
 
-def closed_amplitudes(model: Model, num_sites: int, states, params, beta, dual=False) -> list:
-    """The same amplitudes in closed form, one per state: the prefactor times
-    the determinant polynomial at z(p), of the partition of the state or, for
-    the dual, of its box complement."""
+def closed_table(model: Model, num_sites: int, states, params, beta, dual=False) -> tuple[list[int], int, int]:
+    """(dets, num, den) with the closed amplitude at states[i] dets[i] * num /
+    den: the prefactor's numerator, and its denominator times that of the
+    `groth_table` at z(p) of the states' partitions or, for the dual, of their
+    box complements."""
     width = model.dual_width(num_sites, len(params))
     lams = [model.partition(state) for state in states]
     shapes = [complement(lam, width) for lam in lams] if dual else lams
     zs = [model.spectral_map(p, beta) for p in params]
     pref = model.prefactor(num_sites, params, beta)
-    return [pref * g for g in groth_dets(shapes, zs, beta)]
+    dets, den = groth_table(shapes, zs, beta)
+    return dets, pref.numerator, pref.denominator * den
+
+
+def closed_amplitudes(model: Model, num_sites: int, states, params, beta, dual=False) -> list:
+    """The same amplitudes in closed form, one per state, built from
+    `closed_table`."""
+    dets, num, den = closed_table(model, num_sites, states, params, beta, dual)
+    return [Fraction(d * num, den) for d in dets]
 
 
 def amplitude(model: Model, num_sites: int, config, params, beta, dual=False):

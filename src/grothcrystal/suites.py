@@ -59,7 +59,7 @@ def generic_rationals(rng: random.Random, count: int, start: int = 0) -> list[Fr
     for i in range(count):
         num = rng.randrange(1, 7)
         den = rng.randrange(num + 6, num + 13)
-        out.append(Fraction(_PRIMES[start + i]) + Fraction(num, den))
+        out.append(Fraction(_PRIMES[start + i] * den + num, den))
     return out
 
 
@@ -154,13 +154,16 @@ def _transfer_commute(model: lattice.Model, m: int, sectors, beta: Fraction) -> 
 def _wavefunction_cases(model: lattice.Model, tag, d, m, ps, beta) -> Iterator[Case]:
     """One sector's wavefunction cases: <s|B(p_1)...B(p_N)|empty chain> and its
     dual, each read off one chain for the whole sector and compared with its
-    closed form at every state s of the sector."""
+    closed form at every state s of the sector: the lattice c_s / D and the
+    closed det_s * N / D' agree iff c_s D' = det_s N D, so no value is built."""
 
     def sector(dual: bool) -> bool:
         states = model.sector(m, len(ps))
-        amps = lattice.lattice_amplitudes(model, m, ps, beta, dual)
-        closed = lattice.closed_amplitudes(model, m, states, ps, beta, dual)
-        return all(amps.get(s, Fraction(0)) == v for s, v in zip(states, closed, strict=True))
+        sums, den, _ = lattice.lattice_table(model, m, ps, beta, dual)
+        dets, num, den_closed = lattice.closed_table(model, m, states, ps, beta, dual)
+        return all(
+            sums.get(s, 0) * den_closed == d * num * den for s, d in zip(states, dets, strict=True)
+        )
 
     sector_name = f"M{m}.N{len(ps)}.{d}"
     yield Case(f"{tag}.wavefunction.{sector_name}", partial(sector, False), {"beta": beta})

@@ -4,10 +4,27 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from grothcrystal import fivevertex, grothendieck, lattice
-from grothcrystal.errors import DegeneratePointError, OutOfBoxError, ParameterError
-from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, rational_sqrt, vandermonde
-from grothcrystal.partitions import check_partition
+from grothcrystal import fivevertex, grothendieck, lattice, suites
+from grothcrystal.errors import DegeneratePointError, OutOfBoxError, ParameterError, PoleError
+from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, rational_sqrt
+from grothcrystal.partitions import check_partition, complement, partitions_in_box
+
+
+def outcome(route, *args):
+    """What a route returns, or the type and message of what it raises."""
+    try:
+        return "value", route(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def vandermonde(xs: Sequence) -> object:
+    """prod_{j<k} (x_j - x_k); the reversed list gives prod_{j<k} (x_k - x_j)."""
+    out = Fraction(1)
+    for j, x in enumerate(xs):
+        for y in xs[j + 1 :]:
+            out = out * (x - y)
+    return out
 
 
 def det_ring(rows: Sequence[Sequence]) -> object:
@@ -54,6 +71,135 @@ def groth_det_fraction(lam: Sequence[int], zs: Sequence, beta) -> Fraction:
         raise DegeneratePointError("variables must be pairwise distinct")
     rows = [[z ** (lam[k] + n - 1 - k) * (1 + beta * z) ** k for k in range(n)] for z in zs]
     return Matrix(rows).det() / vandermonde(zs)
+
+
+def _require_width(width: int):
+    if width < 0:
+        raise ParameterError("box width must be nonnegative")
+
+
+def cauchy_lhs_fraction(width: int, zs: Sequence, ws: Sequence, beta) -> Fraction:
+    """The sum of G_lam(z) G_{lam complement}(w) over the box, one
+    `groth_det_fraction` per shape and side, with the checks of
+    `grothendieck.cauchy_lhs` in the same order."""
+    _require_width(width)
+    n = len(zs)
+    if len(ws) != n:
+        raise ParameterError("need as many w variables as z variables")
+    shapes = list(partitions_in_box(width, n))
+    gz = [groth_det_fraction(lam, zs, beta) for lam in shapes]
+    gw = [groth_det_fraction(complement(lam, width), ws, beta) for lam in shapes]
+    return sum((a * b for a, b in zip(gz, gw)), Fraction(0))
+
+
+def summation_lhs_fraction(width: int, zs: Sequence, beta) -> Fraction:
+    """The sum of (-beta)^|lam| G_lam(z) over the box, one
+    `groth_det_fraction` per shape, with the checks of
+    `grothendieck.summation_lhs` in the same order."""
+    _require_width(width)
+    beta = Fraction(beta)
+    shapes = list(partitions_in_box(width, len(zs)))
+    return sum(((-beta) ** sum(lam) * groth_det_fraction(lam, zs, beta) for lam in shapes), Fraction(0))
+
+
+def cauchy_rhs_fraction(width: int, zs: Sequence, ws: Sequence, beta) -> Fraction:
+    """The closed side of the dual-pairing identity with a Fraction per
+    entry, per power and per Vandermonde factor, which
+    `grothendieck.cauchy_rhs` replaces."""
+    _require_width(width)
+    zs = [Fraction(z) for z in zs]
+    ws = [Fraction(w) for w in ws]
+    beta = Fraction(beta)
+    n = len(zs)
+    if len(ws) != n:
+        raise ParameterError("need as many w variables as z variables")
+    if len(set(zs)) != n:
+        raise DegeneratePointError("z variables must be pairwise distinct")
+    if len(set(ws)) != n:
+        raise DegeneratePointError("w variables must be pairwise distinct")
+    for z in zs:
+        if z in ws:
+            raise PoleError("z and w variables must avoid each other")
+    e = width + n
+    rows = []
+    for z in zs:
+        bz = (1 + beta * z) ** (n - 1)
+        row = []
+        for w in ws:
+            bw = (1 + beta * w) ** (n - 1)
+            row.append((z**e * bw - w**e * bz) / (z - w))
+        rows.append(row)
+    pref = vandermonde(zs) * vandermonde(ws[::-1])
+    return Matrix(rows).det() / pref
+
+
+def summation_rhs_fraction(width: int, zs: Sequence, beta) -> Fraction:
+    """The closed side of the weighted box summation with a Fraction per
+    entry and per power, which `grothendieck.summation_rhs` replaces."""
+    _require_width(width)
+    zs = [Fraction(z) for z in zs]
+    beta = Fraction(beta)
+    if beta == 0:
+        raise ParameterError(
+            "the closed summation needs beta != 0; sum directly in the beta = 0 limit"
+        )
+    n = len(zs)
+    if n == 0:
+        return Fraction(1)
+    if len(set(zs)) != n:
+        raise DegeneratePointError("variables must be pairwise distinct")
+    e = width + n
+    rows = []
+    for j in range(1, n):
+        mb = (-beta) ** (j - n)
+        row = []
+        for z in zs:
+            w = 1 + beta * z
+            acc = Fraction(0)
+            for m in range(j):
+                acc += (-1) ** m * math.comb(e, m) * w ** (m - j + n - 1)
+            row.append(mb * acc)
+        rows.append(row)
+    last = []
+    for z in zs:
+        w = 1 + beta * z
+        acc = Fraction(0)
+        for m in range(max(n - 1, 1), e + 1):
+            acc += (-1) ** m * math.comb(e, m) * w ** (m - 1)
+        last.append(-acc)
+    rows.append(last)
+    return Matrix(rows).det() / vandermonde(zs[::-1])
+
+
+def sector_agrees_fraction(model, num_sites: int, params, beta, dual: bool) -> bool:
+    """The wavefunction sector check with a Fraction per state: the lattice
+    amplitudes built one by one against the prefactor times one
+    `groth_det_fraction` per state, which the suites' cross-multiplied
+    integer tables replace."""
+    states = model.sector(num_sites, len(params))
+    amps = lattice.lattice_amplitudes(model, num_sites, params, beta, dual)
+    width = model.dual_width(num_sites, len(params))
+    lams = [model.partition(state) for state in states]
+    shapes = [complement(lam, width) for lam in lams] if dual else lams
+    zs = [model.spectral_map(p, beta) for p in params]
+    pref = model.prefactor(num_sites, params, beta)
+    if len(set(zs)) != len(zs):  # refused also where the sector is empty
+        raise DegeneratePointError("variables must be pairwise distinct")
+    closed = [pref * groth_det_fraction(lam, zs, beta) for lam in shapes]
+    return all(amps.get(s, Fraction(0)) == v for s, v in zip(states, closed, strict=True))
+
+
+def generic_rationals_sum(rng, count: int, start: int = 0) -> list[Fraction]:
+    """`suites.generic_rationals` as the sum of a prime and a proper fraction,
+    two Fractions a draw, from the same draws of rng."""
+    if start + count > len(suites._PRIMES):
+        raise ParameterError("prime palette exhausted")
+    out = []
+    for i in range(count):
+        num = rng.randrange(1, 7)
+        den = rng.randrange(num + 6, num + 13)
+        out.append(Fraction(suites._PRIMES[start + i]) + Fraction(num, den))
+    return out
 
 
 def chain(apply, model, num_sites: int, params, beta, state: dict) -> dict:

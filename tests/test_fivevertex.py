@@ -276,3 +276,9 @@ def test_self_checking_wrapper_returns_lattice_value():
     val = wavefunction(3, (2,), us, beta)
     assert val == wavefunction_closed(3, (2,), us, beta)
     assert val == wavefunction_lattice(3, (2,), us, beta)
+
+
+def test_closed_amplitudes_refuse_beta_zero_without_particles():
+    # the prefactor's (-1/beta)^(N(N-1)/2) raised ZeroDivisionError at N = 0
+    with pytest.raises(ParameterError, match="^the five-vertex weights need beta != 0$"):
+        lattice.closed_amplitudes(MODEL, 3, [(0, 0, 0)], [], F(0))

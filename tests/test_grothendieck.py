@@ -1,10 +1,13 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction as F
 from functools import partial
 from itertools import combinations, product
 
 import pytest
 import oracles
+from oracles import outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +18,7 @@ from grothcrystal.grothendieck import (
     groth_chain,
     groth_det,
     groth_dets,
+    groth_table,
     schur_det,
     skew_multi,
     skew_single,
@@ -338,6 +342,124 @@ def test_groth_dets_raise_what_groth_det_raises(lam, zs):
     assert _raised(groth_dets, [lam], zs, F(1, 2)) == want
     # a good shape in front changes nothing
     assert _raised(groth_dets, [(0,) * len(zs), lam], zs, F(1, 2)) == want
+
+
+# a small pool, so that repeated variables, z = w, z = 0, negative z and
+# 1 + beta*z = 0 all come up
+_pool = st.fractions(-3, 3, max_denominator=3)
+_betas = st.sampled_from(_BETA_PALETTE + (F(0),)) | st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def table_points(draw):
+    """(shapes, zs, beta): one to three shapes of N <= 4 parts at N variables
+    from the pool, repeats allowed."""
+    n = draw(st.integers(0, 4))
+    zs = draw(st.lists(_pool, min_size=n, max_size=n))
+    parts = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    shapes = draw(st.lists(parts.map(lambda p: tuple(sorted(p, reverse=True))), min_size=1, max_size=3))
+    return shapes, zs, draw(_betas)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(table_points())
+def test_groth_table_is_the_fraction_matrix_route(point):
+    shapes, zs, beta = point
+    want = outcome(lambda: [oracles.groth_det_fraction(lam, zs, beta) for lam in shapes])
+    assert outcome(groth_dets, shapes, zs, beta) == want
+    if want[0] == "value":
+        dets, den = groth_table(shapes, zs, beta)
+        assert all(type(d) is int for d in dets) and type(den) is int
+        assert [F(d, den) for d in dets] == want[1]
+
+
+@st.composite
+def box_points(draw):
+    """(width, zs, ws, beta): width 0..3 and N <= 3 variables a side from the
+    pool, one w too many now and then."""
+    n = draw(st.integers(0, 3))
+    extra = draw(st.integers(0, 9)) == 0
+    zs = draw(st.lists(_pool, min_size=n, max_size=n))
+    ws = draw(st.lists(_pool, min_size=n + extra, max_size=n + extra))
+    return draw(st.integers(0, 3)), zs, ws, draw(_betas)
+
+
+BOX_SIDES = [
+    (cauchy_lhs, oracles.cauchy_lhs_fraction, True),
+    (cauchy_rhs, oracles.cauchy_rhs_fraction, True),
+    (summation_lhs, oracles.summation_lhs_fraction, False),
+    (summation_rhs, oracles.summation_rhs_fraction, False),
+]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(box_points())
+def test_box_sides_are_their_fraction_references(point):
+    """The integer box sides return what the Fraction routes return, and
+    refuse what they refuse with the same exception and message."""
+    width, zs, ws, beta = point
+    for side, reference, takes_ws in BOX_SIDES:
+        args = (width, zs, ws, beta) if takes_ws else (width, zs, beta)
+        got = outcome(side, *args)
+        assert got == outcome(reference, *args), side.__name__
+        assert got[0] != "value" or type(got[1]) is F
+
+
+def test_box_sides_at_the_edges():
+    """n = 0, width 0, a repeated variable, z = w, z = 0 and beta = 0, each
+    against the Fraction routes."""
+    points = [
+        (0, (), (), F(1, 2)),
+        (2, (), (), F(0)),
+        (0, (F(2), F(-1, 3)), (F(5), F(0)), F(-1)),
+        (2, (F(0), F(-2, 3)), (F(1, 2), F(-3)), F(0)),
+        (1, (F(2), F(2)), (F(3), F(5)), F(1, 2)),
+        (1, (F(2), F(3)), (F(5), F(5)), F(1, 2)),
+        (1, (F(2), F(3)), (F(5), F(2)), F(1, 2)),
+        (3, (F(1), F(-1), F(2, 3)), (F(-2), F(1, 3), F(3)), F(-1)),
+    ]
+    refused = set()
+    for width, zs, ws, beta in points:
+        for side, reference, takes_ws in BOX_SIDES:
+            args = (width, zs, ws, beta) if takes_ws else (width, zs, beta)
+            got = outcome(side, *args)
+            assert got == outcome(reference, *args), (side.__name__, args)
+            refused.add(got[0])
+    assert {DegeneratePointError, PoleError, ParameterError, "value"} <= refused
+
+
+def _mutant(route, old: str, new: str):
+    """route recompiled from its source with `old` replaced, once, by `new`."""
+    source = textwrap.dedent(inspect.getsource(route))
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(route)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(route), "exec"), namespace)
+    return namespace[route.__name__]
+
+
+@pytest.mark.parametrize(
+    "old, new, raised",
+    [
+        # an exponent off by one in an entry's numerator: the division by
+        # a d - b c is no longer exact, and raises rather than floors
+        ("a**e * (s * b) ** (n - 1)", "a ** (e + 1) * (s * b) ** (n - 1)", ArithmeticError),
+        # an exponent off by one in the denominator: a wrong value
+        ("** (e - 1)", "** e", "value"),
+    ],
+    ids=["entry", "denominator"],
+)
+def test_a_cauchy_exponent_off_by_one_is_caught(old, new, raised):
+    mutant = _mutant(cauchy_rhs, old, new)
+    rng = random.Random(5)
+    for _ in range(40):
+        n, width = rng.randrange(1, 4), rng.randrange(0, 3)
+        zs = generic_rationals(rng, n)
+        ws = [-w / 3 for w in generic_rationals(rng, n, start=n)]
+        beta = rng.choice(_BETA_PALETTE)
+        want = outcome(oracles.cauchy_rhs_fraction, width, zs, ws, beta)
+        assert want[0] == "value" and outcome(cauchy_rhs, width, zs, ws, beta) == want
+        got = outcome(mutant, width, zs, ws, beta)
+        assert got[0] == raised and got != want
 
 
 SKEW_BETAS = (F(0), F(-1), F(1, 2), F(-2, 3), F(3))

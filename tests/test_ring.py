@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import oracles
-from oracles import det_ring
+from oracles import det_ring, vandermonde
 
 from grothcrystal.exactcore import (
     LaurentPoly,
     Matrix,
     TruncatedSeries,
-    vandermonde,
 )
 
 ORDER = 5

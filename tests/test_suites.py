@@ -10,6 +10,9 @@ from pathlib import Path
 
 import oracles
 import pytest
+from oracles import outcome
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grothcrystal
 from grothcrystal import fivevertex as fv
@@ -273,32 +276,36 @@ def test_generating_every_case_runs_no_path_sum(monkeypatch):
 
 
 def _perturb_first(real):
-    def closed_amplitudes(*args):
-        values = real(*args)
-        return [values[0] + 1] + values[1:]
+    def closed_table(*args):
+        dets, num, den = real(*args)
+        return [dets[0] + 1] + dets[1:], num, den
 
-    return closed_amplitudes
+    return closed_table
 
 
 def _drop_first(real):
-    def lattice_amplitudes(*args):
-        amps = real(*args)
-        del amps[min(amps)]
-        return amps
+    def lattice_table(*args):
+        sums, den, build = real(*args)
+        del sums[min(sums)]
+        return sums, den, build
 
-    return lattice_amplitudes
+    return lattice_table
 
 
 def _shorten(real):
-    return lambda *args: real(*args)[:-1]
+    def closed_table(*args):
+        dets, num, den = real(*args)
+        return dets[:-1], num, den
+
+    return closed_table
 
 
 @pytest.mark.parametrize(
     "route, alter",
     [
-        ("closed_amplitudes", _perturb_first),
-        ("lattice_amplitudes", _drop_first),
-        ("closed_amplitudes", _shorten),
+        ("closed_table", _perturb_first),
+        ("lattice_table", _drop_first),
+        ("closed_table", _shorten),
     ],
     ids=["perturbed-closed", "dropped-state", "short-closed"],
 )
@@ -306,10 +313,10 @@ def _shorten(real):
     "suite, tag, count", [("fv", "fv.wavefunction.", 12), ("pm", "pm.wavefunction-dual.", 9)]
 )
 def test_wavefunction_cases_fail_on_one_wrong_amplitude(monkeypatch, route, alter, suite, tag, count):
-    """Each wavefunction case compares every state of its sector: one closed
-    value off by one, or one state missing from the lattice side, fails every
-    case, and a closed list one short fails it with an error, not a skipped
-    comparison."""
+    """Each wavefunction case compares every state of its sector on the
+    integer tables: one closed determinant off by one, or one state missing
+    from the lattice side, fails every case, and a closed table one short
+    fails it with an error, not a skipped comparison."""
     monkeypatch.setattr(lattice, route, alter(getattr(lattice, route)))
     names = [case.name for case in SUITES[suite]("small", random.Random(f"{suite}:1"))]
     rep = run_suite(suite, "small", 1, tags=tag)
@@ -317,6 +324,65 @@ def test_wavefunction_cases_fail_on_one_wrong_amplitude(monkeypatch, route, alte
     assert [f["case"] for f in rep.failures] == [name for name in names if tag in name]
     errors = [f.get("error", "")[:11] for f in rep.failures]
     assert errors == ["ValueError:" if alter is _shorten else ""] * count
+
+
+@st.composite
+def sector_points(draw):
+    """(model, M, params, beta, dual): up to 5 sites and 3 particles, the
+    parameters from a small pool, so that a zero, a repeated or a negated
+    parameter, beta = 0 and the phase model's beta*v^2 = 1 all come up."""
+    model = draw(st.sampled_from([fv.MODEL, pm.MODEL]))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 3))
+    params = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n))
+    beta = draw(st.sampled_from(suites._BETA_PALETTE + (F(0),)))
+    return model, m, params, beta, draw(st.booleans())
+
+
+def _sector_check(model, m, params, beta, dual):
+    """The check of the suites' forward or dual wavefunction case."""
+    cases = list(suites._wavefunction_cases(model, "t", 0, m, params, beta))
+    return cases[dual].check
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sector_points())
+def test_sector_checks_are_the_per_state_fraction_route(point):
+    """The cross-multiplied integer tables give the verdict, or the refusal,
+    of the per-state Fraction comparison."""
+    got = outcome(_sector_check(*point))
+    assert got == outcome(oracles.sector_agrees_fraction, *point)
+    assert got[0] != "value" or got[1] is True
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sector_points(), st.integers(0, 10**6), st.sampled_from([1, -1]))
+def test_sector_checks_fail_on_one_closed_determinant_off_by_one(point, pick, step):
+    check = _sector_check(*point)
+    if outcome(check) != ("value", True) or not point[0].sector(point[1], len(point[2])):
+        return
+    real = lattice.closed_table
+
+    def off(*args):
+        dets, num, den = real(*args)
+        dets[pick % len(dets)] += step
+        return dets, num, den
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "closed_table", off)
+        assert check() is False
+
+
+def test_generic_rationals_are_the_sum_of_a_prime_and_a_fraction():
+    """Each draw is one Fraction now; its value and the draws it takes from
+    the generator are those of the two-Fraction sum."""
+    for seed in range(250):
+        for count, start in [(0, 0), (1, 0), (2, 2), (3, 5), (4, 12), (16, 0), (1, 16)]:
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert outcome(suites.generic_rationals, rng, count, start) == outcome(
+                oracles.generic_rationals_sum, ref, count, start
+            )
+            assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize(
