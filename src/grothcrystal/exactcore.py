@@ -1,12 +1,13 @@
 """Exact arithmetic: rationals, Laurent polynomials, truncated q-series, matrices.
 
 Scalars are `fractions.Fraction`; floats enter only in the Bethe-root and
-entropy numerics elsewhere.  A Laurent polynomial is sparse {exponent:
-coefficient} with no zeros kept.  A truncated series keeps integer numerators
-of q^0..q^D over one denominator, multiplied by a convolution that skips zero
-terms and cut at its fixed order; a matrix is rational and likewise keeps one
-integer table over one denominator, so its products and equality run on
-integers.
+entropy numerics elsewhere, and a series, Laurent polynomial or matrix refuses
+them.  A Laurent polynomial is sparse {exponent: coefficient} with no zeros
+kept.  A truncated series keeps integer numerators of q^0..q^D over one
+denominator, multiplied by a convolution that skips zero terms, divided by
+long division on the numerators and cut at its fixed order; a matrix is
+rational and likewise keeps one integer table over one denominator, so its
+products and equality run on integers.
 Rationals serialize as canonical "p/q" strings, series as lists of them.
 """
 
@@ -58,7 +59,8 @@ class _Ring:
     subclass's `_lift`, `+`, unary `-`, `*` and `inverse()`.
 
     Division is by a unit of the ring (a nonzero scalar lifts to one); a
-    negative power goes through `inverse()`.  Each subclass binds `__pow__`
+    negative power goes through `inverse()`.  `TruncatedSeries` subtracts
+    and divides on its numerators instead.  Each subclass binds `__pow__`
     itself, so the method stays an attribute of its own class.
     """
 
@@ -110,6 +112,8 @@ class LaurentPoly(_Ring):
     def __init__(self, coeffs: dict[int, Fraction] | None = None):
         cleaned: dict[int, Fraction] = {}
         if coeffs:
+            if not _rational([coeffs.values()]):
+                raise TypeError("a LaurentPoly takes int, bool or Fraction coefficients only")
             for e, c in coeffs.items():
                 if e != int(e):
                     raise ValueError(f"exponents must be integers: {e}")
@@ -127,7 +131,7 @@ class LaurentPoly(_Ring):
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def var(cls) -> "LaurentPoly":
@@ -238,7 +242,9 @@ class TruncatedSeries(_Ring):
     __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
-        co = [Fraction(c) for c in coeffs]
+        co = list(coeffs)
+        if not _rational([co]):
+            raise TypeError("a TruncatedSeries takes int, bool or Fraction coefficients only")
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")
@@ -331,17 +337,30 @@ class TruncatedSeries(_Ring):
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._raw(tuple(-x for x in self.nums), self.den)
 
-    def __add__(self, other) -> "TruncatedSeries":
+    def _plus(self, other, sign: int) -> "TruncatedSeries":
+        """self + sign * other, for other a series or a scalar."""
         lifted = self._lift(other)
         if lifted is None:
             return NotImplemented
         g = math.gcd(self.den, lifted.den)
-        s, t = lifted.den // g, self.den // g
+        s, t = lifted.den // g, self.den // g * sign
         return TruncatedSeries._raw(
             tuple(a * s + b * t for a, b in zip(self.nums, lifted.nums)), self.den * s
         )
 
+    def __add__(self, other) -> "TruncatedSeries":
+        return self._plus(other, 1)
+
     __radd__ = __add__
+
+    def __sub__(self, other) -> "TruncatedSeries":
+        return self._plus(other, -1)
+
+    def __rsub__(self, other) -> "TruncatedSeries":
+        lifted = self._lift(other)
+        if lifted is None:
+            return NotImplemented
+        return lifted._plus(self, -1)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
@@ -356,29 +375,66 @@ class TruncatedSeries(_Ring):
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "TruncatedSeries":
-        """den / N for the numerators N.  c0^(D+1) / N has the integer
-        coefficients U_0 = c0^D, U_n = -(sum_k N_k U_(n-k)) / c0, each
-        division exact."""
-        nums = self.nums
-        c0 = nums[0]
-        if not c0:
-            raise ValueError("series with zero constant term has no inverse")
-        terms = [(k, x) for k, x in enumerate(nums) if k and x]
-        out = [c0**self.order]
-        for n in range(1, len(nums)):
-            out.append(-sum(x * out[n - k] for k, x in terms if k <= n) // c0)
-        lead = c0 * out[0]  # c0^(D+1)
-        scale = self.den if lead > 0 else -self.den
-        return TruncatedSeries._raw(tuple(x * scale for x in out), abs(lead))
+    def __truediv__(self, other) -> "TruncatedSeries":
+        lifted = self._lift(other)
+        if lifted is None:
+            return NotImplemented
+        return _quotient(self, lifted)
 
-    __pow__ = _Ring.__pow__
+    def __rtruediv__(self, other) -> "TruncatedSeries":
+        lifted = self._lift(other)
+        if lifted is None:
+            return NotImplemented
+        return _quotient(lifted, self)
+
+    def inverse(self) -> "TruncatedSeries":
+        return _quotient(self._lift(1), self)
+
+    def __pow__(self, n: int) -> "TruncatedSeries":
+        k = self.valuation()
+        if n <= 0 or k > self.order or any(self.nums[k + 1 :]):
+            return _Ring.__pow__(self, n)
+        # a monomial c q^k: c^n q^(kn), cut at the order
+        nums = [0] * len(self.nums)
+        if k * n <= self.order:
+            nums[k * n] = self.nums[k] ** n
+        return TruncatedSeries._raw(tuple(nums), self.den**n)
 
     def to_strings(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
+
+
+def _quotient(x: TruncatedSeries, d: TruncatedSeries) -> TruncatedSeries:
+    """x / d by long division on the numerators X of x and N of d.  The
+    coefficients Z_n = (X_n - sum_k N_k Z_(n-k)) / N_0 of X / N are kept as
+    integers over one running denominator, which takes on only the factor of
+    N_0 that each new coefficient needs; x / d = Z * d.den / x.den."""
+    nums = d.nums
+    c0 = nums[0]
+    if not c0:
+        raise ValueError("series with zero constant term has no inverse")
+    terms = [(k, y) for k, y in enumerate(nums) if k and y]
+    out, den = [], 1
+    for n, x_n in enumerate(x.nums):
+        acc = x_n * den
+        for k, y in terms:
+            if k > n:
+                break
+            acc -= y * out[n - k]
+        if c0 != 1:
+            g = math.gcd(acc, c0)
+            c = c0 // g
+            if c < 0:
+                c, acc = -c, -acc
+            if c != 1:
+                out = [w * c for w in out]
+                den *= c
+            acc //= g
+        out.append(acc)
+    return TruncatedSeries._raw(tuple(w * d.den for w in out), den * x.den)
 
 
 def _int_det_bareiss(m: list[list[int]]) -> int:
@@ -583,15 +639,19 @@ def qadic_det(rows: Sequence[Sequence[TruncatedSeries]], order: int) -> tuple[in
         unit = a[k][k].shift_down(v)
         inv = unit.inverse()
         tail = [(j, x.shift_down(v)) for j, x in enumerate(a[k][k + 1 :], k + 1) if vals[k][j] <= order]
-        pad = (0,) * v
         for i in range(k + 1, n):
             if vals[i][k] > order:
                 continue
             factor = a[i][k].shift_down(v) * inv
             row = a[i]
             for j, x in tail:
-                prod = factor * x
-                row[j] = row[j] - TruncatedSeries._raw(pad + prod.nums, prod.den)
+                # row[j] - q^v * factor * x, over the lcm of the two denominators
+                prod, old = factor * x, row[j]
+                den = math.lcm(old.den, prod.den)
+                s, t = den // old.den, den // prod.den
+                low, high = old.nums[:v], old.nums[v:]
+                nums = tuple(y * s for y in low) + tuple(y * s - z * t for y, z in zip(high, prod.nums))
+                row[j] = TruncatedSeries._raw(nums, den)
                 vals[i][j] = row[j].valuation()
         pivots.append((v, unit))
     top = max((v for v, _ in pivots), default=0)

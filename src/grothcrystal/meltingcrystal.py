@@ -4,8 +4,11 @@ The weight of a plane partition depends on where consecutive diagonal slices
 agree, with one deformation parameter beta on top of the box-count variable q.
 Everything here is evaluated two ways: brute-force sums over enumerated
 configurations against closed determinant or product formulas, in numeric
-(rational q) or series mode.  The same code builds the determinant's entries
-and prefactor in both modes.  The modes differ in the determinant and in the
+(rational q) or series mode.  The brute force fills each box once per
+process, grouped by the slice-agreement class the weight depends on, and
+sums the classes on integers.  The same code builds the determinant's entries
+and prefactor in both modes, dividing by each unit rather than multiplying by
+its inverse.  The modes differ in the determinant and in the
 final division by a power of q: numeric mode takes `Matrix.det` and
 multiplies by that power, while series mode eliminates over Q[[q]] with
 pivots of least valuation (`qadic_det`), whose valuation is exactly the power
@@ -19,11 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import OutOfBoxError, ParameterError, PoleError, PrecisionError
 from .exactcore import Matrix, TruncatedSeries, qadic_det
-from .partitions import PlanePartition, check_box, check_plane_partition, enumerate_boxed, pp_size
+from .partitions import PlanePartition, check_box, check_plane_partition, partitions_in_box
 
 
 # a plane partition's class, the pairs (c_up[j], c_down[j]) of `_agreements`
@@ -104,37 +108,94 @@ def weight_phi(pi: PlanePartition, q, beta, n_slices: int) -> object:
 def _box_classes(n: int, height: int) -> tuple[tuple[_Class, tuple[int, ...]], ...]:
     """Every plane partition in the n x n x height box, once, grouped by class:
     (class, counts) pairs, counts[s] being the number of size s for
-    s = 0..n*n*height, with the classes in the order they first appear."""
-    table: dict = {}
-    for pi in enumerate_boxed(n, n, height):
-        cls = _agreements(pi, n)
-        if cls not in table:
-            table[cls] = [0] * (n * n * height + 1)
-        table[cls][pp_size(pi)] += 1
-    return tuple((cls, tuple(counts)) for cls, counts in table.items())
+    s = 0..n*n*height, with the classes in the order they first appear in
+    `enumerate_boxed`.
+
+    The grid is filled row by row in that order, keeping the class as one
+    integer whose base-n digits 2j-2 and 2j-1 are c_up[j] and c_down[j]
+    (each count is below n).  Each row below row 0 adds its digits: an entry
+    at column - row = d >= 0 equal to the one above it adds to c_up[d+1], an
+    entry left of the diagonal that differs from it adds to
+    c_down[row - column].
+    """
+    check_box(n, n, height)
+    shapes = [(row, sum(row)) for row in partitions_in_box(height, n)]
+    top = n * n * height
+    table: dict[int, list[int]] = {}
+
+    @functools.cache
+    def below(r: int, upper) -> list:
+        """(row, the digits it adds, its size) for each row r under upper."""
+        fits = [(row, size) for row, size in shapes if all(map(operator.le, row, upper))]
+        return [(row, r and _row_digits(r, upper, row, n), size) for row, size in fits]
+
+    def fill(r: int, upper, key: int, size: int) -> None:
+        if r == n:
+            if key not in table:
+                table[key] = [0] * (top + 1)
+            table[key][size] += 1
+            return
+        for row, digits, s in below(r, upper):
+            fill(r + 1, row, key + digits, size + s)
+
+    fill(0, (height,) * n, 0, 0)
+    return tuple(
+        (tuple((key // n ** (2 * j) % n, key // n ** (2 * j + 1) % n) for j in range(n - 1)), tuple(counts))
+        for key, counts in table.items()
+    )
+
+
+def _row_digits(r: int, upper, row, n: int) -> int:
+    """The class digits that row r (>= 1) adds, under the row above it."""
+    out = 0
+    for c, (x, y) in enumerate(zip(row, upper)):
+        if c >= r and x == y:
+            out += n ** (2 * (c - r))
+        elif c < r and x != y:
+            out += n ** (2 * (r - c) - 1)
+    return out
 
 
 def z_box_bruteforce(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
     """Sum of weight * q^size over all plane partitions in the n x n x height box.
 
-    The box is enumerated once per process and summed per weight class.  A
-    vanishing 1 + beta*q^j raises at the first class, in enumeration order,
-    that uses it.
+    The box is enumerated once per process and summed per weight class on
+    integers.  With q = a/b and beta = r/s, 1 + beta*q^j = u_j / (s b^j) and
+    1 + beta*q^(1-j) = d_j / (s a^(j-1)) for u_j = s b^j + r a^j and
+    d_j = s a^(j-1) + r b^(j-1), so each class adds its weight times its size
+    sum as one integer over prod_j u_j^(max c_up[j]) (s a^(j-1))^(max c_down[j])
+    b^top.  A vanishing 1 + beta*q^j raises at the first class, in
+    enumeration order, that uses it.
     """
     q = Fraction(q)
     beta = Fraction(beta)
     if q == 0:
         raise ParameterError("q must be nonzero")
-    factors = _phi_factors(n, q, beta)
     classes = _box_classes(n, height)
     top = n * n * height
-    a, b = q.numerator, q.denominator
-    # q^s = a^s b^(top-s) / b^top, so a class's size sum is one integer over b^top
-    mono = [a**s * b ** (top - s) for s in range(top + 1)]
-    total = sum(
-        _phi(cls, factors) * sum(c * m for c, m in zip(counts, mono)) for cls, counts in classes
-    )
-    return total / b**top
+    (a, b), (r, s) = q.as_integer_ratio(), beta.as_integer_ratio()
+    # per j: u_j and the class's j-th factor over the common denominator, by
+    # c_up[j] and by c_down[j]
+    factors = []
+    den = b**top
+    for j in range(1, n):
+        u, d_num, d_den = s * b**j + r * a**j, s * a ** (j - 1) + r * b ** (j - 1), s * a ** (j - 1)
+        top_up = max(cls[j - 1][0] for cls, _ in classes)
+        top_down = max(cls[j - 1][1] for cls, _ in classes)
+        up = [(s * b**j) ** c * u ** (top_up - c) for c in range(top_up + 1)]
+        down = [d_num**c * d_den ** (top_down - c) for c in range(top_down + 1)]
+        factors.append((u, up, down))
+        den *= u**top_up * d_den**top_down
+    mono = [a**k * b ** (top - k) for k in range(top + 1)]  # q^k = a^k b^(top-k) / b^top
+    total = 0
+    for cls, counts in classes:
+        weight = 1
+        for j, ((u, up, down), (c_up, c_down)) in enumerate(zip(factors, cls), 1):
+            if c_up and not u:
+                raise PoleError(f"1 + beta*q^{j} vanishes")
+            weight *= up[c_up] * down[c_down]
+        total += weight * sum(c * m for c, m in zip(counts, mono) if c)
+    return Fraction(total, den)
 
 
 def _det_shift(n: int) -> int:
@@ -159,17 +220,17 @@ def _z_box_det_parts(n: int, height: int, q, beta):
         base = one + beta * q**j
         if base == 0 and j < n:  # as in the weight, 1 + beta*q^n is never inverted
             raise PoleError(f"1 + beta*q^{j} vanishes")
-        rows[j] = (base ** (j - 1), q ** (j * (height + n)) * base ** (j - n))
-    # 1/(1 - q^m) for every m = j + k - 1 the entries and the prefactor use;
+        rows[j] = (base ** (j - 1), q ** (j * (height + n)) / base ** (n - j))
+    # 1 - q^m for every m = j + k - 1 the entries and the prefactor divide by;
     # a unit, as rational q avoids +-1 and a series 1 - q^m has constant term 1
-    inv_den = {m: (one - q**m) ** -1 for m in range(1, 2 * n)}
+    dens = {m: one - q**m for m in range(1, 2 * n)}
     cols = {k: q ** ((k - 1) * (height + 1)) * (q ** (k - 1) + beta * one) ** (n - 1) for k in span}
-    entries = [[(a - b * cols[k]) * inv_den[j + k - 1] for k in span] for j, (a, b) in rows.items()]
-    # over prod_{j<k} (1 - q^(k-j))^2, where m = k - j occurs n - m times
+    entries = [[(a - b * cols[k]) / dens[j + k - 1] for k in span] for j, (a, b) in rows.items()]
+    # 1 over prod_{j<k} (1 - q^(k-j))^2, where m = k - j occurs n - m times
     pref = one
     for m in range(1, n):
-        pref = pref * inv_den[m] ** (2 * (n - m))
-    return entries, pref
+        pref = pref * dens[m] ** (2 * (n - m))
+    return entries, one / pref
 
 
 def z_box_det(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
@@ -215,7 +276,7 @@ def z_box_beta0(n_rows: int, n_cols: int, height: int, q) -> object:
             den = one - q ** (j + k - 1)
             if den == 0:
                 raise PoleError("1 - q^m vanishes")
-            total = total * (num / den)
+            total = total * num / den
     return total
 
 

@@ -1,13 +1,28 @@
 """Reference implementations that tests compare the program against."""
 
+import inspect
 import math
+import textwrap
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from grothcrystal import fivevertex, grothendieck, lattice, suites
-from grothcrystal.errors import DegeneratePointError, OutOfBoxError, ParameterError, PoleError
+from grothcrystal import fivevertex, grothendieck, lattice, meltingcrystal, suites
+from grothcrystal.errors import (
+    DegeneratePointError,
+    OutOfBoxError,
+    ParameterError,
+    PoleError,
+    PrecisionError,
+)
 from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, rational_sqrt
-from grothcrystal.partitions import check_partition, complement, partitions_in_box
+from grothcrystal.partitions import (
+    check_box,
+    check_partition,
+    complement,
+    enumerate_boxed,
+    partitions_in_box,
+    pp_size,
+)
 
 
 def outcome(route, *args):
@@ -16,6 +31,15 @@ def outcome(route, *args):
         return "value", route(*args)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
+
+
+def mutant(route, old: str, new: str):
+    """route recompiled from its source with `old` replaced, once, by `new`."""
+    source = textwrap.dedent(inspect.getsource(route))
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(route)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(route), "exec"), namespace)
+    return namespace[route.__name__]
 
 
 def vandermonde(xs: Sequence) -> object:
@@ -593,3 +617,104 @@ def hamiltonian_phase_sector(num_sites: int, num_particles: int, beta) -> Matrix
             target[(j + 1) % num_sites] += 1
             h[index[tuple(target)]][col] += Fraction(1)
     return Matrix(h)
+
+
+def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
+    """den / N for the numerators N.  c0^(D+1) / N has the integer
+    coefficients U_0 = c0^D, U_n = -(sum_k N_k U_(n-k)) / c0, each division
+    exact: the dense inverse that series division multiplied by."""
+    nums = s.nums
+    c0 = nums[0]
+    if not c0:
+        raise ValueError("series with zero constant term has no inverse")
+    terms = [(k, x) for k, x in enumerate(nums) if k and x]
+    out = [c0**s.order]
+    for n in range(1, len(nums)):
+        out.append(-sum(x * out[n - k] for k, x in terms if k <= n) // c0)
+    lead = c0 * out[0]  # c0^(D+1)
+    scale = s.den if lead > 0 else -s.den
+    return TruncatedSeries._raw(tuple(x * scale for x in out), abs(lead))
+
+
+def series_divide(x, d) -> TruncatedSeries:
+    """x / d as x times the dense inverse of d, either one a series or a
+    scalar lifted to the other's order."""
+    like = x if isinstance(x, TruncatedSeries) else d
+    return like._lift(x) * series_inverse(like._lift(d))
+
+
+def qadic_det(rows, order: int) -> tuple[int, TruncatedSeries]:
+    """`exactcore.qadic_det` with each pivot inverted by `series_inverse`
+    and each update a padded product, a negation and a sum."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    if any(x.order != order for row in a for x in row):
+        raise ValueError("series orders differ")
+    vals = [[x.valuation() for x in row] for row in a]
+    sign = 1
+    pivots = []
+    for k in range(n):
+        v, i, j = min((vals[i][j], i, j) for i in range(k, n) for j in range(k, n))
+        if v > order:
+            raise PrecisionError(f"a {n - k}x{n - k} block of the matrix vanishes through q^{order}")
+        if i != k:
+            a[i], a[k], vals[i], vals[k], sign = a[k], a[i], vals[k], vals[i], -sign
+        if j != k:
+            for row in a[k:] + vals[k:]:
+                row[j], row[k] = row[k], row[j]
+            sign = -sign
+        unit = a[k][k].shift_down(v)
+        inv = series_inverse(unit)
+        tail = [(j, x.shift_down(v)) for j, x in enumerate(a[k][k + 1 :], k + 1) if vals[k][j] <= order]
+        pad = (0,) * v
+        for i in range(k + 1, n):
+            if vals[i][k] > order:
+                continue
+            factor = a[i][k].shift_down(v) * inv
+            row = a[i]
+            for j, x in tail:
+                prod = factor * x
+                row[j] = row[j] - TruncatedSeries._raw(pad + prod.nums, prod.den)
+                vals[i][j] = row[j].valuation()
+        pivots.append((v, unit))
+    top = max((v for v, _ in pivots), default=0)
+    out = TruncatedSeries.one(order - top) * sign
+    for _, unit in pivots:
+        out = out * unit.truncate(order - top)
+    return sum(v for v, _ in pivots), out
+
+
+def box_classes(n: int, height: int) -> tuple:
+    """`meltingcrystal._box_classes` from `enumerate_boxed`, each plane
+    partition padded and classed by `_agreements` and sized by `pp_size`."""
+    table: dict = {}
+    for pi in enumerate_boxed(n, n, height):
+        cls = meltingcrystal._agreements(pi, n)
+        if cls not in table:
+            table[cls] = [0] * (n * n * height + 1)
+        table[cls][pp_size(pi)] += 1
+    return tuple((cls, tuple(counts)) for cls, counts in table.items())
+
+
+def bruteforce_fraction(n: int, height: int, q, beta, classes=None) -> Fraction:
+    """`meltingcrystal.z_box_bruteforce` as a `Fraction` sum of each class's
+    weight `_phi` times its size sum, over `classes` (by default the box's
+    own table from `box_classes`)."""
+    q = Fraction(q)
+    beta = Fraction(beta)
+    if q == 0:
+        raise ParameterError("q must be nonzero")
+    factors = meltingcrystal._phi_factors(n, q, beta)
+    check_box(n, n, height)
+    if classes is None:
+        classes = box_classes(n, height)
+    top = n * n * height
+    a, b = q.numerator, q.denominator
+    mono = [a**s * b ** (top - s) for s in range(top + 1)]
+    total = sum(
+        meltingcrystal._phi(cls, factors) * sum(c * m for c, m in zip(counts, mono))
+        for cls, counts in classes
+    )
+    return total / b**top

@@ -37,6 +37,9 @@ ROWS = [
     (('mc', 'zbox', '--n', '2', '--height', '2', '--q', '1/2', '--beta', '1'), 0, 'ee3ee78121b2ef7cab54baf101702ef6193bfcf412349e19b77b1aa1212379c2', None),
     (('mc', 'zbox', '--n', '1', '--height', '1', '--beta', '0', '--series', '4'), 0, '127d87b99cdc73894d14ff46fddab45f6f5a72c383c6e4a3cb70b44604155d92', None),
     (('mc', 'zbox', '--n', '3', '--height', '3', '--q', '3/2', '--beta=-1/2'), 0, '9f6916a6f36275e7a97609694a373c6ba6fb48e06168a027ee68a937a2bf73e7', None),
+    # a 4 x 4 x 3 box, 24 696 plane partitions summed by class against the
+    # determinant; recorded while the classes came from enumerate_boxed
+    (('mc', 'zbox', '--n', '4', '--height', '3', '--q', '1/2', '--beta', '1'), 0, 'af6ceb2d9d0e8cdecf259c9ce9ff7888e2ef2081b5bddeb3553995a184a537df', None),
     (('mc', 'macmahon', '--beta', '-1', '--order', '7'), 0, '08fcb9351ab3e78bcd312301f3f0ffca7298c5ecdf91371c87f14ce24195ac84', None),
     (('mc', 'entropy', '--mu', '1', '--temps', '0.2,0.6,1.0', '--betas=-1,0,1'), 0, '58defe5a3c4065cc20b20e17318ee8bba23233e973bdcb062b4154aee9ae5b39', None),
     (('sv6', 'verify', '--params', '{"a1":"1","a2":"1","a3":"2","a4":"1","a5":"-1/2","a6":"-1/2","t":"1/2"}'), 0, 'e6522c4dea7a9ddf4a7982c5a6f77754b34e0a942c80c44ec4efbb10ae9b0522', None),

@@ -1,6 +1,4 @@
-import inspect
 import random
-import textwrap
 from fractions import Fraction as F
 from functools import partial
 from itertools import combinations, product
@@ -428,15 +426,6 @@ def test_box_sides_at_the_edges():
     assert {DegeneratePointError, PoleError, ParameterError, "value"} <= refused
 
 
-def _mutant(route, old: str, new: str):
-    """route recompiled from its source with `old` replaced, once, by `new`."""
-    source = textwrap.dedent(inspect.getsource(route))
-    assert source.count(old) == 1
-    namespace = dict(vars(inspect.getmodule(route)))
-    exec(compile(source.replace(old, new), inspect.getsourcefile(route), "exec"), namespace)
-    return namespace[route.__name__]
-
-
 @pytest.mark.parametrize(
     "old, new, raised",
     [
@@ -449,7 +438,7 @@ def _mutant(route, old: str, new: str):
     ids=["entry", "denominator"],
 )
 def test_a_cauchy_exponent_off_by_one_is_caught(old, new, raised):
-    mutant = _mutant(cauchy_rhs, old, new)
+    mutant = oracles.mutant(cauchy_rhs, old, new)
     rng = random.Random(5)
     for _ in range(40):
         n, width = rng.randrange(1, 4), rng.randrange(0, 3)

@@ -2,8 +2,9 @@ import math
 import re
 from fractions import Fraction as F
 
+import oracles
 import pytest
-from oracles import binomial_qn_series, det_ring
+from oracles import binomial_qn_series, det_ring, outcome
 
 from grothcrystal import meltingcrystal
 from grothcrystal.errors import OutOfBoxError, ParameterError, PoleError, PrecisionError
@@ -29,6 +30,7 @@ from grothcrystal.partitions import (
     diagonal_slice,
     enumerate_boxed,
     part,
+    partitions_in_box,
     partitions_of_size,
     plane_partitions_of_size,
     pp_size,
@@ -449,13 +451,14 @@ def test_bruteforce_poles_and_box_errors_keep_their_messages():
 
 
 def test_bruteforce_enumerates_each_box_once(monkeypatch):
+    # the fill takes its rows from one partitions_in_box(height, n) call
     dims = []
 
     def counting(*args):
         dims.append(args)
-        return enumerate_boxed(*args)
+        return partitions_in_box(*args)
 
-    monkeypatch.setattr(meltingcrystal, "enumerate_boxed", counting)
+    monkeypatch.setattr(meltingcrystal, "partitions_in_box", counting)
     meltingcrystal._box_classes.cache_clear()
     try:
         # the (q, beta) points of the full mc suite's 3 x 3 x 3 cases
@@ -464,7 +467,7 @@ def test_bruteforce_enumerates_each_box_once(monkeypatch):
                 assert z_box_bruteforce(3, 3, q, beta) == z_box_det(3, 3, q, beta)
     finally:
         meltingcrystal._box_classes.cache_clear()
-    assert dims == [(3, 3, 3)]
+    assert dims == [(3, 3)]
 
 
 def test_box_class_table_is_the_box():
@@ -533,3 +536,83 @@ def test_every_route_refuses_the_same_boxes():
                 for route in routes:
                     with pytest.raises(ParameterError, match="^box dimensions must be nonnegative$"):
                         route()
+
+
+BOX_DIMS = [(n, h) for n in range(4) for h in range(4)] + [(4, 2)]
+
+
+@pytest.mark.parametrize("n, height", BOX_DIMS)
+def test_box_fill_is_the_agreement_grouping_of_the_enumeration(n, height):
+    # the same classes, in the order of first appearance, with the same counts
+    assert meltingcrystal._box_classes.__wrapped__(n, height) == oracles.box_classes(n, height)
+
+
+BRUTE_POINTS = [
+    (q, beta)
+    for q in (F(1, 2), F(2, 5), F(-1, 3), F(3, 2), F(-3), F(1), F(-1), F(2))
+    for beta in (F(0), F(-1), F(1), F(1, 2), F(-2, 3), F(3), F(-1, 2))
+]
+
+
+def test_integer_bruteforce_matches_the_fraction_class_sum():
+    kinds = set()
+    for n, height in ((0, 2), (1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1)):
+        for q, beta in BRUTE_POINTS:
+            want = outcome(oracles.bruteforce_fraction, n, height, q, beta)
+            assert outcome(z_box_bruteforce, n, height, q, beta) == want, (n, height, q, beta)
+            kinds.add(want[0] if want[0] != "value" else type(want[1]))
+    assert kinds == {F, PoleError}
+
+
+@pytest.mark.parametrize("q, beta, j", [(F(-1), F(1), 1), (F(2), F(-1, 2), 1), (F(1, 2), F(-4), 2)])
+def test_integer_bruteforce_raises_the_fraction_sums_pole(q, beta, j):
+    for n in (2, 3):
+        want = outcome(oracles.bruteforce_fraction, n, 2, q, beta)
+        if j < n:
+            assert want == (PoleError, f"1 + beta*q^{j} vanishes")
+        else:
+            assert want[0] == "value"
+        assert outcome(z_box_bruteforce, n, 2, q, beta) == want
+
+
+def test_integer_bruteforce_raises_at_the_first_class_in_order(monkeypatch):
+    # at q = -1, beta = 1 both 1 + beta*q and 1 + beta*q^3 vanish; put first,
+    # a class that uses only the second decides which one is raised
+    n, height, q, beta = 4, 3, F(-1), F(1)
+    classes = meltingcrystal._box_classes(n, height)
+    first = next(i for i, (cls, _) in enumerate(classes) if cls[2][0] and not cls[0][0])
+    reordered = (classes[first],) + classes[:first] + classes[first + 1 :]
+    want = (PoleError, "1 + beta*q^3 vanishes")
+    assert outcome(oracles.bruteforce_fraction, n, height, q, beta, reordered) == want
+    monkeypatch.setattr(meltingcrystal, "_box_classes", lambda *dims: reordered)
+    assert outcome(z_box_bruteforce, n, height, q, beta) == want
+    monkeypatch.undo()
+    assert outcome(z_box_bruteforce, n, height, q, beta) == (PoleError, "1 + beta*q^1 vanishes")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("u ** (top_up - c)", "u ** (top_up - c + 1)"),
+        ("d_den ** (top_down - c)", "d_den ** (top_down - c + 1)"),
+        ("r * b ** (j - 1)", "r * b**j"),
+        ("a**k * b ** (top - k)", "a**k * b ** (top - k + 1)"),
+    ],
+    ids=["up", "down", "down-factor", "size"],
+)
+def test_an_exponent_off_by_one_in_the_class_sum_is_caught(old, new):
+    mutant = oracles.mutant(z_box_bruteforce, old, new)
+    for n, height in ((2, 2), (3, 2)):
+        for q, beta in ((F(1, 2), F(1, 2)), (F(2, 5), F(-2, 3)), (F(-1, 3), F(2, 5))):
+            want = outcome(oracles.bruteforce_fraction, n, height, q, beta)
+            assert want[0] == "value" and outcome(z_box_bruteforce, n, height, q, beta) == want
+            assert outcome(mutant, n, height, q, beta) != want, (n, height, q, beta)
+
+
+@pytest.mark.parametrize(
+    "old, new", [("x == y", "x != y"), ("x != y", "x == y"), ("c >= r", "c > r")], ids=["up", "down", "diagonal"]
+)
+def test_a_flipped_comparison_in_the_fill_is_caught(monkeypatch, old, new):
+    monkeypatch.setattr(meltingcrystal, "_row_digits", oracles.mutant(meltingcrystal._row_digits, old, new))
+    for n, height in ((2, 1), (3, 2)):
+        assert meltingcrystal._box_classes.__wrapped__(n, height) != oracles.box_classes(n, height)

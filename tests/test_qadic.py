@@ -3,14 +3,16 @@ tests/oracles.py, which stays the reference: random series matrices with
 non-unit entries and mixed valuations, sign flips under row and column swaps,
 known valuations from a triangular factorization, exact precision on
 hand-built cases, and the error raised when a block vanishes at working
-precision."""
+precision; and the numerator updates against the elimination that multiplies
+by each pivot's inverse (`oracles.qadic_det`)."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det_ring
+import oracles
+from oracles import det_ring, outcome
 
 from grothcrystal.errors import PrecisionError
 from grothcrystal.exactcore import TruncatedSeries, qadic_det
@@ -18,21 +20,23 @@ from grothcrystal.exactcore import TruncatedSeries, qadic_det
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
 rats = st.builds(F, st.integers(-5, 5), st.integers(1, 6))
+# small numerators over small and large denominators, for mixed lcms
+wide_rats = st.builds(F, st.integers(-5, 5), st.one_of(st.integers(1, 6), st.integers(7, 10**6)))
 
 
-def series_at(order):
+def series_at(order, coeffs=rats):
     """A series at the given order whose first e coefficients vanish, for a
     drawn e = 0..order+1, mostly small (e = order+1 is the zero series)."""
     vals = st.one_of(st.integers(0, min(2, order)), st.integers(0, order + 1))
-    return st.tuples(st.lists(rats, min_size=order + 1, max_size=order + 1), vals).map(
+    return st.tuples(st.lists(coeffs, min_size=order + 1, max_size=order + 1), vals).map(
         lambda t: TruncatedSeries([F(0)] * t[1] + t[0][t[1] :])
     )
 
 
-def matrices(max_n=4, max_order=8):
+def matrices(max_n=4, max_order=8, coeffs=rats):
     return st.tuples(st.integers(1, max_n), st.integers(0, max_order)).flatmap(
         lambda nw: st.tuples(
-            st.lists(st.lists(series_at(nw[1]), min_size=nw[0], max_size=nw[0]), min_size=nw[0], max_size=nw[0]),
+            st.lists(st.lists(series_at(nw[1], coeffs), min_size=nw[0], max_size=nw[0]), min_size=nw[0], max_size=nw[0]),
             st.just(nw[1]),
         )
     )
@@ -187,3 +191,43 @@ def test_empty_and_malformed_matrices():
         qadic_det([[one, one]], 3)
     with pytest.raises(ValueError, match="orders differ"):
         qadic_det([[TruncatedSeries.one(2)]], 3)
+
+
+def canonical(result):
+    """(v, numerators, denominator) of a determinant, or what it raised."""
+    if result[0] != "value":
+        return result
+    v, unit = result[1]
+    return v, unit.nums, unit.den
+
+
+@SETTINGS
+@given(matrices(max_n=5, max_order=8, coeffs=wide_rats))
+def test_numerator_updates_match_the_padded_product_reference(case):
+    # the same valuations, pivots, signs and units as the elimination that
+    # multiplies by each pivot's inverse and pads, negates and adds
+    rows, order = case
+    got = outcome(qadic_det, rows, order)
+    assert canonical(got) == canonical(outcome(oracles.qadic_det, rows, order))
+
+
+def test_numerator_updates_through_pivot_swaps_and_vanishing_blocks():
+    order = 6
+    q = TruncatedSeries.indeterminate(order)
+    one = TruncatedSeries.one(order)
+    cases = [
+        # the least valuation off the diagonal: a row and a column swap
+        [[q**3, q**2, q**4], [q**2 + q**5, q**4, q], [q**5, 1 + q, q**3]],
+        [[q, F(1, 3) + q], [F(-2, 5) + q * F(7, 4), q**2 * F(1, 6)]],
+        [[q * F(-3, 2), one * F(5, 7), q**2], [one * F(2, 9), q, q * F(1, 4)], [q**3, q * F(-1, 8), one]],
+        # vanishing blocks after one and after no pivot
+        [[one, q, q * q]] * 3,
+        [[q**4 * q**3, q**7], [q**7, q**7]],
+    ]
+    raised = 0
+    for rows in cases:
+        rows = [[x if isinstance(x, TruncatedSeries) else one * x for x in row] for row in rows]
+        got = outcome(qadic_det, rows, order)
+        assert canonical(got) == canonical(outcome(oracles.qadic_det, rows, order))
+        raised += got[0] is PrecisionError
+    assert raised == 2

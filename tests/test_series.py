@@ -1,7 +1,8 @@
 """Integer-backed truncated series against a schoolbook `Fraction` reference.
 
 The product and the inverse are checked coefficient by coefficient against a
-plain convolution and the textbook recurrence, kept only here; the storage is
+plain convolution and the textbook recurrence, kept only here, and long
+division against inverse-then-multiply (tests/oracles.py); the storage is
 checked to be canonical (integer numerators over one positive denominator in
 lowest terms), so that equal series built by different routes compare equal.
 """
@@ -12,8 +13,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import outcome, series_divide
 
-from grothcrystal.exactcore import TruncatedSeries, _low_product
+from grothcrystal.exactcore import LaurentPoly, TruncatedSeries, _low_product
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 FEW = settings(derandomize=True, max_examples=40, deadline=None)
@@ -206,3 +208,114 @@ def test_low_product_at_the_slot_bound(e):
             b = (-m,) * n
             assert _low_product(a, a) == tuple(m * m * (k + 1) for k in range(n))
             assert _low_product(a, b) == tuple(-m * m * (k + 1) for k in range(n))
+
+
+# -- long division against the inverse-then-multiply reference ----------------
+
+low_orders = st.integers(0, 6)
+mixed = st.one_of(st.just(F(0)), st.just(F(0)), small_rats, big_rats)
+
+
+def divisor_lists(order):
+    """Coefficients with zero terms, mixed denominators and a constant term
+    of either sign, zero included."""
+    head = st.one_of(st.just(F(0)), small_rats, small_rats.map(lambda c: -abs(c) or F(-1)), big_rats)
+    return st.tuples(head, st.lists(mixed, min_size=order, max_size=order)).map(
+        lambda t: [t[0]] + t[1]
+    )
+
+
+division_cases = low_orders.flatmap(
+    lambda d: st.tuples(st.lists(mixed, min_size=d + 1, max_size=d + 1), divisor_lists(d))
+)
+
+
+def same_outcome(got, want):
+    if got[0] == "value":
+        assert want[0] == "value"
+        assert (got[1].nums, got[1].den) == (want[1].nums, want[1].den)
+        assert_canonical(got[1])
+    else:
+        assert got == want
+
+
+@SETTINGS
+@given(division_cases, st.one_of(small_rats, big_rats, st.integers(-5, 5)))
+def test_long_division_matches_inverse_then_multiply(case, c):
+    x, d = map(TruncatedSeries, case)
+    for num, den in ((x, d), (c, d), (x, c), (1, d), (d, d)):
+        same_outcome(outcome(lambda: num / den), outcome(series_divide, num, den))
+    same_outcome(outcome(d.inverse), outcome(series_divide, 1, d))
+    if d.nums[0]:
+        assert (x / d) * d == x
+
+
+def test_division_refuses_a_zero_constant_term():
+    x, d = TruncatedSeries([1, 2, 3]), TruncatedSeries([0, 1, 1])
+    for route in (lambda: x / d, lambda: 1 / d, lambda: x / 0, d.inverse, lambda: d**-2):
+        with pytest.raises(ValueError, match="^series with zero constant term has no inverse$"):
+            route()
+    assert outcome(lambda: x / d) == outcome(series_divide, x, d)
+
+
+def test_division_keeps_the_series_operand_rules():
+    s = TruncatedSeries([1, 2], 3)
+    with pytest.raises(ValueError, match="^series orders differ$"):
+        s / TruncatedSeries([1, 2], 2)
+    with pytest.raises(TypeError):
+        s / 0.5
+    with pytest.raises(TypeError):
+        0.5 / s
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TruncatedSeries([0.1]),
+        lambda: TruncatedSeries([1, F(1, 2), 0.25], 4),
+        lambda: TruncatedSeries([1.0]),
+        lambda: LaurentPoly({0: 0.1}),
+        lambda: LaurentPoly({-1: 1, 2: 2.5}),
+        lambda: LaurentPoly.const(0.5),
+    ],
+)
+def test_series_and_laurent_polys_refuse_floats(build):
+    # as a Matrix does: a float's binary expansion is never taken as exact
+    with pytest.raises(TypeError, match="takes int, bool or Fraction coefficients only$"):
+        build()
+    assert TruncatedSeries([True, 2, F(1, 3)]).coeffs == (1, 2, F(1, 3))
+    assert LaurentPoly({0: True, 1: F(1, 2)}).coeffs == {0: 1, 1: F(1, 2)}
+
+
+@FEW
+@given(
+    low_orders.flatmap(lambda d: st.tuples(st.integers(0, d + 1), coeff_lists(d))),
+    st.one_of(small_rats, big_rats),
+    st.integers(-3, 7),
+)
+def test_powers_match_repeated_products(case, c, n):
+    # monomials c q^k (k = order + 1 is the zero series) and whole series
+    k, a = case
+    order = len(a) - 1
+    mono = TruncatedSeries([0] * k + [c], order) if k <= order else TruncatedSeries([], order)
+    for s in (mono, TruncatedSeries(a)):
+        if n < 0 and not s.nums[0]:
+            with pytest.raises(ValueError):
+                s**n
+            continue
+        want = TruncatedSeries.one(order)
+        for _ in range(abs(n)):
+            want = want * s
+        got = s**n
+        assert got == (want if n >= 0 else 1 / want)
+        assert_canonical(got)
+
+
+@FEW
+@given(same_order_pair, st.one_of(small_rats, big_rats, st.integers(-5, 5)))
+def test_differences_with_scalars_on_either_side(pair, c):
+    a, b = pair
+    sa = TruncatedSeries(a)
+    for got, want in ((c - sa, [c - a[0]] + [-x for x in a[1:]]), (sa - c, [a[0] - c] + a[1:])):
+        assert list(got.coeffs) == want
+        assert_canonical(got)
