@@ -6,7 +6,8 @@ Everything here is evaluated two ways: brute-force sums over enumerated
 configurations against closed determinant or product formulas, in numeric
 (rational q) or series mode.  The brute force fills each box once per
 process, grouped by the slice-agreement class the weight depends on, and
-sums the classes on integers.  The same code builds the determinant's entries
+sums the classes on integers; `weight_phi` weighs one plane partition's
+class by the same rule and sum.  The same code builds the determinant's entries
 and prefactor in both modes, dividing by each unit rather than multiplying by
 its inverse.  The modes differ in the determinant and in the
 final division by a power of q: numeric mode takes `Matrix.det` and
@@ -30,78 +31,22 @@ from .exactcore import Matrix, TruncatedSeries, qadic_det
 from .partitions import PlanePartition, check_box, check_plane_partition, partitions_in_box
 
 
-# a plane partition's class, the pairs (c_up[j], c_down[j]) of `_agreements`
+# a plane partition's class: the pairs (c_up[j], c_down[j]) for j = 1..n-1,
+# read row by row by `_row_digits`
 _Class = tuple[tuple[int, int], ...]
 
 
-def _phi_factors(n: int, q, beta):
-    """The j-only factors of the weight in an n x n base, as power tables:
-    up[j][c] = (1 + beta*q^j)^-c (None where 1 + beta*q^j vanishes) and
-    down[j][c] = (1 + beta*q^(1-j))^c, for c = 0..n-j."""
-    one = q**0
-    up, down = {}, {}
-    for j in range(1, n):
-        den = one + beta * q**j
-        up[j] = None if den == 0 else _powers(den**-1, n - j)
-        down[j] = _powers(one + beta * q ** (1 - j), n - j)
-    return one, up, down
-
-
-def _powers(x, top: int) -> list:
-    out = [x**0]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return out
-
-
-def _agreements(pi: PlanePartition, n: int) -> _Class:
-    """The class of a plane partition that fits the n x n base: the pair
-    (c_up[j], c_down[j]) for j = 1..n-1, on which its weight depends.
-
-    Part k of diagonal slice m is the entry (k - min(m, 0), k + max(m, 0))
-    (1-based) of the zero-padded n x n entry grid.  For k = 1..n-j, c_up[j]
-    counts where slice j agrees with slice j-1 one part further along, and
-    c_down[j] where slice -j differs from slice 1-j at part k; both compare
-    a grid entry with the one below it.
-    """
-    grid = [list(row) + [0] * (n - len(row)) for row in pi] + [[0] * n] * (n - len(pi))
-    return tuple(
-        (
-            sum(grid[k][k + j] == grid[k + 1][k + j] for k in range(n - j)),
-            sum(grid[k + j][k] != grid[k + j - 1][k] for k in range(n - j)),
-        )
-        for j in range(1, n)
-    )
-
-
-def _phi(cls: _Class, factors):
-    """The weight of a class: each c_up[j] divides by 1 + beta*q^j and each
-    c_down[j] multiplies by 1 + beta*q^(1-j)."""
-    one, up, down = factors
-    val = one
-    for j, (c_up, c_down) in enumerate(cls, 1):
-        if c_up:
-            if up[j] is None:
-                raise PoleError(f"1 + beta*q^{j} vanishes")
-            val = val * up[j][c_up]
-        if c_down:
-            # a vanishing factor is a zero weight, not a pole
-            val = val * down[j][c_down]
-    return val
-
-
-def weight_phi(pi: PlanePartition, q, beta, n_slices: int) -> object:
-    """Slice-agreement weight of a plane partition inside an n x n base.
-
-    Exact over any coefficient field containing q and beta with q invertible;
-    the series-mode identities go through the determinant and product routes
-    instead, since a lone weight involves negative powers of q.
-    """
+def weight_phi(pi: PlanePartition, q: Fraction, beta: Fraction, n_slices: int) -> Fraction:
+    """Slice-agreement weight of a plane partition inside an n x n base, at
+    rational q != 0 and beta: the one class of its zero-padded entry grid,
+    weighed as the brute force weighs it."""
     pi = check_plane_partition(pi)
     n = n_slices
     if len(pi) > n or (pi and len(pi[0]) > n):
         raise OutOfBoxError("plane partition leaves the n x n base")
-    return _phi(_agreements(pi, n), _phi_factors(n, q, beta))
+    grid = [row + (0,) * (n - len(row)) for row in pi] + [(0,) * n] * (n - len(pi))
+    key = sum(_row_digits(r, grid[r - 1], grid[r], n) for r in range(1, n))
+    return _class_sum(((_class(key, n), (1,)),), q, beta)
 
 
 @functools.lru_cache(maxsize=32)
@@ -139,10 +84,12 @@ def _box_classes(n: int, height: int) -> tuple[tuple[_Class, tuple[int, ...]], .
             fill(r + 1, row, key + digits, size + s)
 
     fill(0, (height,) * n, 0, 0)
-    return tuple(
-        (tuple((key // n ** (2 * j) % n, key // n ** (2 * j + 1) % n) for j in range(n - 1)), tuple(counts))
-        for key, counts in table.items()
-    )
+    return tuple((_class(key, n), tuple(counts)) for key, counts in table.items())
+
+
+def _class(key: int, n: int) -> _Class:
+    """The class whose base-n digits 2j-2 and 2j-1 are c_up[j] and c_down[j]."""
+    return tuple((key // n ** (2 * j) % n, key // n ** (2 * j + 1) % n) for j in range(n - 1))
 
 
 def _row_digits(r: int, upper, row, n: int) -> int:
@@ -157,31 +104,36 @@ def _row_digits(r: int, upper, row, n: int) -> int:
 
 
 def z_box_bruteforce(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
-    """Sum of weight * q^size over all plane partitions in the n x n x height box.
+    """Sum of weight * q^size over all plane partitions in the n x n x height
+    box, which is enumerated once per process and summed per weight class."""
+    return _class_sum(_box_classes(n, height), q, beta)
 
-    The box is enumerated once per process and summed per weight class on
-    integers.  With q = a/b and beta = r/s, 1 + beta*q^j = u_j / (s b^j) and
+
+def _class_sum(classes: tuple[tuple[_Class, tuple[int, ...]], ...], q: Fraction, beta: Fraction) -> Fraction:
+    """Sum of weight * q^size over (class, counts) pairs, counts[s] being the
+    number of plane partitions of size s = 0..top in the class, on integers.
+
+    With q = a/b and beta = r/s, 1 + beta*q^j = u_j / (s b^j) and
     1 + beta*q^(1-j) = d_j / (s a^(j-1)) for u_j = s b^j + r a^j and
     d_j = s a^(j-1) + r b^(j-1), so each class adds its weight times its size
     sum as one integer over prod_j u_j^(max c_up[j]) (s a^(j-1))^(max c_down[j])
-    b^top.  A vanishing 1 + beta*q^j raises at the first class, in
-    enumeration order, that uses it.
+    b^top.  A vanishing 1 + beta*q^j raises at the first class, in the given
+    order, that uses it.
     """
     q = Fraction(q)
     beta = Fraction(beta)
     if q == 0:
         raise ParameterError("q must be nonzero")
-    classes = _box_classes(n, height)
-    top = n * n * height
+    top = len(classes[0][1]) - 1
     (a, b), (r, s) = q.as_integer_ratio(), beta.as_integer_ratio()
     # per j: u_j and the class's j-th factor over the common denominator, by
     # c_up[j] and by c_down[j]
     factors = []
     den = b**top
-    for j in range(1, n):
+    for j, column in enumerate(zip(*(cls for cls, _ in classes)), 1):
         u, d_num, d_den = s * b**j + r * a**j, s * a ** (j - 1) + r * b ** (j - 1), s * a ** (j - 1)
-        top_up = max(cls[j - 1][0] for cls, _ in classes)
-        top_down = max(cls[j - 1][1] for cls, _ in classes)
+        top_up = max(c_up for c_up, _ in column)
+        top_down = max(c_down for _, c_down in column)
         up = [(s * b**j) ** c * u ** (top_up - c) for c in range(top_up + 1)]
         down = [d_num**c * d_den ** (top_down - c) for c in range(top_down + 1)]
         factors.append((u, up, down))

@@ -463,8 +463,8 @@ def _zbox(n: int, height: int, q: Fraction, beta: Fraction) -> bool:
 def _phi_beta0(box: int) -> bool:
     """Every plane partition in the box has weight 1 at beta = 0; the weight
     depends only on the class, so each class is weighed once."""
-    factors = mc._phi_factors(box, Fraction(1, 2), Fraction(0))
-    return all(mc._phi(cls, factors) == 1 for cls, _ in mc._box_classes(box, box))
+    classes = mc._box_classes(box, box)
+    return all(mc._class_sum(((cls, (1,)),), Fraction(1, 2), Fraction(0)) == 1 for cls, _ in classes)
 
 
 def _counts() -> bool:

@@ -6,7 +6,7 @@ import textwrap
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from grothcrystal import fivevertex, grothendieck, lattice, meltingcrystal, suites
+from grothcrystal import fivevertex, grothendieck, lattice, suites
 from grothcrystal.errors import (
     DegeneratePointError,
     OutOfBoxError,
@@ -686,12 +686,74 @@ def qadic_det(rows, order: int) -> tuple[int, TruncatedSeries]:
     return sum(v for v, _ in pivots), out
 
 
+def agreements(pi, n: int) -> tuple:
+    """The class of a plane partition that fits the n x n base: the pair
+    (c_up[j], c_down[j]) for j = 1..n-1, on which its weight depends.  The
+    reference for the class that `meltingcrystal._row_digits` reads row by
+    row, in `_box_classes` and in `weight_phi`.
+
+    Part k of diagonal slice m is the entry (k - min(m, 0), k + max(m, 0))
+    (1-based) of the zero-padded n x n entry grid.  For k = 1..n-j, c_up[j]
+    counts where slice j agrees with slice j-1 one part further along, and
+    c_down[j] where slice -j differs from slice 1-j at part k; both compare
+    a grid entry with the one below it.
+    """
+    grid = [list(row) + [0] * (n - len(row)) for row in pi] + [[0] * n] * (n - len(pi))
+    return tuple(
+        (
+            sum(grid[k][k + j] == grid[k + 1][k + j] for k in range(n - j)),
+            sum(grid[k + j][k] != grid[k + j - 1][k] for k in range(n - j)),
+        )
+        for j in range(1, n)
+    )
+
+
+def phi_factors(n: int, q, beta):
+    """The j-only factors of the weight in an n x n base, as power tables:
+    up[j][c] = (1 + beta*q^j)^-c (None where 1 + beta*q^j vanishes) and
+    down[j][c] = (1 + beta*q^(1-j))^c, for c = 0..n-j, over any field
+    containing q and beta.  With `phi`, the reference for the integer class
+    weight of `meltingcrystal._class_sum`."""
+    one = q**0
+    up, down = {}, {}
+    for j in range(1, n):
+        den = one + beta * q**j
+        up[j] = None if den == 0 else _powers(den**-1, n - j)
+        down[j] = _powers(one + beta * q ** (1 - j), n - j)
+    return one, up, down
+
+
+def _powers(x, top: int) -> list:
+    out = [x**0]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
+
+
+def phi(cls: tuple, factors):
+    """The weight of a class from `phi_factors`: each c_up[j] divides by
+    1 + beta*q^j and each c_down[j] multiplies by 1 + beta*q^(1-j).  The
+    reference for the weight `meltingcrystal._class_sum` gives each class,
+    on its own in `weight_phi` and the mc.phi-beta0 case."""
+    one, up, down = factors
+    val = one
+    for j, (c_up, c_down) in enumerate(cls, 1):
+        if c_up:
+            if up[j] is None:
+                raise PoleError(f"1 + beta*q^{j} vanishes")
+            val = val * up[j][c_up]
+        if c_down:
+            # a vanishing factor is a zero weight, not a pole
+            val = val * down[j][c_down]
+    return val
+
+
 def box_classes(n: int, height: int) -> tuple:
     """`meltingcrystal._box_classes` from `enumerate_boxed`, each plane
-    partition padded and classed by `_agreements` and sized by `pp_size`."""
+    partition padded and classed by `agreements` and sized by `pp_size`."""
     table: dict = {}
     for pi in enumerate_boxed(n, n, height):
-        cls = meltingcrystal._agreements(pi, n)
+        cls = agreements(pi, n)
         if cls not in table:
             table[cls] = [0] * (n * n * height + 1)
         table[cls][pp_size(pi)] += 1
@@ -700,21 +762,18 @@ def box_classes(n: int, height: int) -> tuple:
 
 def bruteforce_fraction(n: int, height: int, q, beta, classes=None) -> Fraction:
     """`meltingcrystal.z_box_bruteforce` as a `Fraction` sum of each class's
-    weight `_phi` times its size sum, over `classes` (by default the box's
-    own table from `box_classes`)."""
+    weight `phi` times its size sum, over `classes` (by default the box's
+    own table from `box_classes`), with the same checks in the same order."""
+    check_box(n, n, height)
     q = Fraction(q)
     beta = Fraction(beta)
     if q == 0:
         raise ParameterError("q must be nonzero")
-    factors = meltingcrystal._phi_factors(n, q, beta)
-    check_box(n, n, height)
+    factors = phi_factors(n, q, beta)
     if classes is None:
         classes = box_classes(n, height)
     top = n * n * height
     a, b = q.numerator, q.denominator
     mono = [a**s * b ** (top - s) for s in range(top + 1)]
-    total = sum(
-        meltingcrystal._phi(cls, factors) * sum(c * m for c, m in zip(counts, mono))
-        for cls, counts in classes
-    )
+    total = sum(phi(cls, factors) * sum(c * m for c, m in zip(counts, mono)) for cls, counts in classes)
     return total / b**top

@@ -35,7 +35,7 @@ from grothcrystal.partitions import (
     plane_partitions_of_size,
     pp_size,
 )
-from grothcrystal.suites import _BETA_PALETTE
+from grothcrystal.suites import _BETA_PALETTE, run_suite
 
 
 def test_weight_phi_frozen_values():
@@ -427,12 +427,32 @@ def test_bruteforce_matches_the_weight_by_weight_sum():
 
 
 def test_weight_phi_matches_the_reference_per_configuration():
+    # every point of BRUTE_POINTS: q outside (0, 1), q = +-1 with their
+    # poles, and the zero weights at beta = -1
+    kinds = set()
     for n_slices in (3, 4):
         for pi in enumerate_boxed(3, 3, 2):
-            for beta in (F(-1), F(3, 2)):
-                assert weight_phi(pi, F(2, 5), beta, n_slices) == _weight_phi_reference(
-                    pi, F(2, 5), beta, n_slices
-                )
+            for q, beta in BRUTE_POINTS:
+                want = outcome(_weight_phi_reference, pi, q, beta, n_slices)
+                assert outcome(weight_phi, pi, q, beta, n_slices) == want, (pi, q, beta, n_slices)
+                kinds.add(want[0] if want[0] != "value" else want[1] == 0)
+    assert kinds == {True, False, PoleError}
+
+
+def test_weight_phi_refuses_q_zero_at_every_base():
+    for n_slices in range(5):
+        for pi in ((), ((1,),))[: 1 + (n_slices > 0)]:
+            for q in (0, F(0), 0.0):
+                with pytest.raises(ParameterError, match="^q must be nonzero$"):
+                    weight_phi(pi, q, F(1), n_slices)
+        with pytest.raises(ParameterError, match="^q must be nonzero$"):
+            z_box_bruteforce(n_slices, 1, F(0), F(1))
+
+
+def test_weight_phi_converts_a_float_exactly():
+    # 0.1 is 3602879701896397/2^55, not 1/10
+    got = weight_phi(((1,),), 0.5, 0.1, 2)
+    assert type(got) is F and got == (1 + F(0.1)) / (1 + F(0.1) / 2)
 
 
 def test_bruteforce_poles_and_box_errors_keep_their_messages():
@@ -547,6 +567,15 @@ def test_box_fill_is_the_agreement_grouping_of_the_enumeration(n, height):
     assert meltingcrystal._box_classes.__wrapped__(n, height) == oracles.box_classes(n, height)
 
 
+@pytest.mark.parametrize("n, height", BOX_DIMS)
+def test_weight_phi_is_the_oracle_weight_of_the_agreement_class(n, height):
+    for q, beta in ((F(2, 5), F(-2, 3)), (F(-3), F(1, 2)), (F(-1), F(1))):
+        factors = oracles.phi_factors(n, q, beta)
+        for pi in enumerate_boxed(n, n, height):
+            want = outcome(oracles.phi, oracles.agreements(pi, n), factors)
+            assert outcome(weight_phi, pi, q, beta, n) == want, (pi, q, beta)
+
+
 BRUTE_POINTS = [
     (q, beta)
     for q in (F(1, 2), F(2, 5), F(-1, 3), F(3, 2), F(-3), F(1), F(-1), F(2))
@@ -600,13 +629,31 @@ def test_integer_bruteforce_raises_at_the_first_class_in_order(monkeypatch):
     ],
     ids=["up", "down", "down-factor", "size"],
 )
-def test_an_exponent_off_by_one_in_the_class_sum_is_caught(old, new):
-    mutant = oracles.mutant(z_box_bruteforce, old, new)
+def test_an_exponent_off_by_one_in_the_class_sum_is_caught(monkeypatch, old, new):
+    # the mutant replaces the one class sum, so both routes that weigh a class run it
+    mutant = oracles.mutant(meltingcrystal._class_sum, old, new)
+    cases = []
     for n, height in ((2, 2), (3, 2)):
         for q, beta in ((F(1, 2), F(1, 2)), (F(2, 5), F(-2, 3)), (F(-1, 3), F(2, 5))):
             want = outcome(oracles.bruteforce_fraction, n, height, q, beta)
+            weights = [outcome(_weight_phi_reference, pi, q, beta, n) for pi in enumerate_boxed(n, n, height)]
+            cases.append((n, height, q, beta, want, weights))
             assert want[0] == "value" and outcome(z_box_bruteforce, n, height, q, beta) == want
-            assert outcome(mutant, n, height, q, beta) != want, (n, height, q, beta)
+            assert [outcome(weight_phi, pi, q, beta, n) for pi in enumerate_boxed(n, n, height)] == weights
+    monkeypatch.setattr(meltingcrystal, "_class_sum", mutant)
+    for n, height, q, beta, want, weights in cases:
+        assert outcome(z_box_bruteforce, n, height, q, beta) != want, (n, height, q, beta)
+        got = [outcome(weight_phi, pi, q, beta, n) for pi in enumerate_boxed(n, n, height)]
+        assert got != weights, (n, height, q, beta)
+
+
+def test_the_phi_beta0_case_catches_a_class_sum_fault(monkeypatch):
+    # at q = 1/2, beta = 0 only the up exponent shows: s a^(j-1) = 1 there
+    assert run_suite("mc", "full", 1, tags="phi-beta0").ok
+    old, new = "u ** (top_up - c)", "u ** (top_up - c + 1)"
+    monkeypatch.setattr(meltingcrystal, "_class_sum", oracles.mutant(meltingcrystal._class_sum, old, new))
+    report = run_suite("mc", "full", 1, tags="phi-beta0")
+    assert report.cases == 1 and [f["case"] for f in report.failures] == ["mc.phi-beta0.box3"]
 
 
 @pytest.mark.parametrize(
