@@ -11,20 +11,20 @@ the row, C removes one.
 Vertex weights on (aux_in, site_in) -> (aux_out, site_out):
   (0,0)->(0,0): u       (0,1)->(1,0): 1      (1,0)->(0,1): 1
   (1,0)->(1,0): -u/beta - 1/u                (1,1)->(1,1): -u/beta
-and the (0,1)->(0,1) vertex is absent.  `MODEL` hands the weights, states and
-closed form to `lattice`, which computes B, C, the amplitudes and the
-transfer matrix; the R matrix is this module's own.
+and the (0,1)->(0,1) vertex is absent: at beta = r/s, u w r is the weight
+table (r u^2, 0, -s u^2 - r, -s u^2, r u, r u).  `MODEL` hands the table,
+states and closed form to `lattice`, which computes B, C, the amplitudes and
+the transfer matrix from it; the R matrix is this module's own.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from . import lattice
 from .errors import IdentityError, ParameterError, PoleError
-from .exactcore import Matrix, TruncatedSeries, embed_pair, rational_sqrt
+from .exactcore import Matrix, embed_pair, rational_sqrt
 from .partitions import partition_from_positions
 
 
@@ -42,7 +42,7 @@ def _check_sites(num_sites: int) -> None:
 
 def l_matrix(u: Fraction, beta: Fraction) -> Matrix:
     """Site operator on (aux, site), basis |00>, |01>, |10>, |11>."""
-    return lattice.site_operator(_scalar_weights(Fraction(u), beta), 2)
+    return lattice.site_matrix(MODEL, u, beta, 2)
 
 
 def r_matrix(u: Fraction, v: Fraction) -> Matrix:
@@ -79,12 +79,17 @@ def check_rll(u: Fraction, v: Fraction, beta: Fraction) -> bool:
     return lattice.rll_holds(l_matrix(u, beta), l_matrix(v, beta), r_matrix(u, v), 2)
 
 
-def _scalar_weights(u, beta: Fraction):
-    """The six vertex weights at u: a Fraction, float, TruncatedSeries or LaurentPoly.var()."""
-    beta = _check_beta(beta)
-    if u == 0:
-        raise PoleError("u = 0 is a pole of the site weights")
-    return (u, 0 * u, -u / beta - 1 / u, -u / beta, u**0, u**0)
+def _table(r: int, s: int) -> tuple[tuple, int]:
+    """The weight table at beta = r/s: u w r = (r u^2, 0, -s u^2 - r, -s u^2,
+    r u, r u), each as (c0, c1, c2), over r."""
+    if not r:
+        raise ParameterError("the five-vertex weights need beta != 0")
+    return ((0, 0, r), (0, 0, 0), (-r, 0, -s), (0, 0, -s), (0, r, 0), (0, r, 0)), r
+
+
+def _exchange(r: int, s: int) -> tuple[int, int]:
+    """The prefactor's factor per pair of particles, -1/beta = -s/r."""
+    return (s, -r) if r < 0 else (-s, r)
 
 
 def sector_basis(num_sites: int, num_particles: int) -> list[tuple[int, ...]]:
@@ -97,11 +102,7 @@ def sector_basis(num_sites: int, num_particles: int) -> list[tuple[int, ...]]:
 
 def spectral_map(u: Fraction, beta: Fraction) -> Fraction:
     """The variable z = -1/beta - 1/u^2 induced by a spectral parameter."""
-    u = Fraction(u)
-    beta = _check_beta(beta)
-    if u == 0:
-        raise PoleError("u = 0 is a pole of the spectral map")
-    return -1 / beta - u**-2
+    return MODEL.spectral_map(u, beta)
 
 
 def _configuration(num_sites: int, x: Sequence[int], us: Sequence, beta: Fraction) -> tuple:
@@ -121,27 +122,20 @@ def _configuration(num_sites: int, x: Sequence[int], us: Sequence, beta: Fractio
 
 
 def _partition(state: tuple) -> tuple[int, ...]:
-    """The partition of the occupied sites of a row state."""
-    return partition_from_positions(j + 1 for j, n in enumerate(state) if n)
-
-
-def _prefactor(num_sites: int, us: Sequence[Fraction], beta: Fraction) -> Fraction:
-    """(-1/beta)^(N(N-1)/2) prod u^(M-1)."""
-    n = len(us)
-    pref = (-1 / _check_beta(beta)) ** (n * (n - 1) // 2)
-    for u in us:
-        pref *= Fraction(u) ** (num_sites - 1)
-    return pref
+    """The partition of the occupied sites of a row state: the k-th occupied
+    site from the left, 0-based, less k, read from the right."""
+    sites = [j for j, n in enumerate(state) if n]
+    return tuple(sites[k] - k for k in range(len(sites) - 1, -1, -1))
 
 
 MODEL = lattice.Model(
     capacity=1,
-    weights=_scalar_weights,
+    table=_table,
+    variable="u",
+    exchange=_exchange,
     sector=sector_basis,
     partition=_partition,
     configuration=_configuration,
-    prefactor=_prefactor,
-    spectral_map=spectral_map,
     dual_width=lambda num_sites, num_particles: num_sites - num_particles,
 )
 
@@ -181,12 +175,19 @@ def hamiltonian(num_sites: int, num_particles: int, beta: Fraction) -> Matrix:
 
 
 def _log_derivative_sides(num_sites: int, num_particles: int, beta: Fraction, u0: Fraction):
-    """f(u0) and (u0/2) f'(u0): f is the transfer matrix of the weights over u
-    (one a site) at u = u0 + e over Q[e]/(e^2), read as two integer tables."""
-    model = MODEL._replace(weights=lambda u, b: tuple(x / u for x in _scalar_weights(u, b)))
-    u = u0 + TruncatedSeries.indeterminate(1)
-    f = lattice.transfer_matrix(model, num_sites, num_particles, u, beta)
-    den = math.lcm(*(x.den for row in f for x in row))
-    f0, f1 = ([[x.nums[e] * (den // x.den) for x in row] for row in f] for e in (0, 1))
-    u0_f1 = [[x * u0.numerator for x in row] for row in f1]
-    return Matrix.from_table(f0, den), Matrix.from_table(u0_f1, 2 * u0.denominator * den)
+    """f(u0) and (u0/2) f'(u0) for f(u) = u^-M T(u).  With P the transfer
+    table of the weight table's polynomials, T(u) = P(u) / (u r)^M, so
+    f = P / (r^M u^2M).  At u0 = a/b each polynomial c(u0 + e) over
+    Q[e]/(e^2) is (b^2 c(u0) + b^2 c'(u0) e) / b^2, with integer
+    numerators, and their transfer table is P0 + P1 e = b^2M P(u0 + e):
+    f(u0) = P0 / (r^M a^2M) and (u0/2) f'(u0) = (a P1 - 2bM P0) /
+    (2b r^M a^2M)."""
+    rows, scale = MODEL.table_at(beta)
+    a, b = u0.numerator, u0.denominator
+    dual = [(lattice._hom(row, a, b), b * (row[1] * b + 2 * row[2] * a)) for row in rows]
+    table = lattice.transfer_table(MODEL, num_sites, num_particles, dual, 1)
+    den = scale**num_sites * a ** (2 * num_sites)
+    sign = -1 if den < 0 else 1
+    f0 = [[sign * p0 for p0, _ in row] for row in table]
+    f1 = [[sign * (a * p1 - 2 * b * num_sites * p0) for p0, p1 in row] for row in table]
+    return Matrix.from_table(f0, sign * den), Matrix.from_table(f1, 2 * b * sign * den)

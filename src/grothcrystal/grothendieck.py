@@ -46,40 +46,47 @@ def groth_dets(shapes, zs: Sequence[Fraction], beta: Fraction) -> list[Fraction]
     return [Fraction(d, den) for d in dets]
 
 
-def _int_vandermonde(zs: Sequence[Fraction]) -> int:
-    """prod_{j<k} (a_j b_k - a_k b_j) for z = a/b: the Vandermonde
-    prod_{j<k} (z_j - z_k) times prod b^(N-1)."""
+def _int_vandermonde(zs: Sequence[tuple[int, int]]) -> int:
+    """prod_{j<k} (a_j b_k - a_k b_j) for z = a/b given as pairs (a, b): the
+    Vandermonde prod_{j<k} (z_j - z_k) times prod b^(N-1)."""
     out = 1
-    for j, z in enumerate(zs):
-        a, b = z.numerator, z.denominator
-        for y in zs[j + 1 :]:
-            out *= a * y.denominator - y.numerator * b
+    for j, (a, b) in enumerate(zs):
+        for c, d in zs[j + 1 :]:
+            out *= a * d - c * b
     return out
 
 
 def groth_table(shapes, zs: Sequence[Fraction], beta: Fraction) -> tuple[list[int], int]:
-    """(dets, den) with G_lam = dets[i] / den for lam = shapes[i]: G_lam is
-    det(z_i^(lam_k + N-1-k) (1 + beta z_i)^k) over the Vandermonde.  With
-    z_i = a_i/b_i and 1 + beta z_i = c_i/d_i, row i times b_i^E d_i^(N-1) is
-    a_i^e b_i^(E-e) c_i^k d_i^(N-1-k), E the largest exponent, and the
-    Vandermonde times prod b_i^(N-1) is `_int_vandermonde`: one integer table
-    for every shape, one denominator for all."""
+    """(dets, den) with G_lam = dets[i] / den for lam = shapes[i], after
+    checking the shapes and that the variables are distinct: `_groth_core`."""
     shapes = [check_partition(lam) for lam in shapes]
     zs = [Fraction(z) for z in zs]
     beta = Fraction(beta)
-    n = len(zs)
-    if any(len(lam) != n for lam in shapes):
+    if any(len(lam) != len(zs) for lam in shapes):
         raise ParameterError("need exactly one part (possibly zero) per variable")
     _require_distinct(zs, "variables")
+    return _groth_core(shapes, [z.as_integer_ratio() for z in zs], beta.numerator, beta.denominator)
+
+
+def _groth_core(shapes, zs: Sequence[tuple[int, int]], r: int, s: int) -> tuple[list[int], int]:
+    """`groth_table` on trusted input: partitions of one part per variable,
+    distinct z_i = a_i/b_i as pairs in lowest terms with b_i > 0, and beta =
+    r/s likewise.  G_lam is det(z_i^(lam_k + N-1-k) (1 + beta z_i)^k) over the
+    Vandermonde.  With 1 + beta z_i = c_i/d_i, row i times b_i^E d_i^(N-1) is
+    a_i^e b_i^(E-e) c_i^k d_i^(N-1-k), E the largest exponent, and the
+    Vandermonde times prod b_i^(N-1) is `_int_vandermonde`: one integer table
+    for every shape, one denominator for all."""
+    n = len(zs)
     if n == 0:
         return [1] * len(shapes), 1
     top = max((lam[0] for lam in shapes), default=0) + n - 1
-    ws = [1 + beta * z for z in zs]
-    pz = [[z.numerator**e * z.denominator ** (top - e) for e in range(top + 1)] for z in zs]
-    pw = [[w.numerator**k * w.denominator ** (n - 1 - k) for k in range(n)] for w in ws]
-    den = _int_vandermonde(zs)
-    for z, w in zip(zs, ws):
-        den *= z.denominator ** (top - n + 1) * w.denominator ** (n - 1)
+    pz, pw, den = [], [], _int_vandermonde(zs)
+    for a, b in zs:
+        g = math.gcd(s * b + r * a, s * b)
+        c, d = (s * b + r * a) // g, s * b // g
+        pz.append([a**e * b ** (top - e) for e in range(top + 1)])
+        pw.append([c**k * d ** (n - 1 - k) for k in range(n)])
+        den *= b ** (top - n + 1) * d ** (n - 1)
     dets = [
         _int_det_bareiss([[pz[i][lam[k] + n - 1 - k] * pw[i][k] for k in range(n)] for i in range(n)])
         for lam in shapes
@@ -229,7 +236,7 @@ def cauchy_rhs(
             row.append(entry)
         rows.append(row)
     # the Vandermondes times prod b^(N-1) and prod d^(N-1) are integers
-    den = s ** (2 * n * (n - 1)) * _int_vandermonde(zs) * _int_vandermonde(ws[::-1])
+    den = s ** (2 * n * (n - 1)) * _int_vandermonde(zp) * _int_vandermonde(wp[::-1])
     for (_, b), (_, d) in zip(zp, wp):
         den *= (b * d) ** (e - 1)
     return Fraction(_int_det_bareiss(rows), den)
@@ -281,7 +288,7 @@ def summation_rhs(width: int, zs: Sequence[Fraction], beta: Fraction) -> Fractio
     # the rows carry (-s/r)^(n-j), the columns (sb)^-top, and the Vandermonde
     # of the reversed variables is `_int_vandermonde` over prod b^(N-1)
     k = n * (n - 1) // 2
-    den = r**k * s ** (n * top - k) * _int_vandermonde(zs[::-1])
+    den = r**k * s ** (n * top - k) * _int_vandermonde([z.as_integer_ratio() for z in zs[::-1]])
     for z in zs:
         den *= z.denominator**width
     return Fraction((-1) ** k * _int_det_bareiss(rows), den)

@@ -4,40 +4,46 @@ All three share one vertex layout.  At a site holding n particles the
 auxiliary line, empty (0) or carrying one particle (1), either stays empty,
 picks a particle up, deposits its particle or passes through carrying it.  The
 weights are a six-tuple w = (stay_empty, stay_occupied, pass_empty,
-pass_occupied, deposit, pickup) over a coefficient ring (Fraction,
-LaurentPoly, TruncatedSeries or float); a zero weight is an absent vertex.
+pass_occupied, deposit, pickup); a zero weight is an absent vertex.
 `vertices` lists the moves, `site_operator` lays them out as a matrix, and
-`_path_sum` chains them along a row.  `integer_chain` applies path sums one
-after another on integers: rational values cleared over the lcm of their
-denominators, truncated series over theirs as integer coefficient tuples,
-and one division at the end; Laurent polynomials and floats run the same
-loop as they are.  A chain state is an occupation tuple,
+`_path_sum` chains them along a row.  A chain state is an occupation tuple,
 site 0 first: the five-vertex chain is the phase model's with at most one
 particle per site, so the two differ only in a site's capacity, and
 `occupations` lists both sectors.
 
-A `Model` bundles what the five-vertex and phase models do not share:
-capacity, weights, sectors, the partition of a state, the domain check and
-the closed form's prefactor, spectral map and dual box width.  Everything else
-(B and C, the lattice, closed and self-checked amplitudes with their duals,
-transfer matrices, the hopping generator and the intertwining relation) is
-written once here.  The generator reads no vertex weight: each model passes
-its hop amplitude and diagonal, so it stays independent of the transfer
-matrix it is checked against.
+A `Model` writes its six weights once, as a weight table of integer
+polynomials in the spectral parameter p of degree <= 2 over one denominator.
+Every route reads them from it: at a rational p = a/b as integers over one
+denominator (`Model.integer_weights`), the closed form's z(p) and prefactor as
+integer pairs, and over floats, Laurent polynomials or series term by term
+(`Model.weights`).  `integer_chain` applies path sums one after another on
+integers and divides once at the end: rationals cleared over the lcm of their
+denominators, and truncated series through q^D each packed into one integer,
+q -> 2^w kept mod 2^(w(D+1)) (Kronecker substitution, a ring homomorphism of
+Z[q]/(q^(D+1))), the slot width w from a bound proven before the chain starts
+and the coefficients decoded once as balanced digits.  Other rings run the
+same loop as they are.  `transfer_table` is the transfer matrix as integer
+coefficient tables on the same packed integers.
+
+Everything else (B and C, the lattice, closed and self-checked amplitudes
+with their duals, transfer matrices, the hopping generator and the
+intertwining relation) is written once here.  The generator reads no vertex
+weight: each model passes its hop amplitude and diagonal, so it stays
+independent of the transfer matrix it is checked against.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .errors import IdentityError, ParameterError
-from .exactcore import Matrix, TruncatedSeries, _low_product, clear_denominators, embed_pair
-from .grothendieck import groth_table
-from .partitions import complement
+from .errors import DegeneratePointError, IdentityError, ParameterError, PoleError
+from .exactcore import Matrix, TruncatedSeries, clear_denominators, embed_pair
+from .grothendieck import _groth_core
+
+_RATIONAL = {int, bool, Fraction}
 
 
 def occupations(num_sites: int, num_particles: int, capacity: int | None) -> list[tuple]:
@@ -72,9 +78,8 @@ def vertices(a: int, n: int, w, capacity: int | None) -> list:
     return [move for move in moves if move[2]]
 
 
-def site_operator(w, levels: int) -> Matrix:
-    """The vertices as a matrix on (aux, site occupation < levels), row and
-    column aux*levels + n; moves past the truncation are dropped."""
+def _site_rows(w, levels: int) -> list[list]:
+    """The rows of `site_operator`."""
     if levels < 1:
         raise ParameterError("need levels >= 1")
     rows = [[w[0] * 0] * (2 * levels) for _ in range(2 * levels)]
@@ -82,72 +87,260 @@ def site_operator(w, levels: int) -> Matrix:
         for n in range(levels):
             for a2, n2, wt in vertices(a, n, w, levels - 1):
                 rows[a2 * levels + n2][a * levels + n] = wt
-    return Matrix(rows)
+    return rows
 
 
-class _Coeffs(tuple):
-    """Integer series coefficients: * is the truncated product, + termwise."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        return _Coeffs(_low_product(self, other))
-
-    def __add__(self, other):
-        return _Coeffs(map(operator.add, self, other))
-
-    def __bool__(self) -> bool:
-        return any(self)
+def site_operator(w, levels: int) -> Matrix:
+    """The vertices as a matrix on (aux, site occupation < levels), row and
+    column aux*levels + n; moves past the truncation are dropped."""
+    return Matrix(_site_rows(w, levels))
 
 
-def _clearing(values) -> tuple[Callable, Callable]:
-    """(clear, build), clear(xs) = (forms, den) with xs[i] = build(forms[i],
-    den): rationals clear to ints and truncated series (rationals lifted) to
-    `_Coeffs`, over the lcm of their denominators; other rings stay, over 1."""
-    kinds = {type(x) for x in values}
-    if kinds <= {int, bool, Fraction}:
-        return clear_denominators, Fraction
-    if not kinds <= {int, bool, Fraction, TruncatedSeries}:
-        return (lambda xs: (list(xs), 1)), (lambda x, den: x)
-    like = next(x for x in values if type(x) is TruncatedSeries)
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a rational, in lowest terms."""
+    return (x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
 
-    def clear(xs):
-        xs = [like._lift(x) for x in xs]  # another order raises ValueError
-        den = math.lcm(*(x.den for x in xs))
-        return [_Coeffs(n * (den // x.den) for n in x.nums) for x in xs], den
 
-    return clear, lambda c, den: TruncatedSeries._raw(tuple(c), den)
+def _hom(row, a: int, b: int) -> int:
+    """b^2 (c0 + c1 p + c2 p^2) at p = a/b, for row = (c0, c1, c2)."""
+    c0, c1, c2 = row
+    return (c0 * b + c1 * a) * b + c2 * a * a
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms with a positive denominator; den != 0."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+class Model(NamedTuple):
+    """One lattice model.  A site holds at most `capacity` particles (None:
+    unbounded).  `table(r, s)` is (rows, scale), the model's six weights at
+    beta = r/s (s > 0): p * w_i * scale = c0 + c1 p + c2 p^2 for rows[i] =
+    (c0, c1, c2), all integers; `variable` names p in pole messages.
+    `sector(M, n)` lists the n-particle states of an M-site chain, so
+    `sector(M, 0)[0]` is the empty chain; `configuration(M, config, ps,
+    beta)` is the domain every amplitude route shares and returns the state of
+    the configuration.  The closed form of the amplitude at a state is
+    `prefactor(M, ps, beta)` times G_lam at z = `spectral_map(p, beta)`, with
+    lam = `partition(state)`, complemented in a box `dual_width(M, n)` wide for
+    the dual amplitude.  z(p) is pass_empty / stay_empty, and the prefactor of
+    N parameters is e^(N(N-1)/2) times each one's stay_empty weight to the
+    power M - 1, e the integer pair `exchange(r, s)`."""
+
+    capacity: int | None
+    table: Callable
+    variable: str
+    exchange: Callable
+    sector: Callable
+    partition: Callable
+    configuration: Callable
+    dual_width: Callable
+
+    def _pole(self, what: str) -> PoleError:
+        return PoleError(f"{self.variable} = 0 is a pole of the {what}")
+
+    def table_at(self, beta) -> tuple[tuple, int]:
+        """`table` at a rational beta."""
+        return self.table(*_ratio(beta))
+
+    def integer_weights(self, p, beta) -> tuple[list[int], int]:
+        """(ints, den) with the six weights at the rational p ints[i] / den and
+        den > 0 the lcm of their reduced denominators: at p = a/b the table
+        reads b^2 (c0 + c1 p + c2 p^2) over a b scale, reduced by one gcd."""
+        a, b = _ratio(p)
+        rows, scale = self.table_at(beta)
+        if not a:
+            raise self._pole("site weights")
+        bb, ab, aa = b * b, a * b, a * a
+        ints = [c0 * bb + c1 * ab + c2 * aa for c0, c1, c2 in rows]
+        den = ab * scale
+        g = math.gcd(den, *ints)
+        if den < 0:
+            g = -g
+        return [x // g for x in ints], den // g
+
+    def weights(self, p, beta) -> tuple:
+        """The six weights over the ring of p, for the rings without integer
+        weights (floats, Laurent polynomials, truncated series): each the
+        ring's zero plus its nonzero terms (c0/scale) (1/p), c1/scale and
+        (c2 p)/scale, in that order.  A float beta is r/s with s a power of
+        2, so at a float p the weights round as their written-out forms
+        1/v - beta*v and -u/beta - 1/u do."""
+        rows, scale = self.table_at(beta)
+        if p == 0:
+            raise self._pole("site weights")
+        inv, zero, out = 1 / p, p * 0, []
+        for c0, c1, c2 in rows:
+            w = zero
+            if c0:
+                w = w + Fraction(c0, scale) * inv
+            if c1:
+                w = w + Fraction(c1, scale)
+            if c2:
+                w = w + c2 * p / scale
+            out.append(w)
+        return tuple(out)
+
+    def spectral_pair(self, p, beta) -> tuple[int, int]:
+        """z(p) = pass_empty / stay_empty as (num, den > 0) in lowest terms:
+        the two polynomials at p = a/b, their common p * scale cancelled."""
+        a, b = _ratio(p)
+        rows, _ = self.table_at(beta)
+        if not a:
+            raise self._pole("spectral map")
+        den = _hom(rows[0], a, b)
+        if not den:
+            raise PoleError(f"1/{self.variable}^2 = beta is a pole of the spectral map")
+        return _reduced(_hom(rows[2], a, b), den)
+
+    def spectral_map(self, p, beta) -> Fraction:
+        """The variable z = z(p) of the closed form."""
+        return Fraction(*self.spectral_pair(p, beta))
+
+    def prefactor_pair(self, num_sites: int, ps, beta) -> tuple[int, int]:
+        """The closed form's prefactor as (num, den), den > 0 unless a
+        vanishing stay_empty weight is raised to a negative power."""
+        r, s = _ratio(beta)
+        rows, scale = self.table(r, s)
+        n, e = len(ps), num_sites - 1
+        num, den = (x ** (n * (n - 1) // 2) for x in self.exchange(r, s))
+        for p in ps:
+            a, b = _ratio(p)
+            if not a:
+                raise self._pole("site weights")
+            wn, wd = _reduced(_hom(rows[0], a, b), a * b * scale)
+            if e < 0:
+                wn, wd = wd, wn
+            num, den = num * wn ** abs(e), den * wd ** abs(e)
+        return (-num, -den) if den < 0 else (num, den)
+
+    def prefactor(self, num_sites: int, ps, beta) -> Fraction:
+        """The closed form's prefactor for the parameters ps."""
+        return Fraction(*self.prefactor_pair(num_sites, ps, beta))
+
+
+def site_matrix(model: Model, p, beta, levels: int) -> Matrix:
+    """`site_operator` of the model's weights at the rational p."""
+    w, den = model.integer_weights(p, beta)
+    return Matrix.from_table(_site_rows(w, levels), den)
+
+
+def _check_states(capacity: int | None, num_sites: int, state) -> None:
+    top = float("inf") if capacity is None else capacity
+    if any(len(src) != num_sites or not all(0 <= n <= top for n in src) for src in state):
+        raise ParameterError("the state does not fit the chain")
+
+
+def _rational_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[dict, int]:
+    """(sums, den): the rational amplitudes of `state` cleared over the lcm D
+    of their denominators, then `steps`, (a_in, a_out, ints, den) each for the
+    weights ints / den, applied in turn; den is D times each step's den^M.
+    The states must fit the chain."""
+    amps, den = clear_denominators(state.values())
+    sums = dict(zip(state, amps))
+    for a_in, a_out, w, scale in steps:
+        sums = _path_sum(capacity, num_sites, sums, a_in, a_out, w, {})
+        den *= scale**num_sites
+    return sums, den
+
+
+def _l1(coeffs) -> int:
+    return sum(map(abs, coeffs))
+
+
+def _pack(coeffs, width: int) -> int:
+    """The integer polynomial with these coefficients at q = 2^width."""
+    out = 0
+    for c in reversed(coeffs):
+        out = (out << width) + c
+    return out
+
+
+def _unpack(x: int, width: int, order: int) -> tuple[int, ...]:
+    """The coefficients of q^0..q^order of a packed series: each slot's bits
+    read as a signed width-bit digit, borrowing from the slot above.  Exact
+    when every coefficient lies in [-2^(width-1), 2^(width-1)); bits above
+    the top slot are ignored."""
+    full = 1 << width
+    low, half = full - 1, full >> 1
+    out = []
+    for _ in range(order + 1):
+        d = x & low
+        if d >= half:
+            d -= full
+        out.append(d)
+        x = (x - d) >> width
+    return tuple(out)
+
+
+def _series_table(like: TruncatedSeries, xs) -> tuple[list[tuple[int, ...]], int]:
+    """The numerators of xs, rationals lifted to the order of `like`, over
+    the lcm of their denominators; another order raises ValueError."""
+    xs = [like._lift(x) for x in xs]
+    den = math.lcm(*(x.den for x in xs))
+    return [tuple(n * (den // x.den) for n in x.nums) for x in xs], den
+
+
+def _series_chain(capacity: int | None, num_sites: int, state, steps, like) -> tuple[dict, int, Callable]:
+    """`integer_chain` over truncated series of the order D of `like`, each
+    amplitude packed into one integer.  The bound: T0 = the l1 norm of the
+    cleared start amplitudes; each step multiplies it by (2W)^M, W the
+    largest l1 norm of its cleared weights, since at most two moves leave
+    each (aux, occupation) pair and a truncated product's l1 norm is at most
+    the product of theirs.  It bounds every coefficient of every amplitude,
+    so slots of its bit length + 2 bits decode exactly."""
+    amps, den = _series_table(like, state.values())
+    bound, cleared = sum(map(_l1, amps)), []
+    for a_in, a_out, w in steps:
+        w, scale = _series_table(like, w)
+        bound *= (2 * max(map(_l1, w))) ** num_sites
+        den *= scale**num_sites
+        cleared.append((a_in, a_out, w))
+    width = bound.bit_length() + 2
+    mask = (1 << width * (like.order + 1)) - 1
+    sums = {s: _pack(c, width) for s, c in zip(state, amps)}
+    for a_in, a_out, w in cleared:
+        w = [_pack(c, width) for c in w]
+        sums = _path_sum(capacity, num_sites, sums, a_in, a_out, w, {}, mask)
+    return {s: _unpack(c, width, like.order) for s, c in sums.items()}, den, TruncatedSeries._raw
 
 
 def integer_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[dict, int, Callable]:
     """(sums, den, build): `steps`, (a_in, a_out, w) each, applied in turn to
     a weighted state, the amplitude at s being build(sums[s], den).  den is
     the lcm D of the amplitudes' denominators times L^M for each step, L that
-    of its weights (one a site): the chain divides only when built.  Only the
+    of its weights (one a site): the chain divides only when built.
+    Rationals run on integers, truncated series on packed integers (sums then
+    hold coefficient tuples), other rings as they are, over 1.  Only the
     starting states are checked against the chain: a path sum's output fits
     it by construction."""
-    top = float("inf") if capacity is None else capacity
-    if any(len(src) != num_sites or not all(0 <= n <= top for n in src) for src in state):
-        raise ParameterError("the state does not fit the chain")
-    clear, build = _clearing([*state.values(), *(x for *_, w in steps for x in w)])
-    amps, den = clear(state.values())
-    state = dict(zip(state, amps))
+    _check_states(capacity, num_sites, state)
+    values = [*state.values(), *(x for *_, w in steps for x in w)]
+    kinds = set(map(type, values))
+    if kinds <= _RATIONAL:
+        steps = [(a_in, a_out, *clear_denominators(w)) for a_in, a_out, w in steps]
+        return (*_rational_chain(capacity, num_sites, state, steps), Fraction)
+    if kinds <= _RATIONAL | {TruncatedSeries}:
+        like = next(x for x in values if type(x) is TruncatedSeries)
+        return _series_chain(capacity, num_sites, state, steps, like)
     for a_in, a_out, w in steps:
-        w, scale = clear(w)
         state = _path_sum(capacity, num_sites, state, a_in, a_out, w, {})
-        den *= scale**num_sites
-    return state, den, build
+    return state, 1, lambda x, den: x
 
 
 def _path_sum(
-    capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w, table: dict
+    capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w, table: dict, mask: int | None = None
 ) -> dict:
     """Apply one auxiliary-space entry of the monodromy matrix to a weighted
     state: every path of the auxiliary line from a_in to a_out, site 0 first,
     reading and filling `table`: occupation -> the moves for
     aux 0 and aux 1, which depend only on the capacity and w.  From one source
     state the built prefix fixes the aux state, because particles are
-    conserved, so each frontier key is reached by one path only.  The states
+    conserved, so each frontier key is reached by one path only.  Packed
+    series pass their `mask`, which each output is reduced by.  The states
     must fit the chain; `integer_chain` checks them."""
     out: dict = {}
     for src, amp in state.items():
@@ -173,28 +366,9 @@ def _path_sum(
                 out[built] = out[built] + c
             else:
                 out[built] = c
+    if mask is not None:
+        return {s: r for s, c in out.items() if (r := c & mask)}
     return {s: c for s, c in out.items() if c}
-
-
-class Model(NamedTuple):
-    """One lattice model.  A site holds at most `capacity` particles (None:
-    unbounded); `weights(p, beta)` is its six-weight tuple over the ring of p;
-    `sector(M, n)` lists the n-particle states of an M-site chain, so
-    `sector(M, 0)[0]` is the empty chain; `configuration(M, config, ps,
-    beta)` is the domain every amplitude route shares and returns the state of
-    the configuration.  The closed form of the amplitude at a state is
-    `prefactor(M, ps, beta)` times G_lam at z = `spectral_map(p, beta)`, with
-    lam = `partition(state)`, complemented in a box `dual_width(M, n)` wide for
-    the dual amplitude."""
-
-    capacity: int | None
-    weights: Callable
-    sector: Callable
-    partition: Callable
-    configuration: Callable
-    prefactor: Callable
-    spectral_map: Callable
-    dual_width: Callable
 
 
 def apply_b(model: Model, num_sites: int, p, beta, state) -> dict:
@@ -208,10 +382,11 @@ def apply_c(model: Model, num_sites: int, p, beta, state) -> dict:
 
 
 def _apply(model: Model, num_sites: int, p, beta, state, a_in: int, a_out: int) -> dict:
-    """The aux a_in -> a_out entry at p as a one-step `integer_chain`."""
-    w = model.weights(Fraction(p), Fraction(beta))
-    sums, den, build = integer_chain(model.capacity, num_sites, state, [(a_in, a_out, w)])
-    return {s: build(c, den) for s, c in sums.items()}
+    """The aux a_in -> a_out entry at p as a one-step chain on integers."""
+    w, den = model.integer_weights(p, beta)
+    _check_states(model.capacity, num_sites, state)
+    sums, den = _rational_chain(model.capacity, num_sites, state, [(a_in, a_out, w, den)])
+    return {s: Fraction(c, den) for s, c in sums.items()}
 
 
 def _transposed(w) -> tuple:
@@ -225,9 +400,10 @@ def lattice_table(model: Model, num_sites: int, params, beta, dual=False) -> tup
     <state| B(p_1)...B(p_N) |empty chain>, or for the dual state ->
     <empty chain| C(p_1)...C(p_N) |state> = <state| B~(p_N)...B~(p_1) |empty
     chain>, B~ being B with the `_transposed` weights."""
-    ws = [model.weights(Fraction(p), Fraction(beta)) for p in (params if dual else reversed(params))]
-    steps = [(1, 0, _transposed(w) if dual else w) for w in ws]
-    return integer_chain(model.capacity, num_sites, {model.sector(num_sites, 0)[0]: 1}, steps)
+    ws = [model.integer_weights(p, beta) for p in (params if dual else reversed(params))]
+    steps = [(1, 0, _transposed(w) if dual else w, den) for w, den in ws]
+    start = {model.sector(num_sites, 0)[0]: 1}
+    return (*_rational_chain(model.capacity, num_sites, start, steps), Fraction)
 
 
 def lattice_amplitudes(model: Model, num_sites: int, params, beta, dual=False) -> dict:
@@ -242,24 +418,28 @@ def lattice_amplitude(model: Model, num_sites: int, config, params, beta, dual=F
     first for <config| B(p_1)...B(p_N) |empty chain> = <empty chain|
     C~(p_N)...C~(p_1) |config>, C~ being C with the `_transposed` weights."""
     state = {model.configuration(num_sites, config, params, beta): 1}
-    ws = [model.weights(Fraction(p), Fraction(beta)) for p in (reversed(params) if dual else params)]
-    steps = [(0, 1, w if dual else _transposed(w)) for w in ws]
-    sums, den, build = integer_chain(model.capacity, num_sites, state, steps)
-    return build(sums.get(model.sector(num_sites, 0)[0], 0), den)
+    ws = [model.integer_weights(p, beta) for p in (reversed(params) if dual else params)]
+    steps = [(0, 1, w if dual else _transposed(w), den) for w, den in ws]
+    sums, den = _rational_chain(model.capacity, num_sites, state, steps)
+    return Fraction(sums.get(model.sector(num_sites, 0)[0], 0), den)
 
 
 def closed_table(model: Model, num_sites: int, states, params, beta, dual=False) -> tuple[list[int], int, int]:
     """(dets, num, den) with the closed amplitude at states[i] dets[i] * num /
     den: the prefactor's numerator, and its denominator times that of the
-    `groth_table` at z(p) of the states' partitions or, for the dual, of their
-    box complements."""
+    Grothendieck table at z(p) of the states' partitions or, for the dual, of
+    their box complements.  z(p) and the prefactor are integer pairs, and the
+    partitions of chain states fit the box by construction, so the integer
+    core of `groth_table` runs on them unchecked."""
     width = model.dual_width(num_sites, len(params))
     lams = [model.partition(state) for state in states]
-    shapes = [complement(lam, width) for lam in lams] if dual else lams
-    zs = [model.spectral_map(p, beta) for p in params]
-    pref = model.prefactor(num_sites, params, beta)
-    dets, den = groth_table(shapes, zs, beta)
-    return dets, pref.numerator, pref.denominator * den
+    shapes = [tuple(width - x for x in reversed(lam)) for lam in lams] if dual else lams
+    zs = [model.spectral_pair(p, beta) for p in params]
+    num, den = model.prefactor_pair(num_sites, params, beta)
+    if len(set(zs)) != len(zs):
+        raise DegeneratePointError("variables must be pairwise distinct")
+    dets, groth_den = _groth_core(shapes, zs, *_ratio(beta))
+    return dets, num, den * groth_den
 
 
 def closed_amplitudes(model: Model, num_sites: int, states, params, beta, dual=False) -> list:
@@ -282,28 +462,55 @@ def amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
     return value
 
 
-def transfer_matrix(model: Model, num_sites: int, num_particles: int, p, beta) -> list[list]:
-    """A(p) + D(p) on the n-particle sector as rows over the ring of p, in
-    `model.sector` order: exact at a Fraction, Laurent polynomials at
-    LaurentPoly.var(), truncated series at a TruncatedSeries, floats at a
-    float.  Each entry is summed on the weights cleared as in `integer_chain`
-    and built once."""
-    basis = model.sector(num_sites, num_particles)
+def _transfer_sums(capacity: int | None, num_sites: int, basis, w, one=1, zero=0, mask=None) -> list[list]:
+    """A + D on the basis states as rows: from each column's state one path
+    sum per aux state, all reading one move table."""
     index = {s: i for i, s in enumerate(basis)}
-    w = model.weights(p, beta)
-    zero = w[0] * 0
     rows = [[zero] * len(basis) for _ in basis]
-    clear, build = _clearing(w)
-    (one,), _ = clear([w[0] ** 0])
-    w, scale = clear(w)
-    table: dict = {}  # one move table for every column
+    table: dict = {}
     for col, s in enumerate(basis):
-        entries = _path_sum(model.capacity, num_sites, {s: one}, 0, 0, w, table)  # A
-        for t, c in _path_sum(model.capacity, num_sites, {s: one}, 1, 1, w, table).items():  # D
+        entries = _path_sum(capacity, num_sites, {s: one}, 0, 0, w, table, mask)  # A
+        for t, c in _path_sum(capacity, num_sites, {s: one}, 1, 1, w, table, mask).items():  # D
             entries[t] = entries[t] + c if t in entries else c
         for t, c in entries.items():
-            rows[index[t]][col] = build(c, scale**num_sites)
+            rows[index[t]][col] = c
     return rows
+
+
+def transfer_table(model: Model, num_sites: int, num_particles: int, w, order: int) -> list[list[tuple[int, ...]]]:
+    """A + D on the n-particle sector, in `model.sector` order, for six
+    weights given as integer coefficient tuples in q: entry (t, s) is the
+    coefficient tuple of q^0..q^order.  For the weight table's polynomials
+    (order 2M keeps all of them) it is (p scale)^M T(p).  Each amplitude is
+    one packed integer: from one state at most two moves leave each (aux,
+    occupation) pair, so A + D adds at most 2 * 2^M products of M weights,
+    and every coefficient is at most 2 (2W)^M, W the largest l1 norm of a
+    weight."""
+    basis = model.sector(num_sites, num_particles)
+    width = (2 * (2 * max(map(_l1, w))) ** num_sites).bit_length() + 2
+    mask = (1 << width * (order + 1)) - 1
+    packed = [_pack(c[: order + 1], width) for c in w]
+    sums = _transfer_sums(model.capacity, num_sites, basis, packed, mask=mask)
+    return [[_unpack(x, width, order) for x in row] for row in sums]
+
+
+def transfer_matrix(model: Model, num_sites: int, num_particles: int, p, beta) -> list[list]:
+    """A(p) + D(p) on the n-particle sector as rows over the ring of p, in
+    `model.sector` order: at a rational p Fractions from the integer weights,
+    at a TruncatedSeries series from `transfer_table`, each built once; floats
+    and Laurent polynomials run the ring-generic loop on `Model.weights`."""
+    basis = model.sector(num_sites, num_particles)
+    if type(p) in _RATIONAL:
+        w, den = model.integer_weights(p, beta)
+        den **= num_sites
+        return [[Fraction(c, den) for c in row] for row in _transfer_sums(model.capacity, num_sites, basis, w)]
+    w = model.weights(p, beta)
+    if type(p) is TruncatedSeries:
+        w, den = _series_table(p, w)
+        den **= num_sites
+        rows = transfer_table(model, num_sites, num_particles, w, p.order)
+        return [[TruncatedSeries._raw(c, den) for c in row] for row in rows]
+    return _transfer_sums(model.capacity, num_sites, basis, w, w[0] ** 0, w[0] * 0)
 
 
 def hopping_generator(model: Model, num_sites: int, num_particles: int, hop, diagonal) -> Matrix:

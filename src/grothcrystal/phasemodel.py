@@ -4,10 +4,12 @@ States are occupation tuples (n_0, ..., n_{M-1}).  The site operator acts on
 (aux, Fock) as [[1/v - beta*v*P0, raise], [lower, v]] with P0 the projector on
 an empty site, and the monodromy matrix multiplies site 0 first.  Its upper
 right auxiliary entry adds one boson to the chain; the lower left removes one.
-`MODEL` hands the six vertex weights, the occupation-tuple states and the
-closed form to `lattice`, which builds the site operator, B, C, the amplitudes
-and the transfer matrix from them, over exact rationals, Laurent polynomials,
-or floats, which is how the Bethe-root numerics reuse them.
+At beta = r/s, v w s is the weight table (s - r v^2, s, s v^2, s v^2, s v,
+s v).  `MODEL` hands the table, the occupation-tuple states and the closed
+form to `lattice`, which builds the site operator, B, C, the amplitudes and
+the transfer matrix from it: on integers at rational points, as integer
+coefficient tables in v for the generator, and over floats for the Bethe-root
+numerics.
 
 Each closed form is prod_v (1/v - beta*v)^(M-1) times a Grothendieck one at
 z(v) = 1/(1/v^2 - beta): G_lam for the wavefunctions, `cauchy_rhs` for the
@@ -23,7 +25,7 @@ from typing import Sequence
 
 from . import lattice
 from .errors import IdentityError, ParameterError, PoleError
-from .exactcore import LaurentPoly, Matrix, rat_str
+from .exactcore import Matrix, rat_str
 from .fivevertex import r_matrix
 from .grothendieck import cauchy_rhs, summation_rhs
 from .partitions import partition_from_occupation
@@ -32,7 +34,7 @@ from .partitions import partition_from_occupation
 def l_matrix_phase(v: Fraction, beta: Fraction, cap: int) -> Matrix:
     """Site operator on (aux, Fock<=cap), dimension 2*(cap+1): the blocks
     [[1/v - beta*v*P0, raise], [lower, v]], row and column aux*(cap+1) + n."""
-    return lattice.site_operator(_scalar_weights_phase(Fraction(v), Fraction(beta)), cap + 1)
+    return lattice.site_matrix(MODEL, v, beta, cap + 1)
 
 
 def check_rll_phase(u: Fraction, v: Fraction, beta: Fraction, cap: int) -> bool:
@@ -44,11 +46,10 @@ def check_rll_phase(u: Fraction, v: Fraction, beta: Fraction, cap: int) -> bool:
     return lattice.rll_holds(l_u, l_v, r_matrix(u, v), cap)
 
 
-def _scalar_weights_phase(v, beta):
-    """The six vertex weights at v: a Fraction, float, TruncatedSeries or LaurentPoly.var()."""
-    if v == 0:
-        raise PoleError("v = 0 is a pole of the site weights")
-    return (1 / v - beta * v, 1 / v, v, v, v**0, v**0)
+def _table(r: int, s: int) -> tuple[tuple, int]:
+    """The weight table at beta = r/s: v w s = (s - r v^2, s, s v^2, s v^2,
+    s v, s v), each as (c0, c1, c2), over s."""
+    return ((s, 0, -r), (s, 0, 0), (0, 0, s), (0, 0, s), (0, s, 0), (0, s, 0)), s
 
 
 def sector_basis(num_sites: int, num_particles: int) -> list[tuple[int, ...]]:
@@ -62,13 +63,7 @@ def sector_basis(num_sites: int, num_particles: int) -> list[tuple[int, ...]]:
 
 def spectral_map_phase(v: Fraction, beta: Fraction) -> Fraction:
     """The variable z = 1/(1/v^2 - beta) induced by a spectral parameter."""
-    v = Fraction(v)
-    if v == 0:
-        raise PoleError("v = 0 is a pole of the spectral map")
-    den = v**-2 - Fraction(beta)
-    if den == 0:
-        raise PoleError("1/v^2 = beta is a pole of the spectral map")
-    return 1 / den
+    return MODEL.spectral_map(v, beta)
 
 
 def _configuration(num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], beta) -> tuple:
@@ -86,30 +81,22 @@ def _configuration(num_sites: int, occ: Sequence[int], vs: Sequence[Fraction], b
     return occ
 
 
-def _prefactor(num_sites: int, vs: Sequence[Fraction], beta: Fraction) -> Fraction:
-    """prod (1/v - beta*v)^(M-1)."""
-    pref = Fraction(1)
-    for v in map(Fraction, vs):
-        pref *= (1 / v - beta * v) ** (num_sites - 1)
-    return pref
-
-
 def _prefactor_and_zs(num_sites: int, vs: Sequence[Fraction], beta: Fraction) -> tuple:
     """(prod (1/v - beta*v)^(M-1), [z(v)]) for a Fraction beta."""
     if num_sites < 1:
         raise ParameterError("need at least one site")
-    zs = [spectral_map_phase(v, beta) for v in vs]  # rejects v = 0 first
-    return _prefactor(num_sites, vs, beta), zs
+    zs = [MODEL.spectral_map(v, beta) for v in vs]  # rejects v = 0 first
+    return MODEL.prefactor(num_sites, vs, beta), zs
 
 
 MODEL = lattice.Model(
     capacity=None,
-    weights=_scalar_weights_phase,
+    table=_table,
+    variable="v",
+    exchange=lambda r, s: (1, 1),
     sector=sector_basis,
     partition=partition_from_occupation,
     configuration=_configuration,
-    prefactor=_prefactor,
-    spectral_map=spectral_map_phase,
     dual_width=lambda num_sites, num_particles: num_sites - 1,
 )
 
@@ -201,11 +188,12 @@ def hamiltonian_phase_direct(num_sites: int, num_particles: int, beta: Fraction)
 
 def hamiltonian_phase(num_sites: int, num_particles: int, beta: Fraction) -> Matrix:
     """Generator built two ways: directly, and as the v^2 coefficient of
-    v^M tau(v).  Returns the direct form after asserting equality."""
+    v^M tau(v), which is that of the weight table's transfer table over s^M.
+    Returns the direct form after asserting equality."""
     direct = hamiltonian_phase_direct(num_sites, num_particles, beta)
-    var = LaurentPoly.var()
-    tau = lattice.transfer_matrix(MODEL, num_sites, num_particles, var, Fraction(beta))
-    if Matrix([[p.coeff(2 - num_sites) for p in row] for row in tau]) != direct:
+    rows, scale = MODEL.table_at(beta)
+    table = lattice.transfer_table(MODEL, num_sites, num_particles, rows, 2)
+    if Matrix.from_table([[c[2] for c in row] for row in table], scale**num_sites) != direct:
         raise IdentityError("transfer-matrix extraction disagrees with the direct build")
     return direct
 

@@ -9,18 +9,15 @@ turns the site operator into the t-deformed intertwiner itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError, PoleError
 from .exactcore import Matrix
 from .lattice import rll_holds, site_operator
 
 
-@dataclass(frozen=True)
-class SixVertexParams:
-    """Validated weight coefficients (alpha_1..alpha_6, t)."""
-
+class _Coefficients(NamedTuple):
     a1: Fraction
     a2: Fraction
     a3: Fraction
@@ -29,9 +26,14 @@ class SixVertexParams:
     a6: Fraction
     t: Fraction
 
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a5", "a6", "t"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+
+class SixVertexParams(_Coefficients):
+    """Validated weight coefficients (alpha_1..alpha_6, t), each a Fraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, a1, a2, a3, a4, a5, a6, t):
+        self = super().__new__(cls, *map(Fraction, (a1, a2, a3, a4, a5, a6, t)))
         first = (1 - self.t) * self.a1 * self.a2 + self.a3 * self.a6 - self.a4 * self.a5
         if first != 0:
             raise ParameterError(
@@ -48,6 +50,7 @@ class SixVertexParams:
                 "second weight constraint violated: "
                 "(t^2-t)a1*a2 + t^2*a3*a6 - a4*a5 = " + str(second)
             )
+        return self
 
 
 def five_vertex_params(beta: Fraction) -> SixVertexParams:

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
-from typing import Callable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterator, NamedTuple
 
 from . import (
     fivevertex as fv,
@@ -36,7 +36,7 @@ from . import (
     workqueue,
 )
 from .errors import ParameterError
-from .exactcore import LaurentPoly, Matrix, TruncatedSeries, rat_str
+from .exactcore import Matrix, TruncatedSeries, rat_str
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _BETA_PALETTE = (
@@ -68,26 +68,44 @@ def generic_beta(rng: random.Random, nonzero: bool = False) -> Fraction:
     return palette[rng.randrange(len(palette))]
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """One named check.  `check()` takes no arguments and returns a bool, or
     (bool, extra detail) when the detail is itself computed; `detail` holds
-    what is known before the check runs."""
+    what is known before the check runs (by default an empty read-only
+    mapping, which the cases share)."""
 
     name: str
     check: Callable[[], bool | tuple[bool, dict]]
-    detail: dict = field(default_factory=dict)
+    detail: dict = MappingProxyType({})
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    scale: str
-    seed: int
-    cases: int
-    failures: list[dict]
-    wall_time: float = 0.0  # the summed time of its checks, over every process
-    processes: int = 1  # the processes of the run its cases were queued in
+    """One suite's results.  wall_time is the summed time of its checks, over
+    every process; processes counts those of the run its cases were queued
+    in."""
+
+    __slots__ = ("suite", "scale", "seed", "cases", "failures", "wall_time", "processes")
+
+    def __init__(
+        self, suite: str, scale: str, seed: int, cases: int, failures: list[dict],
+        wall_time: float = 0.0, processes: int = 1,
+    ):
+        self.suite, self.scale, self.seed, self.cases = suite, scale, seed, cases
+        self.failures, self.wall_time, self.processes = failures, wall_time, processes
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"SuiteReport({fields})"
 
     @property
     def ok(self) -> bool:
@@ -129,23 +147,26 @@ def _builds(fn: Callable, arg_tuples) -> bool:
 
 def _b_commute(model: lattice.Model, sectors, u: Fraction, v: Fraction, beta: Fraction) -> bool:
     """B(u)B(v) = B(v)B(u) on each state of each (num_sites, num_particles)
-    sector in `sectors`.  Both orders divide by (L_u L_v)^M, so their integer
-    sums compare directly."""
-    b_u, b_v = ((1, 0, model.weights(Fraction(p), Fraction(beta))) for p in (u, v))
+    sector in `sectors`, on the integer weights.  Both orders divide by
+    (L_u L_v)^M, so their integer sums compare directly."""
+    b_u, b_v = ((1, 0, *model.integer_weights(p, beta)) for p in (u, v))
 
     def b_b(m, s, *steps):
-        return lattice.integer_chain(model.capacity, m, {s: 1}, steps)[:2]
+        return lattice._rational_chain(model.capacity, m, {s: 1}, steps)[0]
 
     return all(b_b(m, s, b_v, b_u) == b_b(m, s, b_u, b_v) for m, n in sectors for s in model.sector(m, n))
 
 
 def _transfer_commute(model: lattice.Model, m: int, sectors, beta: Fraction) -> bool:
     """On each particle-number sector, T(u) = sum_k u^k T_k commutes with T(v)
-    for all u and v iff every pair of rational coefficient matrices T_k does."""
+    for all u and v iff every pair of coefficient matrices T_k does.  The
+    transfer table of the weight table's polynomials is (u scale)^M T(u), so
+    its coefficient matrices are the T_k, shifted and scaled alike."""
+    rows, _ = model.table_at(beta)
     for n in sectors:
-        t_sym = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
-        exps = sorted({e for row in t_sym for p in row for e in p.coeffs})
-        t_ks = [Matrix([[p.coeff(e) for p in row] for row in t_sym]) for e in exps]
+        table = lattice.transfer_table(model, m, n, rows, 2 * m)
+        exps = sorted({k for row in table for c in row for k, x in enumerate(c) if x})
+        t_ks = [Matrix.from_table([[c[k] for c in row] for row in table], 1) for k in exps]
         if any(a @ b != b @ a for a, b in combinations(t_ks, 2)):
             return False
     return True

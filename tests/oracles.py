@@ -226,6 +226,78 @@ def generic_rationals_sum(rng, count: int, start: int = 0) -> list[Fraction]:
     return out
 
 
+def fv_weights(u, beta):
+    """The five-vertex weights written out over the ring of u (a Fraction,
+    float, TruncatedSeries or LaurentPoly.var()): the reference for the
+    weight table `fivevertex._table`, as `lattice.Model` reads it."""
+    beta = Fraction(beta)
+    if beta == 0:
+        raise ParameterError("the five-vertex weights need beta != 0")
+    if u == 0:
+        raise PoleError("u = 0 is a pole of the site weights")
+    return (u, 0 * u, -u / beta - 1 / u, -u / beta, u**0, u**0)
+
+
+def pm_weights(v, beta):
+    """The phase-model weights written out over the ring of v: the reference
+    for `phasemodel._table`."""
+    if v == 0:
+        raise PoleError("v = 0 is a pole of the site weights")
+    return (1 / v - beta * v, 1 / v, v, v, v**0, v**0)
+
+
+def fraction_weights(model, p, beta):
+    """The reference weights of `model` (one of the two models) at p."""
+    if model.capacity == 1:
+        return fv_weights(p, Fraction(beta))
+    return pm_weights(p, Fraction(beta))
+
+
+def fv_spectral_map(u, beta) -> Fraction:
+    """z = -1/beta - 1/u^2, the reference for the five-vertex
+    `Model.spectral_pair`."""
+    u, beta = Fraction(u), Fraction(beta)
+    if beta == 0:
+        raise ParameterError("the five-vertex weights need beta != 0")
+    if u == 0:
+        raise PoleError("u = 0 is a pole of the spectral map")
+    return -1 / beta - u**-2
+
+
+def pm_spectral_map(v, beta) -> Fraction:
+    """z = 1/(1/v^2 - beta), the reference for the phase model's
+    `Model.spectral_pair`."""
+    v = Fraction(v)
+    if v == 0:
+        raise PoleError("v = 0 is a pole of the spectral map")
+    den = v**-2 - Fraction(beta)
+    if den == 0:
+        raise PoleError("1/v^2 = beta is a pole of the spectral map")
+    return 1 / den
+
+
+def fv_prefactor(num_sites: int, us, beta) -> Fraction:
+    """(-1/beta)^(N(N-1)/2) prod u^(M-1), the reference for the five-vertex
+    `Model.prefactor_pair`."""
+    beta = Fraction(beta)
+    if beta == 0:
+        raise ParameterError("the five-vertex weights need beta != 0")
+    n = len(us)
+    pref = (-1 / beta) ** (n * (n - 1) // 2)
+    for u in us:
+        pref *= Fraction(u) ** (num_sites - 1)
+    return pref
+
+
+def pm_prefactor(num_sites: int, vs, beta) -> Fraction:
+    """prod (1/v - beta*v)^(M-1), the reference for the phase model's
+    `Model.prefactor_pair`."""
+    pref = Fraction(1)
+    for v in map(Fraction, vs):
+        pref *= (1 / v - Fraction(beta) * v) ** (num_sites - 1)
+    return pref
+
+
 def chain(apply, model, num_sites: int, params, beta, state: dict) -> dict:
     """X(p_1)...X(p_N) acting on a weighted state, X = `lattice.apply_b` or
     `lattice.apply_c`, X(p_N) first: one operator at a time, the per-state

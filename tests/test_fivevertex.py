@@ -196,22 +196,23 @@ def test_integer_extraction_is_the_series_extraction():
 
 @pytest.mark.parametrize("beta", [F(-1), F(-1, 4)])
 def test_extraction_fails_on_a_perturbed_derivative_entry(monkeypatch, beta):
-    # e added to any one entry of the transfer matrix moves (u0/2) f'(u0)
-    # and not f(u0) H
-    real = lattice.transfer_matrix
+    # e added to any one entry of the transfer table at u0 + e moves
+    # (u0/2) f'(u0) and not f(u0) H
+    real = lattice.transfer_table
     m, n = 4, 2
     size = len(sector_basis(m, n))
     for r, c in product(range(size), repeat=2):
 
         def perturbed(*args):
             rows = real(*args)
-            rows[r][c] = rows[r][c] + TruncatedSeries.indeterminate(1)
+            p0, p1 = rows[r][c]
+            rows[r][c] = (p0, p1 + 1)
             return rows
 
-        monkeypatch.setattr(lattice, "transfer_matrix", perturbed)
+        monkeypatch.setattr(lattice, "transfer_table", perturbed)
         with pytest.raises(IdentityError, match="^transfer-matrix extraction disagrees on the 2-p"):
             hamiltonian(m, n, beta)
-    monkeypatch.setattr(lattice, "transfer_matrix", real)
+    monkeypatch.setattr(lattice, "transfer_table", real)
     assert hamiltonian(m, n, beta) == hamiltonian_direct(m, n, beta)
 
 

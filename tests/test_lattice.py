@@ -4,7 +4,11 @@ and its path sums equal products of embedded site operators.  Both models'
 states are occupation tuples from one enumerator, and the five-vertex and
 phase-model sectors carry the same partitions.  On its float ring, which
 only the Bethe numerics use, it agrees with the exact Laurent transfer
-matrices.  The one weight function per model serves all three rings.  The
+matrices.  The one weight table per model serves every ring, and at
+rational points it is the written-out Fraction weights cleared, with their
+spectral map and prefactor as integer pairs; no rational route evaluates a
+Fraction weight.  Packed series chains and coefficient tables equal the
+ring-generic loop at capacities 1, None and 2.  The
 sector tables equal the per-state operator chains and the chains that build
 their values after every step; a path sum, a transfer matrix and a chain of
 path sums over the rationals or over truncated series, run on integers,
@@ -17,6 +21,7 @@ of each model, forward and dual, accept and refuse the same inputs, and the
 prefactor ratio the skew checks read equals the normalisation written out by
 hand."""
 
+import math
 import random
 from fractions import Fraction as F
 from functools import partial
@@ -33,8 +38,8 @@ from grothcrystal import lattice
 from grothcrystal import phasemodel as pm
 from grothcrystal import sixvertex as sv
 from grothcrystal.errors import ParameterError, PoleError
-from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, rational_sqrt
-from grothcrystal.suites import _BETA_PALETTE, _skew_norm
+from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, clear_denominators, rational_sqrt
+from grothcrystal.suites import _BETA_PALETTE, _skew_norm, run_suite
 
 
 def assert_close(got, exact, v):
@@ -61,7 +66,7 @@ def test_weight_tuples_at_the_laurent_variable():
     u = LaurentPoly.var()
     for beta in (F(-1, 2), F(1, 3), F(2)):
         # (stay_empty, stay_occupied, pass_empty, pass_occupied, deposit, pickup)
-        assert fv._scalar_weights(u, beta) == (
+        assert fv.MODEL.weights(u, beta) == oracles.fv_weights(u, beta) == (
             LaurentPoly.var(),
             LaurentPoly(),
             LaurentPoly({1: -1 / beta, -1: F(-1)}),
@@ -69,7 +74,7 @@ def test_weight_tuples_at_the_laurent_variable():
             LaurentPoly.const(1),
             LaurentPoly.const(1),
         )
-        assert pm._scalar_weights_phase(u, beta) == (
+        assert pm.MODEL.weights(u, beta) == oracles.pm_weights(u, beta) == (
             LaurentPoly({-1: F(1), 1: -beta}),
             LaurentPoly({-1: F(1)}),
             LaurentPoly.var(),
@@ -81,7 +86,7 @@ def test_weight_tuples_at_the_laurent_variable():
 
 def test_weight_tuples_keep_the_ring_of_their_argument():
     v, beta = F(7, 5), F(1, 3)
-    for build in (fv._scalar_weights, pm._scalar_weights_phase):
+    for build in (fv.MODEL.weights, pm.MODEL.weights):
         exact = build(v, beta)
         assert all(type(x) is F for x in exact)
         laurent = build(LaurentPoly.var(), beta)
@@ -196,7 +201,9 @@ def test_path_sums_are_products_of_the_site_operator(model, levels, num_sites, s
         return idx
 
     all_states = list(product(range(levels), repeat=num_sites))
-    at_w = model._replace(weights=lambda p, beta: w)
+    # the weight table whose weights are w at every p: p w den = ints p
+    ints, den = clear_denominators(w)
+    at_w = model._replace(table=lambda r, s: (tuple((0, x, 0) for x in ints), den))
     for s in states:
         for apply, a_in, a_out in ((lattice.apply_b, 1, 0), (lattice.apply_c, 0, 1)):
             got = apply(at_w, num_sites, 1, 1, {s: F(1)})
@@ -210,7 +217,7 @@ def test_path_sums_are_products_of_the_site_operator(model, levels, num_sites, s
             [blocks[0, 0][index(r)][index(c)] + blocks[1, 1][index(r)][index(c)] for c in basis]
             for r in basis
         ]
-        assert lattice.transfer_matrix(at_w, num_sites, n, None, None) == want
+        assert lattice.transfer_matrix(at_w, num_sites, n, 1, 1) == want
 
 
 @pytest.mark.parametrize(
@@ -224,7 +231,7 @@ def test_path_sums_are_products_of_the_site_operator(model, levels, num_sites, s
 def test_path_sums_refuse_states_off_the_chain(model, off_chain):
     # a state too short, too long, negative or, at capacity 1, holding two
     # particles on one site; its amplitude 0 does not let it through
-    w = fv._scalar_weights(F(2), F(1))
+    w = oracles.fv_weights(F(2), F(1))
     for state in off_chain:
         for amp in (F(1), F(0)):
             for a_in, a_out in product((0, 1), repeat=2):
@@ -306,18 +313,30 @@ def test_series_path_sums_are_the_ring_generic_loop(args):
     assert all(type(c) is TruncatedSeries and c for c in got.values())
 
 
+def _coefficient_tuples(w):
+    """Series and rationals of one order as integer coefficient tuples over
+    the lcm of their denominators, and that lcm."""
+    order = next(x.order for x in w if type(x) is TruncatedSeries)
+    series = [x if type(x) is TruncatedSeries else TruncatedSeries([x], order) for x in w]
+    den = math.lcm(*(x.den for x in series))
+    return [tuple(c * (den // x.den) for c in x.nums) for x in series], den, order
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_series_path_sums())
 def test_series_transfer_matrices_are_the_ring_generic_loop(args):
-    # A + D summed on integers and built once per entry equals the sum of the
-    # two generic path sums per column, for every sector of the chain
+    # A + D summed on packed integers, as a coefficient table, and built once
+    # per entry equals the sum of the two generic path sums per column, for
+    # every sector of the chain
     capacity, num_sites, _, _, _, w = args
-    model = (fv.MODEL if capacity == 1 else pm.MODEL)._replace(weights=lambda p, beta: w)
+    model = fv.MODEL if capacity == 1 else pm.MODEL
+    coeffs, den, order = _coefficient_tuples(w)
     for n in range(3):
         basis = model.sector(num_sites, n)
         columns = [[lattice._path_sum(capacity, num_sites, {s: 1}, a, a, w, {}) for a in (0, 1)] for s in basis]
         want = [[a.get(r, 0) + d.get(r, 0) for a, d in columns] for r in basis]
-        assert lattice.transfer_matrix(model, num_sites, n, None, None) == want
+        table = lattice.transfer_table(model, num_sites, n, coeffs, order)
+        assert [[TruncatedSeries._raw(c, den**num_sites) for c in row] for row in table] == want
 
 
 @st.composite
@@ -359,7 +378,7 @@ def test_chains_divide_once_as_the_step_by_step_chain(model, config, m_max, beta
     ring-generic chain that builds its values after every operator."""
     ps = (F(7, 5), F(3), F(-5, 2))
     for m, beta, n, dual in product(range(1, m_max + 1), betas, range(4), (False, True)):
-        ws = [model.weights(p, beta) for p in ps[:n]]
+        ws = [oracles.fraction_weights(model, p, beta) for p in ps[:n]]
         up = [(1, 0, lattice._transposed(w)) for w in ws] if dual else [(1, 0, w) for w in ws[::-1]]
         down = [(0, 1, w) for w in ws[::-1]] if dual else [(0, 1, lattice._transposed(w)) for w in ws]
         empty = model.sector(m, 0)[0]
@@ -372,12 +391,14 @@ def test_chains_divide_once_as_the_step_by_step_chain(model, config, m_max, beta
             assert type(got) is F
 
 
-@pytest.mark.parametrize("model, calls", [(fv.MODEL, 2), (pm.MODEL, 2)], ids=["fv", "pm"])
+@pytest.mark.parametrize("model, calls", [(fv.MODEL, 5), (pm.MODEL, 6)], ids=["fv", "pm"])
 def test_series_transfer_matrices_multiply_no_series_per_vertex(monkeypatch, model, calls):
-    # the weights and the zero entry take a fixed number of series products:
-    # 0*u or beta*v, and w[0]*0; -u/beta and 1/u divide without one.  Every
-    # vertex product runs on integer coefficient tuples, whatever the chain
-    # length and sector size
+    # only `Model.weights` takes series products, a fixed number: p*0 for the
+    # ring's zero and one per nonzero c0 (times 1/p) and c2 (times p) of the
+    # weight table, 4 for the five-vertex table and 5 for the phase model's;
+    # 1/p and the division by the scale divide without one.  Every vertex
+    # product runs on packed integers, whatever the chain length and sector
+    # size
     real, counted = TruncatedSeries.__mul__, []
 
     def mul(self, other):
@@ -508,10 +529,11 @@ def test_transfer_matrices_are_their_per_column_path_sums(var):
                     assert lattice.transfer_matrix(model, m, n, var, beta) == want
 
 
-def _six_weights(p, beta):
-    """Six distinct nonzero weights at each parameter the test below uses; both
+def _six_table(r, s):
+    """The weight table of (p, p + 1/2, 2p + 1/3, -p, 1/p, p + beta): six
+    distinct nonzero weights at each parameter the tests below use; both
     models deposit and pick up at weight 1, so they cannot tell those apart."""
-    return (p, p + F(1, 2), 2 * p + F(1, 3), -p, 1 / p, p * p + beta)
+    return ((0, 0, 6 * s), (0, 3 * s, 6 * s), (0, 2 * s, 12 * s), (0, 0, -6 * s), (6 * s, 0, 0), (0, 6 * r, 6 * s)), 6 * s
 
 
 @pytest.mark.parametrize(
@@ -519,8 +541,8 @@ def _six_weights(p, beta):
     [
         (fv.MODEL, 7, _BETA_PALETTE),
         (pm.MODEL, 5, _BETA_PALETTE + (F(0),)),
-        (fv.MODEL._replace(weights=_six_weights), 5, (F(1, 7),)),
-        (pm.MODEL._replace(weights=_six_weights), 4, (F(1, 7),)),
+        (fv.MODEL._replace(table=_six_table), 5, (F(1, 7),)),
+        (pm.MODEL._replace(table=_six_table), 4, (F(1, 7),)),
     ],
     ids=["fv", "pm", "fv-six-weights", "pm-six-weights"],
 )
@@ -551,8 +573,8 @@ def _positions(state):
     [
         (fv.MODEL, _positions, 7, _BETA_PALETTE),
         (pm.MODEL, tuple, 5, _BETA_PALETTE + (F(0),)),
-        (fv.MODEL._replace(weights=_six_weights), _positions, 5, (F(1, 7),)),
-        (pm.MODEL._replace(weights=_six_weights), tuple, 4, (F(1, 7),)),
+        (fv.MODEL._replace(table=_six_table), _positions, 5, (F(1, 7),)),
+        (pm.MODEL._replace(table=_six_table), tuple, 4, (F(1, 7),)),
     ],
     ids=["fv", "pm", "fv-six-weights", "pm-six-weights"],
 )
@@ -664,3 +686,208 @@ def test_five_vertex_transfer_matrix_is_monomial_at_the_extraction_point():
                 t = lattice.transfer_matrix(fv.MODEL, m, n, u0, beta)
                 for line in list(t) + list(zip(*t)):
                     assert sum(1 for x in line if x) == 1, (m, n, beta)
+
+
+# -- the weight table against the written-out Fraction weights -----------------
+
+_rationals = st.one_of(st.just(F(0)), st.fractions(-30, 30, max_denominator=30))
+_MODELS = {"fv": (fv.MODEL, oracles.fv_weights, oracles.fv_spectral_map, oracles.fv_prefactor),
+           "pm": (pm.MODEL, oracles.pm_weights, oracles.pm_spectral_map, oracles.pm_prefactor)}
+
+
+@st.composite
+def _points(draw):
+    """A rational p and beta, zero now and then, and every so often beta =
+    1/p^2, the phase model's spectral pole."""
+    p, beta = draw(_rationals), draw(_rationals)
+    if p and draw(st.integers(0, 4)) == 0:
+        beta = p**-2
+    return p, beta
+
+
+@pytest.mark.parametrize("name", ["fv", "pm"])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_points())
+def test_weight_tables_are_the_cleared_fraction_weights(name, point):
+    """At a rational point, the integer weights are `clear_denominators` of
+    the written-out Fraction weights, the ring-generic evaluation is those
+    weights, and z(p) is the written-out spectral map: the same values, or
+    the same error in the same order (five-vertex beta = 0, then p = 0, then
+    the phase model's pole at 1/p^2 = beta)."""
+    model, weights, spectral, _ = _MODELS[name]
+    p, beta = point
+    want = oracles.outcome(lambda: clear_denominators(weights(p, beta)))
+    assert oracles.outcome(model.integer_weights, p, beta) == want
+    assert oracles.outcome(model.weights, p, beta) == oracles.outcome(weights, p, beta)
+    z = oracles.outcome(model.spectral_map, p, beta)
+    assert z == oracles.outcome(spectral, p, beta)
+    if z[0] == "value":
+        assert model.spectral_pair(p, beta) == z[1].as_integer_ratio()
+
+
+@pytest.mark.parametrize("name", ["fv", "pm"])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.lists(_points(), max_size=4))
+def test_prefactor_pairs_are_the_fraction_prefactors(name, num_sites, points):
+    """The integer prefactor pair is the written-out Fraction prefactor, the
+    same value or the same error, at nonzero parameters sharing one beta; on
+    no sites each stay_empty weight enters to the power -1."""
+    model, _, _, prefactor = _MODELS[name]
+    beta = points[0][1] if points else F(1, 3)
+    ps = [p for p, _ in points if p]
+    got = oracles.outcome(lambda: F(*model.prefactor_pair(num_sites, ps, beta)))
+    want = oracles.outcome(prefactor, num_sites, ps, beta)
+    if want[0] is ZeroDivisionError:  # a vanishing weight to the power -1; the messages name its numerator
+        want, got = want[:1], got[:1]
+    assert got == want
+    if got[0] == "value":
+        assert model.prefactor_pair(num_sites, ps, beta)[1] > 0
+
+
+def test_rational_routes_evaluate_no_fraction_weights(monkeypatch):
+    """Every rational route reads the weight table on integers: with the ring
+    evaluation `Model.weights` and the written-out Fraction weights made to
+    raise, the five-vertex and phase-model suites fail only the Bethe cases,
+    which run on floats."""
+
+    def refuse(*args):
+        raise AssertionError("a Fraction weight was evaluated")
+
+    monkeypatch.setattr(lattice.Model, "weights", refuse)
+    monkeypatch.setattr(oracles, "fv_weights", refuse)
+    monkeypatch.setattr(oracles, "pm_weights", refuse)
+    for suite in ("fv", "pm"):
+        failed = {f["case"] for f in run_suite(suite, "small", 1).failures}
+        assert all(name.startswith("pm.bethe.") for name in failed), failed
+        assert bool(failed) is (suite == "pm")
+
+
+def test_sector_tables_build_no_fraction_per_weight(monkeypatch):
+    """The Fractions a sector's lattice and closed tables build do not grow
+    with the chain: no weight, spectral value or prefactor factor of a site
+    is a Fraction."""
+    built = []
+    real = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return real(cls, *args, **kwargs)
+
+    ps, beta = (F(7, 5), F(3), F(-5, 2)), F(-1, 2)
+    for model in (fv.MODEL, pm.MODEL):
+        counts = set()
+        for m in range(3, 8):
+            states = model.sector(m, 3)
+            with monkeypatch.context() as patch:
+                patch.setattr(F, "__new__", counting)
+                built.clear()
+                for dual in (False, True):
+                    lattice.lattice_table(model, m, ps, beta, dual)
+                    lattice.closed_table(model, m, states, ps, beta, dual)
+                counts.add(len(built))
+        assert counts == {0}, counts
+
+
+@st.composite
+def _packed_chains(draw):
+    """A capacity of 1, None or 2, a chain of up to four sites, one to four
+    steps, and at one series order 0..4 each weight and amplitude a series,
+    a rational or zero: coefficients small, large or of either sign, so that
+    sums cancel and slots fill toward the bound."""
+    capacity = draw(st.sampled_from([1, None, 2]))
+    num_sites = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 4))
+    top = {1: 1, 2: 2, None: 3}[capacity]
+    coeff = st.one_of(st.sampled_from([0, 1, -1, 2, -2]), st.integers(-(10**12), 10**12), _fractions)
+    series = st.lists(coeff, min_size=order + 1, max_size=order + 1).map(TruncatedSeries)
+    value = st.one_of(series, series, st.just(0), coeff)
+    sites = st.tuples(*(st.integers(0, top) for _ in range(num_sites)))
+    state = draw(st.dictionaries(sites, value, min_size=1, max_size=5))
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        a_in, a_out = draw(st.sampled_from(list(product((0, 1), repeat=2))))
+        w = [draw(value) for _ in range(6)]
+        if draw(st.booleans()):  # one series weight, and its negative: paths that cancel
+            w[draw(st.integers(0, 5))] = -w[draw(st.integers(0, 5))]
+        steps.append((a_in, a_out, tuple(w)))
+    s, *_ = state
+    state[s] = draw(series)  # at least one series, so the chain is packed
+    return capacity, num_sites, state, steps
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_packed_chains())
+def test_packed_chains_are_the_generic_loop(args):
+    """A chain of truncated series on packed integers, decoded once, equals
+    the ring-generic loop on the series as given, at capacities 1, None and
+    2, and every amplitude it keeps is a nonzero series."""
+    capacity, num_sites, state, steps = args
+    got = _chain(capacity, num_sites, state, steps)
+    assert got == oracles.path_sum_chain(capacity, num_sites, state, steps)
+    assert all(type(c) is TruncatedSeries and c for c in got.values())
+
+
+def test_packed_slots_hold_coefficients_at_the_bound():
+    """All-ones weights of l1 norm W = 6 on every vertex: each coefficient of
+    a product is as large as the weights allow, and ones of both signs give
+    negative digits; the packed chain still decodes them exactly."""
+    order = 5
+    plus = TruncatedSeries([1] * (order + 1))
+    minus = TruncatedSeries([-1, 1, -1, 1, -1, 1])
+    for capacity, num_sites in ((1, 4), (None, 3), (2, 3)):
+        top = 1 if capacity == 1 else 2
+        state = {s: plus for s in product(range(top + 1), repeat=num_sites)}
+        for w in ((plus,) * 6, (plus, minus) * 3, (minus,) * 6):
+            steps = [(1, 0, w), (0, 1, w), (0, 0, w), (1, 1, w)]
+            assert _chain(capacity, num_sites, state, steps) == oracles.path_sum_chain(capacity, num_sites, state, steps)
+
+
+@pytest.mark.parametrize("capacity", [1, None, 2])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.data())
+def test_coefficient_tables_are_the_generic_transfer_matrix(capacity, num_sites, order, data):
+    """`transfer_table` of integer coefficient tuples equals the ring-generic
+    loop's A + D over the series with those coefficients, on every sector
+    of a model of capacity 1, None or 2."""
+    coeff = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**9), 10**9))
+    w = [tuple(data.draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))) for _ in range(6)]
+    model = pm.MODEL._replace(capacity=capacity, sector=lambda m, n: lattice.occupations(m, n, capacity))
+    series = [TruncatedSeries(c) for c in w]
+    one, zero = TruncatedSeries.one(order), TruncatedSeries([0], order)
+    for n in range(4):
+        table = lattice.transfer_table(model, num_sites, n, w, order)
+        want = lattice._transfer_sums(capacity, num_sites, model.sector(num_sites, n), series, one, zero)
+        assert [[TruncatedSeries(c) for c in row] for row in table] == want
+
+
+def test_coefficient_tables_are_the_laurent_transfer_matrices():
+    """The weight table's own polynomials through order 2M give (p scale)^M
+    times the Laurent transfer matrix, coefficient k at p^(k - M)."""
+    for model, betas in ((fv.MODEL, _BETA_PALETTE), (pm.MODEL, _BETA_PALETTE + (F(0),))):
+        for beta in betas:
+            rows, scale = model.table_at(beta)
+            for m in range(1, 5):
+                for n in range(m + 1 if model.capacity else 3):
+                    table = lattice.transfer_table(model, m, n, rows, 2 * m)
+                    laurent = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
+                    factor = LaurentPoly({1: scale}) ** m
+                    assert [[LaurentPoly(dict(enumerate(c))) for c in row] for row in table] == [
+                        [factor * x for x in row] for row in laurent
+                    ]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 70), st.data())
+def test_packed_digits_decode_across_the_whole_slot(width, data):
+    """Packing at q = 2^width and decoding balanced digits gives back any
+    coefficients in [-2^(width-1), 2^(width-1)), both ends included, from the
+    packed integer as it is or reduced mod 2^(width (D+1)) with any multiple
+    of that modulus added: bits above the top slot are ignored."""
+    half = 1 << (width - 1)
+    coeff = st.one_of(st.sampled_from([-half, half - 1, 0, -1, 1]), st.integers(-half, half - 1))
+    coeffs = tuple(data.draw(st.lists(coeff, min_size=1, max_size=6)))
+    order = len(coeffs) - 1
+    packed = lattice._pack(coeffs, width)
+    modulus = 1 << width * (order + 1)
+    for x in (packed, packed % modulus, packed + data.draw(st.integers(-3, 3)) * modulus):
+        assert lattice._unpack(x, width, order) == coeffs

@@ -49,3 +49,18 @@ def test_rll_for_constrained_parameters():
     assert check_rll_six(u, v, intertwiner_params(F(1, 3)))
     assert check_rll_six(u, v, five_vertex_params(F(-2)))
     assert check_rll_six(F(7, 2), F(1, 3), intertwiner_params(F(2, 7)))
+
+
+def test_params_are_frozen_fractions_with_keyword_fields():
+    p = SixVertexParams(a1=1, a2=1, a3=2, a4=1, a5=-0.5, a6=F(-1, 2), t=F(1, 2))
+    assert all(type(x) is F for x in p) and p.a5 == F(-1, 2)
+    assert p == SixVertexParams(1, 1, 2, 1, F(-1, 2), F(-1, 2), F(1, 2))
+    assert p != five_vertex_params(F(-1))
+    with pytest.raises(AttributeError):
+        p.t = F(0)
+    assert repr(five_vertex_params(F(-1))) == (
+        "SixVertexParams(a1=Fraction(1, 1), a2=Fraction(1, 1), a3=Fraction(1, 1), "
+        "a4=Fraction(0, 1), a5=Fraction(1, 1), a6=Fraction(-1, 1), t=Fraction(0, 1))"
+    )
+    with pytest.raises(ParameterError, match="^second weight constraint violated"):
+        SixVertexParams(1, 1, 1, 1, 1, 0, 0)

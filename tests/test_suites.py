@@ -233,11 +233,11 @@ def test_skew_checks_agree_with_the_per_pair_route(beta):
 
 
 def _doubled_deposit(model):
-    def weights(p, beta):
-        w = model.weights(p, beta)
-        return (*w[:4], 2 * w[4], w[5])
+    def table(r, s):
+        rows, scale = model.table(r, s)
+        return (*rows[:4], tuple(2 * c for c in rows[4]), rows[5]), scale
 
-    return model._replace(weights=weights)
+    return model._replace(table=table)
 
 
 @pytest.mark.parametrize("beta", suites._BETA_PALETTE)
@@ -445,9 +445,10 @@ def test_shape_cases_take_their_determinants_from_one_batch(monkeypatch):
             assert calls == [shapes], case.name
 
 
-def _noncommuting_weights(p, beta):
-    """Six weights at which B(u) and B(v) do not commute on either chain."""
-    return (p, p + F(1, 2), 2 * p + F(1, 3), -p, 1 / p, p * p + beta)
+def _noncommuting_table(r, s):
+    """The weight table of (p, p + 1/2, 2p + 1/3, -p, 1/p, p + beta), six
+    weights at which B(u) and B(v) do not commute on either chain."""
+    return ((0, 0, 6 * s), (0, 3 * s, 6 * s), (0, 2 * s, 12 * s), (0, 0, -6 * s), (6 * s, 0, 0), (0, 6 * r, 6 * s)), 6 * s
 
 
 @pytest.mark.parametrize("model", [fv.MODEL, pm.MODEL], ids=["fv", "pm"])
@@ -458,8 +459,8 @@ def test_b_commute_fails_on_weights_that_do_not_commute(model):
     u, v, beta = F(7, 5), F(3), F(-1, 2)
     sectors = [(m, n) for m in (2, 3, 4) for n in range(4) if model.capacity is None or n <= m]
     verdicts = {}
-    for weights in (model.weights, _noncommuting_weights):
-        at = model._replace(weights=weights)
+    for table in (model.table, _noncommuting_table):
+        at = model._replace(table=table)
         for m, n in sectors:
 
             def b_b(first, second, s):
@@ -467,8 +468,8 @@ def test_b_commute_fails_on_weights_that_do_not_commute(model):
 
             stepwise = all(b_b(u, v, s) == b_b(v, u, s) for s in at.sector(m, n))
             assert suites._b_commute(at, [(m, n)], u, v, beta) == stepwise, (m, n)
-        verdicts[weights] = suites._b_commute(at, sectors, u, v, beta)
-    assert verdicts == {model.weights: True, _noncommuting_weights: False}
+        verdicts[table] = suites._b_commute(at, sectors, u, v, beta)
+    assert verdicts == {model.table: True, _noncommuting_table: False}
 
 
 def test_addition_and_branching_cases_read_the_skew_factors(monkeypatch):
@@ -542,6 +543,11 @@ def test_verify_all_full_seed7_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_SEED7
 
 
+def _laurent_rows(table) -> list[list]:
+    """A transfer table as rows of Laurent polynomials, coefficient k at u^k."""
+    return [[LaurentPoly(dict(enumerate(c))) for c in row] for row in table]
+
+
 @pytest.mark.parametrize(
     "exponents",
     [lambda exps: [max(exps)], lambda exps: [max(exps) + 1], lambda exps: [min(exps), min(exps) - 1]],
@@ -549,39 +555,53 @@ def test_verify_all_full_seed7_stdout_is_pinned(capsys):
 )
 @pytest.mark.parametrize("suite", ["fv", "pm"])
 def test_transfer_commute_fails_on_a_perturbed_matrix(monkeypatch, suite, exponents):
-    """u^e added to one off-diagonal entry of each symbolic transfer matrix of
-    two or more states, for e its top exponent, one above it, or both its
-    lowest and one below, fails the case at both scales; on every sector the
+    """u^e added to one off-diagonal entry of each transfer table of two or
+    more states, for e its top exponent, one above it, or both its lowest
+    and one below, fails the case at both scales; on every sector the
     coefficient-matrix check agrees with the pointwise commutator over the
-    Laurent polynomials, perturbed or not.  (On fv's sectors one particle
-    short of full, a perturbation at the lowest exponent alone still
-    commutes: the only other coefficient there is scalar.  So the lowest
-    input adds u^e one below as well.)"""
+    Laurent polynomials of the table, perturbed or not, and the table is
+    (u scale)^M T(u) of the ring-generic Laurent transfer matrix.  (A table
+    holds u^0 up; an exponent below that shifts every entry up alike, which
+    keeps what commutes.  On fv's sectors one particle short of full, a
+    perturbation at the lowest exponent alone still commutes: the only other
+    coefficient there is scalar.  So the lowest input adds u^e one below as
+    well.)"""
     name = f"{suite}.transfer-commute"
-    real = lattice.transfer_matrix
+    real = lattice.transfer_table
 
     def perturbed(*args):
-        t_sym = real(*args)
-        if len(t_sym) < 2:
-            return t_sym
-        exps = {e for row in t_sym for p in row for e in p.coeffs}
-        for e in exponents(exps):
-            t_sym[0][1] = t_sym[0][1] + LaurentPoly({e: 1})
-        return t_sym
+        table = real(*args)
+        if len(table) < 2:
+            return table
+        add = exponents({k for row in table for c in row for k, x in enumerate(c) if x})
+        low = max(0, -min(add))
+        top = max(max(add) + 1, len(table[0][0])) + low
+        table = [[(0,) * low + c + (0,) * (top - low - len(c)) for c in row] for row in table]
+        entry = list(table[0][1])
+        for e in add:
+            entry[e + low] += 1
+        table[0][1] = tuple(entry)
+        return table
 
     for scale in ("small", "full"):
         (case,) = [c for c in SUITES[suite](scale, random.Random(f"{suite}:1")) if c.name == name]
         model, m, sectors, beta = case.check.args
+        rows, den = model.table_at(beta)
         for patched in (False, True):
             with monkeypatch.context() as mp:
                 if patched:
-                    mp.setattr(lattice, "transfer_matrix", perturbed)
+                    mp.setattr(lattice, "transfer_table", perturbed)
                 assert case.check() is not patched
                 for n in sectors:
-                    t_sym = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
+                    table = lattice.transfer_table(model, m, n, rows, 2 * m)
+                    t_sym = _laurent_rows(table)
                     verdict = suites._transfer_commute(model, m, [n], beta)
                     assert verdict == oracles.transfer_commute_pointwise(t_sym, m)
                     assert verdict is not (patched and len(t_sym) > 1)
+                    if not patched:
+                        factor = LaurentPoly({1: den}) ** m
+                        generic = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
+                        assert t_sym == [[factor * p for p in row] for row in generic]
 
 
 # -- cases shared out over forked processes -------------------------------------
@@ -820,3 +840,43 @@ def test_piped_stdout_is_not_flushed_by_workers():
 def test_cli_import_loads_neither_multiprocessing_nor_pickle():
     code = "import sys, grothcrystal.cli; print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))"
     assert _cli_subprocess("-c", code).stdout.decode().strip() == "[]"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the records are NamedTuple and __slots__ classes, so importing the
+    # command line under -I (no site, no PYTHONPATH) reaches neither module
+    # nor what inspect pulls in
+    src = str(Path(grothcrystal.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import grothcrystal.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    assert _cli_subprocess("-I", "-c", code).stdout.decode().strip() == "[]"
+
+
+def test_case_and_report_records_keep_their_fields_and_equality():
+    check = lambda: True  # noqa: E731
+    case = suites.Case("a.b", check)
+    assert (case.name, case.check, case.detail) == ("a.b", check, {})
+    assert case == suites.Case("a.b", check, {}) != suites.Case("a.b", check, {"beta": F(1)})
+    assert suites.Case(name="x", check=check, detail={"k": 1}).detail == {"k": 1}
+    with pytest.raises(AttributeError):
+        case.name = "c"
+    with pytest.raises(TypeError):
+        case.detail["beta"] = F(1)  # the shared default is read-only
+    with pytest.raises(TypeError):
+        suites.Case("a.b")
+    report = suites.SuiteReport("fv", "small", 1, 3, [])
+    assert (report.wall_time, report.processes, report.ok) == (0.0, 1, True)
+    assert report == suites.SuiteReport("fv", "small", 1, 3, [], 0.0, 1)
+    assert report != suites.SuiteReport("fv", "small", 1, 3, [], 0.5, 1)
+    assert report != ("fv", "small", 1, 3, [], 0.0, 1)
+    report.wall_time = 0.5
+    assert report == suites.SuiteReport("fv", "small", 1, 3, [], wall_time=0.5)
+    assert repr(report).startswith("SuiteReport(suite='fv', scale='small', seed=1, cases=3, failures=[]")
+    report.failures.append({"case": "fv.x"})
+    assert not report.ok and report.to_json()["failures"] == [{"case": "fv.x"}]
+    with pytest.raises(TypeError):
+        hash(report)
+    with pytest.raises(AttributeError):
+        report.extra = 1
