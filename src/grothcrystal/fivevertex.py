@@ -30,9 +30,13 @@ from .partitions import partition_from_positions
 
 def _check_beta(beta: Fraction) -> Fraction:
     beta = Fraction(beta)
-    if beta == 0:
-        raise ParameterError("the five-vertex weights need beta != 0")
+    _require_beta(beta)
     return beta
+
+
+def _require_beta(beta) -> None:
+    if not beta:
+        raise ParameterError("the five-vertex weights need beta != 0")
 
 
 def _check_sites(num_sites: int) -> None:
@@ -82,8 +86,7 @@ def check_rll(u: Fraction, v: Fraction, beta: Fraction) -> bool:
 def _table(r: int, s: int) -> tuple[tuple, int]:
     """The weight table at beta = r/s: u w r = (r u^2, 0, -s u^2 - r, -s u^2,
     r u, r u), each as (c0, c1, c2), over r."""
-    if not r:
-        raise ParameterError("the five-vertex weights need beta != 0")
+    _require_beta(r)
     return ((0, 0, r), (0, 0, 0), (-r, 0, -s), (0, 0, -s), (0, r, 0), (0, r, 0)), r
 
 
@@ -184,7 +187,8 @@ def _log_derivative_sides(num_sites: int, num_particles: int, beta: Fraction, u0
     (2b r^M a^2M)."""
     rows, scale = MODEL.table_at(beta)
     a, b = u0.numerator, u0.denominator
-    dual = [(lattice._hom(row, a, b), b * (row[1] * b + 2 * row[2] * a)) for row in rows]
+    values = lattice._hom(rows, a, b)
+    dual = [(v, b * (row[1] * b + 2 * row[2] * a)) for v, row in zip(values, rows)]
     table = lattice.transfer_table(MODEL, num_sites, num_particles, dual, 1)
     den = scale**num_sites * a ** (2 * num_sites)
     sign = -1 if den < 0 else 1

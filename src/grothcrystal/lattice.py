@@ -16,14 +16,14 @@ polynomials in the spectral parameter p of degree <= 2 over one denominator.
 Every route reads them from it: at a rational p = a/b as integers over one
 denominator (`Model.integer_weights`), the closed form's z(p) and prefactor as
 integer pairs, and over floats, Laurent polynomials or series term by term
-(`Model.weights`).  `integer_chain` applies path sums one after another on
-integers and divides once at the end: rationals cleared over the lcm of their
-denominators, and truncated series through q^D each packed into one integer,
-q -> 2^w kept mod 2^(w(D+1)) (Kronecker substitution, a ring homomorphism of
-Z[q]/(q^(D+1))), the slot width w from a bound proven before the chain starts
-and the coefficients decoded once as balanced digits.  Other rings run the
-same loop as they are.  `transfer_table` is the transfer matrix as integer
-coefficient tables on the same packed integers.
+(`Model.weights`).  `integer_chain` applies path sums one after another,
+rationals on integers cleared over the lcm of their denominators with one
+division at the end, other rings as they are.  `transfer_table` is the
+transfer matrix as integer coefficient tables: each truncated series through
+q^D packed into one integer, q -> 2^w kept mod 2^(w(D+1)) (Kronecker
+substitution, a ring homomorphism of Z[q]/(q^(D+1))), the slot width w from a
+bound proven before the sums start and the coefficients decoded once as
+balanced digits.
 
 Everything else (B and C, the lattice, closed and self-checked amplitudes
 with their duals, transfer matrices, the hopping generator and the
@@ -39,9 +39,10 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .errors import DegeneratePointError, IdentityError, ParameterError, PoleError
+from .errors import IdentityError, ParameterError, PoleError
 from .exactcore import Matrix, TruncatedSeries, clear_denominators, embed_pair
-from .grothendieck import _groth_core
+from .grothendieck import _groth_core, _require_distinct
+from .partitions import _complement
 
 _RATIONAL = {int, bool, Fraction}
 
@@ -101,18 +102,19 @@ def _ratio(x) -> tuple[int, int]:
     return (x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
 
 
-def _hom(row, a: int, b: int) -> int:
-    """b^2 (c0 + c1 p + c2 p^2) at p = a/b, for row = (c0, c1, c2)."""
-    c0, c1, c2 = row
-    return (c0 * b + c1 * a) * b + c2 * a * a
+def _hom(rows, a: int, b: int) -> list[int]:
+    """b^2 (c0 + c1 p + c2 p^2) at p = a/b for each row (c0, c1, c2)."""
+    bb, ab, aa = b * b, a * b, a * a
+    return [c0 * bb + c1 * ab + c2 * aa for c0, c1, c2 in rows]
 
 
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num / den in lowest terms with a positive denominator; den != 0."""
-    g = math.gcd(num, den)
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den over one positive denominator, divided by their common
+    gcd; den != 0."""
+    g = math.gcd(den, *nums)
     if den < 0:
         g = -g
-    return num // g, den // g
+    return [x // g for x in nums], den // g
 
 
 class Model(NamedTuple):
@@ -154,13 +156,7 @@ class Model(NamedTuple):
         rows, scale = self.table_at(beta)
         if not a:
             raise self._pole("site weights")
-        bb, ab, aa = b * b, a * b, a * a
-        ints = [c0 * bb + c1 * ab + c2 * aa for c0, c1, c2 in rows]
-        den = ab * scale
-        g = math.gcd(den, *ints)
-        if den < 0:
-            g = -g
-        return [x // g for x in ints], den // g
+        return _reduced(_hom(rows, a, b), a * b * scale)
 
     def weights(self, p, beta) -> tuple:
         """The six weights over the ring of p, for the rings without integer
@@ -191,10 +187,11 @@ class Model(NamedTuple):
         rows, _ = self.table_at(beta)
         if not a:
             raise self._pole("spectral map")
-        den = _hom(rows[0], a, b)
+        den, num = _hom((rows[0], rows[2]), a, b)
         if not den:
             raise PoleError(f"1/{self.variable}^2 = beta is a pole of the spectral map")
-        return _reduced(_hom(rows[2], a, b), den)
+        (num,), den = _reduced([num], den)
+        return num, den
 
     def spectral_map(self, p, beta) -> Fraction:
         """The variable z = z(p) of the closed form."""
@@ -211,7 +208,7 @@ class Model(NamedTuple):
             a, b = _ratio(p)
             if not a:
                 raise self._pole("site weights")
-            wn, wd = _reduced(_hom(rows[0], a, b), a * b * scale)
+            (wn,), wd = _reduced(_hom(rows[:1], a, b), a * b * scale)
             if e < 0:
                 wn, wd = wd, wn
             num, den = num * wn ** abs(e), den * wd ** abs(e)
@@ -247,10 +244,6 @@ def _rational_chain(capacity: int | None, num_sites: int, state, steps) -> tuple
     return sums, den
 
 
-def _l1(coeffs) -> int:
-    return sum(map(abs, coeffs))
-
-
 def _pack(coeffs, width: int) -> int:
     """The integer polynomial with these coefficients at q = 2^width."""
     out = 0
@@ -284,37 +277,13 @@ def _series_table(like: TruncatedSeries, xs) -> tuple[list[tuple[int, ...]], int
     return [tuple(n * (den // x.den) for n in x.nums) for x in xs], den
 
 
-def _series_chain(capacity: int | None, num_sites: int, state, steps, like) -> tuple[dict, int, Callable]:
-    """`integer_chain` over truncated series of the order D of `like`, each
-    amplitude packed into one integer.  The bound: T0 = the l1 norm of the
-    cleared start amplitudes; each step multiplies it by (2W)^M, W the
-    largest l1 norm of its cleared weights, since at most two moves leave
-    each (aux, occupation) pair and a truncated product's l1 norm is at most
-    the product of theirs.  It bounds every coefficient of every amplitude,
-    so slots of its bit length + 2 bits decode exactly."""
-    amps, den = _series_table(like, state.values())
-    bound, cleared = sum(map(_l1, amps)), []
-    for a_in, a_out, w in steps:
-        w, scale = _series_table(like, w)
-        bound *= (2 * max(map(_l1, w))) ** num_sites
-        den *= scale**num_sites
-        cleared.append((a_in, a_out, w))
-    width = bound.bit_length() + 2
-    mask = (1 << width * (like.order + 1)) - 1
-    sums = {s: _pack(c, width) for s, c in zip(state, amps)}
-    for a_in, a_out, w in cleared:
-        w = [_pack(c, width) for c in w]
-        sums = _path_sum(capacity, num_sites, sums, a_in, a_out, w, {}, mask)
-    return {s: _unpack(c, width, like.order) for s, c in sums.items()}, den, TruncatedSeries._raw
-
-
 def integer_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[dict, int, Callable]:
     """(sums, den, build): `steps`, (a_in, a_out, w) each, applied in turn to
     a weighted state, the amplitude at s being build(sums[s], den).  den is
     the lcm D of the amplitudes' denominators times L^M for each step, L that
     of its weights (one a site): the chain divides only when built.
-    Rationals run on integers, truncated series on packed integers (sums then
-    hold coefficient tuples), other rings as they are, over 1.  Only the
+    Rationals run on integers; other rings run as they are, over 1, with
+    rationals among truncated series lifted to their order.  Only the
     starting states are checked against the chain: a path sum's output fits
     it by construction."""
     _check_states(capacity, num_sites, state)
@@ -324,8 +293,9 @@ def integer_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[d
         steps = [(a_in, a_out, *clear_denominators(w)) for a_in, a_out, w in steps]
         return (*_rational_chain(capacity, num_sites, state, steps), Fraction)
     if kinds <= _RATIONAL | {TruncatedSeries}:
-        like = next(x for x in values if type(x) is TruncatedSeries)
-        return _series_chain(capacity, num_sites, state, steps, like)
+        lift = next(x for x in values if type(x) is TruncatedSeries)._lift  # another order raises ValueError
+        state = {s: lift(c) for s, c in state.items()}
+        steps = [(a_in, a_out, [lift(x) for x in w]) for a_in, a_out, w in steps]
     for a_in, a_out, w in steps:
         state = _path_sum(capacity, num_sites, state, a_in, a_out, w, {})
     return state, 1, lambda x, den: x
@@ -429,15 +399,18 @@ def closed_table(model: Model, num_sites: int, states, params, beta, dual=False)
     den: the prefactor's numerator, and its denominator times that of the
     Grothendieck table at z(p) of the states' partitions or, for the dual, of
     their box complements.  z(p) and the prefactor are integer pairs, and the
-    partitions of chain states fit the box by construction, so the integer
-    core of `groth_table` runs on them unchecked."""
+    states' partitions are partitions by construction, so the integer core of
+    `groth_table` runs on them once the box, the part count and the distinct
+    variables are checked, in the order `complement` and `groth_table` check
+    them."""
     width = model.dual_width(num_sites, len(params))
     lams = [model.partition(state) for state in states]
-    shapes = [tuple(width - x for x in reversed(lam)) for lam in lams] if dual else lams
+    shapes = [_complement(lam, width) for lam in lams] if dual else lams
     zs = [model.spectral_pair(p, beta) for p in params]
     num, den = model.prefactor_pair(num_sites, params, beta)
-    if len(set(zs)) != len(zs):
-        raise DegeneratePointError("variables must be pairwise distinct")
+    if any(len(lam) != len(zs) for lam in shapes):
+        raise ParameterError("need exactly one part (possibly zero) per variable")
+    _require_distinct(zs, "variables")
     dets, groth_den = _groth_core(shapes, zs, *_ratio(beta))
     return dets, num, den * groth_den
 
@@ -487,7 +460,8 @@ def transfer_table(model: Model, num_sites: int, num_particles: int, w, order: i
     and every coefficient is at most 2 (2W)^M, W the largest l1 norm of a
     weight."""
     basis = model.sector(num_sites, num_particles)
-    width = (2 * (2 * max(map(_l1, w))) ** num_sites).bit_length() + 2
+    top = max(sum(map(abs, c)) for c in w)
+    width = (2 * (2 * top) ** num_sites).bit_length() + 2
     mask = (1 << width * (order + 1)) - 1
     packed = [_pack(c[: order + 1], width) for c in w]
     sums = _transfer_sums(model.capacity, num_sites, basis, packed, mask=mask)

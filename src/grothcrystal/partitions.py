@@ -116,7 +116,12 @@ def partition_from_positions(x: Sequence[int]) -> Partition:
 
 def complement(lam: Sequence[int], width: int) -> Partition:
     """Complement in the width^N box: width - lam_{N+1-j}."""
-    lam = check_partition(lam)
+    return _complement(check_partition(lam), width)
+
+
+def _complement(lam: Partition, width: int) -> Partition:
+    """`complement` of a partition already checked: refuses only a box too
+    narrow for it."""
     if lam and lam[0] > width:
         raise OutOfBoxError(f"partition does not fit in width {width}")
     return tuple(width - p for p in reversed(lam))

@@ -213,6 +213,18 @@ def sector_agrees_fraction(model, num_sites: int, params, beta, dual: bool) -> b
     return all(amps.get(s, Fraction(0)) == v for s, v in zip(states, closed, strict=True))
 
 
+def closed_amplitudes_checked(model, num_sites: int, states, params, beta, dual: bool) -> list[Fraction]:
+    """`lattice.closed_amplitudes` through the public routes that check every
+    shape: `complement` in the box, then `grothendieck.groth_table`."""
+    width = model.dual_width(num_sites, len(params))
+    lams = [model.partition(state) for state in states]
+    shapes = [complement(lam, width) for lam in lams] if dual else lams
+    zs = [model.spectral_map(p, beta) for p in params]
+    pref = model.prefactor(num_sites, params, beta)
+    dets, den = grothendieck.groth_table(shapes, zs, beta)
+    return [pref * Fraction(d, den) for d in dets]
+
+
 def generic_rationals_sum(rng, count: int, start: int = 0) -> list[Fraction]:
     """`suites.generic_rationals` as the sum of a prime and a proper fraction,
     two Fractions a draw, from the same draws of rng."""

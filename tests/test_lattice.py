@@ -7,17 +7,18 @@ only the Bethe numerics use, it agrees with the exact Laurent transfer
 matrices.  The one weight table per model serves every ring, and at
 rational points it is the written-out Fraction weights cleared, with their
 spectral map and prefactor as integer pairs; no rational route evaluates a
-Fraction weight.  Packed series chains and coefficient tables equal the
-ring-generic loop at capacities 1, None and 2.  The
+Fraction weight.  Coefficient tables, on packed integers, equal the
+ring-generic loop at capacities 1, None and 2, up to the bound.  The
 sector tables equal the per-state operator chains and the chains that build
 their values after every step; a path sum, a transfer matrix and a chain of
-path sums over the rationals or over truncated series, run on integers,
-equal the ring-generic loop, and a series transfer matrix multiplies no
-series per vertex; each one-state lookup, a chain from the state down to
+path sums over the rationals or over truncated series equal the
+ring-generic loop, and a series transfer matrix multiplies no series per
+vertex; each one-state lookup, a chain from the state down to
 the empty chain, equals its table without building one.  Each five-vertex wavefunction, forward and dual, is a
 phase-model one up to a factor, path sum against path sum (the boson-fermion
 correspondence).  The lattice, closed and self-checked amplitude routes
-of each model, forward and dual, accept and refuse the same inputs, and the
+of each model, forward and dual, accept and refuse the same inputs, the
+closed tables refuse states of another sector as `groth_table` does, and the
 prefactor ratio the skew checks read equals the normalisation written out by
 hand."""
 
@@ -37,7 +38,7 @@ from grothcrystal import fivevertex as fv
 from grothcrystal import lattice
 from grothcrystal import phasemodel as pm
 from grothcrystal import sixvertex as sv
-from grothcrystal.errors import ParameterError, PoleError
+from grothcrystal.errors import OutOfBoxError, ParameterError, PoleError
 from grothcrystal.exactcore import LaurentPoly, Matrix, TruncatedSeries, clear_denominators, rational_sqrt
 from grothcrystal.suites import _BETA_PALETTE, _skew_norm, run_suite
 
@@ -788,58 +789,58 @@ def test_sector_tables_build_no_fraction_per_weight(monkeypatch):
         assert counts == {0}, counts
 
 
-@st.composite
-def _packed_chains(draw):
-    """A capacity of 1, None or 2, a chain of up to four sites, one to four
-    steps, and at one series order 0..4 each weight and amplitude a series,
-    a rational or zero: coefficients small, large or of either sign, so that
-    sums cancel and slots fill toward the bound."""
-    capacity = draw(st.sampled_from([1, None, 2]))
-    num_sites = draw(st.integers(1, 4))
-    order = draw(st.integers(0, 4))
-    top = {1: 1, 2: 2, None: 3}[capacity]
-    coeff = st.one_of(st.sampled_from([0, 1, -1, 2, -2]), st.integers(-(10**12), 10**12), _fractions)
-    series = st.lists(coeff, min_size=order + 1, max_size=order + 1).map(TruncatedSeries)
-    value = st.one_of(series, series, st.just(0), coeff)
-    sites = st.tuples(*(st.integers(0, top) for _ in range(num_sites)))
-    state = draw(st.dictionaries(sites, value, min_size=1, max_size=5))
-    steps = []
-    for _ in range(draw(st.integers(1, 4))):
-        a_in, a_out = draw(st.sampled_from(list(product((0, 1), repeat=2))))
-        w = [draw(value) for _ in range(6)]
-        if draw(st.booleans()):  # one series weight, and its negative: paths that cancel
-            w[draw(st.integers(0, 5))] = -w[draw(st.integers(0, 5))]
-        steps.append((a_in, a_out, tuple(w)))
-    s, *_ = state
-    state[s] = draw(series)  # at least one series, so the chain is packed
-    return capacity, num_sites, state, steps
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(_packed_chains())
-def test_packed_chains_are_the_generic_loop(args):
-    """A chain of truncated series on packed integers, decoded once, equals
-    the ring-generic loop on the series as given, at capacities 1, None and
-    2, and every amplitude it keeps is a nonzero series."""
-    capacity, num_sites, state, steps = args
-    got = _chain(capacity, num_sites, state, steps)
-    assert got == oracles.path_sum_chain(capacity, num_sites, state, steps)
-    assert all(type(c) is TruncatedSeries and c for c in got.values())
-
-
-def test_packed_slots_hold_coefficients_at_the_bound():
+def test_coefficient_tables_hold_coefficients_at_the_bound():
     """All-ones weights of l1 norm W = 6 on every vertex: each coefficient of
-    a product is as large as the weights allow, and ones of both signs give
-    negative digits; the packed chain still decodes them exactly."""
+    a sum is as large as the weights allow, and ones of both signs give
+    negative digits; the packed sums still decode them exactly."""
     order = 5
-    plus = TruncatedSeries([1] * (order + 1))
-    minus = TruncatedSeries([-1, 1, -1, 1, -1, 1])
+    plus, minus = (1,) * (order + 1), (-1, 1, -1, 1, -1, 1)
+    one, zero = TruncatedSeries.one(order), TruncatedSeries([0], order)
     for capacity, num_sites in ((1, 4), (None, 3), (2, 3)):
-        top = 1 if capacity == 1 else 2
-        state = {s: plus for s in product(range(top + 1), repeat=num_sites)}
+        model = pm.MODEL._replace(capacity=capacity, sector=lambda m, n: lattice.occupations(m, n, capacity))
         for w in ((plus,) * 6, (plus, minus) * 3, (minus,) * 6):
-            steps = [(1, 0, w), (0, 1, w), (0, 0, w), (1, 1, w)]
-            assert _chain(capacity, num_sites, state, steps) == oracles.path_sum_chain(capacity, num_sites, state, steps)
+            series = [TruncatedSeries(c) for c in w]
+            for n in range(num_sites + 1):
+                basis = model.sector(num_sites, n)
+                want = lattice._transfer_sums(capacity, num_sites, basis, series, one, zero)
+                table = lattice.transfer_table(model, num_sites, n, w, order)
+                assert [[TruncatedSeries(c) for c in row] for row in table] == want
+
+
+def _raised(route, *args):
+    """What the route returns, or the type and message of what it raises."""
+    try:
+        return route(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("model", [fv.MODEL, pm.MODEL], ids=["fv", "pm"])
+def test_closed_amplitudes_check_states_of_another_sector(model):
+    """States of any sector, forward and dual: `closed_amplitudes` gives what
+    the route through `complement` and `groth_table` gives, or raises the
+    same error; a state with more or fewer particles than parameters is
+    refused, never read as another state."""
+    ps, beta = (F(7, 5), F(3), F(-5, 2)), F(-1, 2)
+    refused = 0
+    for m, k, n, dual in product(range(1, 5), range(4), range(4), (False, True)):
+        for state in model.sector(m, n):
+            args = model, m, [state], ps[:k], beta, dual
+            got = _raised(lattice.closed_amplitudes, *args)
+            want = _raised(oracles.closed_amplitudes_checked, *args)
+            assert got == want, (m, k, state, dual)
+            refused += n != k
+            assert (n != k) is (type(got) is tuple), (m, k, state, dual)
+    assert refused
+    parts = "^need exactly one part \\(possibly zero\\) per variable$"
+    if model is fv.MODEL:
+        for dual in (False, True):
+            with pytest.raises(ParameterError, match=parts):
+                lattice.closed_amplitudes(model, 3, [(1, 1, 0)], ps[:1], beta, dual)
+        with pytest.raises(ParameterError, match=parts):
+            lattice.closed_amplitudes(model, 3, [(0, 0, 1)], ps[:2], beta)
+        with pytest.raises(OutOfBoxError, match="^partition does not fit in width 1$"):
+            lattice.closed_amplitudes(model, 3, [(0, 0, 1)], ps[:2], beta, True)
 
 
 @pytest.mark.parametrize("capacity", [1, None, 2])
