@@ -15,11 +15,14 @@ A `Model` writes its six weights once, as a weight table of integer
 polynomials in the spectral parameter p of degree <= 2 over one denominator.
 Every route reads them from it: at a rational p = a/b as integers over one
 denominator (`Model.integer_weights`), the closed form's z(p) and prefactor as
-integer pairs, and over floats, Laurent polynomials or series term by term
-(`Model.weights`).  `integer_chain` applies path sums one after another,
-rationals on integers cleared over the lcm of their denominators with one
-division at the end, other rings as they are.  `transfer_table` is the
-transfer matrix as integer coefficient tables: each truncated series through
+integer pairs, and over any ring term by term (`Model.weights`).  Three loops
+run on them.  `integer_chain`, the one chain, applies path sums one after
+another on integer steps, each step's weights over one denominator, and
+divides once, when the values are built: B, C and every amplitude go through
+it.  `transfer_matrix` is the one ring-generic loop, A + D on `Model.weights`
+over the ring of p; in this package only the float Bethe numerics call it.
+`transfer_table` is the transfer matrix as integer coefficient tables, which
+the generators and the commuting checks read: each truncated series through
 q^D packed into one integer, q -> 2^w kept mod 2^(w(D+1)) (Kronecker
 substitution, a ring homomorphism of Z[q]/(q^(D+1))), the slot width w from a
 bound proven before the sums start and the coefficients decoded once as
@@ -40,11 +43,9 @@ from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import IdentityError, ParameterError, PoleError
-from .exactcore import Matrix, TruncatedSeries, clear_denominators, embed_pair
+from .exactcore import Matrix, clear_denominators, embed_pair
 from .grothendieck import _groth_core, _require_distinct
 from .partitions import _complement
-
-_RATIONAL = {int, bool, Fraction}
 
 
 def occupations(num_sites: int, num_particles: int, capacity: int | None) -> list[tuple]:
@@ -159,16 +160,16 @@ class Model(NamedTuple):
         return _reduced(_hom(rows, a, b), a * b * scale)
 
     def weights(self, p, beta) -> tuple:
-        """The six weights over the ring of p, for the rings without integer
-        weights (floats, Laurent polynomials, truncated series): each the
-        ring's zero plus its nonzero terms (c0/scale) (1/p), c1/scale and
-        (c2 p)/scale, in that order.  A float beta is r/s with s a power of
-        2, so at a float p the weights round as their written-out forms
-        1/v - beta*v and -u/beta - 1/u do."""
+        """The six weights over the ring of p, for `transfer_matrix`: floats,
+        rationals (an int p too), Laurent polynomials or truncated series.
+        Each is the ring's zero plus its nonzero terms (c0/scale) (1/p),
+        c1/scale and (c2 p)/scale, in that order.  A float beta is r/s with s
+        a power of 2, so at a float p the weights round as their written-out
+        forms 1/v - beta*v and -u/beta - 1/u do."""
         rows, scale = self.table_at(beta)
         if p == 0:
             raise self._pole("site weights")
-        inv, zero, out = 1 / p, p * 0, []
+        inv, zero, out = Fraction(1) / p, p * 0, []
         for c0, c1, c2 in rows:
             w = zero
             if c0:
@@ -176,7 +177,7 @@ class Model(NamedTuple):
             if c1:
                 w = w + Fraction(c1, scale)
             if c2:
-                w = w + c2 * p / scale
+                w = w + Fraction(c2) * p / scale
             out.append(w)
         return tuple(out)
 
@@ -225,25 +226,6 @@ def site_matrix(model: Model, p, beta, levels: int) -> Matrix:
     return Matrix.from_table(_site_rows(w, levels), den)
 
 
-def _check_states(capacity: int | None, num_sites: int, state) -> None:
-    top = float("inf") if capacity is None else capacity
-    if any(len(src) != num_sites or not all(0 <= n <= top for n in src) for src in state):
-        raise ParameterError("the state does not fit the chain")
-
-
-def _rational_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[dict, int]:
-    """(sums, den): the rational amplitudes of `state` cleared over the lcm D
-    of their denominators, then `steps`, (a_in, a_out, ints, den) each for the
-    weights ints / den, applied in turn; den is D times each step's den^M.
-    The states must fit the chain."""
-    amps, den = clear_denominators(state.values())
-    sums = dict(zip(state, amps))
-    for a_in, a_out, w, scale in steps:
-        sums = _path_sum(capacity, num_sites, sums, a_in, a_out, w, {})
-        den *= scale**num_sites
-    return sums, den
-
-
 def _pack(coeffs, width: int) -> int:
     """The integer polynomial with these coefficients at q = 2^width."""
     out = 0
@@ -269,36 +251,22 @@ def _unpack(x: int, width: int, order: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _series_table(like: TruncatedSeries, xs) -> tuple[list[tuple[int, ...]], int]:
-    """The numerators of xs, rationals lifted to the order of `like`, over
-    the lcm of their denominators; another order raises ValueError."""
-    xs = [like._lift(x) for x in xs]
-    den = math.lcm(*(x.den for x in xs))
-    return [tuple(n * (den // x.den) for n in x.nums) for x in xs], den
-
-
-def integer_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[dict, int, Callable]:
-    """(sums, den, build): `steps`, (a_in, a_out, w) each, applied in turn to
-    a weighted state, the amplitude at s being build(sums[s], den).  den is
-    the lcm D of the amplitudes' denominators times L^M for each step, L that
-    of its weights (one a site): the chain divides only when built.
-    Rationals run on integers; other rings run as they are, over 1, with
-    rationals among truncated series lifted to their order.  Only the
-    starting states are checked against the chain: a path sum's output fits
-    it by construction."""
-    _check_states(capacity, num_sites, state)
-    values = [*state.values(), *(x for *_, w in steps for x in w)]
-    kinds = set(map(type, values))
-    if kinds <= _RATIONAL:
-        steps = [(a_in, a_out, *clear_denominators(w)) for a_in, a_out, w in steps]
-        return (*_rational_chain(capacity, num_sites, state, steps), Fraction)
-    if kinds <= _RATIONAL | {TruncatedSeries}:
-        lift = next(x for x in values if type(x) is TruncatedSeries)._lift  # another order raises ValueError
-        state = {s: lift(c) for s, c in state.items()}
-        steps = [(a_in, a_out, [lift(x) for x in w]) for a_in, a_out, w in steps]
-    for a_in, a_out, w in steps:
-        state = _path_sum(capacity, num_sites, state, a_in, a_out, w, {})
-    return state, 1, lambda x, den: x
+def integer_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[dict, int]:
+    """(sums, den): the rational amplitudes of `state` cleared over the lcm D
+    of their denominators, then `steps`, (a_in, a_out, ints, den) each for the
+    weights ints / den (one a site), applied in turn, the amplitude at s being
+    sums[s] / den; den is D times each step's den^M, so the chain divides only
+    when its values are built.  Only the starting states are checked against
+    the chain: a path sum's output fits it by construction."""
+    top = float("inf") if capacity is None else capacity
+    if any(len(src) != num_sites or not all(0 <= n <= top for n in src) for src in state):
+        raise ParameterError("the state does not fit the chain")
+    amps, den = clear_denominators(state.values())
+    sums = dict(zip(state, amps))
+    for a_in, a_out, w, scale in steps:
+        sums = _path_sum(capacity, num_sites, sums, a_in, a_out, w, {})
+        den *= scale**num_sites
+    return sums, den
 
 
 def _path_sum(
@@ -354,8 +322,7 @@ def apply_c(model: Model, num_sites: int, p, beta, state) -> dict:
 def _apply(model: Model, num_sites: int, p, beta, state, a_in: int, a_out: int) -> dict:
     """The aux a_in -> a_out entry at p as a one-step chain on integers."""
     w, den = model.integer_weights(p, beta)
-    _check_states(model.capacity, num_sites, state)
-    sums, den = _rational_chain(model.capacity, num_sites, state, [(a_in, a_out, w, den)])
+    sums, den = integer_chain(model.capacity, num_sites, state, [(a_in, a_out, w, den)])
     return {s: Fraction(c, den) for s, c in sums.items()}
 
 
@@ -365,21 +332,21 @@ def _transposed(w) -> tuple:
     return (w[2], w[3], w[0], w[1], w[5], w[4])
 
 
-def lattice_table(model: Model, num_sites: int, params, beta, dual=False) -> tuple[dict, int, Callable]:
-    """The `integer_chain` (sums, den, build) of the whole sector: state ->
+def lattice_table(model: Model, num_sites: int, params, beta, dual=False) -> tuple[dict, int]:
+    """The `integer_chain` (sums, den) of the whole sector: state ->
     <state| B(p_1)...B(p_N) |empty chain>, or for the dual state ->
     <empty chain| C(p_1)...C(p_N) |state> = <state| B~(p_N)...B~(p_1) |empty
     chain>, B~ being B with the `_transposed` weights."""
     ws = [model.integer_weights(p, beta) for p in (params if dual else reversed(params))]
     steps = [(1, 0, _transposed(w) if dual else w, den) for w, den in ws]
     start = {model.sector(num_sites, 0)[0]: 1}
-    return (*_rational_chain(model.capacity, num_sites, start, steps), Fraction)
+    return integer_chain(model.capacity, num_sites, start, steps)
 
 
 def lattice_amplitudes(model: Model, num_sites: int, params, beta, dual=False) -> dict:
     """Every nonzero amplitude of the sector, built from `lattice_table`."""
-    sums, den, build = lattice_table(model, num_sites, params, beta, dual)
-    return {s: build(c, den) for s, c in sums.items()}
+    sums, den = lattice_table(model, num_sites, params, beta, dual)
+    return {s: Fraction(c, den) for s, c in sums.items()}
 
 
 def lattice_amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
@@ -390,7 +357,7 @@ def lattice_amplitude(model: Model, num_sites: int, config, params, beta, dual=F
     state = {model.configuration(num_sites, config, params, beta): 1}
     ws = [model.integer_weights(p, beta) for p in (reversed(params) if dual else params)]
     steps = [(0, 1, w if dual else _transposed(w), den) for w, den in ws]
-    sums, den = _rational_chain(model.capacity, num_sites, state, steps)
+    sums, den = integer_chain(model.capacity, num_sites, state, steps)
     return Fraction(sums.get(model.sector(num_sites, 0)[0], 0), den)
 
 
@@ -470,20 +437,9 @@ def transfer_table(model: Model, num_sites: int, num_particles: int, w, order: i
 
 def transfer_matrix(model: Model, num_sites: int, num_particles: int, p, beta) -> list[list]:
     """A(p) + D(p) on the n-particle sector as rows over the ring of p, in
-    `model.sector` order: at a rational p Fractions from the integer weights,
-    at a TruncatedSeries series from `transfer_table`, each built once; floats
-    and Laurent polynomials run the ring-generic loop on `Model.weights`."""
+    `model.sector` order: the ring-generic loop on `Model.weights`."""
     basis = model.sector(num_sites, num_particles)
-    if type(p) in _RATIONAL:
-        w, den = model.integer_weights(p, beta)
-        den **= num_sites
-        return [[Fraction(c, den) for c in row] for row in _transfer_sums(model.capacity, num_sites, basis, w)]
     w = model.weights(p, beta)
-    if type(p) is TruncatedSeries:
-        w, den = _series_table(p, w)
-        den **= num_sites
-        rows = transfer_table(model, num_sites, num_particles, w, p.order)
-        return [[TruncatedSeries._raw(c, den) for c in row] for row in rows]
     return _transfer_sums(model.capacity, num_sites, basis, w, w[0] ** 0, w[0] * 0)
 
 

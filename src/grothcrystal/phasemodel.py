@@ -7,9 +7,10 @@ right auxiliary entry adds one boson to the chain; the lower left removes one.
 At beta = r/s, v w s is the weight table (s - r v^2, s, s v^2, s v^2, s v,
 s v).  `MODEL` hands the table, the occupation-tuple states and the closed
 form to `lattice`, which builds the site operator, B, C, the amplitudes and
-the transfer matrix from it: on integers at rational points, as integer
-coefficient tables in v for the generator, and over floats for the Bethe-root
-numerics.
+the transfer matrix from it: B, C and the amplitudes on its one integer chain
+at rational points, the transfer matrix as integer coefficient tables in v
+(`transfer_table`) for the generator, and the transfer matrix over floats
+from its one ring-generic loop for the Bethe-root numerics.
 
 Each closed form is prod_v (1/v - beta*v)^(M-1) times a Grothendieck one at
 z(v) = 1/(1/v^2 - beta): G_lam for the wavefunctions, `cauchy_rhs` for the

@@ -152,7 +152,7 @@ def _b_commute(model: lattice.Model, sectors, u: Fraction, v: Fraction, beta: Fr
     b_u, b_v = ((1, 0, *model.integer_weights(p, beta)) for p in (u, v))
 
     def b_b(m, s, *steps):
-        return lattice._rational_chain(model.capacity, m, {s: 1}, steps)[0]
+        return lattice.integer_chain(model.capacity, m, {s: 1}, steps)[0]
 
     return all(b_b(m, s, b_v, b_u) == b_b(m, s, b_u, b_v) for m, n in sectors for s in model.sector(m, n))
 
@@ -180,7 +180,7 @@ def _wavefunction_cases(model: lattice.Model, tag, d, m, ps, beta) -> Iterator[C
 
     def sector(dual: bool) -> bool:
         states = model.sector(m, len(ps))
-        sums, den, _ = lattice.lattice_table(model, m, ps, beta, dual)
+        sums, den = lattice.lattice_table(model, m, ps, beta, dual)
         dets, num, den_closed = lattice.closed_table(model, m, states, ps, beta, dual)
         return all(
             sums.get(s, 0) * den_closed == d * num * den for s, d in zip(states, dets, strict=True)

@@ -321,8 +321,11 @@ def chain(apply, model, num_sites: int, params, beta, state: dict) -> dict:
 
 def path_sum_chain(capacity, num_sites: int, state: dict, steps) -> dict:
     """The ring-generic `lattice._path_sum` one (a_in, a_out, weights) step
-    at a time, on the values as given: the chain that divides after every
-    operator, which `lattice.integer_chain` replaces."""
+    at a time, on the values as given, over any ring: the chain that divides
+    after every operator.  At rational weights `lattice.integer_chain`, the
+    one chain in the package, replaces it on integer steps; over other rings
+    (Laurent polynomials, series) it is the tests' chain, the package's one
+    ring-generic loop being `lattice.transfer_matrix`."""
     for a_in, a_out, w in steps:
         state = lattice._path_sum(capacity, num_sites, state, a_in, a_out, w, {})
     return state

@@ -34,6 +34,8 @@ ROWS = [
     (('pm', 'scalar', '--sites', '2', '--u', '2', '--v', '3', '--beta', '1'), 0, '016551a629e15f4ec1771f7fd4748ac768afd0c01f7c77833cd0153e7d26dde6', None),
     (('pm', 'sum', '--sites', '2', '--v', '2', '--beta', '-1'), 0, '1492fd13e25aa10444fbf075eff20fdb1c8eca290bcb0dbc3dcb4aabd65f26b0', None),
     (('pm', 'bethe', '--sites', '3', '--beta', '-1'), 0, '70b90d8b1eca09c42690288fbca2b5d3226a0da3a5b25028faec351e66ebef47', None),
+    # the float transfer matrix at a beta whose weight table has scale 2
+    (('pm', 'bethe', '--sites', '4', '--beta', '1/2'), 0, '1614f4b6757da533cd67b8dd32d481252512538e6fd4e85ecfc52d5a621b9805', None),
     (('mc', 'zbox', '--n', '2', '--height', '2', '--q', '1/2', '--beta', '1'), 0, 'ee3ee78121b2ef7cab54baf101702ef6193bfcf412349e19b77b1aa1212379c2', None),
     (('mc', 'zbox', '--n', '1', '--height', '1', '--beta', '0', '--series', '4'), 0, '127d87b99cdc73894d14ff46fddab45f6f5a72c383c6e4a3cb70b44604155d92', None),
     (('mc', 'zbox', '--n', '3', '--height', '3', '--q', '3/2', '--beta=-1/2'), 0, '9f6916a6f36275e7a97609694a373c6ba6fb48e06168a027ee68a937a2bf73e7', None),

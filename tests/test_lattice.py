@@ -10,13 +10,13 @@ spectral map and prefactor as integer pairs; no rational route evaluates a
 Fraction weight.  Coefficient tables, on packed integers, equal the
 ring-generic loop at capacities 1, None and 2, up to the bound.  The
 sector tables equal the per-state operator chains and the chains that build
-their values after every step; a path sum, a transfer matrix and a chain of
-path sums over the rationals or over truncated series equal the
-ring-generic loop, and a series transfer matrix multiplies no series per
-vertex; each one-state lookup, a chain from the state down to
-the empty chain, equals its table without building one.  Each five-vertex wavefunction, forward and dual, is a
-phase-model one up to a factor, path sum against path sum (the boson-fermion
-correspondence).  The lattice, closed and self-checked amplitude routes
+their values after every step; the one integer chain, run on cleared
+rational steps, equals the ring-generic loop, and the one transfer loop
+equals the coefficient tables read at Laurent, rational and series points;
+each one-state lookup, a chain from the state down to the empty chain,
+equals its table without building one.  Each five-vertex wavefunction,
+forward and dual, is a phase-model one up to a factor, path sum against path
+sum (the boson-fermion correspondence).  The lattice, closed and self-checked amplitude routes
 of each model, forward and dual, accept and refuse the same inputs, the
 closed tables refuse states of another sector as `groth_table` does, and the
 prefactor ratio the skew checks read equals the normalisation written out by
@@ -237,7 +237,7 @@ def test_path_sums_refuse_states_off_the_chain(model, off_chain):
         for amp in (F(1), F(0)):
             for a_in, a_out in product((0, 1), repeat=2):
                 with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
-                    lattice.integer_chain(model.capacity, 2, {state: amp}, [(a_in, a_out, w)])
+                    lattice.integer_chain(model.capacity, 2, {state: amp}, [(a_in, a_out, *clear_denominators(w))])
             for apply in (lattice.apply_b, lattice.apply_c):
                 with pytest.raises(ParameterError, match="^the state does not fit the chain$"):
                     apply(model, 2, F(2), F(1), {(0, 0): F(1), state: amp})
@@ -246,10 +246,13 @@ def test_path_sums_refuse_states_off_the_chain(model, off_chain):
 
 
 def _chain(capacity, num_sites: int, state: dict, steps) -> dict:
-    """`lattice.integer_chain` with its values built; one step of it is what
-    `lattice.apply_b` and `lattice.apply_c` return."""
-    sums, den, build = lattice.integer_chain(capacity, num_sites, state, steps)
-    return {s: build(c, den) for s, c in sums.items()}
+    """`lattice.integer_chain` on rational (a_in, a_out, weights) steps, each
+    step's weights cleared over one denominator, with its values built as
+    Fractions; one step of it is what `lattice.apply_b` and `lattice.apply_c`
+    return."""
+    steps = [(a_in, a_out, *clear_denominators(w)) for a_in, a_out, w in steps]
+    sums, den = lattice.integer_chain(capacity, num_sites, state, steps)
+    return {s: F(c, den) for s, c in sums.items()}
 
 
 _ints = st.integers(-9, 9).filter(bool)
@@ -303,17 +306,6 @@ def _series_path_sums(draw):
     return capacity, num_sites, state, a_in, a_out, tuple(w)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(_series_path_sums())
-def test_series_path_sums_are_the_ring_generic_loop(args):
-    # the lift to integer coefficient tuples equals the loop run on the
-    # TruncatedSeries as given, and every sum it returns is a nonzero series
-    capacity, num_sites, state, a_in, a_out, w = args
-    got = _chain(capacity, num_sites, state, [(a_in, a_out, w)])
-    assert got == lattice._path_sum(*args, {})
-    assert all(type(c) is TruncatedSeries and c for c in got.values())
-
-
 def _coefficient_tuples(w):
     """Series and rationals of one order as integer coefficient tuples over
     the lcm of their denominators, and that lcm."""
@@ -342,18 +334,12 @@ def test_series_transfer_matrices_are_the_ring_generic_loop(args):
 
 @st.composite
 def _chains(draw):
-    """A start as in `_rational_path_sums` and one to three steps on its
-    chain, all rational or, at one series order, each weight and amplitude
-    possibly a series."""
+    """A start as in `_rational_path_sums` and one to three rational steps on
+    its chain."""
     capacity, num_sites, state, *step = draw(_rational_path_sums())
     steps = [tuple(step)]
     for _ in range(draw(st.integers(0, 2))):
         steps.append(draw(_rational_path_sums())[3:])
-    if draw(st.booleans()):
-        series = _series(draw(st.integers(0, 3)))
-        lift = lambda x: draw(st.one_of(st.just(x), series))  # noqa: E731
-        state = {s: lift(c) for s, c in state.items()}
-        steps = [(a_in, a_out, tuple(map(lift, w))) for a_in, a_out, w in steps]
     return capacity, num_sites, state, steps
 
 
@@ -390,29 +376,6 @@ def test_chains_divide_once_as_the_step_by_step_chain(model, config, m_max, beta
             got = lattice.lattice_amplitude(model, m, config(s), ps[:n], beta, dual)
             assert got == one == want.get(s, 0)
             assert type(got) is F
-
-
-@pytest.mark.parametrize("model, calls", [(fv.MODEL, 5), (pm.MODEL, 6)], ids=["fv", "pm"])
-def test_series_transfer_matrices_multiply_no_series_per_vertex(monkeypatch, model, calls):
-    # only `Model.weights` takes series products, a fixed number: p*0 for the
-    # ring's zero and one per nonzero c0 (times 1/p) and c2 (times p) of the
-    # weight table, 4 for the five-vertex table and 5 for the phase model's;
-    # 1/p and the division by the scale divide without one.  Every vertex
-    # product runs on packed integers, whatever the chain length and sector
-    # size
-    real, counted = TruncatedSeries.__mul__, []
-
-    def mul(self, other):
-        counted.append(1)
-        return real(self, other)
-
-    monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
-    monkeypatch.setattr(TruncatedSeries, "__rmul__", mul)
-    u = F(3, 2) + TruncatedSeries.indeterminate(2)
-    for m, n in product(range(1, 7), range(4)):
-        counted.clear()
-        lattice.transfer_matrix(model, m, n, u, F(-1, 3))
-        assert len(counted) == calls, (m, n)
 
 
 def test_occupations_hand_out_a_fresh_list_each_call():
@@ -510,10 +473,15 @@ def test_boson_fermion_correspondence_lattice_to_lattice():
     assert all(fermion != boson for fermion, boson in _correspondence(deposit_one, False))
 
 
-@pytest.mark.parametrize("var",[F(7, 5), LaurentPoly.var()], ids=["fraction", "laurent"])
-def test_transfer_matrices_are_their_per_column_path_sums(var):
+@pytest.mark.parametrize(
+    "var, chain",
+    [(F(7, 5), _chain), (LaurentPoly.var(), oracles.path_sum_chain)],
+    ids=["fraction", "laurent"],
+)
+def test_transfer_matrices_are_their_per_column_path_sums(var, chain):
     """One move table serves every column of a transfer matrix; the matrix is
-    still A + D read off one path sum per column and aux state."""
+    still A + D read off one path sum per column and aux state, on integers
+    at a rational point and by the tests' ring-generic chain elsewhere."""
     for beta in (F(-1, 2), F(2)):
         for model, n_max in ((fv.MODEL, lambda m: m), (pm.MODEL, lambda m: 3)):
             w = model.weights(var, beta)
@@ -523,7 +491,7 @@ def test_transfer_matrices_are_their_per_column_path_sums(var):
                 for n in range(n_max(m) + 1):
                     basis = model.sector(m, n)
                     columns = [
-                        [_chain(model.capacity, m, {s: one}, [(a, a, w)]) for a in (0, 1)]
+                        [chain(model.capacity, m, {s: one}, [(a, a, w)]) for a in (0, 1)]
                         for s in basis
                     ]
                     want = [[a.get(r, zero) + d.get(r, zero) for a, d in columns] for r in basis]
@@ -863,18 +831,24 @@ def test_coefficient_tables_are_the_generic_transfer_matrix(capacity, num_sites,
 
 def test_coefficient_tables_are_the_laurent_transfer_matrices():
     """The weight table's own polynomials through order 2M give (p scale)^M
-    times the Laurent transfer matrix, coefficient k at p^(k - M)."""
+    times the transfer matrix at p, coefficient k at p^k: at the Laurent
+    variable, and read at rational points (an int among them, which stays
+    rational) and at truncated series with a nonzero constant term, where
+    `transfer_matrix` is the ring-generic loop and the table still runs on
+    packed integers."""
+    q = TruncatedSeries.indeterminate(3)
+    points = (LaurentPoly.var(), F(7, 5), F(-2, 3), -3, F(3) + q, F(-1, 2) + 2 * q - q**3)
     for model, betas in ((fv.MODEL, _BETA_PALETTE), (pm.MODEL, _BETA_PALETTE + (F(0),))):
         for beta in betas:
             rows, scale = model.table_at(beta)
             for m in range(1, 5):
                 for n in range(m + 1 if model.capacity else 3):
                     table = lattice.transfer_table(model, m, n, rows, 2 * m)
-                    laurent = lattice.transfer_matrix(model, m, n, LaurentPoly.var(), beta)
-                    factor = LaurentPoly({1: scale}) ** m
-                    assert [[LaurentPoly(dict(enumerate(c))) for c in row] for row in table] == [
-                        [factor * x for x in row] for row in laurent
-                    ]
+                    for p in points:
+                        read = [[sum((x * p**k for k, x in enumerate(c)), p * 0) for c in row] for row in table]
+                        factor = (p * scale) ** m
+                        want = [[factor * x for x in row] for row in lattice.transfer_matrix(model, m, n, p, beta)]
+                        assert read == want, (m, n, beta, p)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -285,9 +285,9 @@ def _perturb_first(real):
 
 def _drop_first(real):
     def lattice_table(*args):
-        sums, den, build = real(*args)
+        sums, den = real(*args)
         del sums[min(sums)]
-        return sums, den, build
+        return sums, den
 
     return lattice_table
 
