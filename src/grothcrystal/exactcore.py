@@ -4,10 +4,12 @@ Scalars are `fractions.Fraction`; floats enter only in the Bethe-root and
 entropy numerics elsewhere, and a series, Laurent polynomial or matrix refuses
 them.  A Laurent polynomial is sparse {exponent: coefficient} with no zeros
 kept.  A truncated series keeps integer numerators of q^0..q^D over one
-denominator, multiplied by a convolution that skips zero terms, divided by
-long division on the numerators and cut at its fixed order; a matrix is
-rational and likewise keeps one integer table over one denominator, so its
-products and equality run on integers.
+denominator, multiplied by a convolution over nonzero terms or, when both
+factors are dense, by one product of the two packed into integers (the
+package's one Kronecker codec, `_pack`/`_unpack`), divided by long division
+on the numerators and cut at its fixed order; a matrix is rational and
+likewise keeps one integer table over one denominator, so its products and
+equality run on integers.
 Rationals serialize as canonical "p/q" strings, series as lists of them.
 """
 
@@ -18,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import PrecisionError
+from .errors import ParameterError, PrecisionError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -31,7 +33,12 @@ def rat_str(x: Fraction) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
+    """The rational a string such as "-3/4" or "0.5" writes; a zero
+    denominator is a `ParameterError` naming the string."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ParameterError(f"bad rational {s!r}: zero denominator") from None
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
@@ -215,20 +222,109 @@ class LaurentPoly(_Ring):
         return f"LaurentPoly({terms})"
 
 
-def _low_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The low len(a) coefficients of the product of two integer polynomials
-    of that length: a schoolbook convolution over their nonzero terms."""
-    n = len(a)
+# Kronecker substitution (Harvey, "Faster polynomial multiplication via
+# multipoint Kronecker substitution", 2009): an integer polynomial is packed
+# into one integer at q = 2^(8 slot), each coefficient a slot of `slot` bytes,
+# so that one product of two packed integers holds the product polynomial
+# whenever each of its coefficients lies in the slot.
+
+
+def _slot(bound: int) -> int:
+    """The bytes per slot whose digits [-2^(8 slot - 1), 2^(8 slot - 1))
+    hold every integer of absolute value at most bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _bias(slot: int, count: int) -> int:
+    """Half a slot in each of count slots."""
+    return int.from_bytes((1 << 8 * slot - 1).to_bytes(slot, "little") * count, "little")
+
+
+def _pack(coeffs, slot: int) -> int:
+    """The integer polynomial with these coefficients at q = 2^(8 slot): each
+    coefficient plus half a slot written as `slot` bytes, the bias taken off
+    once.  A coefficient outside the slot raises OverflowError."""
+    half = 1 << 8 * slot - 1
+    data = b"".join([(c + half).to_bytes(slot, "little") for c in coeffs])
+    return int.from_bytes(data, "little") - _bias(slot, len(coeffs))
+
+
+def _unpack(x: int, slot: int, count: int) -> tuple[int, ...]:
+    """The coefficients of q^0..q^(count-1) of a packed polynomial: x plus
+    the bias, mod 2^(8 slot count), read slot by slot less half a slot.
+    Exact when each of those coefficients lies in the slot; bits above the
+    top slot are ignored."""
+    half = 1 << 8 * slot - 1
+    size = slot * count
+    data = ((x + _bias(slot, count)) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    return tuple([int.from_bytes(data[i : i + slot], "little") - half for i in range(0, size, slot)])
+
+
+# a product of two operands with at least this many nonzero terms each is one
+# packed multiply: from about 14 to 20 dense terms of 10 to 50 bits it beats
+# the schoolbook, whose cost is the number of nonzero pairs and so stays
+# lower on sparser operands
+_PACKED_TERMS = 18
+
+
+def _dense(a: tuple[int, ...]) -> bool:
+    return len(a) - a.count(0) >= _PACKED_TERMS
+
+
+def _top(polys) -> int:
+    """The largest absolute coefficient of the polynomials."""
+    return max(max(max(a), -min(a)) for a in polys)
+
+
+def _terms(a: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(i, x) for i, x in enumerate(a) if x]
+
+
+def _convolve(a_terms, b_terms, n: int) -> tuple[int, ...]:
+    """The low n coefficients of a product by a schoolbook convolution over
+    the two operands' nonzero (index, coefficient) terms."""
     out = [0] * n
-    terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in terms:
-                k = i + j
-                if k >= n:
-                    break
-                out[k] += x * y
+    for i, x in a_terms:
+        for j, y in b_terms:
+            k = i + j
+            if k >= n:
+                break
+            out[k] += x * y
     return tuple(out)
+
+
+def _low_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The low n = len(a) coefficients of the product of two integer
+    polynomials of that length: one packed multiply when both are dense,
+    else the schoolbook.  No coefficient of the product, nor of a dense (so
+    nonzero) operand, exceeds n * max|a| * max|b|, which sets the slot."""
+    n = len(a)
+    if _dense(a) and _dense(b):
+        slot = _slot(n * _top((a,)) * _top((b,)))
+        return _unpack(_pack(a, slot) * _pack(b, slot), slot, n)
+    return _convolve(_terms(a), _terms(b), n)
+
+
+def _low_products(lefts, rights) -> list[list[tuple[int, ...]]]:
+    """`_low_product` of each left with each right, every operand prepared
+    once: its nonzero terms listed and, if dense, packed at one slot for all
+    the pairs, set by the largest coefficients of the dense operands."""
+    n = len(lefts[0]) if lefts else 0
+    slot = None
+    if any(map(_dense, lefts)) and any(map(_dense, rights)):
+        slot = _slot(n * _top(filter(_dense, lefts)) * _top(filter(_dense, rights)))
+
+    def prepared(a):
+        return _terms(a), _pack(a, slot) if slot is not None and _dense(a) else None
+
+    lefts, rights = list(map(prepared, lefts)), list(map(prepared, rights))
+    return [
+        [
+            _convolve(a_terms, b_terms, n) if x is None or y is None else _unpack(x * y, slot, n)
+            for b_terms, y in rights
+        ]
+        for a_terms, x in lefts
+    ]
 
 
 class TruncatedSeries(_Ring):
@@ -611,8 +707,10 @@ def qadic_det(rows: Sequence[Sequence[TruncatedSeries]], order: int) -> tuple[in
     unit.  Each step takes an entry q^v_k * u_k of least valuation in the
     trailing block as pivot.  Every entry of that block is divisible by
     q^v_k, so the row factors and their products are formed at order - v_k
-    and shifted back up: no update loses absolute precision.  So v is the sum
-    of the v_k exactly, and unit = +-prod u_k is known through relative order
+    and shifted back up: no update loses absolute precision.  A step's
+    products come from one `_low_products` call, which prepares the row
+    factors and the pivot row's tail once, and each update is reduced once.
+    So v is the sum of the v_k exactly, and unit = +-prod u_k is known through relative order
     order - max v_k, the order it is returned at.  A trailing block that
     vanishes through q^order raises `PrecisionError`; no truncated or zero
     series is returned.
@@ -639,19 +737,19 @@ def qadic_det(rows: Sequence[Sequence[TruncatedSeries]], order: int) -> tuple[in
         unit = a[k][k].shift_down(v)
         inv = unit.inverse()
         tail = [(j, x.shift_down(v)) for j, x in enumerate(a[k][k + 1 :], k + 1) if vals[k][j] <= order]
-        for i in range(k + 1, n):
-            if vals[i][k] > order:
-                continue
-            factor = a[i][k].shift_down(v) * inv
+        factors = [(i, a[i][k].shift_down(v) * inv) for i in range(k + 1, n) if vals[i][k] <= order]
+        prods = _low_products([factor.nums for _, factor in factors], [x.nums for _, x in tail])
+        for (i, factor), row_prods in zip(factors, prods):
             row = a[i]
-            for j, x in tail:
-                # row[j] - q^v * factor * x, over the lcm of the two denominators
-                prod, old = factor * x, row[j]
-                den = math.lcm(old.den, prod.den)
-                s, t = den // old.den, den // prod.den
+            for (j, x), prod in zip(tail, row_prods):
+                # row[j] - q^v * prod / den over the lcm of the two
+                # denominators, reduced once
+                old, den = row[j], factor.den * x.den
+                g = math.gcd(old.den, den)
+                s, t = den // g, old.den // g
                 low, high = old.nums[:v], old.nums[v:]
-                nums = tuple(y * s for y in low) + tuple(y * s - z * t for y, z in zip(high, prod.nums))
-                row[j] = TruncatedSeries._raw(nums, den)
+                nums = tuple(y * s for y in low) + tuple(y * s - z * t for y, z in zip(high, prod))
+                row[j] = TruncatedSeries._raw(nums, old.den * s)
                 vals[i][j] = row[j].valuation()
         pivots.append((v, unit))
     top = max((v for v, _ in pivots), default=0)

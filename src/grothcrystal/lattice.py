@@ -23,10 +23,10 @@ it.  `transfer_matrix` is the one ring-generic loop, A + D on `Model.weights`
 over the ring of p; in this package only the float Bethe numerics call it.
 `transfer_table` is the transfer matrix as integer coefficient tables, which
 the generators and the commuting checks read: each truncated series through
-q^D packed into one integer, q -> 2^w kept mod 2^(w(D+1)) (Kronecker
-substitution, a ring homomorphism of Z[q]/(q^(D+1))), the slot width w from a
-bound proven before the sums start and the coefficients decoded once as
-balanced digits.
+q^D packed into one integer by the `exactcore` codec, q -> 2^w kept mod
+2^(w(D+1)) (Kronecker substitution, a ring homomorphism of Z[q]/(q^(D+1))),
+the slot of w/8 bytes set by a bound proven before the sums start and the
+coefficients decoded once.
 
 Everything else (B and C, the lattice, closed and self-checked amplitudes
 with their duals, transfer matrices, the hopping generator and the
@@ -43,7 +43,7 @@ from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import IdentityError, ParameterError, PoleError
-from .exactcore import Matrix, clear_denominators, embed_pair
+from .exactcore import Matrix, _pack, _slot, _unpack, clear_denominators, embed_pair
 from .grothendieck import _groth_core, _require_distinct
 from .partitions import _complement
 
@@ -226,31 +226,6 @@ def site_matrix(model: Model, p, beta, levels: int) -> Matrix:
     return Matrix.from_table(_site_rows(w, levels), den)
 
 
-def _pack(coeffs, width: int) -> int:
-    """The integer polynomial with these coefficients at q = 2^width."""
-    out = 0
-    for c in reversed(coeffs):
-        out = (out << width) + c
-    return out
-
-
-def _unpack(x: int, width: int, order: int) -> tuple[int, ...]:
-    """The coefficients of q^0..q^order of a packed series: each slot's bits
-    read as a signed width-bit digit, borrowing from the slot above.  Exact
-    when every coefficient lies in [-2^(width-1), 2^(width-1)); bits above
-    the top slot are ignored."""
-    full = 1 << width
-    low, half = full - 1, full >> 1
-    out = []
-    for _ in range(order + 1):
-        d = x & low
-        if d >= half:
-            d -= full
-        out.append(d)
-        x = (x - d) >> width
-    return tuple(out)
-
-
 def integer_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[dict, int]:
     """(sums, den): the rational amplitudes of `state` cleared over the lcm D
     of their denominators, then `steps`, (a_in, a_out, ints, den) each for the
@@ -428,11 +403,11 @@ def transfer_table(model: Model, num_sites: int, num_particles: int, w, order: i
     weight."""
     basis = model.sector(num_sites, num_particles)
     top = max(sum(map(abs, c)) for c in w)
-    width = (2 * (2 * top) ** num_sites).bit_length() + 2
-    mask = (1 << width * (order + 1)) - 1
-    packed = [_pack(c[: order + 1], width) for c in w]
+    slot = _slot(2 * (2 * top) ** num_sites)
+    mask = (1 << 8 * slot * (order + 1)) - 1
+    packed = [_pack(c[: order + 1], slot) for c in w]
     sums = _transfer_sums(model.capacity, num_sites, basis, packed, mask=mask)
-    return [[_unpack(x, width, order) for x in row] for row in sums]
+    return [[_unpack(x, slot, order + 1) for x in row] for row in sums]
 
 
 def transfer_matrix(model: Model, num_sites: int, num_particles: int, p, beta) -> list[list]:

@@ -730,9 +730,22 @@ def series_divide(x, d) -> TruncatedSeries:
     return like._lift(x) * series_inverse(like._lift(d))
 
 
+def low_product(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The low len(a) coefficients of the product of two integer polynomials
+    of that length, by the convolution's definition: every pair of indices,
+    no term skipped and nothing packed."""
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a)))
+
+
+def series_product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
+    """x * y through `low_product`."""
+    return TruncatedSeries._raw(low_product(x.nums, y.nums), x.den * y.den)
+
+
 def qadic_det(rows, order: int) -> tuple[int, TruncatedSeries]:
     """`exactcore.qadic_det` with each pivot inverted by `series_inverse`
-    and each update a padded product, a negation and a sum."""
+    and each update a padded product, a negation and a sum, every product
+    taken by `series_product`."""
     n = len(rows)
     a = [list(row) for row in rows]
     if any(len(row) != n for row in a):
@@ -759,17 +772,17 @@ def qadic_det(rows, order: int) -> tuple[int, TruncatedSeries]:
         for i in range(k + 1, n):
             if vals[i][k] > order:
                 continue
-            factor = a[i][k].shift_down(v) * inv
+            factor = series_product(a[i][k].shift_down(v), inv)
             row = a[i]
             for j, x in tail:
-                prod = factor * x
+                prod = series_product(factor, x)
                 row[j] = row[j] - TruncatedSeries._raw(pad + prod.nums, prod.den)
                 vals[i][j] = row[j].valuation()
         pivots.append((v, unit))
     top = max((v for v, _ in pivots), default=0)
     out = TruncatedSeries.one(order - top) * sign
     for _, unit in pivots:
-        out = out * unit.truncate(order - top)
+        out = series_product(out, unit.truncate(order - top))
     return sum(v for v, _ in pivots), out
 
 

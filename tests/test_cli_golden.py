@@ -42,6 +42,9 @@ ROWS = [
     # a 4 x 4 x 3 box, 24 696 plane partitions summed by class against the
     # determinant; recorded while the classes came from enumerate_boxed
     (('mc', 'zbox', '--n', '4', '--height', '3', '--q', '1/2', '--beta', '1'), 0, 'af6ceb2d9d0e8cdecf259c9ce9ff7888e2ef2081b5bddeb3553995a184a537df', None),
+    # a 9 x 9 determinant at working order 73, recorded while every series
+    # product was a schoolbook convolution
+    (('mc', 'zbox', '--n', '9', '--height', '9', '--series', '9', '--beta=-2/3'), 0, '366087c9e99fe66d576467e17b22943e91012b257831d2c7bd198106bcd3ac98', None),
     (('mc', 'macmahon', '--beta', '-1', '--order', '7'), 0, '08fcb9351ab3e78bcd312301f3f0ffca7298c5ecdf91371c87f14ce24195ac84', None),
     (('mc', 'entropy', '--mu', '1', '--temps', '0.2,0.6,1.0', '--betas=-1,0,1'), 0, '58defe5a3c4065cc20b20e17318ee8bba23233e973bdcb062b4154aee9ae5b39', None),
     (('sv6', 'verify', '--params', '{"a1":"1","a2":"1","a3":"2","a4":"1","a5":"-1/2","a6":"-1/2","t":"1/2"}'), 0, 'e6522c4dea7a9ddf4a7982c5a6f77754b34e0a942c80c44ec4efbb10ae9b0522', None),
@@ -58,7 +61,8 @@ ROWS = [
     # bad input
     (('groth', 'eval', '--lam', '1,x', '--z', '1'), 2, EMPTY, "error: invalid literal for int() with base 10: 'x'"),
     (('mc', 'zbox', '--n', '2', '--height', '1', '--q', 'abc'), 2, EMPTY, "error: Invalid literal for Fraction: 'abc'"),
-    (('pm', 'scalar', '--sites', '2', '--u', '2', '--v', '3', '--beta', '1/0'), 2, EMPTY, 'error: Fraction(1, 0)'),
+    # bugfix, a zero denominator: the message was "error: Fraction(1, 0)"
+    (('pm', 'scalar', '--sites', '2', '--u', '2', '--v', '3', '--beta', '1/0'), 2, EMPTY, "error: bad rational '1/0': zero denominator"),
     (('groth', 'eval', '--lam', '1,2', '--z', '1,2', '--beta', '0'), 2, EMPTY, 'error: not weakly decreasing: (1, 2)'),
     (('mc', 'zbox', '--n', '2', '--height', '1'), 2, EMPTY, 'error: zbox needs either --q or --series'),
     (('verify', 'nosuch'), 2, EMPTY, "error: unknown suite 'nosuch'"),

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from oracles import binomial_qn_series, gen_binomial
 
+from grothcrystal.errors import ParameterError
 from grothcrystal.exactcore import (
     LaurentPoly,
     Matrix,
@@ -25,6 +26,12 @@ def test_rat_str_roundtrip():
         assert rat_str(parse_rat(s)) == s
     assert parse_rat("5") == F(5)
     assert parse_rat("-1/2") == F(-1, 2)
+
+
+def test_parse_rat_names_a_zero_denominator():
+    for s in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ParameterError, match=f"^bad rational '{s}': zero denominator$"):
+            parse_rat(s)
 
 
 def test_rational_sqrt():

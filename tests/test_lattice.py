@@ -34,6 +34,7 @@ import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grothcrystal import exactcore
 from grothcrystal import fivevertex as fv
 from grothcrystal import lattice
 from grothcrystal import phasemodel as pm
@@ -852,17 +853,22 @@ def test_coefficient_tables_are_the_laurent_transfer_matrices():
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.integers(2, 70), st.data())
-def test_packed_digits_decode_across_the_whole_slot(width, data):
-    """Packing at q = 2^width and decoding balanced digits gives back any
-    coefficients in [-2^(width-1), 2^(width-1)), both ends included, from the
-    packed integer as it is or reduced mod 2^(width (D+1)) with any multiple
-    of that modulus added: bits above the top slot are ignored."""
-    half = 1 << (width - 1)
+@given(st.integers(1, 9), st.data())
+def test_packed_digits_decode_across_the_whole_slot(slot, data):
+    """`transfer_table` packs with the `exactcore` codec: packing at
+    q = 2^(8 slot) and decoding gives back any coefficients in
+    [-2^(8 slot - 1), 2^(8 slot - 1)), both ends included, from the packed
+    integer as it is or reduced mod 2^(8 slot (D+1)) with any multiple of
+    that modulus added: bits above the top slot are ignored.  One past either
+    end does not pack, and `_slot` gives the least slot that holds a bound."""
+    half = 1 << (8 * slot - 1)
     coeff = st.one_of(st.sampled_from([-half, half - 1, 0, -1, 1]), st.integers(-half, half - 1))
     coeffs = tuple(data.draw(st.lists(coeff, min_size=1, max_size=6)))
-    order = len(coeffs) - 1
-    packed = lattice._pack(coeffs, width)
-    modulus = 1 << width * (order + 1)
+    packed = exactcore._pack(coeffs, slot)
+    modulus = 1 << 8 * slot * len(coeffs)
     for x in (packed, packed % modulus, packed + data.draw(st.integers(-3, 3)) * modulus):
-        assert lattice._unpack(x, width, order) == coeffs
+        assert exactcore._unpack(x, slot, len(coeffs)) == coeffs
+    for outside in (-half - 1, half):
+        with pytest.raises(OverflowError):
+            exactcore._pack(coeffs + (outside,), slot)
+    assert exactcore._slot(half - 1) == slot and exactcore._slot(half) == slot + 1

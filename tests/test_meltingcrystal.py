@@ -243,6 +243,11 @@ def test_box_series_n9_n10_meet_the_unboxed_product():
     assert z_box_det_series(10, 10, F(3, 2), 10) == z_infinite(F(3, 2), 10)
 
 
+def test_box_series_n12_meets_the_unboxed_product():
+    # working order 133, where most of the elimination's products are packed
+    assert z_box_det_series(12, 12, F(-1, 2), 12) == z_infinite(F(-1, 2), 12)
+
+
 def _det_series_by_subset_expansion(n, height, beta, order):
     # the route the q-adic determinant replaced: the whole determinant by
     # det_ring at working order order - _det_shift(n), then divided by q^shift

@@ -15,7 +15,9 @@ import oracles
 from oracles import det_ring, outcome
 
 from grothcrystal.errors import PrecisionError
+from grothcrystal import exactcore
 from grothcrystal.exactcore import TruncatedSeries, qadic_det
+from grothcrystal.meltingcrystal import _z_box_det_parts
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -231,3 +233,18 @@ def test_numerator_updates_through_pivot_swaps_and_vanishing_blocks():
         assert canonical(got) == canonical(outcome(oracles.qadic_det, rows, order))
         raised += got[0] is PrecisionError
     assert raised == 2
+
+
+def test_box_determinant_at_order_64_matches_the_padded_product_reference(monkeypatch):
+    # the 4 x 4 x 4 box's entries at the certificate's order: dense enough
+    # that the elimination packs its products, against the reference whose
+    # products are plain convolutions
+    packs = []
+    real = exactcore._pack
+    monkeypatch.setattr(exactcore, "_pack", lambda coeffs, slot: packs.append(slot) or real(coeffs, slot))
+    for beta in (F(-2, 3), F(2)):
+        entries, _ = _z_box_det_parts(4, 4, TruncatedSeries.indeterminate(64), beta)
+        got = outcome(qadic_det, entries, 64)
+        assert got[0] == "value"
+        assert canonical(got) == canonical(outcome(oracles.qadic_det, entries, 64))
+    assert packs

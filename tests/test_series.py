@@ -13,9 +13,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import outcome, series_divide
 
-from grothcrystal.exactcore import LaurentPoly, TruncatedSeries, _low_product
+from grothcrystal import exactcore
+from grothcrystal.exactcore import LaurentPoly, TruncatedSeries, _low_product, _low_products
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 FEW = settings(derandomize=True, max_examples=40, deadline=None)
@@ -208,6 +210,45 @@ def test_low_product_at_the_slot_bound(e):
             b = (-m,) * n
             assert _low_product(a, a) == tuple(m * m * (k + 1) for k in range(n))
             assert _low_product(a, b) == tuple(-m * m * (k + 1) for k in range(n))
+
+
+@st.composite
+def int_polys(draw, n):
+    """An integer polynomial of length n with k nonzero terms, k drawn from
+    none, one, a dense count, every count, and around the packed kernel's
+    threshold; coefficients up to 2^e in absolute value, the extremes
+    included."""
+    k = draw(st.one_of(st.sampled_from([0, 1, n]), st.integers(0, n),
+                       st.integers(exactcore._PACKED_TERMS - 2, exactcore._PACKED_TERMS + 1)))
+    e = draw(st.sampled_from([0, 1, 8, 31, 50, 64, 255, 256]))
+    size = st.one_of(st.sampled_from([1, 2**e]), st.integers(1, 2**e))
+    out = [0] * n
+    for i in draw(st.permutations(range(n)))[: min(k, n)]:
+        out[i] = draw(size) * draw(st.sampled_from([1, -1]))
+    return tuple(out)
+
+
+polys_1_to_96 = st.one_of(st.integers(1, 12), st.integers(13, 40), st.integers(41, 96)).flatmap(
+    lambda n: st.tuples(int_polys(n), int_polys(n), int_polys(n))
+)
+
+
+@SETTINGS
+@given(polys_1_to_96)
+def test_low_products_are_the_plain_convolution(abc):
+    """Each kernel, and the choice between them, against `oracles.low_product`
+    on lengths 1 to 96: all-zero, one-term, sparse and dense operands with
+    coefficients up to 2^256, singly and as a batch that packs each operand
+    once.  With the threshold at 1 every pair of nonzero operands is packed,
+    and with it past the length none is."""
+    a, b, c = abc
+    want = [[oracles.low_product(x, y) for y in (b, c)] for x in (a, b)]
+    for threshold in (exactcore._PACKED_TERMS, 1, len(a) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactcore, "_PACKED_TERMS", threshold)
+            assert [[_low_product(x, y) for y in (b, c)] for x in (a, b)] == want
+            assert _low_products([a, b], [b, c]) == want
+            assert _low_products([], [b]) == [] and _low_products([a], []) == [[]]
 
 
 # -- long division against the inverse-then-multiply reference ----------------
