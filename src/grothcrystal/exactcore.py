@@ -249,21 +249,26 @@ def _pack(coeffs, slot: int) -> int:
     return int.from_bytes(data, "little") - _bias(slot, len(coeffs))
 
 
+def _mask(slot: int, count: int) -> int:
+    """2^(8 slot count) - 1: x & mask is x mod q^count, for x packed."""
+    return (1 << 8 * slot * count) - 1
+
+
 def _unpack(x: int, slot: int, count: int) -> tuple[int, ...]:
     """The coefficients of q^0..q^(count-1) of a packed polynomial: x plus
-    the bias, mod 2^(8 slot count), read slot by slot less half a slot.
-    Exact when each of those coefficients lies in the slot; bits above the
-    top slot are ignored."""
+    the bias, mod q^count, read slot by slot less half a slot.  Exact when
+    each of those coefficients lies in the slot; bits above the top slot are
+    ignored."""
     half = 1 << 8 * slot - 1
     size = slot * count
-    data = ((x + _bias(slot, count)) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    data = ((x + _bias(slot, count)) & _mask(slot, count)).to_bytes(size, "little")
     return tuple([int.from_bytes(data[i : i + slot], "little") - half for i in range(0, size, slot)])
 
 
 # a product of two operands with at least this many nonzero terms each is one
-# packed multiply: from about 14 to 20 dense terms of 10 to 50 bits it beats
-# the schoolbook, whose cost is the number of nonzero pairs and so stays
-# lower on sparser operands
+# packed multiply, which overtakes the schoolbook between 14 and 20 dense terms
+# of 10 to 50 bits; the schoolbook's cost is the number of nonzero pairs, so
+# it stays ahead on sparser operands
 _PACKED_TERMS = 18
 
 

@@ -23,10 +23,10 @@ it.  `transfer_matrix` is the one ring-generic loop, A + D on `Model.weights`
 over the ring of p; in this package only the float Bethe numerics call it.
 `transfer_table` is the transfer matrix as integer coefficient tables, which
 the generators and the commuting checks read: each truncated series through
-q^D packed into one integer by the `exactcore` codec, q -> 2^w kept mod
-2^(w(D+1)) (Kronecker substitution, a ring homomorphism of Z[q]/(q^(D+1))),
-the slot of w/8 bytes set by a bound proven before the sums start and the
-coefficients decoded once.
+q^D packed into one integer by the `exactcore` codec and kept mod q^(D+1)
+(Kronecker substitution, a ring homomorphism of Z[q]/(q^(D+1))), the slot
+set by a bound proven before the sums start and the coefficients decoded
+once.
 
 Everything else (B and C, the lattice, closed and self-checked amplitudes
 with their duals, transfer matrices, the hopping generator and the
@@ -43,7 +43,7 @@ from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import IdentityError, ParameterError, PoleError
-from .exactcore import Matrix, _pack, _slot, _unpack, clear_denominators, embed_pair
+from .exactcore import Matrix, _mask, _pack, _slot, _unpack, clear_denominators, embed_pair
 from .grothendieck import _groth_core, _require_distinct
 from .partitions import _complement
 
@@ -404,7 +404,7 @@ def transfer_table(model: Model, num_sites: int, num_particles: int, w, order: i
     basis = model.sector(num_sites, num_particles)
     top = max(sum(map(abs, c)) for c in w)
     slot = _slot(2 * (2 * top) ** num_sites)
-    mask = (1 << 8 * slot * (order + 1)) - 1
+    mask = _mask(slot, order + 1)
     packed = [_pack(c[: order + 1], slot) for c in w]
     sums = _transfer_sums(model.capacity, num_sites, basis, packed, mask=mask)
     return [[_unpack(x, slot, order + 1) for x in row] for row in sums]

@@ -203,8 +203,9 @@ def test_low_product_every_slot_width(ab):
 
 @pytest.mark.parametrize("e", [6, 7, 8, 14, 15, 30, 31, 62, 63, 64, 200])
 def test_low_product_at_the_slot_bound(e):
-    # every product coefficient at its bound n * max|a| * max|b|, both signs
-    for n in (1, 2, 17):
+    # every product coefficient at its bound n * max|a| * max|b|, both signs,
+    # on both sides of the packed kernel's threshold
+    for n in (1, 2, 17, exactcore._PACKED_TERMS, 96):
         for m in (2**e - 1, 2**e, -(2**e)):
             a = (m,) * n
             b = (-m,) * n
