@@ -407,7 +407,8 @@ def transfer_table(model: Model, num_sites: int, num_particles: int, w, order: i
     mask = _mask(slot, order + 1)
     packed = [_pack(c[: order + 1], slot) for c in w]
     sums = _transfer_sums(model.capacity, num_sites, basis, packed, mask=mask)
-    return [[_unpack(x, slot, order + 1) for x in row] for row in sums]
+    zero = (0,) * (order + 1)
+    return [[_unpack(x, slot, order + 1) if x else zero for x in row] for row in sums]
 
 
 def transfer_matrix(model: Model, num_sites: int, num_particles: int, p, beta) -> list[list]:
