@@ -281,20 +281,18 @@ def _top(polys) -> int:
     return max(max(max(a), -min(a)) for a in polys)
 
 
-def _terms(a: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(i, x) for i, x in enumerate(a) if x]
-
-
-def _convolve(a_terms, b_terms, n: int) -> tuple[int, ...]:
-    """The low n coefficients of a product by a schoolbook convolution over
-    the two operands' nonzero (index, coefficient) terms."""
+def _convolve(a: tuple[int, ...], b_terms, n: int) -> tuple[int, ...]:
+    """The low n coefficients of a times the polynomial with the nonzero
+    (index, coefficient) terms b_terms: a schoolbook convolution that skips
+    the zero terms of a."""
     out = [0] * n
-    for i, x in a_terms:
-        for j, y in b_terms:
-            k = i + j
-            if k >= n:
-                break
-            out[k] += x * y
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_terms:
+                k = i + j
+                if k >= n:
+                    break
+                out[k] += x * y
     return tuple(out)
 
 
@@ -307,28 +305,29 @@ def _low_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if _dense(a) and _dense(b):
         slot = _slot(n * _top((a,)) * _top((b,)))
         return _unpack(_pack(a, slot) * _pack(b, slot), slot, n)
-    return _convolve(_terms(a), _terms(b), n)
+    return _convolve(a, [(j, y) for j, y in enumerate(b) if y], n)
 
 
 def _low_products(lefts, rights) -> list[list[tuple[int, ...]]]:
     """`_low_product` of each left with each right, every operand prepared
-    once: its nonzero terms listed and, if dense, packed at one slot for all
-    the pairs, set by the largest coefficients of the dense operands."""
+    once: each right's nonzero terms listed and each dense operand packed, at
+    one slot for all the pairs set by the largest coefficients of the dense
+    operands."""
     n = len(lefts[0]) if lefts else 0
     slot = None
     if any(map(_dense, lefts)) and any(map(_dense, rights)):
         slot = _slot(n * _top(filter(_dense, lefts)) * _top(filter(_dense, rights)))
 
-    def prepared(a):
-        return _terms(a), _pack(a, slot) if slot is not None and _dense(a) else None
+    def packed(a):
+        return _pack(a, slot) if slot is not None and _dense(a) else None
 
-    lefts, rights = list(map(prepared, lefts)), list(map(prepared, rights))
+    rights = [([(j, y) for j, y in enumerate(b) if y], packed(b)) for b in rights]
     return [
         [
-            _convolve(a_terms, b_terms, n) if x is None or y is None else _unpack(x * y, slot, n)
+            _convolve(a, b_terms, n) if x is None or y is None else _unpack(x * y, slot, n)
             for b_terms, y in rights
         ]
-        for a_terms, x in lefts
+        for a, x in zip(lefts, map(packed, lefts))
     ]
 
 
