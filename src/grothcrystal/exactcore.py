@@ -62,40 +62,61 @@ def clear_denominators(xs: Iterable) -> tuple[list[int], int]:
 
 
 class _Ring:
-    """Subtraction, division and integer powers, written once on top of a
-    subclass's `_lift`, `+`, unary `-`, `*` and `inverse()`.
+    """Equality, addition, subtraction, division and integer powers, written
+    once on top of a subclass's `_lift` (the element an operand is, None for
+    a foreign one), `_key` (what equal elements share), `_plus(other,
+    sign)` (self + sign * other for an element other), `_divide(x, d)`, `*`
+    and `inverse()`.
 
     Division is by a unit of the ring (a nonzero scalar lifts to one); a
-    negative power goes through `inverse()`.  `TruncatedSeries` subtracts
-    and divides on its numerators instead.  Each subclass binds `__pow__`
-    itself, so the method stays an attribute of its own class.
+    negative power goes through `inverse()`.  Each subclass binds `__mul__`,
+    `__rmul__`, `__pow__` and `inverse` itself, so they stay attributes of
+    its own class.
     """
 
     __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        lifted = self._lift(other)
+        if lifted is None:
+            return NotImplemented
+        return self._key() == lifted._key()
+
+    def __add__(self, other):
+        lifted = self._lift(other)
+        if lifted is None:
+            return NotImplemented
+        return self._plus(lifted, 1)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         lifted = self._lift(other)
         if lifted is None:
             return NotImplemented
-        return self + (-lifted)
+        return self._plus(lifted, -1)
 
     def __rsub__(self, other):
         lifted = self._lift(other)
         if lifted is None:
             return NotImplemented
-        return lifted + (-self)
+        return lifted._plus(self, -1)
 
     def __truediv__(self, other):
         lifted = self._lift(other)
         if lifted is None:
             return NotImplemented
-        return self * lifted.inverse()
+        return self._divide(self, lifted)
 
     def __rtruediv__(self, other):
         lifted = self._lift(other)
         if lifted is None:
             return NotImplemented
-        return lifted * self.inverse()
+        return self._divide(lifted, self)
+
+    @staticmethod
+    def _divide(x, d):
+        return x * d.inverse()
 
     def __pow__(self, n: int):
         """Square-and-multiply."""
@@ -157,31 +178,21 @@ class LaurentPoly(_Ring):
             return LaurentPoly.const(other)
         return None
 
-    def __eq__(self, other) -> bool:
-        lifted = self._lift(other)
-        if lifted is None:
-            return NotImplemented
-        return self.coeffs == lifted.coeffs
-
-    __hash__ = None  # mutable-dict backed; not hashable
+    def _key(self) -> dict[int, Fraction]:
+        return self.coeffs
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._raw({e: -c for e, c in self.coeffs.items()})
 
-    def __add__(self, other) -> "LaurentPoly":
-        lifted = self._lift(other)
-        if lifted is None:
-            return NotImplemented
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         out = dict(self.coeffs)
-        for e, c in lifted.coeffs.items():
-            s = out.get(e, _ZERO) + c
+        for e, c in other.coeffs.items():
+            s = out.get(e, _ZERO) + sign * c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
         return LaurentPoly._raw(out)
-
-    __radd__ = __add__
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -331,6 +342,36 @@ def _low_products(lefts, rights) -> list[list[tuple[int, ...]]]:
     ]
 
 
+def _quotient(x: TruncatedSeries, d: TruncatedSeries) -> TruncatedSeries:
+    """x / d by long division on the numerators X of x and N of d.  The
+    coefficients Z_n = (X_n - sum_k N_k Z_(n-k)) / N_0 of X / N are kept as
+    integers over one running denominator, which takes on only the factor of
+    N_0 that each new coefficient needs; x / d = Z * d.den / x.den."""
+    nums = d.nums
+    c0 = nums[0]
+    if not c0:
+        raise ValueError("series with zero constant term has no inverse")
+    terms = [(k, y) for k, y in enumerate(nums) if k and y]
+    out, den = [], 1
+    for n, x_n in enumerate(x.nums):
+        acc = x_n * den
+        for k, y in terms:
+            if k > n:
+                break
+            acc -= y * out[n - k]
+        if c0 != 1:
+            g = math.gcd(acc, c0)
+            c = c0 // g
+            if c < 0:
+                c, acc = -c, -acc
+            if c != 1:
+                out = [w * c for w in out]
+                den *= c
+            acc //= g
+        out.append(acc)
+    return TruncatedSeries._raw(tuple(w * d.den for w in out), den * x.den)
+
+
 class TruncatedSeries(_Ring):
     """Power series in q truncated (inclusively) at a fixed order, stored as
     the integer numerators `nums` of q^0..q^D over one positive denominator
@@ -426,41 +467,18 @@ class TruncatedSeries(_Ring):
             return TruncatedSeries._raw((c.numerator,) + (0,) * self.order, c.denominator)
         return None
 
-    def __eq__(self, other) -> bool:
-        lifted = self._lift(other)
-        if lifted is None:
-            return NotImplemented
-        return self.den == lifted.den and self.nums == lifted.nums
-
-    __hash__ = None
+    def _key(self) -> tuple:
+        return self.den, self.nums
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._raw(tuple(-x for x in self.nums), self.den)
 
-    def _plus(self, other, sign: int) -> "TruncatedSeries":
-        """self + sign * other, for other a series or a scalar."""
-        lifted = self._lift(other)
-        if lifted is None:
-            return NotImplemented
-        g = math.gcd(self.den, lifted.den)
-        s, t = lifted.den // g, self.den // g * sign
+    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        g = math.gcd(self.den, other.den)
+        s, t = other.den // g, self.den // g * sign
         return TruncatedSeries._raw(
-            tuple(a * s + b * t for a, b in zip(self.nums, lifted.nums)), self.den * s
+            tuple(a * s + b * t for a, b in zip(self.nums, other.nums)), self.den * s
         )
-
-    def __add__(self, other) -> "TruncatedSeries":
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        return self._plus(other, -1)
-
-    def __rsub__(self, other) -> "TruncatedSeries":
-        lifted = self._lift(other)
-        if lifted is None:
-            return NotImplemented
-        return lifted._plus(self, -1)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
@@ -475,17 +493,7 @@ class TruncatedSeries(_Ring):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "TruncatedSeries":
-        lifted = self._lift(other)
-        if lifted is None:
-            return NotImplemented
-        return _quotient(self, lifted)
-
-    def __rtruediv__(self, other) -> "TruncatedSeries":
-        lifted = self._lift(other)
-        if lifted is None:
-            return NotImplemented
-        return _quotient(lifted, self)
+    _divide = staticmethod(_quotient)
 
     def inverse(self) -> "TruncatedSeries":
         return _quotient(self._lift(1), self)
@@ -505,36 +513,6 @@ class TruncatedSeries(_Ring):
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
-
-
-def _quotient(x: TruncatedSeries, d: TruncatedSeries) -> TruncatedSeries:
-    """x / d by long division on the numerators X of x and N of d.  The
-    coefficients Z_n = (X_n - sum_k N_k Z_(n-k)) / N_0 of X / N are kept as
-    integers over one running denominator, which takes on only the factor of
-    N_0 that each new coefficient needs; x / d = Z * d.den / x.den."""
-    nums = d.nums
-    c0 = nums[0]
-    if not c0:
-        raise ValueError("series with zero constant term has no inverse")
-    terms = [(k, y) for k, y in enumerate(nums) if k and y]
-    out, den = [], 1
-    for n, x_n in enumerate(x.nums):
-        acc = x_n * den
-        for k, y in terms:
-            if k > n:
-                break
-            acc -= y * out[n - k]
-        if c0 != 1:
-            g = math.gcd(acc, c0)
-            c = c0 // g
-            if c < 0:
-                c, acc = -c, -acc
-            if c != 1:
-                out = [w * c for w in out]
-                den *= c
-            acc //= g
-        out.append(acc)
-    return TruncatedSeries._raw(tuple(w * d.den for w in out), den * x.den)
 
 
 def _int_det_bareiss(m: list[list[int]]) -> int:
@@ -587,11 +565,11 @@ def _product(rows, cols) -> list[list[int]]:
 
 class Matrix:
     """Dense rational matrix: int, bool or Fraction entries, any other entry a
-    TypeError.  Built from rows it keeps its entries as given and is cleared
-    to its `table()` once; a product is made as a table, its Fraction `data`
-    built when read.  Over other rings a matrix is a list of rows."""
+    TypeError.  It is one integer table over one denominator, `table()`,
+    cleared from its rows when built; `data` reads it as `Fraction`s.  Over
+    other rings a matrix is a list of rows."""
 
-    __slots__ = ("_data", "_table")
+    __slots__ = ("_table",)
 
     def __init__(self, rows: Sequence[Sequence]):
         data = tuple(tuple(r) for r in rows)
@@ -599,7 +577,9 @@ class Matrix:
             raise ValueError("ragged rows")
         if not _rational(data):
             raise TypeError("a Matrix takes int, bool or Fraction entries only")
-        self._data, self._table = data, None
+        flat, den = clear_denominators(itertools.chain(*data))
+        width = len(data[0]) if data else 0
+        self._table = [flat[i * width : (i + 1) * width] for i in range(len(data))], den
 
     @classmethod
     def from_table(cls, ints: list[list[int]], den: int) -> "Matrix":
@@ -609,42 +589,37 @@ class Matrix:
             ints = [[x // g for x in row] for row in ints]
             den //= g
         obj = object.__new__(cls)
-        obj._data, obj._table = None, (ints, den)
+        obj._table = ints, den
         return obj
 
     def table(self) -> tuple[list[list[int]], int]:
         """(ints, den) with entry (i, j) = ints[i][j] / den, den > 0 sharing no
         factor with all of ints: one form per matrix."""
-        if self._table is None:
-            flat, den = clear_denominators(itertools.chain(*self._data))
-            width = self.cols
-            self._table = ([flat[i * width : (i + 1) * width] for i in range(self.rows)], den)
         return self._table
 
     @property
-    def data(self) -> tuple[tuple, ...]:
-        if self._data is None:
-            ints, den = self._table
-            self._data = tuple(tuple(Fraction(x, den) if x else _ZERO for x in row) for row in ints)
-        return self._data
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        ints, den = self._table
+        return tuple(tuple(Fraction(x, den) for x in row) for row in ints)
 
     @property
     def rows(self) -> int:
-        return len(self._table[0] if self._data is None else self._data)
+        return len(self._table[0])
 
     @property
     def cols(self) -> int:
-        grid = self._table[0] if self._data is None else self._data
-        return len(grid[0]) if grid else 0
+        ints = self._table[0]
+        return len(ints[0]) if ints else 0
 
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
+    def entry(self, i: int, j: int) -> Fraction:
+        ints, den = self._table
+        return Fraction(ints[i][j], den)
 
     def __eq__(self, other) -> bool:
         """Two matrices are equal iff their tables are."""
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.table() == other.table()
+        return self._table == other._table
 
     __hash__ = None
 
@@ -653,25 +628,29 @@ class Matrix:
         reduced once."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        (x, dx), (y, dy) = self.table(), other.table()
+        (x, dx), (y, dy) = self._table, other._table
         return Matrix.from_table(_product(x, tuple(zip(*y))), dx * dy)
 
     def scale(self, s) -> "Matrix":
         return Matrix([[x * s for x in row] for row in self.data])
 
     def det(self) -> Fraction:
-        """Exact determinant: fraction-free (Bareiss) elimination on the matrix
-        with each row cleared of denominators, which keeps the integers smaller
-        than the one-denominator table.  Series matrices go through
-        `qadic_det`."""
+        """Exact determinant: fraction-free (Bareiss) elimination on the table
+        with each row divided by its gcd with the denominator, which keeps the
+        integers smaller than the one-denominator table.  Series matrices go
+        through `qadic_det`."""
         n = self.rows
         if n != self.cols:
             raise ValueError("determinant needs a square matrix")
         if n == 0:
             return _ONE
-        cleared = [clear_denominators(row) for row in self.data]
-        scale = math.prod(den for _, den in cleared)
-        return Fraction(_int_det_bareiss([ints for ints, _ in cleared]), scale)
+        ints, den = self._table
+        rows, scale = [], 1
+        for row in ints:
+            g = math.gcd(den, *row)
+            rows.append([x // g for x in row])
+            scale *= den // g
+        return Fraction(_int_det_bareiss(rows), scale)
 
     def inverse(self) -> "Matrix":
         """Exact inverse over the rationals (Gauss-Jordan)."""

@@ -25,7 +25,7 @@ from .partitions import (
 )
 
 
-def _require_distinct(values: Sequence[Fraction], label: str):
+def _require_distinct(values: Sequence, label: str):
     if len(set(values)) != len(values):
         raise DegeneratePointError(f"{label} must be pairwise distinct")
 
@@ -57,25 +57,25 @@ def _int_vandermonde(zs: Sequence[tuple[int, int]]) -> int:
 
 
 def groth_table(shapes, zs: Sequence[Fraction], beta: Fraction) -> tuple[list[int], int]:
-    """(dets, den) with G_lam = dets[i] / den for lam = shapes[i], after
-    checking the shapes and that the variables are distinct: `_groth_core`."""
+    """(dets, den) with G_lam = dets[i] / den for lam = shapes[i]: `_groth_core`
+    on the checked shapes."""
     shapes = [check_partition(lam) for lam in shapes]
-    zs = [Fraction(z) for z in zs]
+    zs = [Fraction(z).as_integer_ratio() for z in zs]
     beta = Fraction(beta)
-    if any(len(lam) != len(zs) for lam in shapes):
-        raise ParameterError("need exactly one part (possibly zero) per variable")
-    _require_distinct(zs, "variables")
-    return _groth_core(shapes, [z.as_integer_ratio() for z in zs], beta.numerator, beta.denominator)
+    return _groth_core(shapes, zs, beta.numerator, beta.denominator)
 
 
 def _groth_core(shapes, zs: Sequence[tuple[int, int]], r: int, s: int) -> tuple[list[int], int]:
-    """`groth_table` on trusted input: partitions of one part per variable,
-    distinct z_i = a_i/b_i as pairs in lowest terms with b_i > 0, and beta =
-    r/s likewise.  G_lam is det(z_i^(lam_k + N-1-k) (1 + beta z_i)^k) over the
-    Vandermonde.  With 1 + beta z_i = c_i/d_i, row i times b_i^E d_i^(N-1) is
-    a_i^e b_i^(E-e) c_i^k d_i^(N-1-k), E the largest exponent, and the
-    Vandermonde times prod b_i^(N-1) is `_int_vandermonde`: one integer table
-    for every shape, one denominator for all."""
+    """`groth_table` on partitions, z_i = a_i/b_i as pairs in lowest terms
+    with b_i > 0, and beta = r/s likewise, once it has checked one part per
+    variable and distinct variables.  G_lam is det(z_i^(lam_k + N-1-k) (1 +
+    beta z_i)^k) over the Vandermonde.  With 1 + beta z_i = c_i/d_i, row i
+    times b_i^E d_i^(N-1) is a_i^e b_i^(E-e) c_i^k d_i^(N-1-k), E the largest
+    exponent, and the Vandermonde times prod b_i^(N-1) is `_int_vandermonde`:
+    one integer table for every shape, one denominator for all."""
+    if any(len(lam) != len(zs) for lam in shapes):
+        raise ParameterError("need exactly one part (possibly zero) per variable")
+    _require_distinct(zs, "variables")
     n = len(zs)
     if n == 0:
         return [1] * len(shapes), 1

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 from .errors import IdentityError, ParameterError, PoleError
 from .exactcore import Matrix, _mask, _pack, _slot, _unpack, clear_denominators, embed_pair
-from .grothendieck import _groth_core, _require_distinct
+from .grothendieck import _groth_core
 from .partitions import _complement
 
 
@@ -239,23 +239,24 @@ def integer_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[d
     amps, den = clear_denominators(state.values())
     sums = dict(zip(state, amps))
     for a_in, a_out, w, scale in steps:
-        sums = _path_sum(capacity, num_sites, sums, a_in, a_out, w, {})
+        sums = _path_sum(capacity, num_sites, sums, a_in, a_out, w)
         den *= scale**num_sites
     return sums, den
 
 
 def _path_sum(
-    capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w, table: dict, mask: int | None = None
+    capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w, mask: int | None = None
 ) -> dict:
     """Apply one auxiliary-space entry of the monodromy matrix to a weighted
     state: every path of the auxiliary line from a_in to a_out, site 0 first,
-    reading and filling `table`: occupation -> the moves for
-    aux 0 and aux 1, which depend only on the capacity and w.  From one source
+    reading and filling a move table: occupation -> the moves for aux 0 and
+    aux 1, which depend only on the capacity and w.  From one source
     state the built prefix fixes the aux state, because particles are
     conserved, so each frontier key is reached by one path only.  Packed
     series pass their `mask`, which each output is reduced by.  The states
     must fit the chain; `integer_chain` checks them."""
     out: dict = {}
+    table: dict = {}
     for src, amp in state.items():
         if not amp:
             continue
@@ -342,17 +343,12 @@ def closed_table(model: Model, num_sites: int, states, params, beta, dual=False)
     Grothendieck table at z(p) of the states' partitions or, for the dual, of
     their box complements.  z(p) and the prefactor are integer pairs, and the
     states' partitions are partitions by construction, so the integer core of
-    `groth_table` runs on them once the box, the part count and the distinct
-    variables are checked, in the order `complement` and `groth_table` check
-    them."""
+    `groth_table` runs on them once `complement` has checked the box."""
     width = model.dual_width(num_sites, len(params))
     lams = [model.partition(state) for state in states]
     shapes = [_complement(lam, width) for lam in lams] if dual else lams
     zs = [model.spectral_pair(p, beta) for p in params]
     num, den = model.prefactor_pair(num_sites, params, beta)
-    if any(len(lam) != len(zs) for lam in shapes):
-        raise ParameterError("need exactly one part (possibly zero) per variable")
-    _require_distinct(zs, "variables")
     dets, groth_den = _groth_core(shapes, zs, *_ratio(beta))
     return dets, num, den * groth_den
 
@@ -377,15 +373,15 @@ def amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
     return value
 
 
-def _transfer_sums(capacity: int | None, num_sites: int, basis, w, one=1, zero=0, mask=None) -> list[list]:
-    """A + D on the basis states as rows: from each column's state one path
-    sum per aux state, all reading one move table."""
+def _transfer_sums(capacity: int | None, num_sites: int, basis, w, mask=None) -> list[list]:
+    """A + D on the basis states as rows, over the ring of the weights: from
+    each column's state one path sum per aux state."""
     index = {s: i for i, s in enumerate(basis)}
+    one, zero = w[0] ** 0, w[0] * 0
     rows = [[zero] * len(basis) for _ in basis]
-    table: dict = {}
     for col, s in enumerate(basis):
-        entries = _path_sum(capacity, num_sites, {s: one}, 0, 0, w, table, mask)  # A
-        for t, c in _path_sum(capacity, num_sites, {s: one}, 1, 1, w, table, mask).items():  # D
+        entries = _path_sum(capacity, num_sites, {s: one}, 0, 0, w, mask)  # A
+        for t, c in _path_sum(capacity, num_sites, {s: one}, 1, 1, w, mask).items():  # D
             entries[t] = entries[t] + c if t in entries else c
         for t, c in entries.items():
             rows[index[t]][col] = c
@@ -416,7 +412,7 @@ def transfer_matrix(model: Model, num_sites: int, num_particles: int, p, beta) -
     `model.sector` order: the ring-generic loop on `Model.weights`."""
     basis = model.sector(num_sites, num_particles)
     w = model.weights(p, beta)
-    return _transfer_sums(model.capacity, num_sites, basis, w, w[0] ** 0, w[0] * 0)
+    return _transfer_sums(model.capacity, num_sites, basis, w)
 
 
 def hopping_generator(model: Model, num_sites: int, num_particles: int, hop, diagonal) -> Matrix:

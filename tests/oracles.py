@@ -327,7 +327,7 @@ def path_sum_chain(capacity, num_sites: int, state: dict, steps) -> dict:
     (Laurent polynomials, series) it is the tests' chain, the package's one
     ring-generic loop being `lattice.transfer_matrix`."""
     for a_in, a_out, w in steps:
-        state = lattice._path_sum(capacity, num_sites, state, a_in, a_out, w, {})
+        state = lattice._path_sum(capacity, num_sites, state, a_in, a_out, w)
     return state
 
 

@@ -108,6 +108,14 @@ ROWS = [
     (('groth', 'verify-sum', '--n', '-1', '--width', '2'), 2, EMPTY, 'error: --n must be nonnegative'),
     (('groth', 'verify-cauchy', '--n', '2', '--width', '2', '--points', '-2'), 2, EMPTY, 'error: --points must be nonnegative'),
     (('sv6', 'verify', '--params', '{"a1":"1","a2":"1","a3":"2","a4":"1","a5":"-1/2","a6":"-1/2","t":"1/2"}', '--points', '-1'), 2, EMPTY, 'error: --points must be nonnegative'),
+    # refused points: a Bethe root on the probe point v^2 = 0.9^2, the
+    # spectral map's pole beta v^2 = 1 (finite on the lattice, a known
+    # defect), repeated squares, unequal parameter counts and u^2 = v^2
+    (('pm', 'bethe', '--sites', '1', '--beta', '19/81'), 2, EMPTY, 'error: probe point too close to a pole'),
+    (('pm', 'sum', '--sites', '2', '--v', '2', '--beta', '1/4'), 2, EMPTY, 'error: 1 - beta*v^2 vanishes'),
+    (('pm', 'sum', '--sites', '2', '--v', '2,-2', '--beta', '1'), 2, EMPTY, 'error: squared parameters must be pairwise distinct'),
+    (('pm', 'scalar', '--sites', '2', '--u', '2', '--v', '3,5', '--beta', '1'), 2, EMPTY, 'error: need equally many parameters on both sides'),
+    (('pm', 'scalar', '--sites', '2', '--u', '1', '--v', '1', '--beta', '1'), 2, EMPTY, 'error: u and v squares must avoid each other'),
     # help screens
     (('--help',), 0, '01724010b4a973265038333d68fe0ff7e23061811cbece13f6b6bdca39119c12', None),
     (('groth', '--help'), 0, '46d07669b5254ac517db3816691bae52760bf6e9cf39f7d5544c0fba1ce60a9a', None),

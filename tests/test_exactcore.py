@@ -126,6 +126,8 @@ def test_rational_tables_are_in_lowest_terms():
 
 def test_matrix_takes_rational_entries_only():
     assert Matrix([[1, True], [F(-3, 4), False]]).data == ((1, True), (F(-3, 4), False))
+    # the entries are read back from the one integer table, as Fractions
+    assert {type(x) for row in Matrix([[1, True], [F(-3, 4), False]]).data for x in row} == {F}
     for x in (0.5, 1.0, 2j, complex(1, 0), LaurentPoly.const(1), TruncatedSeries.one(2)):
         with pytest.raises(TypeError, match="^a Matrix takes int, bool or Fraction entries only$"):
             Matrix([[F(1), 0], [0, x]])

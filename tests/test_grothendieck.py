@@ -617,3 +617,8 @@ def test_identities_hold_at_every_beta(name):
     assert any(_top_difference(list(v[: d + 1])) for v in left)
     broken = [sides(mutant, beta) for beta in betas[: d + 1]]
     assert any(lhs != rhs for lhs, rhs in broken)
+
+
+def test_schur_det_needs_one_part_per_variable():
+    want = (ParameterError, "need exactly one part (possibly zero) per variable")
+    assert outcome(schur_det, (1,), [2, 3]) == want

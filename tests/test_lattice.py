@@ -284,7 +284,7 @@ def test_rational_path_sums_are_the_ring_generic_loop(args):
     # sum it returns is a nonzero Fraction
     capacity, num_sites, state, a_in, a_out, w = args
     got = _chain(capacity, num_sites, state, [(a_in, a_out, w)])
-    assert got == lattice._path_sum(*args, {})
+    assert got == lattice._path_sum(*args)
     assert all(type(c) is F and c != 0 for c in got.values())
 
 
@@ -327,7 +327,7 @@ def test_series_transfer_matrices_are_the_ring_generic_loop(args):
     coeffs, den, order = _coefficient_tuples(w)
     for n in range(3):
         basis = model.sector(num_sites, n)
-        columns = [[lattice._path_sum(capacity, num_sites, {s: 1}, a, a, w, {}) for a in (0, 1)] for s in basis]
+        columns = [[lattice._path_sum(capacity, num_sites, {s: 1}, a, a, w) for a in (0, 1)] for s in basis]
         want = [[a.get(r, 0) + d.get(r, 0) for a, d in columns] for r in basis]
         table = lattice.transfer_table(model, num_sites, n, coeffs, order)
         assert [[TruncatedSeries._raw(c, den**num_sites) for c in row] for row in table] == want
@@ -764,14 +764,13 @@ def test_coefficient_tables_hold_coefficients_at_the_bound():
     negative digits; the packed sums still decode them exactly."""
     order = 5
     plus, minus = (1,) * (order + 1), (-1, 1, -1, 1, -1, 1)
-    one, zero = TruncatedSeries.one(order), TruncatedSeries([0], order)
     for capacity, num_sites in ((1, 4), (None, 3), (2, 3)):
         model = pm.MODEL._replace(capacity=capacity, sector=lambda m, n: lattice.occupations(m, n, capacity))
         for w in ((plus,) * 6, (plus, minus) * 3, (minus,) * 6):
             series = [TruncatedSeries(c) for c in w]
             for n in range(num_sites + 1):
                 basis = model.sector(num_sites, n)
-                want = lattice._transfer_sums(capacity, num_sites, basis, series, one, zero)
+                want = lattice._transfer_sums(capacity, num_sites, basis, series)
                 table = lattice.transfer_table(model, num_sites, n, w, order)
                 assert [[TruncatedSeries(c) for c in row] for row in table] == want
 
@@ -823,10 +822,9 @@ def test_coefficient_tables_are_the_generic_transfer_matrix(capacity, num_sites,
     w = [tuple(data.draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))) for _ in range(6)]
     model = pm.MODEL._replace(capacity=capacity, sector=lambda m, n: lattice.occupations(m, n, capacity))
     series = [TruncatedSeries(c) for c in w]
-    one, zero = TruncatedSeries.one(order), TruncatedSeries([0], order)
     for n in range(4):
         table = lattice.transfer_table(model, num_sites, n, w, order)
-        want = lattice._transfer_sums(capacity, num_sites, model.sector(num_sites, n), series, one, zero)
+        want = lattice._transfer_sums(capacity, num_sites, model.sector(num_sites, n), series)
         assert [[TruncatedSeries(c) for c in row] for row in table] == want
 
 
@@ -872,3 +870,9 @@ def test_packed_digits_decode_across_the_whole_slot(slot, data):
         with pytest.raises(OverflowError):
             exactcore._pack(coeffs + (outside,), slot)
     assert exactcore._slot(half - 1) == slot and exactcore._slot(half) == slot + 1
+
+
+@pytest.mark.parametrize("model", [fv.MODEL, pm.MODEL])
+def test_prefactor_refuses_a_zero_parameter(model):
+    want = (PoleError, f"{model.variable} = 0 is a pole of the site weights")
+    assert oracles.outcome(model.prefactor_pair, 2, [0], 1) == want

@@ -668,3 +668,15 @@ def test_a_flipped_comparison_in_the_fill_is_caught(monkeypatch, old, new):
     monkeypatch.setattr(meltingcrystal, "_row_digits", oracles.mutant(meltingcrystal._row_digits, old, new))
     for n, height in ((2, 1), (3, 2)):
         assert meltingcrystal._box_classes.__wrapped__(n, height) != oracles.box_classes(n, height)
+
+
+@pytest.mark.parametrize(
+    "route, args, error",
+    [
+        (z_box_beta0, (2, 2, 2, 1), (PoleError, "1 - q^m vanishes")),
+        (log_z_numeric, (0.0, 1.0), (ParameterError, "need 0 < q < 1")),
+        (log_z_numeric, (-2.0, 0.5), (ParameterError, "beta < -1 leaves the physical range")),
+    ],
+)
+def test_bad_input_is_refused_with_its_message(route, args, error):
+    assert outcome(route, *args) == error

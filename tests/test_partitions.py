@@ -269,3 +269,18 @@ def test_count_boxed_counts_only_boxes_that_exist():
                         list(enumerate_boxed(rows, cols, height))
                     continue
                 assert count == sum(1 for _ in enumerate_boxed(rows, cols, height))
+
+
+@pytest.mark.parametrize(
+    "route, args, message",
+    [
+        (partition_from_positions, ((0, 1),), "positions are 1-based"),
+        (check_plane_partition, (((-1,),),), "negative entry"),
+        (check_plane_partition, (((1,), (1, 1)),), "row lengths increase downward"),
+        (pp_entry, (((1,),), 0, 1), "plane partition indices are 1-based"),
+        (assemble_from_slices, ([(1,), (2,)], 0), "slices do not interlace: row increases: (1, 2)"),
+        (lambda n: list(plane_partitions_of_size(n)), (-1,), "size must be nonnegative"),
+    ],
+)
+def test_bad_input_is_refused_with_its_message(route, args, message):
+    assert oracles.outcome(route, *args) == (ParameterError, message)

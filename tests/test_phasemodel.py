@@ -7,7 +7,7 @@ import pytest
 import oracles
 
 from grothcrystal import lattice
-from grothcrystal.errors import ParameterError, PoleError
+from grothcrystal.errors import IdentityError, ParameterError, PoleError
 from grothcrystal.exactcore import LaurentPoly, Matrix
 from grothcrystal.grothendieck import skew_single
 from grothcrystal.partitions import partition_from_occupation
@@ -261,6 +261,28 @@ def test_hamiltonian_extraction_matches_direct():
                 assert h == hamiltonian_phase_direct(m, n, beta)
 
 
+@pytest.mark.parametrize("beta", [F(-1), F(1, 2)])
+def test_extraction_fails_on_a_perturbed_entry(monkeypatch, beta):
+    # 1 added to the v^2 coefficient of any one entry of the transfer table
+    # moves the extracted generator off the direct one
+    real = lattice.transfer_table
+    m, n = 3, 2
+    size = len(sector_basis(m, n))
+    for r, c in product(range(size), repeat=2):
+
+        def perturbed(*args):
+            rows = real(*args)
+            p0, p1, p2 = rows[r][c]
+            rows[r][c] = (p0, p1, p2 + 1)
+            return rows
+
+        monkeypatch.setattr(lattice, "transfer_table", perturbed)
+        with pytest.raises(IdentityError, match="^transfer-matrix extraction disagrees with the direct build$"):
+            hamiltonian_phase(m, n, beta)
+    monkeypatch.setattr(lattice, "transfer_table", real)
+    assert hamiltonian_phase(m, n, beta) == hamiltonian_phase_direct(m, n, beta)
+
+
 def test_one_site_hamiltonian_keeps_the_wrap_bond():
     # on one site the wrap bond hops a boson from site 0 back to site 0
     for beta in _BETA_PALETTE + (F(0),):
@@ -285,3 +307,7 @@ def test_bethe_one_particle_reports():
     rep = bethe_verify_n1(4, F(0))
     assert rep["checked"] == 4 and rep["skipped"] == 0
     assert rep["max_residual"] < 1e-10
+
+
+def test_intertwining_check_needs_a_site_space():
+    assert oracles.outcome(check_rll_phase, 2, 3, 1, 0) == (ParameterError, "need cap >= 1")

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
+import oracles
 import pytest
 
-from grothcrystal.errors import ParameterError
+from grothcrystal.errors import ParameterError, PoleError
 from grothcrystal.fivevertex import l_matrix, r_matrix
 from grothcrystal.sixvertex import (
     SixVertexParams,
@@ -64,3 +65,14 @@ def test_params_are_frozen_fractions_with_keyword_fields():
     )
     with pytest.raises(ParameterError, match="^second weight constraint violated"):
         SixVertexParams(1, 1, 1, 1, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "route, args, error",
+    [
+        (five_vertex_params, (0,), (ParameterError, "the five-vertex degeneration needs beta != 0")),
+        (r_six, (2, -2, F(1, 2)), (PoleError, "r_six has a pole at u^2 = v^2")),
+    ],
+)
+def test_bad_input_is_refused_with_its_message(route, args, error):
+    assert oracles.outcome(route, *args) == error

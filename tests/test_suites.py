@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import grothcrystal
 from grothcrystal import fivevertex as fv
-from grothcrystal import grothendieck, lattice, meltingcrystal, suites, workqueue
+from grothcrystal import grothendieck, lattice, meltingcrystal, partitions, suites, workqueue
 from grothcrystal import phasemodel as pm
 from grothcrystal.cli import main
 from grothcrystal.errors import ParameterError
@@ -324,6 +324,36 @@ def test_wavefunction_cases_fail_on_one_wrong_amplitude(monkeypatch, route, alte
     assert [f["case"] for f in rep.failures] == [name for name in names if tag in name]
     errors = [f.get("error", "")[:11] for f in rep.failures]
     assert errors == ["ValueError:" if alter is _shorten else ""] * count
+
+
+def _off_by_one(real):
+    def z_box_det_series(*args):
+        return real(*args) + 1
+
+    return z_box_det_series
+
+
+@pytest.mark.parametrize(
+    "suite, tag, module, route, fault",
+    [
+        ("mc", "mc.slice-roundtrip", partitions, "all_diagonal_slices", lambda real: lambda pi: {}),
+        ("mc", "mc.slice-roundtrip", partitions, "assemble_from_slices", lambda real: lambda slices, lo: ()),
+        ("mc", "mc.slice-roundtrip", partitions, "interlaces", lambda real: lambda mu, lam: False),
+        ("mc", "mc.stabilization.beta=-1", meltingcrystal, "z_box_det_series", _off_by_one),
+        ("groth", "groth.summation.beta0-rejected", grothendieck, "summation_rhs", lambda real: lambda *args: F(1)),
+    ],
+    ids=["no-slices", "misassembled", "not-interlaced", "stabilization", "beta0-accepted"],
+)
+def test_a_faulty_route_fails_exactly_its_case(monkeypatch, suite, tag, module, route, fault):
+    """Each check reports a fault in the route it reads as a failed case, not
+    as an error: a plane partition with no slices, one that reassembles
+    wrong, slices that do not interlace, a boxed series off by one and a
+    closed summation that accepts beta = 0."""
+    assert run_suite(suite, "full", 1, tags=tag).ok
+    monkeypatch.setattr(module, route, fault(getattr(module, route)))
+    report = run_suite(suite, "full", 1, tags=tag)
+    assert report.cases == 1 and [f["case"] for f in report.failures] == [tag]
+    assert "error" not in report.failures[0]
 
 
 @st.composite
