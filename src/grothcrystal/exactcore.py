@@ -6,8 +6,9 @@ them.  A Laurent polynomial is sparse {exponent: coefficient} with no zeros
 kept.  A truncated series keeps integer numerators of q^0..q^D over one
 denominator, multiplied by a convolution over nonzero terms or, when both
 factors are dense, by one product of the two packed into integers (the
-package's one Kronecker codec, `_pack`/`_unpack`), divided by long division
-on the numerators and cut at its fixed order; a matrix is rational and
+package's one Kronecker codec, `_pack`/`_unpack`), raised to a power by the
+binomial theorem when it has at most two terms, divided by long division on
+the numerators and cut at its fixed order; a matrix is rational and
 likewise keeps one integer table over one denominator, so its products and
 equality run on integers.
 Rationals serialize as canonical "p/q" strings, series as lists of them.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -399,11 +401,13 @@ class TruncatedSeries(_Ring):
 
     @classmethod
     def _raw(cls, nums: tuple[int, ...], den: int) -> "TruncatedSeries":
-        # trusted constructor: integer numerators over den > 0; only reduces
-        g = math.gcd(den, *nums)
-        if g != 1:
-            nums = tuple(x // g for x in nums)
-            den //= g
+        # trusted constructor: integer numerators over den > 0; only reduces,
+        # and over den = 1 there is nothing to reduce
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums = tuple(x // g for x in nums)
+                den //= g
         obj = object.__new__(cls)
         obj.nums, obj.den, obj._coeffs = nums, den, None
         return obj
@@ -474,6 +478,9 @@ class TruncatedSeries(_Ring):
         return TruncatedSeries._raw(tuple(-x for x in self.nums), self.den)
 
     def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        if self.den == other.den:
+            step = operator.add if sign > 0 else operator.sub
+            return TruncatedSeries._raw(tuple(map(step, self.nums, other.nums)), self.den)
         g = math.gcd(self.den, other.den)
         s, t = other.den // g, self.den // g * sign
         return TruncatedSeries._raw(
@@ -499,14 +506,21 @@ class TruncatedSeries(_Ring):
         return _quotient(self._lift(1), self)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
-        k = self.valuation()
-        if n <= 0 or k > self.order or any(self.nums[k + 1 :]):
+        nums = self.nums
+        if n <= 0 or len(nums) - nums.count(0) > 2:
             return _Ring.__pow__(self, n)
-        # a monomial c q^k: c^n q^(kn), cut at the order
-        nums = [0] * len(self.nums)
-        if k * n <= self.order:
-            nums[k * n] = self.nums[k] ** n
-        return TruncatedSeries._raw(tuple(nums), self.den**n)
+        # at most two terms c q^a + d q^b (a < b, a missing term read as
+        # 0 q^(order+1)): by the binomial theorem the n-th power is the sum
+        # over i of C(n, i) c^(n-i) d^i q^(a(n-i) + bi), cut at the order
+        size = len(nums)
+        (a, c), (b, d) = ([(k, x) for k, x in enumerate(nums) if x] + [(size, 0)] * 2)[:2]
+        out = [0] * size
+        for i in range(n + 1):
+            e = a * (n - i) + b * i
+            if e >= size:
+                break
+            out[e] = math.comb(n, i) * c ** (n - i) * d**i
+        return TruncatedSeries._raw(tuple(out), self.den**n)
 
     def to_strings(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
@@ -690,9 +704,11 @@ def qadic_det(rows: Sequence[Sequence[TruncatedSeries]], order: int) -> tuple[in
     unit.  Each step takes an entry q^v_k * u_k of least valuation in the
     trailing block as pivot.  Every entry of that block is divisible by
     q^v_k, so the row factors and their products are formed at order - v_k
-    and shifted back up: no update loses absolute precision.  A step's
-    products come from one `_low_products` call, which prepares the row
-    factors and the pivot row's tail once, and each update is reduced once.
+    and shifted back up: no update loses absolute precision.  A step's row
+    factors come from one `_low_products` call against the pivot's inverse,
+    and its update products from one more, which prepares the factors and
+    the pivot row's tail once; each update is reduced once, and one whose
+    two denominators agree is a plain difference of numerators.
     So v is the sum of the v_k exactly, and unit = +-prod u_k is known through relative order
     order - max v_k, the order it is returned at.  A trailing block that
     vanishes through q^order raises `PrecisionError`; no truncated or zero
@@ -719,20 +735,28 @@ def qadic_det(rows: Sequence[Sequence[TruncatedSeries]], order: int) -> tuple[in
             sign = -sign
         unit = a[k][k].shift_down(v)
         inv = unit.inverse()
-        tail = [(j, x.shift_down(v)) for j, x in enumerate(a[k][k + 1 :], k + 1) if vals[k][j] <= order]
-        factors = [(i, a[i][k].shift_down(v) * inv) for i in range(k + 1, n) if vals[i][k] <= order]
-        prods = _low_products([factor.nums for _, factor in factors], [x.nums for _, x in tail])
+        # the pivot row's tail and column's entries divided by q^v, as
+        # numerators over their own denominators
+        tail = [(j, x.nums[v:], x.den) for j, x in enumerate(a[k][k + 1 :], k + 1) if vals[k][j] <= order]
+        column = [(i, a[i][k]) for i in range(k + 1, n) if vals[i][k] <= order]
+        scaled = _low_products([x.nums[v:] for _, x in column], [inv.nums])
+        factors = [(i, TruncatedSeries._raw(p, x.den * inv.den)) for (i, x), (p,) in zip(column, scaled)]
+        prods = _low_products([factor.nums for _, factor in factors], [nums for _, nums, _ in tail])
         for (i, factor), row_prods in zip(factors, prods):
             row = a[i]
-            for (j, x), prod in zip(tail, row_prods):
+            for (j, _, x_den), prod in zip(tail, row_prods):
                 # row[j] - q^v * prod / den over the lcm of the two
                 # denominators, reduced once
-                old, den = row[j], factor.den * x.den
-                g = math.gcd(old.den, den)
-                s, t = den // g, old.den // g
+                old, den = row[j], factor.den * x_den
                 low, high = old.nums[:v], old.nums[v:]
-                nums = tuple(y * s for y in low) + tuple(y * s - z * t for y, z in zip(high, prod))
-                row[j] = TruncatedSeries._raw(nums, old.den * s)
+                if old.den == den:
+                    nums = low + tuple(map(operator.sub, high, prod))
+                else:
+                    g = math.gcd(old.den, den)
+                    s, t = den // g, old.den // g
+                    nums = tuple(y * s for y in low) + tuple(y * s - z * t for y, z in zip(high, prod))
+                    den = old.den * s
+                row[j] = TruncatedSeries._raw(nums, den)
                 vals[i][j] = row[j].valuation()
         pivots.append((v, unit))
     top = max((v for v, _ in pivots), default=0)

@@ -245,22 +245,25 @@ def integer_chain(capacity: int | None, num_sites: int, state, steps) -> tuple[d
 
 
 def _path_sum(
-    capacity: int | None, num_sites: int, state, a_in: int, a_out: int, w, mask: int | None = None
+    capacity: int | None, num_sites: int, state, a_in: int | None, a_out: int | None, w, mask: int | None = None
 ) -> dict:
     """Apply one auxiliary-space entry of the monodromy matrix to a weighted
     state: every path of the auxiliary line from a_in to a_out, site 0 first,
     reading and filling a move table: occupation -> the moves for aux 0 and
-    aux 1, which depend only on the capacity and w.  From one source
-    state the built prefix fixes the aux state, because particles are
-    conserved, so each frontier key is reached by one path only.  Packed
-    series pass their `mask`, which each output is reduced by.  The states
-    must fit the chain; `integer_chain` checks them."""
+    aux 1, which depend only on the capacity and w.  With a_in = a_out = None
+    it applies A + D: the paths start from both aux states and end in the
+    one they started from, which is where the end state holds as many
+    particles as the source.  From one source state the built prefix fixes
+    the aux state, because particles are conserved, so each frontier key is
+    reached by one path only.  Packed series pass their `mask`, which each
+    output is reduced by.  The states must fit the chain; `integer_chain`
+    checks them."""
     out: dict = {}
     table: dict = {}
     for src, amp in state.items():
         if not amp:
             continue
-        frontier = {(a_in, ()): amp}
+        frontier = {(0, ()): amp, (1, ()): amp} if a_in is None else {(a_in, ()): amp}
         for n in src:
             moves = table.get(n)
             if moves is None:
@@ -273,8 +276,9 @@ def _path_sum(
                 for a2, piece, wt in moves[a]:
                     nxt[a2, built + piece] = c * wt
             frontier = nxt
+        particles = sum(src)
         for (a, built), c in frontier.items():
-            if a != a_out:
+            if not (a == a_out if a_out is not None else sum(built) == particles):
                 continue
             if built in out:
                 out[built] = out[built] + c
@@ -375,15 +379,12 @@ def amplitude(model: Model, num_sites: int, config, params, beta, dual=False):
 
 def _transfer_sums(capacity: int | None, num_sites: int, basis, w, mask=None) -> list[list]:
     """A + D on the basis states as rows, over the ring of the weights: from
-    each column's state one path sum per aux state."""
+    each column's state one path sum through both aux states."""
     index = {s: i for i, s in enumerate(basis)}
     one, zero = w[0] ** 0, w[0] * 0
     rows = [[zero] * len(basis) for _ in basis]
     for col, s in enumerate(basis):
-        entries = _path_sum(capacity, num_sites, {s: one}, 0, 0, w, mask)  # A
-        for t, c in _path_sum(capacity, num_sites, {s: one}, 1, 1, w, mask).items():  # D
-            entries[t] = entries[t] + c if t in entries else c
-        for t, c in entries.items():
+        for t, c in _path_sum(capacity, num_sites, {s: one}, None, None, w, mask).items():
             rows[index[t]][col] = c
     return rows
 

@@ -155,12 +155,12 @@ def _det_shift(n: int) -> int:
     return n * (n - 1) // 2 - 2 * sum(j * (n - j) for j in range(1, n))
 
 
-def _z_box_det_parts(n: int, height: int, q, beta):
-    """The determinant formula as (entries, prefactor).
+def _z_box_det_parts(n: int, height: int, q, beta) -> list:
+    """The entries of the determinant formula.
 
-    The full answer is q**_det_shift(n) * prefactor * det(entries).  Both
-    parts only use nonnegative powers of q and inverses of units, so they are
-    valid for both rational and series q, and the prefactor is a unit.
+    The full answer is q**_det_shift(n) * _box_prefactor(n, q) * det(entries).
+    The entries only use nonnegative powers of q and inverses of units, so
+    they are valid for both rational and series q.
     """
     check_box(n, n, height)
     one = q**0
@@ -173,16 +173,22 @@ def _z_box_det_parts(n: int, height: int, q, beta):
         if base == 0 and j < n:  # as in the weight, 1 + beta*q^n is never inverted
             raise PoleError(f"1 + beta*q^{j} vanishes")
         rows[j] = (base ** (j - 1), q ** (j * (height + n)) / base ** (n - j))
-    # 1 - q^m for every m = j + k - 1 the entries and the prefactor divide by;
-    # a unit, as rational q avoids +-1 and a series 1 - q^m has constant term 1
+    # 1 - q^m for every m = j + k - 1 the entries divide by; a unit, as
+    # rational q avoids +-1 and a series 1 - q^m has constant term 1
     dens = {m: one - q**m for m in range(1, 2 * n)}
     cols = {k: q ** ((k - 1) * (height + 1)) * (q ** (k - 1) + beta * one) ** (n - 1) for k in span}
-    entries = [[(a - b * cols[k]) / dens[j + k - 1] for k in span] for j, (a, b) in rows.items()]
-    # 1 over prod_{j<k} (1 - q^(k-j))^2, where m = k - j occurs n - m times
+    return [[(a - b * cols[k]) / dens[j + k - 1] for k in span] for j, (a, b) in rows.items()]
+
+
+def _box_prefactor(n: int, q):
+    """1 over prod_{j<k} (1 - q^(k-j))^2, where m = k - j occurs n - m times:
+    the unit in front of the determinant, at rational q or through the order
+    of a series q."""
+    one = q**0
     pref = one
     for m in range(1, n):
-        pref = pref * dens[m] ** (2 * (n - m))
-    return entries, one / pref
+        pref = pref * (one - q**m) ** (2 * (n - m))
+    return one / pref
 
 
 def z_box_det(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
@@ -191,8 +197,8 @@ def z_box_det(n: int, height: int, q: Fraction, beta: Fraction) -> Fraction:
     beta = Fraction(beta)
     if q == 0 or q == 1 or q == -1:
         raise ParameterError("q must avoid 0 and +-1")
-    entries, pref = _z_box_det_parts(n, height, q, beta)
-    return q ** _det_shift(n) * pref * Matrix(entries).det()
+    entries = _z_box_det_parts(n, height, q, beta)
+    return q ** _det_shift(n) * _box_prefactor(n, q) * Matrix(entries).det()
 
 
 def z_box_det_series(n: int, height: int, beta: Fraction, order: int) -> TruncatedSeries:
@@ -202,19 +208,20 @@ def z_box_det_series(n: int, height: int, beta: Fraction, order: int) -> Truncat
     and its valuation must be -_det_shift(n), the power of q in front.  Its
     pivots have valuations 0, 1, 4, ..., (n-1)^2, so the working order
     order + (n-1)^2 leaves the unit known through q^order; a unit known
-    through less raises `PrecisionError`.
+    through less raises `PrecisionError`.  The prefactor is a unit that
+    needs no such margin, so it is taken through q^order only.
     """
     if order < 0:
         raise ParameterError("order must be nonnegative")
     beta = Fraction(beta)
     work = order + (n - 1) ** 2
-    entries, pref = _z_box_det_parts(n, height, TruncatedSeries.indeterminate(work), beta)
+    entries = _z_box_det_parts(n, height, TruncatedSeries.indeterminate(work), beta)
     val, unit = qadic_det(entries, work)
     if val != -_det_shift(n):
         raise ArithmeticError("exponent bookkeeping failed")
     if unit.order < order:
         raise PrecisionError(f"the determinant is not known through q^{order}")
-    return (pref.truncate(unit.order) * unit).truncate(order)
+    return _box_prefactor(n, TruncatedSeries.indeterminate(order)) * unit.truncate(order)
 
 
 def z_box_beta0(n_rows: int, n_cols: int, height: int, q) -> object:

@@ -11,6 +11,7 @@ from grothcrystal.errors import OutOfBoxError, ParameterError, PoleError, Precis
 from grothcrystal.exactcore import TruncatedSeries, qadic_det
 from grothcrystal.grothendieck import cauchy_rhs
 from grothcrystal.meltingcrystal import (
+    _box_prefactor,
     _det_shift,
     _z_box_det_parts,
     entropy,
@@ -221,20 +222,36 @@ def _det_parts_entrywise(n, height, q, beta):
         ]
         for j in range(1, n + 1)
     ]
+    return ent, _prefactor_entrywise(n, q)
+
+
+def _prefactor_entrywise(n, q):
+    # one division by (1 - q^(k-j))^2 for each pair j < k
+    one = q**0
     pref = one
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             pref = pref / (one - q ** (k - j)) ** 2
-    return ent, pref
+    return pref
 
 
 def test_det_core_shares_powers_and_inverses_exactly():
     for n, height in ((1, 1), (2, 3), (3, 2), (4, 4)):
         for beta in (F(0), F(-1, 2), F(5, 3)):
             for q in (F(1, 3), F(-2, 5), TruncatedSeries.indeterminate(12)):
-                assert _z_box_det_parts(n, height, q, beta) == _det_parts_entrywise(
+                assert (_z_box_det_parts(n, height, q, beta), _box_prefactor(n, q)) == _det_parts_entrywise(
                     n, height, q, beta
                 )
+
+
+def test_prefactor_through_the_requested_order_is_the_working_order_one_cut():
+    # z_box_det_series takes the prefactor through its requested order, where
+    # the determinant needs order + (n-1)^2
+    for n in range(1, 8):
+        for order in (0, 1, n, 2 * n + 3):
+            work = order + (n - 1) ** 2
+            got = _box_prefactor(n, TruncatedSeries.indeterminate(order))
+            assert got == _prefactor_entrywise(n, TruncatedSeries.indeterminate(work)).truncate(order)
 
 
 def test_box_series_n9_n10_meet_the_unboxed_product():
@@ -252,8 +269,9 @@ def _det_series_by_subset_expansion(n, height, beta, order):
     # the route the q-adic determinant replaced: the whole determinant by
     # det_ring at working order order - _det_shift(n), then divided by q^shift
     shift = -_det_shift(n)
-    entries, pref = _z_box_det_parts(n, height, TruncatedSeries.indeterminate(order + shift), beta)
-    return (pref * det_ring(entries)).shift_down(shift).truncate(order)
+    q = TruncatedSeries.indeterminate(order + shift)
+    entries = _z_box_det_parts(n, height, q, beta)
+    return (_box_prefactor(n, q) * det_ring(entries)).shift_down(shift).truncate(order)
 
 
 def test_series_det_matches_the_subset_expansion_route():

@@ -243,8 +243,22 @@ def test_box_determinant_at_order_64_matches_the_padded_product_reference(monkey
     real = exactcore._pack
     monkeypatch.setattr(exactcore, "_pack", lambda coeffs, slot: packs.append(slot) or real(coeffs, slot))
     for beta in (F(-2, 3), F(2)):
-        entries, _ = _z_box_det_parts(4, 4, TruncatedSeries.indeterminate(64), beta)
+        entries = _z_box_det_parts(4, 4, TruncatedSeries.indeterminate(64), beta)
         got = outcome(qadic_det, entries, 64)
         assert got[0] == "value"
         assert canonical(got) == canonical(outcome(oracles.qadic_det, entries, 64))
     assert packs
+
+
+def test_box_determinants_match_the_padded_product_reference():
+    # the box entries at z_box_det_series' working order: over 1 at
+    # beta = 0 and 2, so every update takes the equal-denominator
+    # difference, and over powers of 3 and 2 at beta = -1/3 and 3/2
+    for beta in (F(0), F(2), F(-1, 3), F(3, 2)):
+        for n in range(1, 6):
+            for height in (1, n):
+                order = n + (n - 1) ** 2
+                entries = _z_box_det_parts(n, height, TruncatedSeries.indeterminate(order), beta)
+                got = outcome(qadic_det, entries, order)
+                assert got[0] == "value"
+                assert canonical(got) == canonical(outcome(oracles.qadic_det, entries, order))

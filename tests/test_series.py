@@ -11,7 +11,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import oracles
 from oracles import outcome, series_divide
@@ -331,16 +331,23 @@ def test_series_and_laurent_polys_refuse_floats(build):
 
 @FEW
 @given(
-    low_orders.flatmap(lambda d: st.tuples(st.integers(0, d + 1), coeff_lists(d))),
+    low_orders.flatmap(lambda d: st.tuples(st.integers(0, d + 1), st.integers(0, d + 3), coeff_lists(d))),
     st.one_of(small_rats, big_rats),
+    st.one_of(small_rats, big_rats, st.integers(-3, 3)),
     st.integers(-3, 7),
 )
-def test_powers_match_repeated_products(case, c, n):
-    # monomials c q^k (k = order + 1 is the zero series) and whole series
-    k, a = case
+def test_powers_match_repeated_products(case, c, d, n):
+    # monomials c q^k, binomials c q^k + d q^j, whose powers take the
+    # binomial theorem (a term past the order is cut, so k = order + 1
+    # leaves the zero series or a monomial), and whole series
+    k, j, a = case
     order = len(a) - 1
-    mono = TruncatedSeries([0] * k + [c], order) if k <= order else TruncatedSeries([], order)
-    for s in (mono, TruncatedSeries(a)):
+    terms = [F(0)] * (order + 4)
+    terms[k] += c
+    mono = TruncatedSeries(terms, order)
+    terms[j] += d
+    binomial = TruncatedSeries(terms, order)
+    for s in (mono, binomial, TruncatedSeries(a)):
         if n < 0 and not s.nums[0]:
             with pytest.raises(ValueError):
                 s**n
@@ -359,5 +366,32 @@ def test_differences_with_scalars_on_either_side(pair, c):
     a, b = pair
     sa = TruncatedSeries(a)
     for got, want in ((c - sa, [c - a[0]] + [-x for x in a[1:]]), (sa - c, [a[0] - c] + a[1:])):
+        assert list(got.coeffs) == want
+        assert_canonical(got)
+
+
+@SETTINGS
+@given(
+    orders.flatmap(
+        lambda d: st.tuples(coeff_lists(d), st.lists(st.integers(-(2**70), 2**70), min_size=d + 1, max_size=d + 1))
+    ),
+    st.sampled_from(["drawn", "integers", "cancelling"]),
+)
+def test_sums_over_one_denominator_match_the_lcm_route(case, kind):
+    # two series over one denominator, whose sum and differences map the
+    # numerators termwise, against Fraction sums: drawn numerators, both
+    # series over 1, and numerators whose sum is a multiple of the
+    # denominator, which the map's result must be reduced by
+    a, b_nums = case
+    sa = TruncatedSeries([int(x) for x in a] if kind == "integers" else a)
+    if kind == "cancelling":
+        b_nums = [y * sa.den - x for x, y in zip(sa.nums, b_nums)]
+    sb = TruncatedSeries([F(x, sa.den) for x in b_nums])
+    assume(sb.den == sa.den)
+    for got, want in (
+        (sa + sb, [x + y for x, y in zip(sa.coeffs, sb.coeffs)]),
+        (sa - sb, [x - y for x, y in zip(sa.coeffs, sb.coeffs)]),
+        (sb - sa, [y - x for x, y in zip(sa.coeffs, sb.coeffs)]),
+    ):
         assert list(got.coeffs) == want
         assert_canonical(got)
