@@ -45,7 +45,8 @@ def run(
 
     results: list = [None] * count
     workers: list[tuple[int, BinaryIO]] = []  # (pid, result file) of each unreaped worker
-    mask = _mask() if procs > 1 else None
+    # the caller's affinity mask in CPU order, where a run with workers can pin
+    mask = sorted(os.sched_getaffinity(0)) if procs > 1 and hasattr(os, "sched_setaffinity") else None
     with tempfile.TemporaryFile() as queue:
         try:
             queue.write(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(count)))
@@ -78,14 +79,6 @@ def run(
         result or (died(i, "worker died before announcing its index"), 0.0)
         for i, result in enumerate(results)
     ]
-
-
-def _mask() -> list[int] | None:
-    """This process's affinity mask in CPU order; None where it cannot be
-    read or set."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    return sorted(os.sched_getaffinity(0))
 
 
 def _pin(cpu: int) -> None:
