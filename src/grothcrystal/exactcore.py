@@ -704,11 +704,10 @@ def qadic_det(rows: Sequence[Sequence[TruncatedSeries]], order: int) -> tuple[in
     unit.  Each step takes an entry q^v_k * u_k of least valuation in the
     trailing block as pivot.  Every entry of that block is divisible by
     q^v_k, so the row factors and their products are formed at order - v_k
-    and shifted back up: no update loses absolute precision.  A step's row
-    factors come from one `_low_products` call against the pivot's inverse,
-    and its update products from one more, which prepares the factors and
-    the pivot row's tail once; each update is reduced once, and one whose
-    two denominators agree is a plain difference of numerators.
+    and shifted back up: no update loses absolute precision.  A step's
+    products come from one `_low_products` call, which prepares the row
+    factors and the pivot row's tail once, and each update is reduced once;
+    one whose two denominators agree is a plain difference of numerators.
     So v is the sum of the v_k exactly, and unit = +-prod u_k is known through relative order
     order - max v_k, the order it is returned at.  A trailing block that
     vanishes through q^order raises `PrecisionError`; no truncated or zero
@@ -735,19 +734,15 @@ def qadic_det(rows: Sequence[Sequence[TruncatedSeries]], order: int) -> tuple[in
             sign = -sign
         unit = a[k][k].shift_down(v)
         inv = unit.inverse()
-        # the pivot row's tail and column's entries divided by q^v, as
-        # numerators over their own denominators
-        tail = [(j, x.nums[v:], x.den) for j, x in enumerate(a[k][k + 1 :], k + 1) if vals[k][j] <= order]
-        column = [(i, a[i][k]) for i in range(k + 1, n) if vals[i][k] <= order]
-        scaled = _low_products([x.nums[v:] for _, x in column], [inv.nums])
-        factors = [(i, TruncatedSeries._raw(p, x.den * inv.den)) for (i, x), (p,) in zip(column, scaled)]
-        prods = _low_products([factor.nums for _, factor in factors], [nums for _, nums, _ in tail])
+        tail = [(j, x.shift_down(v)) for j, x in enumerate(a[k][k + 1 :], k + 1) if vals[k][j] <= order]
+        factors = [(i, a[i][k].shift_down(v) * inv) for i in range(k + 1, n) if vals[i][k] <= order]
+        prods = _low_products([factor.nums for _, factor in factors], [x.nums for _, x in tail])
         for (i, factor), row_prods in zip(factors, prods):
             row = a[i]
-            for (j, _, x_den), prod in zip(tail, row_prods):
+            for (j, x), prod in zip(tail, row_prods):
                 # row[j] - q^v * prod / den over the lcm of the two
                 # denominators, reduced once
-                old, den = row[j], factor.den * x_den
+                old, den = row[j], factor.den * x.den
                 low, high = old.nums[:v], old.nums[v:]
                 if old.den == den:
                     nums = low + tuple(map(operator.sub, high, prod))

@@ -11,13 +11,6 @@ and then (index, result, seconds) as soon as the work ends; that file is read
 once the worker is reaped, so a worker that dies costs only the index it was
 on.  A run needs a writable temp directory, found as `tempfile` finds one.
 
-With workers, each process of a run is pinned to a CPU of its own where
-`os.sched_setaffinity` exists: the calling process to the first CPU of its
-affinity mask and worker w to the (w + 1)-th, modulo the mask, so that the
-scheduler cannot leave a worker on its parent's CPU while another idles.
-The calling process gets its own mask back when the run ends, also when the
-work raises.
-
 Workers are forked, so `work` is never pickled; its results are.  A worker
 never returns to its caller and leaves through `os._exit`, so it flushes no
 stdio buffer it inherited.
@@ -45,17 +38,12 @@ def run(
 
     results: list = [None] * count
     workers: list[tuple[int, BinaryIO]] = []  # (pid, result file) of each unreaped worker
-    # the caller's affinity mask in CPU order, where a run with workers can pin
-    mask = sorted(os.sched_getaffinity(0)) if procs > 1 and hasattr(os, "sched_setaffinity") else None
     with tempfile.TemporaryFile() as queue:
         try:
             queue.write(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(count)))
             queue.seek(0)  # flushes the indices, and every process reads from the start
-            for w in range(procs - 1):
-                cpu = None if mask is None else mask[(w + 1) % len(mask)]
-                workers.append(_fork(work, queue.fileno(), cpu))
-            if mask is not None:
-                _pin(mask[0])
+            for _ in range(procs - 1):
+                workers.append(_fork(work, queue.fileno()))
             while (index := _take(queue.fileno())) is not None:
                 results[index] = _timed(work, index)
             while workers:
@@ -72,19 +60,11 @@ def run(
                 with suppress(ChildProcessError):
                     os.waitpid(pid, 0)
                 out.close()
-            if mask is not None:
-                os.sched_setaffinity(0, mask)
     # a worker killed between taking an index and announcing it wrote nothing for it
     return [
         result or (died(i, "worker died before announcing its index"), 0.0)
         for i, result in enumerate(results)
     ]
-
-
-def _pin(cpu: int) -> None:
-    """Keep this process on one CPU; a refusal leaves it where it was."""
-    with suppress(OSError):
-        os.sched_setaffinity(0, (cpu,))
 
 
 def _timed(work: Callable[[int], object], index: int) -> tuple:
@@ -99,11 +79,10 @@ def _take(fd: int) -> int | None:
     return int.from_bytes(data, "little") if data else None
 
 
-def _fork(work: Callable[[int], object], queue: int, cpu: int | None) -> tuple[int, BinaryIO]:
-    """Fork a worker, pinned to cpu unless that is None, that takes indices
-    off the queue and pickles, for each, the index and then (index,
-    work(index), seconds) into an unlinked temp file; return its pid and that
-    file."""
+def _fork(work: Callable[[int], object], queue: int) -> tuple[int, BinaryIO]:
+    """Fork a worker that takes indices off the queue and pickles, for each,
+    the index and then (index, work(index), seconds) into an unlinked temp
+    file; return its pid and that file."""
     import pickle
     import tempfile
 
@@ -116,8 +95,6 @@ def _fork(work: Callable[[int], object], queue: int, cpu: int | None) -> tuple[i
     if pid == 0:
         code = 1
         try:
-            if cpu is not None:
-                _pin(cpu)
             while (index := _take(queue)) is not None:
                 pickle.dump(index, out)
                 out.flush()

@@ -130,59 +130,3 @@ def test_every_index_is_taken_once_by_more_processes_than_cores(tmp_path):
     taken = [int.from_bytes(data[k : k + 4], "little") for k in range(0, len(data), 4)]
     assert sorted(taken) == list(range(5000))
     assert [result for result, _ in results] == list(range(5000))
-
-
-def _wait_for_the_worker(marks):
-    """work for a 2-process run that reports (pid, affinity mask): this
-    process waits (up to 30 s) in its first index for a worker's marker, so
-    the worker takes the other index whatever the timing."""
-    test_process = os.getpid()
-
-    def work(i):
-        if os.getpid() != test_process:
-            (marks / f"took-{os.getpid()}").touch()
-        else:
-            deadline = time.monotonic() + 30
-            while not list(marks.glob("took-*")) and time.monotonic() < deadline:
-                time.sleep(0.005)
-        return os.getpid(), os.sched_getaffinity(0)
-
-    return work
-
-
-needs_affinity = pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity on this platform"
-)
-
-
-@needs_affinity
-def test_each_process_runs_on_a_cpu_of_its_own(tmp_path):
-    before = os.sched_getaffinity(0)
-    cpus = sorted(before)
-    results = workqueue.run(2, 2, _wait_for_the_worker(tmp_path), _died)
-    assert os.sched_getaffinity(0) == before
-    masks = {pid: mask for (pid, mask), _ in results}
-    assert len(masks) == 2
-    assert masks.pop(os.getpid()) == {cpus[0]}
-    (worker_mask,) = masks.values()
-    # the second CPU of the mask, or the caller's one CPU when it has one
-    assert worker_mask == {cpus[1 % len(cpus)]}
-
-
-@needs_affinity
-def test_the_callers_mask_comes_back_when_the_work_raises():
-    before = os.sched_getaffinity(0)
-    with pytest.raises(KeyboardInterrupt):
-        workqueue.run(50, 3, _interrupt_in_this_process(), _died)
-    assert os.sched_getaffinity(0) == before
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    # a serial run leaves the mask alone from start to end
-    assert workqueue.run(3, 1, lambda i: os.sched_getaffinity(0), _died)[0][0] == before
-
-
-def test_runs_without_affinity_calls(monkeypatch):
-    # where the platform cannot pin a process, the work still spreads
-    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-    results = workqueue.run(40, 3, lambda i: i * 3, _died)
-    assert [result for result, _ in results] == [i * 3 for i in range(40)]
